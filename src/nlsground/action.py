@@ -38,8 +38,8 @@ class ActionParams:
     lam: float
 
     def __post_init__(self):
-        if not self.p > 2:
-            raise InvalidSpec(f"p must exceed 2, got {self.p}")
+        if not (self.p > 2 and np.isfinite(self.p)):
+            raise InvalidSpec(f"p must be finite and exceed 2, got {self.p}")
         if not np.isfinite(self.lam):
             raise InvalidSpec("lambda must be finite")
 
@@ -62,6 +62,12 @@ class SolverOptions:
     lp_floor: float = 1e-12
     polish: bool = True
     descent_slack: float = 1e-12
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise InvalidSpec(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise InvalidSpec(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def ground_state(grid: Grid, params: ActionParams,
     p, lam = params.p, params.lam
     if grid.dimension == 2 and p > _P_CAP_2D:
         raise InvalidSpec(f"p={p} above the practical 2D cap {_P_CAP_2D}")
-    lam1 = spectral.lambda1(grid, engine=opts.engine)
+    lam1 = spectral.lambda1(grid)
     margin = threshold_margin(lam1, opts)
     if lam <= -lam1 + margin:
         raise LambdaBelowThreshold(
@@ -246,7 +252,7 @@ def ground_state(grid: Grid, params: ActionParams,
             break
 
     if best_vals is None:
-        raise NoConvergence("no iterations performed (max_iter < 1)")
+        raise NoConvergence("no iterate had a finite residual")
     if best_res > opts.tol and opts.polish:
         best_vals, best_res = _polish(grid, best_vals, p, lam, opts, best_res)
     if best_res > opts.tol:
@@ -299,7 +305,7 @@ def _initial_vector(grid: Grid, opts: SolverOptions,
     if opts.init == "random":
         rng = np.random.default_rng(opts.seed)
         return np.abs(rng.standard_normal(grid.size)) + 1e-3
-    pair = spectral.dirichlet_eigenpairs(grid, 1, engine=opts.engine)[0]
+    pair = spectral.dirichlet_eigenpairs(grid, 1)[0]
     return pair.vector.values.copy()
 
 

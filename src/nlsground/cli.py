@@ -5,18 +5,13 @@ failure, 3 a numerical check or certification failed (the summary names
 the failing check).  Identical configuration and seed produce bitwise
 identical artifacts: floats are serialized with repr, JSON keys are
 sorted, and nothing time- or host-dependent is written.
-
-NLSGROUND_THREADS (default 1) caps the worker threads used for the
-independent stages of check-all; results do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +78,16 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, seed=args.seed, engine=args.engine)
 
 
-def _add_common(sp, n_default=511):
-    sp.add_argument("--n", type=int, default=n_default,
+def _add_common(sp, solver=True):
+    sp.add_argument("--n", type=int, default=511,
                     help="interior nodes per axis")
     sp.add_argument("--domain", default=None,
                     help="bounds a,b (1D) or ax,bx,ay,by (2D)")
     sp.add_argument("--dim", type=int, default=1, choices=(1, 2))
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--engine", default="direct", choices=("direct", "cg"))
+    if solver:
+        sp.add_argument("--tol", type=float, default=1e-8)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--engine", default="direct", choices=("direct", "cg"))
     sp.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -109,8 +105,7 @@ def sweep_csv_lines(curve) -> list[str]:
 
 def _cmd_eig(args) -> int:
     grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
-    pairs = spectral.dirichlet_eigenpairs(grid, args.k, seed=args.seed,
-                                          engine=args.engine)
+    pairs = spectral.dirichlet_eigenpairs(grid, args.k)
     lines = [EIG_HEADER]
     for i, pr in enumerate(pairs, start=1):
         lines.append(f"{i},{_fmt(pr.value)},{_fmt(pr.residual)}")
@@ -137,7 +132,7 @@ def _cmd_sweep(args) -> int:
     opts = _solver_options(args)
     lo = args.lambda_min
     if lo is None:
-        lo = -threshold_eigenvalue(grid, args.kind, args.engine) + 0.5
+        lo = -threshold_eigenvalue(grid, args.kind) + 0.5
     lams = np.linspace(lo, args.lambda_max, args.samples)
     curve = sweep(grid, args.p, lams, args.kind, opts)
     _dump_lines(sweep_csv_lines(curve), args.out)
@@ -225,8 +220,7 @@ def _cmd_exhaustion(args) -> int:
 
 def _check_eig_1d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
-    pairs = spectral.dirichlet_eigenpairs(grid, 2, seed=cfg.seed,
-                                          engine=opts.engine)
+    pairs = spectral.dirichlet_eigenpairs(grid, 2)
     h = grid.h[0]
     lines = [EIG_HEADER]
     worst = 0.0
@@ -241,8 +235,7 @@ def _check_eig_1d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
 
 def _check_eig_2d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 63)
-    pairs = spectral.dirichlet_eigenpairs(grid, 2, seed=cfg.seed,
-                                          engine=opts.engine)
+    pairs = spectral.dirichlet_eigenpairs(grid, 2)
     rel1 = abs(pairs[0].value - 2.0 * np.pi ** 2) / (2.0 * np.pi ** 2)
     rel2 = abs(pairs[1].value - 5.0 * np.pi ** 2) / (5.0 * np.pi ** 2)
     lines = [EIG_HEADER]
@@ -301,7 +294,7 @@ def _check_sweeps(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     ok = True
     artifacts = {}
     for kind in ("signed", "nodal"):
-        thr = threshold_eigenvalue(grid, kind, opts.engine)
+        thr = threshold_eigenvalue(grid, kind)
         lams = np.linspace(-thr + 0.5, 120.0, 60)
         curve = sweep(grid, 4.0, lams, kind, opts)
         rep = derivative_mass_check(curve)
@@ -316,7 +309,7 @@ def _check_sweeps(cfg: RunConfig, opts: SolverOptions, outdir: Path):
 
 def _check_threshold(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
-    lam1 = spectral.lambda1(grid, engine=opts.engine)
+    lam1 = spectral.lambda1(grid)
     lams = np.linspace(-lam1 + 0.5, 150.0, 80)
     c8 = sweep(grid, 8.0, lams, "signed", opts)
     t8 = mass_threshold(c8, opts)
@@ -393,13 +386,6 @@ _CHECKS = [
 ]
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NLSGROUND_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _cmd_check_all(args) -> int:
     if args.config:
         cfg = RunConfig.from_file(args.config)
@@ -421,14 +407,9 @@ def _cmd_check_all(args) -> int:
             # check failures, not solver breakdowns
             return name, f"fail:{type(exc).__name__}", str(exc), {}
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, _CHECKS))
-    else:
-        results = [run_one(item) for item in _CHECKS]
+    results = [run_one(item) for item in _CHECKS]
 
-    # single writer for every artifact, in deterministic order
+    # artifacts are written after the battery, in deterministic order
     for _, _, _, artifacts in results:
         for path, payload in sorted(artifacts.items(), key=lambda kv: str(kv[0])):
             if isinstance(payload, Field):
@@ -463,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eig", help="lowest Dirichlet eigenvalues")
-    _add_common(sp)
+    _add_common(sp, solver=False)
     sp.add_argument("--k", type=int, default=2)
     sp.set_defaults(fn=_cmd_eig)
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import spectral
 from .action import ActionParams, GroundState, SolverOptions, ground_state
-from .errors import InsufficientRange, NlsgroundError, NoConvergence, NotCritical
+from .errors import (InsufficientRange, InvalidSpec, NlsgroundError,
+                     NoConvergence, NotCritical)
 from .grid import DomainSpec, Grid, build_grid
 from .nodal import nodal_ground_state
 
@@ -62,11 +63,11 @@ def _solve_one(grid: Grid, p: float, lam: float, kind: str,
                               init_field=init)
 
 
-def threshold_eigenvalue(grid: Grid, kind: str, engine: str = "direct") -> float:
+def threshold_eigenvalue(grid: Grid, kind: str) -> float:
     if kind == "signed":
-        return spectral.lambda1(grid, engine=engine)
+        return spectral.lambda1(grid)
     if kind == "nodal":
-        return spectral.lambda2(grid, engine=engine)
+        return spectral.lambda2(grid)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -88,7 +89,7 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
         raise ValueError("need a nonempty 1D frequency list")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("frequency list must be strictly ascending")
-    thr = threshold_eigenvalue(grid, kind, opts.engine)
+    thr = threshold_eigenvalue(grid, kind)
     if lambdas[0] <= -thr:
         raise ValueError(
             f"sweep starts at {lambdas[0]}, at or below the threshold {-thr:.6g}")
@@ -103,6 +104,8 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     for i, lam in enumerate(lambdas):
         try:
             st = _solve_one(grid, p, lam, kind, opts, warm)
+        except InvalidSpec:
+            raise  # bad input fails every sample alike
         except NlsgroundError as exc:
             failures += 1
             flags[i] = f"failed:{type(exc).__name__}"

@@ -284,6 +284,7 @@ def _count_components_2d(u: np.ndarray, thr: float) -> int:
 # round-trips IEEE doubles exactly.
 
 _DUMP_HEADER = "nlsground-field 1"
+_DUMP_KEYS = ("dimension", "bounds", "star_center", "n", "values")
 
 
 def save_field(u: Field, path) -> None:
@@ -303,17 +304,28 @@ def load_field(path) -> Field:
     if not lines or lines[0] != _DUMP_HEADER:
         raise InvalidSpec(f"{path}: not a field dump")
     meta = {}
-    for row in lines[1:6]:
-        key, _, rest = row.partition(" ")
+    for key, row in zip(_DUMP_KEYS, lines[1:]):
+        name, _, rest = row.partition(" ")
+        if name != key:
+            raise InvalidSpec(f"{path}: expected header line {key!r}, got {row!r}")
         meta[key] = rest
-    dim = int(meta["dimension"])
-    flat = [float(v) for v in meta["bounds"].split()]
+    if len(meta) < len(_DUMP_KEYS):
+        raise InvalidSpec(f"{path}: truncated header")
+    try:
+        dim = int(meta["dimension"])
+        flat = [float(v) for v in meta["bounds"].split()]
+        center = tuple(float(v) for v in meta["star_center"].split())
+        n = int(meta["n"])
+        count = int(meta["values"])
+        values = np.array([float(v) for v in lines[6:6 + count]], dtype=float)
+    except ValueError as exc:
+        raise InvalidSpec(f"{path}: malformed field dump ({exc})") from exc
+    if len(flat) != 2 * dim:
+        raise InvalidSpec(f"{path}: {len(flat)} bounds for dimension {dim}")
     bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(dim))
-    center = tuple(float(v) for v in meta["star_center"].split())
-    spec = DomainSpec(dim, bounds, center)
-    grid = build_grid(spec, int(meta["n"]))
-    count = int(meta["values"])
-    values = np.array([float(v) for v in lines[6:6 + count]], dtype=float)
+    grid = build_grid(DomainSpec(dim, bounds, center), n)
     if values.size != count:
         raise InvalidSpec(f"{path}: truncated value block")
+    if count != grid.size:
+        raise InvalidSpec(f"{path}: {count} values for {grid.size} nodes")
     return Field(grid, values)

@@ -12,7 +12,6 @@ Both engines are bitwise deterministic for fixed inputs.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -127,22 +126,19 @@ def cg(apply_op, b: np.ndarray, x0: np.ndarray | None = None,
 # Factorizations are expensive on 2D grids; keep a small LRU of solvers.
 _SOLVER_CACHE: OrderedDict = OrderedDict()
 _SOLVER_CACHE_MAX = 24
-_CACHE_LOCK = threading.Lock()
 
 
 def shifted_solver(grid: Grid, c: float, engine: str = "direct") -> OperatorSolver:
-    """Cached OperatorSolver for (grid, c, engine); thread safe."""
+    """Cached OperatorSolver for (grid, c, engine)."""
     key = (grid.key(), float(c), engine)
-    with _CACHE_LOCK:
-        solver = _SOLVER_CACHE.get(key)
-        if solver is not None:
-            _SOLVER_CACHE.move_to_end(key)
-            return solver
+    solver = _SOLVER_CACHE.get(key)
+    if solver is not None:
+        _SOLVER_CACHE.move_to_end(key)
+        return solver
     solver = OperatorSolver(grid, c, engine)
-    with _CACHE_LOCK:
-        _SOLVER_CACHE[key] = solver
-        while len(_SOLVER_CACHE) > _SOLVER_CACHE_MAX:
-            _SOLVER_CACHE.popitem(last=False)
+    _SOLVER_CACHE[key] = solver
+    while len(_SOLVER_CACHE) > _SOLVER_CACHE_MAX:
+        _SOLVER_CACHE.popitem(last=False)
     return solver
 
 

@@ -106,7 +106,7 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
     deterministic starts.
     """
     opts = opts or SolverOptions()
-    lam2 = spectral.lambda2(grid, engine=opts.engine)
+    lam2 = spectral.lambda2(grid)
     margin = opts.margin_factor * abs(lam2)
     if params.lam <= -lam2 + margin:
         raise LambdaBelowThreshold(
@@ -140,50 +140,25 @@ class _InterfaceProblem:
     def side_grid(self, lo: float, hi: float, n_side: int) -> Grid:
         return build_grid(DomainSpec.interval(lo, hi), n_side)
 
-    def _side_ok(self, lo: float, hi: float, n_side: int) -> bool:
-        if n_side < 3:
-            return False
-        lam1 = spectral.lambda1(self.side_grid(lo, hi, n_side),
-                                engine=self.side_opts.engine)
-        margin = self.side_opts.margin_factor * lam1
-        return self.params.lam > -lam1 + margin
-
     def _feasible_window(self) -> tuple[int, int]:
         """Interface nodes whose two subintervals both admit ground states.
 
-        Each side is admissible when the frequency clears the side's own
-        first eigenvalue; this is monotone in the interface position, so
-        the window edges are found by bisection.  Away from the threshold
-        every admissible split works and the probes are skipped.
+        Each side grid keeps spacing h, so its first eigenvalue is known in
+        closed form; a side is admissible when the frequency clears it by
+        the same margin the signed solver demands.
         """
-        n = self.n
-        lam1_whole = spectral.lambda1(self.grid, engine=self.side_opts.engine)
+        m = np.arange(4, self.n - 2)
+        x_m = self.a + m * self.h
         mf = self.side_opts.margin_factor
-        if self.params.lam > -lam1_whole * (1.0 - mf):
-            return 4, n - 3
-        # largest m with a solvable left subinterval (lambda_1 shrinks as
-        # the subinterval grows)
-        lo, hi = 4, n - 3
-        if not self._side_ok(self.a, self.node_x(lo), lo - 1):
+        lam1_left = spectral.axis_eigenvalues(m - 1, (x_m - self.a) / m, 1)
+        lam1_right = spectral.axis_eigenvalues(
+            self.n - m, (self.b - x_m) / (self.n + 1 - m), 1)
+        ok = ((self.params.lam > -lam1_left + mf * lam1_left)
+              & (self.params.lam > -lam1_right + mf * lam1_right))
+        idx = np.flatnonzero(ok)
+        if not idx.size:
             return 1, 0
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._side_ok(self.a, self.node_x(mid), mid - 1):
-                lo = mid
-            else:
-                hi = mid - 1
-        m_max = lo
-        lo, hi = 4, n - 3
-        if not self._side_ok(self.node_x(hi), self.b, n - hi):
-            return 1, 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._side_ok(self.node_x(mid), self.b, n - mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        m_min = lo
-        return m_min, m_max
+        return int(m[idx[0]]), int(m[idx[-1]])
 
     def evaluate(self, m: int) -> float:
         """Total action with the zero interface at node m (1-based)."""
@@ -194,7 +169,7 @@ class _InterfaceProblem:
             return self.cache[m]
         n_left = m - 1
         n_right = self.n - m
-        if n_left < 3 or n_right < 3 or not self.window[0] <= m <= self.window[1]:
+        if not self.window[0] <= m <= self.window[1]:
             out = (np.inf, None, None)
             self.cache[m] = out
             return out
@@ -257,7 +232,7 @@ def _nodal_interval(grid: Grid, params: ActionParams, opts: SolverOptions,
         # warm continuation: the multistart already ran on the cold start
         seeds.append(("hint", int(interface_hint)))
     else:
-        phi2 = spectral.dirichlet_eigenpairs(grid, 2, engine=opts.engine)[1]
+        phi2 = spectral.dirichlet_eigenpairs(grid, 2)[1]
         seeds.append(("phi2",
                       _first_sign_change(phi2.vector.values) or (n + 1) // 2))
         seeds.append(("odd-reflection", (n + 1) // 2))
@@ -353,7 +328,7 @@ def _descent_seeds(grid: Grid, params: ActionParams, opts: SolverOptions,
     seeds = []
     if init_field is not None:
         seeds.append(("warm", init_field.values.copy()))
-    phi2 = spectral.dirichlet_eigenpairs(grid, 2, engine=opts.engine)[1]
+    phi2 = spectral.dirichlet_eigenpairs(grid, 2)[1]
     seeds.append(("phi2", phi2.vector.values.copy()))
     x, y = grid.meshes()
     (ax, bx), (ay, by) = grid.spec.bounds

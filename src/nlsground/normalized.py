@@ -119,7 +119,7 @@ def f_mu_profile(curve: LevelCurve, mu: float) -> FMuProfile:
 def _default_curve(grid: Grid, p: float, kind: str, opts: SolverOptions,
                    lambda_min: float | None, lambda_max: float | None,
                    samples: int) -> LevelCurve:
-    thr = threshold_eigenvalue(grid, kind, opts.engine)
+    thr = threshold_eigenvalue(grid, kind)
     lo = lambda_min if lambda_min is not None else -thr + 0.5
     hi = lambda_max if lambda_max is not None else max(4.0 * thr, lo + 50.0)
     return sweep(grid, p, np.linspace(lo, hi, samples), kind, opts)
@@ -160,8 +160,8 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
     above the refined threshold raise MassOutOfRange, and the threshold
     mass itself is matched at the curve's argmax.
     """
-    if mu <= 0:
-        raise InvalidSpec(f"mass must be positive, got {mu}")
+    if not (np.isfinite(mu) and mu > 0):
+        raise InvalidSpec(f"mass must be finite and positive, got {mu}")
     opts = opts or SolverOptions()
     own_curve = curve is None
     if own_curve:
@@ -498,7 +498,9 @@ def supercritical_lambda_bound(grid: Grid, p: float, mu: float,
     p_c = critical_exponent(N)
     if p <= p_c:
         raise InvalidSpec(f"p={p} is not supercritical (p_c={p_c})")
-    lam2 = spectral.lambda2(grid, engine=opts.engine)
+    if not (np.isfinite(mu) and mu > 0):
+        raise InvalidSpec(f"mass must be finite and positive, got {mu}")
+    lam2 = spectral.lambda2(grid)
     lambda_bar = 2.0 * p * lam2 / (N * (p - p_c))
     if curve is None:
         lo = -lam2 + 0.5

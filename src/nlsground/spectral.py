@@ -1,24 +1,24 @@
 """Lowest Dirichlet eigenpairs of the discrete negative Laplacian.
 
-Shifted inverse iteration with deflation: each eigenvector is obtained by
-repeatedly applying the factorized inverse of (A - shift I) to a seeded
-random start, projecting out previously found eigenvectors.  Only the 2-4
-smallest pairs are ever needed; they set the existence thresholds for the
-signed and sign-changing ground-state problems and seed initializations.
+The stencil is diagonalized by the discrete sine basis.  On an axis with
+n interior nodes and spacing h = L/(n+1),
 
-Output is deterministic for a fixed (grid, k, seed).
+    lambda_j = (4/h^2) sin^2(j pi / 2(n+1)),   phi_j(x_i) = sin(j pi i/(n+1)),
+
+and on a rectangle the pairs are the tensor products phi_j(x) phi_l(y)
+with value lambda_j(x) + lambda_l(y).  Only the 2-4 smallest pairs are
+ever needed; they set the existence thresholds for the signed and
+sign-changing ground-state problems and seed initializations.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, NoConvergence
+from .errors import InvalidSpec
 from .grid import Field, Grid
-from .linsolve import shifted_solver
 
 _MAX_PAIRS = 4
 
@@ -32,87 +32,73 @@ class EigenPair:
     residual: float
 
 
-def dirichlet_eigenpairs(grid: Grid, k: int, *, seed: int = 0,
-                         shift: float = 0.0, tol: float = 1e-10,
-                         max_iter: int = 400,
-                         engine: str = "direct") -> list[EigenPair]:
+def axis_eigenvalues(n, h, j):
+    """(4/h^2) sin^2(j pi / 2(n+1)); vectorized over any argument."""
+    return 4.0 / (h * h) * np.sin(j * np.pi / (2 * (n + 1))) ** 2
+
+
+def dirichlet_eigenpairs(grid: Grid, k: int) -> list[EigenPair]:
     """The k smallest Dirichlet eigenpairs of -Laplacian, ascending.
+
+    Pairs are ordered by (value, axis modes).  On a square the tied modes
+    (j, l) and (l, j) are returned as their transpose-symmetric and
+    transpose-antisymmetric combinations, in that order.
 
     Sign conventions: the first eigenvector is positive; later ones have a
     nonnegative value at their first clearly nonzero node in row-major
-    order.
-
-    The iteration targets residual <= tol * value.  On very fine grids
-    the rounding of the stored vector itself bounds the attainable
-    residual (noise amplified by 1/h^2); the iteration then stalls at
-    that floor and returns its best with the honest residual recorded.
-    NoConvergence is raised only when the residual stays above 1e-6 of
-    the eigenvalue, which signals an ill-conditioned shift (the caller
-    retries with a different one).
+    order.  `residual` is the norm of A v - lambda v for the stored v.
     """
     if not 1 <= k <= _MAX_PAIRS:
         raise InvalidSpec(f"k must be in 1..{_MAX_PAIRS}, got {k}")
-    cached = _cache_lookup(grid, k, seed, shift, engine, tol)
-    if cached is not None:
-        return cached
-
-    solver = shifted_solver(grid, -shift, engine)
-    rng = np.random.default_rng(seed)
-    w = grid.weight
-    found_vecs: list[np.ndarray] = []
+    modes = _sorted_modes(grid, k)
+    if len(modes) < k:
+        raise InvalidSpec(f"grid has only {len(modes)} eigenpairs, asked for {k}")
+    # row j-1 holds sin(j pi i/(n+1)) at nodes i = 1..n, on either axis
+    table = np.sin(np.outer(np.arange(1, k + 1), np.arange(1, grid.n + 1))
+                   * (np.pi / (grid.n + 1)))
     pairs: list[EigenPair] = []
-
-    coarse = _coarse_starts(grid, k, seed, shift, engine)
-
-    for j in range(k):
-        x = coarse[j] if coarse is not None else rng.standard_normal(grid.size)
-        x = _deflate(x, found_vecs, w)
-        x /= np.sqrt(w * (x @ x))
-        best = (np.inf, None, 0.0)  # (residual, vector, value)
-        stall = 0
-        for _ in range(max_iter):
-            y = solver.solve(x)
-            y = _deflate(y, found_vecs, w)
-            y /= np.sqrt(w * (y @ y))
-            ay = grid.laplacian(y)
-            theta = w * float(y @ ay)
-            r = ay - theta * y
-            residual = np.sqrt(w * float(r @ r))
-            x = y
-            if residual < best[0]:
-                best = (residual, y, theta)
-                stall = 0
-            else:
-                stall += 1
-            if residual <= tol * abs(theta) or stall >= 10:
-                break
-        residual, vec, theta = best
-        if vec is None or residual > 1e-6 * abs(theta):
-            raise NoConvergence(
-                f"eigenpair {j + 1}: residual {residual:.2e} above "
-                f"1e-6 * {theta:.4g} after {max_iter} iterations "
-                f"(shift {shift})")
-        vec = _fix_sign(vec, first=(j == 0))
-        found_vecs.append(vec)
-        pairs.append(EigenPair(theta, Field(grid, vec), residual))
-
-    pairs.sort(key=lambda pr: pr.value)
-    _cache_store(grid, k, seed, shift, engine, tol, pairs)
+    i = 0
+    while len(pairs) < k:
+        value, mode = modes[i]
+        vec = _mode_vector(table, mode)
+        if i + 1 < len(modes) and modes[i + 1] == (value, mode[::-1]):
+            partner = _mode_vector(table, mode[::-1])
+            combos = [vec + partner, vec - partner]
+            i += 2
+        else:
+            combos = [vec]
+            i += 1
+        for vec in combos[:k - len(pairs)]:
+            vec = _fix_sign(vec / np.sqrt(grid.l2_sq(vec)), first=not pairs)
+            r = grid.laplacian(vec) - value * vec
+            pairs.append(EigenPair(value, Field(grid, vec),
+                                   float(np.sqrt(grid.l2_sq(r)))))
     return pairs
 
 
-def lambda1(grid: Grid, **kw) -> float:
-    return dirichlet_eigenpairs(grid, 1, **kw)[0].value
+def lambda1(grid: Grid) -> float:
+    return _sorted_modes(grid, 1)[0][0]
 
 
-def lambda2(grid: Grid, **kw) -> float:
-    return dirichlet_eigenpairs(grid, 2, **kw)[1].value
+def lambda2(grid: Grid) -> float:
+    return _sorted_modes(grid, 2)[1][0]
 
 
-def _deflate(x: np.ndarray, vecs: list[np.ndarray], w: float) -> np.ndarray:
-    for v in vecs:
-        x = x - (w * (v @ x)) * v
-    return x
+def _sorted_modes(grid: Grid, k: int) -> list[tuple[float, tuple]]:
+    """(value, modes) of every tensor mode with all indices <= k, sorted."""
+    j = np.arange(1, min(k, grid.n) + 1)
+    per_axis = [axis_eigenvalues(grid.n, h, j).tolist() for h in grid.h]
+    if grid.dimension == 1:
+        return [(v, (a,)) for a, v in enumerate(per_axis[0])]
+    return sorted((vx + vy, (a, b))
+                  for a, vx in enumerate(per_axis[0])
+                  for b, vy in enumerate(per_axis[1]))
+
+
+def _mode_vector(table: np.ndarray, mode: tuple) -> np.ndarray:
+    if len(mode) == 1:
+        return table[mode[0]].copy()
+    return np.outer(table[mode[0]], table[mode[1]]).reshape(-1)
 
 
 def _fix_sign(x: np.ndarray, first: bool) -> np.ndarray:
@@ -123,55 +109,3 @@ def _fix_sign(x: np.ndarray, first: bool) -> np.ndarray:
     if idx.size and x[idx[0]] < 0.0:
         return -x
     return x
-
-
-def _coarse_starts(grid: Grid, k: int, seed: int, shift: float,
-                   engine: str):
-    """Eigenvectors from a half-resolution grid, interpolated, as starts.
-
-    Cuts the fine-grid iteration count on large grids; falls back to
-    random starts on small grids.
-    """
-    if grid.n < 96:
-        return None
-    coarse_grid = Grid(grid.spec, grid.n // 2)
-    pairs = dirichlet_eigenpairs(coarse_grid, k, seed=seed, shift=shift,
-                                 tol=1e-8, engine=engine)
-    out = []
-    for pr in pairs:
-        vals = pr.vector.values
-        if grid.dimension == 1:
-            fine = np.interp(grid.coords[0], coarse_grid.coords[0], vals)
-        else:
-            square = vals.reshape(coarse_grid.shape)
-            part = np.empty((grid.n, coarse_grid.n))
-            for jj in range(coarse_grid.n):
-                part[:, jj] = np.interp(grid.coords[0], coarse_grid.coords[0],
-                                        square[:, jj])
-            fine2 = np.empty((grid.n, grid.n))
-            for ii in range(grid.n):
-                fine2[ii, :] = np.interp(grid.coords[1], coarse_grid.coords[1],
-                                         part[ii, :])
-            fine = fine2.reshape(-1)
-        out.append(fine)
-    return out
-
-
-_EIG_CACHE: dict = {}
-_EIG_LOCK = threading.Lock()
-
-
-def _cache_lookup(grid, k, seed, shift, engine, tol):
-    with _EIG_LOCK:
-        entry = _EIG_CACHE.get((grid.key(), seed, shift, engine, tol))
-        if entry is not None and len(entry) >= k:
-            return entry[:k]
-    return None
-
-
-def _cache_store(grid, k, seed, shift, engine, tol, pairs):
-    key = (grid.key(), seed, shift, engine, tol)
-    with _EIG_LOCK:
-        entry = _EIG_CACHE.get(key)
-        if entry is None or len(entry) < k:
-            _EIG_CACHE[key] = list(pairs)

@@ -103,6 +103,40 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _ = run_cli(capsys, "eig", "--n", "2")
     assert code == 1
+    code, _ = run_cli(capsys, "eig", "--seed", "3")  # eig has no solver flags
+    assert code == 1
+    for bad in (("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                ("--tol", "inf"), ("--p", "inf"), ("--p", "nan")):
+        args = {"--p": "4", "--lambda": "10", "--n": "63"}
+        args.update([bad])
+        code, _ = run_cli(capsys, "ground", *[v for kv in args.items() for v in kv])
+        assert code == 1, bad
+    for argv in (("sweep", "--p", "inf", "--n", "63", "--samples", "5"),
+                 ("normalized", "--p", "4", "--mu", "nan", "--n", "63"),
+                 ("bound", "--p", "8", "--mu", "inf", "--n", "63")):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 1, argv
+
+
+def test_truncated_dump_is_invalid(tmp_path, capsys):
+    dump = tmp_path / "u.field"
+    code, _ = run_cli(capsys, "ground", "--p", "4", "--lambda", "10",
+                      "--n", "63", "--out", str(tmp_path / "g.json"),
+                      "--dump", str(dump))
+    assert code == 0
+    lines = dump.read_text().splitlines()
+    broken = [lines[:k] for k in range(7)]
+    broken += [lines[:3] + ["n x"] + lines[4:],
+               lines[:2] + ["bounds 0.0"] + lines[3:],
+               lines[:4] + ["n 62"] + lines[5:]]
+    for i, rows in enumerate(broken):
+        path = tmp_path / f"broken{i}.field"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(InvalidSpec):
+            load_field(path)
+        code, _ = run_cli(capsys, "pohozaev", "--in", str(path),
+                          "--p", "4", "--lambda", "10")
+        assert code == 1, rows[:6]
 
 
 def test_config_roundtrip(tmp_path):

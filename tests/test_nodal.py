@@ -4,7 +4,7 @@ import pytest
 from nlsground import (ActionParams, DomainSpec, LambdaBelowThreshold,
                        NodalCandidate, NonpositiveQuotient, NotSignChanging,
                        SolverOptions, action, build_grid, dirichlet_eigenpairs,
-                       ground_state, kappa, lambda2, nodal_action_of,
+                       ground_state, kappa, lambda1, lambda2, nodal_action_of,
                        nodal_ground_state, nodal_project, norms, pde_residual,
                        split)
 
@@ -162,3 +162,23 @@ def test_2d_descent(unit_square):
     assert st.action_value >= 2.0 * signed.action_value - 1e-8
     assert st.action_value == pytest.approx(sum(st.part_actions), rel=1e-12)
     assert st.node_count >= 1
+
+
+@pytest.mark.parametrize("rel", [1e-3, 0.2, 0.9])
+def test_interface_window_matches_side_grid_scan(rel):
+    from nlsground.nodal import _InterfaceProblem
+
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 63)
+    params = ActionParams(4.0, -lambda2(grid) * (1.0 - rel))
+    prob = _InterfaceProblem(grid, params, SolverOptions())
+    h, mf = grid.h[0], prob.side_opts.margin_factor
+
+    def admissible(lo, hi, n_side):
+        lam1 = lambda1(build_grid(DomainSpec.interval(lo, hi), n_side))
+        return params.lam > -lam1 + mf * lam1
+
+    feasible = [m for m in range(4, grid.n - 2)
+                if admissible(0.0, m * h, m - 1)
+                and admissible(m * h, 1.0, grid.n - m)]
+    assert feasible == list(range(feasible[0], feasible[-1] + 1))
+    assert prob.window == (feasible[0], feasible[-1])

@@ -52,18 +52,14 @@ def test_normalization_orthogonality_residual(grid255):
     assert abs(inner) <= 1e-10
 
 
-def test_deterministic_given_seed(grid255):
-    import nlsground.spectral as spectral
-    spectral._EIG_CACHE.clear()
-    a = dirichlet_eigenpairs(grid255, 2, seed=3)
-    spectral._EIG_CACHE.clear()
-    b = dirichlet_eigenpairs(grid255, 2, seed=3)
-    for pa, pb in zip(a, b):
-        assert pa.value == pb.value
-        assert np.array_equal(pa.vector.values, pb.vector.values)
-    c = dirichlet_eigenpairs(grid255, 2, seed=11)
-    for pa, pc in zip(a, c):
-        assert pa.value == pytest.approx(pc.value, rel=1e-9)
+def test_repeated_calls_bitwise_identical(grid255, unit_square):
+    for grid in (grid255, build_grid(unit_square, 31)):
+        a = dirichlet_eigenpairs(grid, 4)
+        b = dirichlet_eigenpairs(grid, 4)
+        for pa, pb in zip(a, b):
+            assert pa.value == pb.value
+            assert pa.residual == pb.residual
+            assert np.array_equal(pa.vector.values, pb.vector.values)
 
 
 def test_k_validation(grid255):
@@ -78,12 +74,50 @@ def test_thresholds_shortcuts(grid255):
     assert lambda2(grid255) == dirichlet_eigenpairs(grid255, 2)[1].value
 
 
-def test_bad_shift_raises():
-    import pytest as _pytest
-    from nlsground import NoConvergence
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 63)
-    lam1 = dirichlet_eigenpairs(grid, 1)[0].value
-    # a shift above the first eigenvalue makes the shifted operator
-    # indefinite and the factorization reports it
-    with _pytest.raises(NoConvergence):
-        dirichlet_eigenpairs(grid, 1, shift=2.0 * lam1, seed=1)
+def _dense_laplacian(grid):
+    """Assembled stencil matrix, built independently of Grid.laplacian."""
+    n = grid.n
+    mats = [(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / (h * h)
+            for h in grid.h]
+    if grid.dimension == 1:
+        return mats[0]
+    eye = np.eye(n)
+    return np.kron(mats[0], eye) + np.kron(eye, mats[1])
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("spec,n", [
+    (DomainSpec.interval(0.0, 1.0), 31),
+    (DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 10),
+])
+def test_closed_form_matches_dense_eigh(spec, n):
+    grid = build_grid(spec, n)
+    values, vectors = np.linalg.eigh(_dense_laplacian(grid))
+    pairs = dirichlet_eigenpairs(grid, 4)
+    assert np.all(np.diff(values[:5]) > 1e-6 * values[4])  # nondegenerate
+    for j, pair in enumerate(pairs):
+        assert abs(pair.value - values[j]) <= 1e-12 * values[j]
+        v = _unit(pair.vector.values)
+        assert min(np.linalg.norm(v - vectors[:, j]),
+                   np.linalg.norm(v + vectors[:, j])) <= 1e-10
+
+
+def test_square_tie_is_split_by_transpose_symmetry(unit_square):
+    grid = build_grid(unit_square, 10)
+    values, vectors = np.linalg.eigh(_dense_laplacian(grid))
+    pairs = dirichlet_eigenpairs(grid, 4)
+    for j, pair in enumerate(pairs):
+        assert abs(pair.value - values[j]) <= 1e-12 * values[j]
+    # pairs 2 and 3 share lambda_12 = lambda_21
+    assert pairs[1].value == pairs[2].value
+    sym = pairs[1].vector.values.reshape(grid.shape)
+    anti = pairs[2].vector.values.reshape(grid.shape)
+    assert np.array_equal(sym, sym.T)
+    assert np.array_equal(anti, -anti.T)
+    space = vectors[:, 1:3]
+    for pair in pairs[1:3]:
+        v = _unit(pair.vector.values)
+        assert np.linalg.norm(v - space @ (space.T @ v)) <= 1e-10
