@@ -16,7 +16,7 @@ storage rounding of the field itself dominates the attainable residual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -28,6 +28,8 @@ from .grid import Field, Grid, node_count
 from .linsolve import shifted_solver, solve_tridiagonal_longdouble
 
 _P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
+# tolerated quotient increase per fixed-point step, relative to its scale
+_DESCENT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,6 @@ class SolverOptions:
     margin_factor: float = 1e-6
     seed: int = 0
     init: str = "phi1"  # or "random"
-    engine: str = "direct"
-    lp_floor: float = 1e-12
-    polish: bool = True
-    descent_slack: float = 1e-12
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -209,7 +207,7 @@ def ground_state(grid: Grid, params: ActionParams,
         raise LambdaBelowThreshold(
             f"lambda={lam} at or below -lambda_1 + margin = {-lam1 + margin:.6g}")
 
-    solver = shifted_solver(grid, lam, opts.engine)
+    solver = shifted_solver(grid, lam)
     u = _initial_vector(grid, opts, init_field)
     u = u / grid.lp_p(u, p) ** (1.0 / p)
 
@@ -235,7 +233,7 @@ def ground_state(grid: Grid, params: ActionParams,
         # so the quotient carries that conditioning in its last digits;
         # the slack is measured against the uncancelled scale
         r_scale = (grad + abs(lam) * l2) / lp_u ** (2.0 / p)
-        if r_now > r_prev + opts.descent_slack * r_scale:
+        if r_now > r_prev + _DESCENT_SLACK * r_scale:
             raise NoConvergence(
                 f"quotient increased ({r_prev!r} -> {r_now!r}); "
                 "fixed-point descent violated")
@@ -253,7 +251,7 @@ def ground_state(grid: Grid, params: ActionParams,
 
     if best_vals is None:
         raise NoConvergence("no iterate had a finite residual")
-    if best_res > opts.tol and opts.polish:
+    if best_res > opts.tol:
         best_vals, best_res = _polish(grid, best_vals, p, lam, opts, best_res)
     if best_res > opts.tol:
         raise NoConvergence(
@@ -430,8 +428,3 @@ def _viterbi_rounding(eps_lo: np.ndarray, eps_hi: np.ndarray) -> np.ndarray:
     for i in range(n - 3, -1, -1):
         choices[i] = back[i][choices[i + 1]][choices[i + 2]]
     return choices
-
-
-def scaled_options(opts: SolverOptions, **changes) -> SolverOptions:
-    """Copy of opts with the given fields replaced."""
-    return replace(opts, **changes)

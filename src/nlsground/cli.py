@@ -75,7 +75,7 @@ def _parse_domain(text: str | None, dim: int) -> DomainSpec:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, seed=args.seed, engine=args.engine)
+    return SolverOptions(tol=args.tol, seed=args.seed)
 
 
 def _add_common(sp, solver=True):
@@ -87,7 +87,6 @@ def _add_common(sp, solver=True):
     if solver:
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--engine", default="direct", choices=("direct", "cg"))
     sp.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -141,8 +140,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mu_n(args) -> int:
     boxes = [float(v) for v in args.boxes.split(",")]
-    opts = SolverOptions(tol=args.tol, seed=args.seed, engine=args.engine)
-    report = estimate_mu_N(args.dim, boxes, p=args.p, opts=opts)
+    report = estimate_mu_N(args.dim, boxes, p=args.p,
+                           opts=_solver_options(args))
     _dump_json({
         "mu_N": report.value,
         "error_bar": report.error_bar,
@@ -328,11 +327,10 @@ def _check_threshold(cfg: RunConfig, opts: SolverOptions, outdir: Path):
 
 def _check_normalized(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
-    sol = solve_normalized(grid, 4.0, 1.0, "signed", opts=opts,
-                           lambda_max=60.0, samples=80)
     curve = sweep(grid, 4.0,
                   np.linspace(-threshold_eigenvalue(grid, "signed") + 0.5,
                               60.0, 80), "signed", opts)
+    sol = solve_normalized(grid, 4.0, 1.0, "signed", opts=opts, curve=curve)
     cert = least_energy_certify(sol, curve, opts)
     mass = sol.u.grid.l2_sq(sol.u.values)
     ok = (abs(mass - sol.mu) <= 1e-6 * sol.mu and cert.passed
@@ -471,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--engine", default="direct", choices=("direct", "cg"))
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_mu_n)
 

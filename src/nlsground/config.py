@@ -61,7 +61,11 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         known = {f.name: f for f in fields(cls)}
         kwargs = {}
-        for raw in Path(path).read_text().splitlines():
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InvalidSpec(f"{path}: cannot read config ({exc})") from exc
+        for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -414,6 +414,8 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
     p_c = critical_exponent(N)
     if p is None:
         p = p_c
+    if not np.isfinite(p):
+        raise InvalidSpec(f"p must be finite, got {p}")
     if abs(p - p_c) > 1e-12:
         raise NotCritical(f"p={p} is not the mass-critical exponent {p_c}")
     opts = opts or SolverOptions()

@@ -300,7 +300,10 @@ def save_field(u: Field, path) -> None:
 
 
 def load_field(path) -> Field:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise InvalidSpec(f"{path}: cannot read field dump ({exc})") from exc
     if not lines or lines[0] != _DUMP_HEADER:
         raise InvalidSpec(f"{path}: not a field dump")
     meta = {}

@@ -1,145 +1,118 @@
 """Linear solves with the shifted operator A + c I on a grid.
 
-The default engine factorizes once (banded Cholesky in 1D, sparse LU in
-2D) and applies iterative refinement against the stencil evaluation used
-everywhere else in the package, so solve residuals are consistent with
-how every other module measures them.  A hand-rolled conjugate-gradient
-engine is available as an alternative; it needs no factorization but is
-much slower on fine grids.
-
-Both engines are bitwise deterministic for fixed inputs.
+The stencil has constant coefficients on a box, so the solve uses its
+structure directly: in 1D A + c I is symmetric tridiagonal and is
+factored once by LAPACK's LDL^T (dpttrf/dpttrs); in 2D it is diagonal in
+the discrete sine basis, and a solve is a sine transform, a division by
+the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform.
+Both are followed by iterative refinement against the stencil evaluation
+used everywhere else in the package, so solve residuals are consistent
+with how every other module measures them.  Solves are bitwise
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cholesky_banded, cho_solve_banded
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
+from . import spectral
 from .errors import NoConvergence
 from .grid import Grid
+
+# refinement target (relative residual) and step cap; refinement also
+# stops as soon as a step fails to halve the residual
+_REFINE_TOL = 1e-13
+_MAX_REFINE = 4
 
 
 class OperatorSolver:
     """Repeated solves of (A + c I) x = b on one grid.
 
     c must keep the operator positive definite (c > -lambda_1 of the
-    discrete Laplacian); the Cholesky factorization fails otherwise.
+    discrete Laplacian); NoConvergence is raised otherwise.
     """
 
-    def __init__(self, grid: Grid, c: float, engine: str = "direct"):
-        if engine not in ("direct", "cg"):
-            raise ValueError(f"unknown engine {engine!r}")
+    def __init__(self, grid: Grid, c: float):
         self.grid = grid
         self.c = float(c)
-        self.engine = engine
-        self._factor = None
-        if engine == "direct":
-            self._factorize()
+        self._factorize()
 
     def _factorize(self):
         g = self.grid
-        if g.dimension == 1:
+        # the closed-form lambda_1 decides c = -lambda_1 exactly, where a
+        # factorization would only see rounding noise
+        definite = self.c > -spectral.lambda1(g)
+        if definite and g.dimension == 1:
             h2 = g.h[0] * g.h[0]
-            ab = np.zeros((2, g.n))
-            ab[0, 1:] = -1.0 / h2
-            ab[1, :] = 2.0 / h2 + self.c
-            try:
-                self._factor = ("banded", cholesky_banded(ab, lower=False))
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence(
-                    f"operator A + ({self.c}) I is not positive definite") from exc
-        else:
-            n = g.n
-            one = np.ones(n)
-            t = sparse.diags_array([-one[:-1], 2.0 * one, -one[:-1]],
-                                   offsets=[-1, 0, 1], format="csr")
-            eye = sparse.identity(n, format="csr")
-            mat = (sparse.kron(t / (g.h[0] * g.h[0]), eye)
-                   + sparse.kron(eye, t / (g.h[1] * g.h[1]))
-                   + self.c * sparse.identity(n * n)).tocsc()
-            self._factor = ("splu", splu(mat))
+            d, e, info = dpttrf(np.full(g.n, 2.0 / h2 + self.c),
+                                np.full(g.n - 1, -1.0 / h2))
+            definite = info == 0
+            self._factor = (d, e)
+        elif definite:
+            j = np.arange(1, g.n + 1)
+            lam_x, lam_y = (spectral.axis_eigenvalues(g.n, h, j) for h in g.h)
+            # two unnormalized transforms multiply by 2(n+1) per axis
+            self._factor = 1.0 / ((2.0 * (g.n + 1)) ** 2
+                                  * (lam_x[:, None] + lam_y[None, :] + self.c))
+        if not definite:
+            raise NoConvergence(
+                f"operator A + ({self.c}) I is not positive definite")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.grid.laplacian(x) + self.c * x
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        kind, fac = self._factor
-        if kind == "banded":
-            return cho_solve_banded((fac, False), b)
-        return fac.solve(b)
+        if self.grid.dimension == 1:
+            d, e = self._factor
+            return dpttrs(d, e, b)[0]
+        u = b.reshape(self.grid.shape)
+        return _dst2(_dst2(u) * self._factor).reshape(-1)
 
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None,
-              tol: float = 1e-13, max_refine: int = 4,
-              cg_max_iter: int | None = None) -> np.ndarray:
-        """Solve to relative residual tol, measured with the stencil apply."""
-        if self.engine == "cg":
-            x, _ = cg(self.apply, b, x0=x0, tol=tol,
-                      max_iter=cg_max_iter or 40 * self.grid.n)
-            return x
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve, refined toward relative residual _REFINE_TOL."""
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
             return np.zeros_like(b)
         x = self._raw_solve(b)
-        for _ in range(max_refine):
-            r = b - self.apply(x)
-            if float(np.linalg.norm(r)) <= tol * bnorm:
+        r = b - self.apply(x)
+        rnorm = float(np.linalg.norm(r))
+        for _ in range(_MAX_REFINE):
+            if rnorm <= _REFINE_TOL * bnorm:
                 break
-            x = x + self._raw_solve(r)
+            x_new = x + self._raw_solve(r)
+            r_new = b - self.apply(x_new)
+            rnorm_new = float(np.linalg.norm(r_new))
+            if rnorm_new < rnorm:
+                x, r = x_new, r_new
+            # as in LAPACK's xGERFS: go on only while each step halves it
+            if 2.0 * rnorm_new > rnorm:
+                break
+            rnorm = rnorm_new
         return x
 
 
-def cg(apply_op, b: np.ndarray, x0: np.ndarray | None = None,
-       tol: float = 1e-12, max_iter: int = 100000) -> tuple[np.ndarray, int]:
-    """Conjugate gradients on an SPD operator given as a callable.
+def shifted_solver(grid: Grid, c: float) -> OperatorSolver:
+    """OperatorSolver for A + c I on grid."""
+    return OperatorSolver(grid, c)
 
-    Returns (solution, iterations).  Raises NoConvergence if the
-    iteration budget is exhausted before the relative residual reaches
-    tol.
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I along the last axis, 2 sum_j x_j sin(pi j k/(n+1)).
+
+    The imaginary part of the real FFT of the odd extension; applying it
+    twice multiplies by 2(n+1).
     """
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else x0.astype(float, copy=True)
-    r = b - apply_op(x)
-    p = r.copy()
-    rs = float(r @ r)
-    target = tol * bnorm
-    for k in range(1, max_iter + 1):
-        ap = apply_op(p)
-        alpha = rs / float(p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= target:
-            return x, k
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
-    raise NoConvergence(f"cg: no convergence in {max_iter} iterations "
-                        f"(relative residual {np.sqrt(rs) / bnorm:.2e})")
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    z[..., 1:n + 1] = x
+    z[..., n + 2:] = -x[..., ::-1]
+    return -np.fft.rfft(z)[..., 1:n + 1].imag
 
 
-# Factorizations are expensive on 2D grids; keep a small LRU of solvers.
-_SOLVER_CACHE: OrderedDict = OrderedDict()
-_SOLVER_CACHE_MAX = 24
-
-
-def shifted_solver(grid: Grid, c: float, engine: str = "direct") -> OperatorSolver:
-    """Cached OperatorSolver for (grid, c, engine)."""
-    key = (grid.key(), float(c), engine)
-    solver = _SOLVER_CACHE.get(key)
-    if solver is not None:
-        _SOLVER_CACHE.move_to_end(key)
-        return solver
-    solver = OperatorSolver(grid, c, engine)
-    _SOLVER_CACHE[key] = solver
-    while len(_SOLVER_CACHE) > _SOLVER_CACHE_MAX:
-        _SOLVER_CACHE.popitem(last=False)
-    return solver
+def _dst2(u: np.ndarray) -> np.ndarray:
+    """DST-I along both axes of a square array."""
+    return _dst1(_dst1(u).T).T
 
 
 def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,

@@ -23,15 +23,20 @@ line search and deterministic multistarts.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import spectral
 from .action import (ActionParams, GroundState, SolverOptions, finalize_state,
-                     ground_state, kappa, scaled_options)
+                     ground_state, kappa)
 from .errors import (DegeneratePart, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, NotSignChanging)
 from .grid import DomainSpec, Field, Grid, build_grid
 from .linsolve import shifted_solver
+
+# smallest L^p mass a sign part may keep during the 2D descent
+_LP_FLOOR = 1e-12
 
 
 def _parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +132,7 @@ class _InterfaceProblem:
         self.grid = grid
         self.params = params
         # parts carry the full tolerance; their residuals add in quadrature
-        self.side_opts = scaled_options(opts, tol=opts.tol / 1.5, init="phi1")
+        self.side_opts = replace(opts, tol=opts.tol / 1.5, init="phi1")
         self.a, self.b = grid.spec.bounds[0]
         self.h = grid.h[0]
         self.n = grid.n
@@ -290,7 +295,7 @@ def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
 def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
                       init_field: Field | None) -> GroundState:
     seeds = _descent_seeds(grid, params, opts, init_field)
-    metric = shifted_solver(grid, max(params.lam, 0.0), opts.engine)
+    metric = shifted_solver(grid, max(params.lam, 0.0))
     results = []
     total_iters = 0
     last_error: Exception | None = None
@@ -391,7 +396,7 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
             trial = u - t * d
             trial_field = Field(grid, trial)
             cand = NodalCandidate(trial_field, params)
-            if cand.feasible and min(cand.lp_plus, cand.lp_minus) >= opts.lp_floor:
+            if cand.feasible and min(cand.lp_plus, cand.lp_minus) >= _LP_FLOOR:
                 f_trial = nodal_action_of(trial_field, params)
                 if f_trial <= f_val - 1e-4 * t * slope:
                     u = nodal_project(trial_field, params).values
@@ -403,7 +408,7 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
             t *= 0.5
         if not accepted:
             cand = NodalCandidate(Field(grid, u), params)
-            if min(cand.lp_plus, cand.lp_minus) < 10.0 * opts.lp_floor:
+            if min(cand.lp_plus, cand.lp_minus) < 10.0 * _LP_FLOOR:
                 raise DegeneratePart(
                     "a sign part collapsed toward the norm floor during descent")
             break

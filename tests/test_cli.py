@@ -95,7 +95,7 @@ def test_exhaustion_subcommand(capsys):
     assert rec["passed"] and rec["monotone"]
 
 
-def test_usage_errors_exit_1(capsys):
+def test_usage_errors_exit_1(tmp_path, capsys):
     code, _ = run_cli(capsys, "sweep", "--p", "4", "--lambda-min", "5",
                       "--lambda-max", "1", "--n", "63")  # descending range
     assert code == 1
@@ -113,7 +113,12 @@ def test_usage_errors_exit_1(capsys):
         assert code == 1, bad
     for argv in (("sweep", "--p", "inf", "--n", "63", "--samples", "5"),
                  ("normalized", "--p", "4", "--mu", "nan", "--n", "63"),
-                 ("bound", "--p", "8", "--mu", "inf", "--n", "63")):
+                 ("bound", "--p", "8", "--mu", "inf", "--n", "63"),
+                 ("mu-n", "--boxes", "10,20", "--p", "inf"),
+                 ("pohozaev", "--in", str(tmp_path / "missing.field"),
+                  "--p", "4", "--lambda", "10"),
+                 ("check-all", "--config", str(tmp_path / "missing.cfg"),
+                  "--out-dir", str(tmp_path / "out"))):
         code, _ = run_cli(capsys, *argv)
         assert code == 1, argv
 

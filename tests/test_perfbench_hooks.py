@@ -1,0 +1,47 @@
+"""The benchmark's tracer still finds the solver entry points it wraps.
+
+perfbench/spans.py wraps nlsground functions and methods by name; a
+renamed entry point would break only the benchmark's traced mode.  The
+tracer rebinds module globals, so it runs in a fresh interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+import nlsground as nls
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+if sys.argv[1] == "1":
+    grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63)
+else:
+    grid = nls.build_grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
+nls.ground_state(grid, nls.ActionParams(4.0, 10.0))
+print(json.dumps(tracer.layer_metrics()))
+"""
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_tracer_counts_solver_layers(dimension):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(dimension)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    assert metrics["action.ground_state.calls"] == 1
+    for name in ("linsolve.solve.calls", "linsolve.factorize.calls",
+                 "linsolve.backsub.calls"):
+        assert metrics[name] > 0, name
