@@ -24,7 +24,7 @@ from scipy.linalg import solve_banded
 from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
-from .grid import Field, Grid, node_count
+from .grid import Field, Grid, dot, node_count
 from .linsolve import shifted_solver, solve_tridiagonal_longdouble
 
 _P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
@@ -52,7 +52,8 @@ class SolverOptions:
 
     tol is the absolute norm the PDE residual must reach; margin_factor
     sets the refusal margin above the existence threshold (relative to
-    the threshold eigenvalue).  seed only matters for init="random".
+    the threshold eigenvalue).  seed reaches only init="random" and the
+    "random" start of the 2D nodal descent.
     """
 
     tol: float = 1e-8
@@ -74,7 +75,9 @@ class GroundState:
 
     For sign-changing states, part_masses/part_actions record the two
     sign parts and interface_index the zero node (1-based, 1D only).
-    multistart lists (label, action) for every converged start.
+    multistart lists (label, action) for every converged start: in 1D the
+    one interface walk ("midpoint", or "hint" when warm), in 2D each
+    descent start.
     """
 
     u: Field
@@ -134,9 +137,7 @@ def energy(u: Field, p: float) -> float:
 
 def pde_residual(u: Field, params: ActionParams) -> float:
     """Weighted L2 norm of A u + lambda u - |u|^(p-2) u."""
-    g = u.grid
-    r = _residual_vec(g, u.values, params.p, params.lam)
-    return float(np.sqrt(g.weight * (r @ r)))
+    return _res_norm(u.grid, u.values, params.p, params.lam)
 
 
 def _residual_vec(grid: Grid, vals: np.ndarray, p: float, lam: float) -> np.ndarray:
@@ -289,7 +290,7 @@ def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
 
 def _res_norm(grid: Grid, vals: np.ndarray, p: float, lam: float) -> float:
     r = _residual_vec(grid, vals, p, lam)
-    return float(np.sqrt(grid.weight * (r @ r)))
+    return float(np.sqrt(grid.weight * dot(r, r)))
 
 
 def _initial_vector(grid: Grid, opts: SolverOptions,

@@ -167,17 +167,26 @@ class Grid:
         return self.weight * float(np.sum(values))
 
     def l2_sq(self, values: np.ndarray) -> float:
-        return self.weight * float(values @ values)
+        return self.weight * dot(values, values)
 
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * float(np.sum(np.abs(values) ** p))
 
     def grad_sq(self, values: np.ndarray) -> float:
         """Dirichlet energy <A u, u> with the quadrature weight."""
-        return self.weight * float(values @ self.laplacian(values))
+        return self.weight * dot(values, self.laplacian(values))
 
     def l2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.l2_sq(values)))
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product of two flat arrays, summed in one thread.
+
+    BLAS splits long dot products across its threads, so their rounding
+    depends on the thread count; einsum's own loop does not.
+    """
+    return float(np.einsum("i,i->", x, y))
 
 
 def build_grid(spec: DomainSpec, n: int) -> Grid:

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import spectral
 from .errors import NoConvergence
-from .grid import Grid
+from .grid import Grid, dot
 
 # refinement target (relative residual) and step cap; refinement also
 # stops as soon as a step fails to halve the residual
@@ -71,18 +71,18 @@ class OperatorSolver:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve, refined toward relative residual _REFINE_TOL."""
-        bnorm = float(np.linalg.norm(b))
+        bnorm = np.sqrt(dot(b, b))
         if bnorm == 0.0:
             return np.zeros_like(b)
         x = self._raw_solve(b)
         r = b - self.apply(x)
-        rnorm = float(np.linalg.norm(r))
+        rnorm = np.sqrt(dot(r, r))
         for _ in range(_MAX_REFINE):
             if rnorm <= _REFINE_TOL * bnorm:
                 break
             x_new = x + self._raw_solve(r)
             r_new = b - self.apply(x_new)
-            rnorm_new = float(np.linalg.norm(r_new))
+            rnorm_new = np.sqrt(dot(r_new, r_new))
             if rnorm_new < rnorm:
                 x, r = x_new, r_new
             # as in LAPACK's xGERFS: go on only while each step halves it

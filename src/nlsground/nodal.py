@@ -8,12 +8,15 @@ actions.
 In 1D the minimizer decouples exactly across a zero node: each sign part
 solves the signed problem on its own subinterval, and the action is
 minimized over the interface location.  The solver exploits this: it
-walks the interface node to the discrete optimum, solving two signed
-subproblems per candidate (one, mirrored, when the split is symmetric).
-This is the only construction compatible with machine-precision partwise
-identities and small full-PDE residuals at the same time; a descent on
-the composed functional converges to overlapping-part configurations
-whose full residual is dominated by O(1/h) interface coupling.
+walks the interface node to the discrete optimum, starting from the
+midpoint (both humps leave the zero with the same slope, so the split is
+symmetric).  Each side is the signed state on an interval of its node
+count at spacing h, solved once per node count; the right part is that
+state reversed and negated.  This is the only construction compatible
+with machine-precision partwise identities and small full-PDE residuals
+at the same time; a descent on the composed functional converges to
+overlapping-part configurations whose full residual is dominated by
+O(1/h) interface coupling.
 
 In 2D no node-aligned decoupling exists and the solver runs a projected
 descent: the gradient of u -> action(project(u)) restricted to each sign
@@ -32,7 +35,7 @@ from .action import (ActionParams, GroundState, SolverOptions, finalize_state,
                      ground_state, kappa)
 from .errors import (DegeneratePart, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, NotSignChanging)
-from .grid import DomainSpec, Field, Grid, build_grid
+from .grid import DomainSpec, Field, Grid, build_grid, dot
 from .linsolve import shifted_solver
 
 # smallest L^p mass a sign part may keep during the 2D descent
@@ -126,99 +129,80 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
 
 
 class _InterfaceProblem:
-    """Memoized evaluation of the two-sided action at each interface node."""
+    """Memoized two-sided action J(m) = f(m - 1) + f(n - m) at node m.
+
+    f(k) is the signed ground state on an interval of k nodes at spacing
+    h.  By translation and reflection it is the left part of one split
+    and, reversed and negated, the right part of another, so each node
+    count is solved once.
+    """
 
     def __init__(self, grid: Grid, params: ActionParams, opts: SolverOptions):
         self.grid = grid
         self.params = params
         # parts carry the full tolerance; their residuals add in quadrature
         self.side_opts = replace(opts, tol=opts.tol / 1.5, init="phi1")
-        self.a, self.b = grid.spec.bounds[0]
+        self.a = grid.spec.bounds[0][0]
         self.h = grid.h[0]
         self.n = grid.n
-        self.cache: dict[int, tuple] = {}
+        self.sides: dict[int, GroundState | None] = {}
+        self.values: dict[int, float] = {}
         self.window = self._feasible_window()
 
-    def node_x(self, m: int) -> float:
-        return self.a + m * self.h
-
-    def side_grid(self, lo: float, hi: float, n_side: int) -> Grid:
-        return build_grid(DomainSpec.interval(lo, hi), n_side)
-
     def _feasible_window(self) -> tuple[int, int]:
-        """Interface nodes whose two subintervals both admit ground states.
+        """Interface nodes whose two side intervals both admit ground states.
 
         Each side grid keeps spacing h, so its first eigenvalue is known in
         closed form; a side is admissible when the frequency clears it by
         the same margin the signed solver demands.
         """
         m = np.arange(4, self.n - 2)
-        x_m = self.a + m * self.h
-        mf = self.side_opts.margin_factor
-        lam1_left = spectral.axis_eigenvalues(m - 1, (x_m - self.a) / m, 1)
-        lam1_right = spectral.axis_eigenvalues(
-            self.n - m, (self.b - x_m) / (self.n + 1 - m), 1)
-        ok = ((self.params.lam > -lam1_left + mf * lam1_left)
-              & (self.params.lam > -lam1_right + mf * lam1_right))
+        ok = self._side_ok(m - 1) & self._side_ok(self.n - m)
         idx = np.flatnonzero(ok)
         if not idx.size:
             return 1, 0
         return int(m[idx[0]]), int(m[idx[-1]])
 
+    def _side_ok(self, k: np.ndarray) -> np.ndarray:
+        # the spacing the side grid of k nodes derives from its bounds
+        h_k = (self.a + (k + 1) * self.h - self.a) / (k + 1)
+        lam1 = spectral.axis_eigenvalues(k, h_k, 1)
+        return self.params.lam > -lam1 + self.side_opts.margin_factor * lam1
+
+    def side(self, k: int) -> GroundState | None:
+        """f(k), or None where the signed solve fails."""
+        if k not in self.sides:
+            spec = DomainSpec.interval(self.a, self.a + (k + 1) * self.h)
+            try:
+                self.sides[k] = ground_state(build_grid(spec, k), self.params,
+                                             self.side_opts)
+            except (LambdaBelowThreshold, NoConvergence, NonpositiveQuotient):
+                self.sides[k] = None
+        return self.sides[k]
+
     def evaluate(self, m: int) -> float:
         """Total action with the zero interface at node m (1-based)."""
-        return self._solve(m)[0]
+        if m not in self.values:
+            left, right = self.side(m - 1), self.side(self.n - m)
+            self.values[m] = (np.inf if left is None or right is None
+                              else left.action_value + right.action_value)
+        return self.values[m]
 
-    def _solve(self, m: int):
-        if m in self.cache:
-            return self.cache[m]
-        n_left = m - 1
-        n_right = self.n - m
-        if not self.window[0] <= m <= self.window[1]:
-            out = (np.inf, None, None)
-            self.cache[m] = out
-            return out
-        x_m = self.node_x(m)
-        try:
-            left = ground_state(self.side_grid(self.a, x_m, n_left),
-                                self.params, self.side_opts)
-            if n_left == n_right:
-                right = None  # mirror of left; bitwise antisymmetric state
-            else:
-                right = ground_state(self.side_grid(x_m, self.b, n_right),
-                                     self.params, self.side_opts)
-        except (LambdaBelowThreshold, NoConvergence, NonpositiveQuotient):
-            out = (np.inf, None, None)
-            self.cache[m] = out
-            return out
-        total = 2.0 * left.action_value if right is None \
-            else left.action_value + right.action_value
-        out = (total, left, right)
-        self.cache[m] = out
-        return out
-
-    def assemble(self, m: int, iterations: int, multistart) -> GroundState:
-        total, left, right = self._solve(m)
-        if left is None:
-            raise NoConvergence(f"no admissible split at interface node {m}")
+    def assemble(self, m: int, multistart) -> GroundState:
+        left, right = self.side(m - 1), self.side(self.n - m)
         vals = np.zeros(self.n)
         vals[:m - 1] = left.u.values
-        if right is None:
-            vals[m:] = -left.u.values[::-1]
-            right_mass, right_action = left.mass, left.action_value
-            part_res = left.residual * np.sqrt(2.0)
-        else:
-            vals[m:] = -right.u.values
-            right_mass, right_action = right.mass, right.action_value
-            part_res = float(np.hypot(left.residual, right.residual))
-        # mirror splits cancel the stencil across the zero node bitwise, so
-        # there the full residual matches the parts; asymmetric splits carry
-        # an O(1) interface term and `residual` records the solved system
+        vals[m:] = -right.u.values[::-1]
+        # the midpoint split on odd n mirrors one side solve, which cancels
+        # the stencil across the zero node bitwise, so there the full
+        # residual matches the parts; other splits carry an O(1) interface
+        # term and `residual` records the solved system
         return finalize_state(
             self.grid, vals, self.params,
-            residual=part_res, iterations=iterations,
-            part_masses=(left.mass, right_mass),
-            part_actions=(left.action_value, right_action),
+            residual=float(np.hypot(left.residual, right.residual)),
+            iterations=len(self.values),
+            part_masses=(left.mass, right.mass),
+            part_actions=(left.action_value, right.action_value),
             interface_index=m,
             multistart=multistart,
         )
@@ -227,52 +211,25 @@ class _InterfaceProblem:
 def _nodal_interval(grid: Grid, params: ActionParams, opts: SolverOptions,
                     interface_hint: int | None) -> GroundState:
     prob = _InterfaceProblem(grid, params, opts)
-    if prob.window[0] > prob.window[1]:
-        raise NoConvergence(
-            "no feasible interface split; frequency too close to threshold "
-            "for this resolution")
-    n = grid.n
-    seeds: list[tuple[str, int]] = []
-    if interface_hint is not None:
-        # warm continuation: the multistart already ran on the cold start
-        seeds.append(("hint", int(interface_hint)))
-    else:
-        phi2 = spectral.dirichlet_eigenpairs(grid, 2)[1]
-        seeds.append(("phi2",
-                      _first_sign_change(phi2.vector.values) or (n + 1) // 2))
-        seeds.append(("odd-reflection", (n + 1) // 2))
-        rng = np.random.default_rng(opts.seed)
-        seeds.append(("random", int(rng.integers(2, n))))
-
-    results: list[tuple[str, int, float]] = []
-    for label, m0 in seeds:
+    if prob.window[0] <= prob.window[1]:
+        # one hump per side with equal slopes at the zero puts a cold
+        # start's node at the midpoint; a warm continuation starts at its hint
+        label, m0 = (("midpoint", (grid.n + 1) // 2) if interface_hint is None
+                     else ("hint", int(interface_hint)))
         m = _walk_interface(prob, m0)
         value = prob.evaluate(m)
         if np.isfinite(value):
-            results.append((label, m, value))
-    if not results:
-        raise NoConvergence(
-            "no feasible interface split; frequency too close to threshold "
-            "for this resolution")
-    # deterministic argmin with interface-index tie break
-    best = min(results, key=lambda t: (t[2], t[1]))
-    multistart = tuple((label, value) for label, _, value in results)
-    return prob.assemble(best[1], len(prob.cache), multistart)
-
-
-def _first_sign_change(vals: np.ndarray) -> int | None:
-    thr = 1e-8 * float(np.max(np.abs(vals)))
-    signs = np.sign(vals) * (np.abs(vals) > thr)
-    idx = np.flatnonzero(signs != 0)
-    for k in range(idx.size - 1):
-        if signs[idx[k]] != signs[idx[k + 1]]:
-            # 1-based interface node between the two (or at a zero node)
-            return int((idx[k] + idx[k + 1]) // 2 + 1)
-    return None
+            return prob.assemble(m, ((label, value),))
+    raise NoConvergence(
+        "no feasible interface split; frequency too close to threshold "
+        "for this resolution")
 
 
 def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
-    """Greedy walk with expanding steps to a local minimum of J(m)."""
+    """Greedy walk with expanding steps to a local minimum of J(m).
+
+    Ties go toward the smaller m.
+    """
     lo, hi = prob.window
     m = min(max(m0, lo), hi)
     step = 1
@@ -285,7 +242,7 @@ def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
                 return m
             step = max(step // 2, 1)
             continue
-        m = m - step if j_down < j_up else m + step
+        m = m - step if j_down <= j_up else m + step
         step = min(step * 2, (hi - lo) // 2 + 1)
 
 
@@ -366,7 +323,7 @@ def _masked_residual(grid: Grid, vals: np.ndarray, params: ActionParams) -> floa
         mask = part != 0.0
         r = grid.laplacian(part) + lam * part - np.abs(part) ** (p - 2) * part
         g[mask] = r[mask]
-    return float(np.sqrt(grid.weight * (g @ g)))
+    return float(np.sqrt(grid.weight * dot(g, g)))
 
 
 def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
@@ -383,11 +340,11 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
             mask = part != 0.0
             r = grid.laplacian(part) + lam * part - np.abs(part) ** (p - 2) * part
             gvec[mask] = r[mask]
-        gnorm = float(np.sqrt(grid.weight * (gvec @ gvec)))
+        gnorm = float(np.sqrt(grid.weight * dot(gvec, gvec)))
         if gnorm <= opts.tol:
             break
         d = metric.solve(gvec)
-        slope = grid.weight * float(gvec @ d)
+        slope = grid.weight * dot(gvec, d)
         if slope <= 0.0:
             break
         t = t_start

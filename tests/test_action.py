@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,3 +168,30 @@ def test_unreachable_tolerance_is_reported(grid511):
     with pytest.raises(Exception) as err:
         ground_state(grid511, ActionParams(4.0, 10.0), SolverOptions(tol=1e-16))
     assert "residual" in str(err.value)
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import nlsground as nls
+
+grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 32767)
+st = nls.ground_state(grid, nls.ActionParams(6.0, 2500.0),
+                      nls.SolverOptions(tol=2e-7))
+print(hashlib.sha256(st.u.values.tobytes()).hexdigest(), repr(st.residual))
+"""
+
+
+def test_fine_grid_state_independent_of_blas_threads():
+    # BLAS splits long dot products across its threads; every reduction
+    # the solver makes must round the same way under any thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.strip())
+    assert outs[0] == outs[1]

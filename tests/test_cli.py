@@ -52,7 +52,7 @@ def test_nodal_json_has_parts(capsys):
     assert rec["node_count"] >= 1
     assert len(rec["part_masses"]) == 2
     assert sum(rec["part_masses"]) == pytest.approx(rec["mass"], rel=1e-12)
-    assert len(rec["multistart"]) == 3
+    assert [label for label, _ in rec["multistart"]] == ["midpoint"]
 
 
 def test_sweep_csv_header(tmp_path, capsys):
@@ -179,3 +179,21 @@ def test_check_all_runs_clean(tmp_path, capsys):
     assert "normalized-certified" in names
     assert all(c["status"] == "pass" for c in summary["checks"])
     assert (out_dir / "sweep_signed_p4.csv").exists()
+
+
+def test_check_all_artifacts_independent_of_seed(tmp_path, capsys):
+    outs = []
+    for seed in ("0", "5"):
+        out_dir = tmp_path / f"seed{seed}"
+        code, _ = run_cli(capsys, "check-all", "--out-dir", str(out_dir),
+                          "--seed", seed)
+        assert code == 0
+        outs.append(out_dir)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in outs)
+        if name == "summary.json":
+            a, b = (json.loads(x) for x in (a, b))
+            assert (a.pop("seed"), b.pop("seed")) == (0, 5)
+        assert a == b, name

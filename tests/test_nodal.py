@@ -101,7 +101,7 @@ def test_ground_state_contracts(grid511):
     assert st.part_masses is not None
     assert st.mass == pytest.approx(sum(st.part_masses), rel=1e-12)
     assert st.action_value == pytest.approx(sum(st.part_actions), rel=1e-12)
-    assert len(st.multistart) == 3
+    assert [label for label, _ in st.multistart] == ["midpoint"]
     signed = ground_state(grid511, ActionParams(p, lam))
     assert st.action_value >= 2.0 * signed.action_value - 1e-8
 
@@ -112,6 +112,32 @@ def test_warm_hint_reproduces(grid511):
     warm = nodal_ground_state(grid511, params,
                               interface_hint=cold.interface_index)
     assert warm.action_value == pytest.approx(cold.action_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("p", [4.0, 8.0])
+@pytest.mark.parametrize("lam", [10.0, 2500.0])
+def test_midpoint_walk_reaches_scanned_minimum(n, p, lam):
+    from nlsground.nodal import _InterfaceProblem
+
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    params = ActionParams(p, lam)
+    st = nodal_ground_state(grid, params)
+    prob = _InterfaceProblem(grid, params, SolverOptions())
+    lo, hi = prob.window
+    best = min(prob.evaluate(m) for m in range(lo, hi + 1))
+    # values, not indices: at large lambda J has plateaus tied to rounding
+    assert st.action_value <= best * (1.0 + 1e-12)
+
+
+def test_1d_nodal_state_ignores_seed(grid511):
+    params = ActionParams(4.0, 10.0)
+    states = [nodal_ground_state(grid511, params, SolverOptions(seed=seed))
+              for seed in range(4)]
+    for st in states[1:]:
+        assert st.u.values.tobytes() == states[0].u.values.tobytes()
+        assert st.multistart == states[0].multistart
+        assert st.iterations == states[0].iterations
 
 
 def test_threshold_refusal(grid255):

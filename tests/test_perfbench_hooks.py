@@ -22,26 +22,39 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install()
-if sys.argv[1] == "1":
-    grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63)
-else:
+if sys.argv[1] == "2":
     grid = nls.build_grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
-nls.ground_state(grid, nls.ActionParams(4.0, 10.0))
+else:
+    grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63)
+solve = nls.nodal_ground_state if sys.argv[1] == "nodal" else nls.ground_state
+solve(grid, nls.ActionParams(4.0, 10.0))
 print(json.dumps(tracer.layer_metrics()))
 """
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_tracer_counts_solver_layers(dimension):
+def _layer_metrics(case: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", SCRIPT, str(dimension)],
+    out = subprocess.run([sys.executable, "-c", SCRIPT, case],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_tracer_counts_solver_layers(dimension):
+    metrics = _layer_metrics(str(dimension))
     assert metrics["action.ground_state.calls"] == 1
     for name in ("linsolve.solve.calls", "linsolve.factorize.calls",
                  "linsolve.backsub.calls"):
         assert metrics[name] > 0, name
+
+
+def test_tracer_counts_1d_nodal_side_solves():
+    # side solves are ground_state spans under nodal_ground_state: the
+    # midpoint walk on odd n needs three node counts
+    metrics = _layer_metrics("nodal")
+    assert metrics["nodal.nodal_ground_state.calls"] == 1
+    assert 0 < metrics["nodal.side_solves"] <= 3
