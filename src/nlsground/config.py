@@ -63,7 +63,7 @@ class RunConfig:
         kwargs = {}
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidSpec(f"{path}: cannot read config ({exc})") from exc
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -75,7 +75,10 @@ class RunConfig:
             key = key.strip()
             if key not in known:
                 raise InvalidSpec(f"unknown config key {key!r}")
-            kwargs[key] = _parse_value(key, value.strip())
+            try:
+                kwargs[key] = _parse_value(key, value.strip())
+            except ValueError as exc:
+                raise InvalidSpec(f"bad value for {key}: {raw!r}") from exc
         return cls(**kwargs)
 
 

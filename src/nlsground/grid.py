@@ -45,8 +45,8 @@ class DomainSpec:
         if len(bounds) != self.dimension or any(len(ax) != 2 for ax in bounds):
             raise InvalidSpec(f"bounds {self.bounds!r} do not match dimension {self.dimension}")
         for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise InvalidSpec("bounds must be finite")
+            if not (np.isfinite(lo) and np.isfinite(hi) and np.isfinite(hi - lo)):
+                raise InvalidSpec("bounds and their lengths must be finite")
             if not lo < hi:
                 raise InvalidSpec(f"degenerate axis [{lo}, {hi}]")
         object.__setattr__(self, "bounds", bounds)
@@ -311,7 +311,7 @@ def save_field(u: Field, path) -> None:
 def load_field(path) -> Field:
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"{path}: cannot read field dump ({exc})") from exc
     if not lines or lines[0] != _DUMP_HEADER:
         raise InvalidSpec(f"{path}: not a field dump")
@@ -334,10 +334,10 @@ def load_field(path) -> Field:
         raise InvalidSpec(f"{path}: malformed field dump ({exc})") from exc
     if len(flat) != 2 * dim:
         raise InvalidSpec(f"{path}: {len(flat)} bounds for dimension {dim}")
-    bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(dim))
-    grid = build_grid(DomainSpec(dim, bounds, center), n)
     if values.size != count:
         raise InvalidSpec(f"{path}: truncated value block")
-    if count != grid.size:
-        raise InvalidSpec(f"{path}: {count} values for {grid.size} nodes")
-    return Field(grid, values)
+    # checked before the grid is built, which allocates n nodes per axis
+    if count != n ** dim:
+        raise InvalidSpec(f"{path}: {count} values for n={n} in dimension {dim}")
+    bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(dim))
+    return Field(build_grid(DomainSpec(dim, bounds, center), n), values)

@@ -18,10 +18,17 @@ at the same time; a descent on the composed functional converges to
 overlapping-part configurations whose full residual is dominated by
 O(1/h) interface coupling.
 
-In 2D no node-aligned decoupling exists and the solver runs a projected
-descent: the gradient of u -> action(project(u)) restricted to each sign
-support, preconditioned by the shifted Laplacian, with a backtracking
-line search and deterministic multistarts.
+In 2D no node-aligned decoupling exists.  From each of several starts
+the solver runs a projected descent: the gradient of
+u -> action(project(u)) restricted to each sign support, preconditioned
+by the shifted Laplacian, with a backtracking line search.  Once the
+sign pattern stops changing, Newton's method runs on the partwise system
+over that frozen partition (the stencil with the edges between opposite
+signs cut), each step a MINRES solve preconditioned by the same shifted
+Laplacian; its result is kept only if it meets the tolerance, keeps every
+sign and does not raise the action, and the descent resumes otherwise.
+The least-action start is returned, or NoConvergence raised when it is
+above tol.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ from .linsolve import shifted_solver
 
 # smallest L^p mass a sign part may keep during the 2D descent
 _LP_FLOOR = 1e-12
+# relative J(m) differences the interface walk treats as rounding noise: on
+# fine grids with large lambda J is flat to its last digits near the optimum
+_WALK_SLACK = 256 * np.finfo(float).eps
 
 
 def _parts(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +121,8 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
 
     Requires lambda > -lambda_2 + margin.  1D grids use the exact
     interface decomposition; 2D grids use projected descent from several
-    deterministic starts.
+    starts, finished by Newton on the settled partition, and raise
+    NoConvergence when the best start stays above tol.
     """
     opts = opts or SolverOptions()
     lam2 = spectral.lambda2(grid)
@@ -228,7 +239,8 @@ def _nodal_interval(grid: Grid, params: ActionParams, opts: SolverOptions,
 def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
     """Greedy walk with expanding steps to a local minimum of J(m).
 
-    Ties go toward the smaller m.
+    A neighbour must undercut J(m) by more than _WALK_SLACK to draw the
+    walk; ties go toward the smaller m.
     """
     lo, hi = prob.window
     m = min(max(m0, lo), hi)
@@ -237,7 +249,8 @@ def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
         j_here = prob.evaluate(m)
         j_down = prob.evaluate(m - step) if m - step >= lo else np.inf
         j_up = prob.evaluate(m + step) if m + step <= hi else np.inf
-        if j_here <= j_down and j_here <= j_up:
+        bar = j_here - _WALK_SLACK * abs(j_here) if np.isfinite(j_here) else j_here
+        if j_down >= bar and j_up >= bar:
             if step == 1:
                 return m
             step = max(step // 2, 1)
@@ -246,7 +259,13 @@ def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
         step = min(step * 2, (hi - lo) // 2 + 1)
 
 
-# -- 2D: projected descent ---------------------------------------------
+# -- 2D: projected descent, then Newton on the frozen partition --------
+
+# accepted descent steps with an unchanged sign pattern before Newton is
+# tried on that partition (again after each failed try)
+_SETTLED_STEPS = 5
+_NEWTON_STEPS = 8
+_MINRES_STEPS = 200
 
 
 def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
@@ -258,20 +277,23 @@ def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
     last_error: Exception | None = None
     for label, vals in seeds:
         try:
-            out, iters = _descend(grid, params, opts, metric, vals)
+            out, iters, reason = _descend(grid, params, opts, metric, vals)
         except (NonpositiveQuotient, NotSignChanging, DegeneratePart) as exc:
             last_error = exc
             continue
         total_iters += iters
-        results.append((label, out))
+        results.append((label, out, reason,
+                        nodal_action_of(Field(grid, out), params),
+                        _masked_residual(grid, out, params)))
     if not results:
         raise NoConvergence(f"all descent starts failed: {last_error}")
-    best_label, best_vals = min(
-        results, key=lambda t: nodal_action_of(Field(grid, t[1]), params))
-    multistart = tuple(
-        (label, nodal_action_of(Field(grid, vals), params))
-        for label, vals in results)
-    residual = _masked_residual(grid, best_vals, params)
+    best_label, best_vals, _, _, residual = min(results, key=lambda t: t[3])
+    if residual > opts.tol:
+        starts = "; ".join(f"{label}: {reason}, residual {res:.3e}"
+                           for label, _, reason, _, res in results)
+        raise NoConvergence(
+            f"best 2D nodal start {best_label!r} has residual {residual:.3e} "
+            f"above tol {opts.tol:.1e} ({starts})")
     part_actions = tuple(
         kappa(params.p) * (q / lp ** (2.0 / params.p)) ** (params.p / (params.p - 2.0))
         for lp, q in (_part_data(grid, part, params.p, params.lam)
@@ -281,7 +303,7 @@ def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
         action_override=sum(part_actions),
         part_masses=tuple(grid.l2_sq(part) for part in _parts(best_vals)),
         part_actions=part_actions,
-        multistart=multistart,
+        multistart=tuple((label, value) for label, _, _, value, _ in results),
     )
 
 
@@ -309,6 +331,18 @@ def _descent_seeds(grid: Grid, params: ActionParams, opts: SolverOptions,
     return seeds
 
 
+def _partwise_gradient(grid: Grid, vals: np.ndarray,
+                       params: ActionParams) -> np.ndarray:
+    """Residual of each sign part on its own support, zero elsewhere."""
+    p, lam = params.p, params.lam
+    g = np.zeros_like(vals)
+    for part in _parts(vals):
+        mask = part != 0.0
+        r = grid.laplacian(part) + lam * part - np.abs(part) ** (p - 2) * part
+        g[mask] = r[mask]
+    return g
+
+
 def _masked_residual(grid: Grid, vals: np.ndarray, params: ActionParams) -> float:
     """Norm of the first variation of the composed functional.
 
@@ -317,35 +351,39 @@ def _masked_residual(grid: Grid, vals: np.ndarray, params: ActionParams) -> floa
     a sign-changing field on a 2D lattice additionally carries interface
     coupling of order 1/h, which no grid-aligned field can remove.
     """
-    p, lam = params.p, params.lam
-    g = np.zeros_like(vals)
-    for part in _parts(vals):
-        mask = part != 0.0
-        r = grid.laplacian(part) + lam * part - np.abs(part) ** (p - 2) * part
-        g[mask] = r[mask]
+    g = _partwise_gradient(grid, vals, params)
     return float(np.sqrt(grid.weight * dot(g, g)))
 
 
 def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
-             vals: np.ndarray) -> tuple[np.ndarray, int]:
-    p, lam = params.p, params.lam
+             vals: np.ndarray) -> tuple[np.ndarray, int, str]:
+    """Projected descent from vals; (field, iterations, stop reason).
+
+    Once the sign pattern has held for a while, Newton on the frozen
+    partition is tried; its result replaces the descent's only if it
+    meets tol, keeps every sign and does not raise the action.  The stop
+    reason is one of newton, tol, stall, max_iter or line-search, and
+    iterations counts descent and Newton steps.
+    """
     u = nodal_project(Field(grid, vals), params).values
     f_val = nodal_action_of(Field(grid, u), params)
-    it = 0
     t_start = 1.0
     stalled = 0
+    sign = np.sign(u)
+    settled = 0
+    newton_steps = 0
+    reason = "max_iter"
+    it = 0
     for it in range(1, opts.max_iter + 1):
-        gvec = np.zeros_like(u)
-        for part in _parts(u):
-            mask = part != 0.0
-            r = grid.laplacian(part) + lam * part - np.abs(part) ** (p - 2) * part
-            gvec[mask] = r[mask]
+        gvec = _partwise_gradient(grid, u, params)
         gnorm = float(np.sqrt(grid.weight * dot(gvec, gvec)))
         if gnorm <= opts.tol:
+            reason = "tol"
             break
         d = metric.solve(gvec)
         slope = grid.weight * dot(gvec, d)
         if slope <= 0.0:
+            reason = "stall"
             break
         t = t_start
         accepted = False
@@ -368,8 +406,135 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
             if min(cand.lp_plus, cand.lp_minus) < 10.0 * _LP_FLOOR:
                 raise DegeneratePart(
                     "a sign part collapsed toward the norm floor during descent")
+            reason = "line-search"
             break
+        new_sign = np.sign(u)
+        settled = settled + 1 if np.array_equal(new_sign, sign) else 0
+        sign = new_sign
+        if settled >= _SETTLED_STEPS:
+            polished, steps = _newton_frozen(grid, params, opts, metric, u)
+            newton_steps += steps
+            if polished is not None:
+                f_polished = nodal_action_of(Field(grid, polished), params)
+                if f_polished <= f_val * (1.0 + 1e-12):
+                    return polished, it + newton_steps, "newton"
+            settled = 0
         if stalled >= 15:
+            reason = "stall"
             break
         t_start = min(1.0, 2.0 * t)
-    return u, it
+    return u, it + newton_steps, reason
+
+
+class _FrozenPartition:
+    """The stencil with every edge between nodes of different sign cut.
+
+    Each sign part then sees the other, and any zero node, as a Dirichlet
+    zero: applied to a field with this sign pattern it gives the operator
+    `_partwise_gradient` measures.  It is symmetric, so the Jacobian of
+    the partwise system is too.
+    """
+
+    def __init__(self, grid: Grid, sign: np.ndarray):
+        self.grid = grid
+        s = sign.reshape(grid.shape)
+        self.cut_x = (s[1:] != s[:-1]) / (grid.h[0] * grid.h[0])
+        self.cut_y = (s[:, 1:] != s[:, :-1]) / (grid.h[1] * grid.h[1])
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        # the full stencil couples v_i to a cut neighbour by -v_j/h^2
+        out = self.grid.laplacian(v).reshape(self.grid.shape)
+        w = v.reshape(self.grid.shape)
+        out[:-1] += self.cut_x * w[1:]
+        out[1:] += self.cut_x * w[:-1]
+        out[:, :-1] += self.cut_y * w[:, 1:]
+        out[:, 1:] += self.cut_y * w[:, :-1]
+        return out.reshape(-1)
+
+
+def _newton_frozen(grid: Grid, params: ActionParams, opts: SolverOptions,
+                   metric, u: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """Newton on the partwise system over u's sign supports.
+
+    Returns (projected field, steps) once the partwise residual of the
+    projected field reaches tol with every node keeping its sign, and
+    (None, steps) when a step flips a sign or stops shrinking the
+    residual.  The Jacobian is indefinite (one negative direction per
+    part); each step is a preconditioned MINRES solve with the descent's
+    metric as the preconditioner.
+    """
+    p, lam = params.p, params.lam
+    sign = np.sign(u)
+    frozen = _FrozenPartition(grid, sign)
+    g = _partwise_gradient(grid, u, params)
+    res = float(np.sqrt(grid.weight * dot(g, g)))
+    for step in range(1, _NEWTON_STEPS + 1):
+        shift = lam - (p - 1) * np.abs(u) ** (p - 2)
+        # loose solves while far away, and none tighter than the last
+        # step needs to land well inside tol
+        rtol = max(min(0.1, res), 0.01 * opts.tol / res)
+        delta = _minres(lambda v: frozen.apply(v) + shift * v, -g,
+                        metric._raw_solve, rtol, _MINRES_STEPS)
+        delta[sign == 0.0] = 0.0
+        u = u + delta
+        if not np.array_equal(np.sign(u), sign):
+            return None, step
+        g = _partwise_gradient(grid, u, params)
+        res_new = float(np.sqrt(grid.weight * dot(g, g)))
+        if res_new <= opts.tol:
+            # the projection scales each part by a positive factor near 1
+            projected = nodal_project(Field(grid, u), params).values
+            if _masked_residual(grid, projected, params) <= opts.tol:
+                return projected, step
+            return None, step
+        if not res_new < res:
+            return None, step
+        res = res_new
+    return None, _NEWTON_STEPS
+
+
+def _minres(apply, b: np.ndarray, precond, rtol: float,
+            maxiter: int) -> np.ndarray:
+    """Preconditioned MINRES (Paige and Saunders) for symmetric apply.
+
+    precond must be symmetric positive definite.  Stops once the
+    preconditioned residual norm falls to rtol times its initial value,
+    or after maxiter steps.
+    """
+    x = np.zeros_like(b)
+    y = precond(b)
+    beta1 = float(np.sqrt(dot(b, y)))
+    if beta1 == 0.0:
+        return x
+    beta, old_beta = beta1, 0.0
+    r1, r2 = b, b
+    cs, sn = -1.0, 0.0
+    dbar = epsln = 0.0
+    phibar = beta1
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    for _ in range(maxiter):
+        v = y / beta
+        y = apply(v)
+        if old_beta:
+            y = y - (beta / old_beta) * r1
+        alpha = dot(v, y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        old_beta, beta = beta, float(np.sqrt(dot(r2, y)))
+        old_eps = epsln
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(float(np.hypot(gbar, beta)), np.finfo(float).tiny)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= rtol * beta1 or beta == 0.0:
+            break
+    return x

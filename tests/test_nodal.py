@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nlsground import (ActionParams, DomainSpec, LambdaBelowThreshold,
-                       NodalCandidate, NonpositiveQuotient, NotSignChanging,
-                       SolverOptions, action, build_grid, dirichlet_eigenpairs,
+                       NoConvergence, NodalCandidate, NonpositiveQuotient,
+                       NotSignChanging, SolverOptions, action, build_grid, dirichlet_eigenpairs,
                        ground_state, kappa, lambda1, lambda2, nodal_action_of,
                        nodal_ground_state, nodal_project, norms, pde_residual,
                        split)
@@ -130,6 +130,15 @@ def test_midpoint_walk_reaches_scanned_minimum(n, p, lam):
     assert st.action_value <= best * (1.0 + 1e-12)
 
 
+def test_walk_ignores_rounding_noise_on_flat_action():
+    # at large lambda J(m) near the midpoint agrees to its last digits;
+    # the cold walk evaluates the midpoint and its two neighbours only
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 2047)
+    st = nodal_ground_state(grid, ActionParams(6.0, 1e4))
+    assert st.interface_index == (grid.n + 1) // 2
+    assert st.iterations == 3
+
+
 def test_1d_nodal_state_ignores_seed(grid511):
     params = ActionParams(4.0, 10.0)
     states = [nodal_ground_state(grid511, params, SolverOptions(seed=seed))
@@ -208,3 +217,90 @@ def test_interface_window_matches_side_grid_scan(rel):
                 and admissible(m * h, 1.0, grid.n - m)]
     assert feasible == list(range(feasible[0], feasible[-1] + 1))
     assert prob.window == (feasible[0], feasible[-1])
+
+
+def _own_partwise_residual(vals: np.ndarray, h: float, p: float, lam: float) -> float:
+    """Residual of each sign part on its support, by a padded 5-point stencil."""
+    total = 0.0
+    for part in (np.maximum(vals, 0.0), np.minimum(vals, 0.0)):
+        w = np.pad(part, 1)
+        lap = (4.0 * w[1:-1, 1:-1] - w[2:, 1:-1] - w[:-2, 1:-1]
+               - w[1:-1, 2:] - w[1:-1, :-2]) / (h * h)
+        r = lap + lam * part - np.abs(part) ** (p - 2) * part
+        total += float(np.sum(r[part != 0.0] ** 2))
+    return float(np.sqrt(h * h * total))
+
+
+@pytest.fixture(scope="module")
+def square_nodal(unit_square):
+    grid = build_grid(unit_square, 63)
+    params = ActionParams(4.0, 10.0)
+    return grid, params, nodal_ground_state(grid, params)
+
+
+def test_2d_nodal_state_meets_tol(square_nodal):
+    grid, params, st = square_nodal
+    vals = st.u.values.reshape(grid.shape)
+    assert _own_partwise_residual(vals, grid.h[0], params.p, params.lam) <= 1e-8
+    assert st.residual <= 1e-8
+    assert st.node_count >= 1
+    for part in split(st.u):
+        l2, lp, gr = norms(part, params.p)
+        assert abs(gr + params.lam * l2 - lp) <= 1e-10 * lp
+
+
+def test_2d_nodal_level(square_nodal):
+    grid, params, st = square_nodal
+    signed = ground_state(grid, params)
+    assert st.action_value > 2.0 * signed.action_value
+    # the descent alone stalled at this value, above tol
+    assert st.action_value <= 268.97481804262
+    assert st.action_value == min(value for _, value in st.multistart)
+
+
+def test_2d_nodal_raises_above_tol(unit_square):
+    grid = build_grid(unit_square, 63)
+    with pytest.raises(NoConvergence) as err:
+        nodal_ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(max_iter=1))
+    for label in ("phi2", "odd-reflection", "two-bump", "random"):
+        assert f"{label}: max_iter" in str(err.value)
+
+
+def _frozen_square(n: int):
+    from nlsground.nodal import _FrozenPartition
+
+    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
+    x, y = grid.meshes()
+    sign = np.sign(np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
+                   + 0.3 * np.cos(3.0 * y)).reshape(-1)
+    sign[:n] = 0.0  # a row of zero nodes, decoupled from both parts
+    return grid, sign, _FrozenPartition(grid, sign)
+
+
+def test_frozen_partition_is_the_partwise_operator():
+    from nlsground.nodal import _partwise_gradient
+
+    grid, sign, frozen = _frozen_square(15)
+    rng = np.random.default_rng(0)
+    u = sign * (0.5 + rng.random(grid.size))
+    params = ActionParams(4.0, 10.0)
+    f = frozen.apply(u) + params.lam * u - np.abs(u) ** 2 * u
+    g = _partwise_gradient(grid, u, params)
+    assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(grid.laplacian(u)))
+
+
+def test_minres_matches_dense_solve_on_indefinite_system():
+    from nlsground.linsolve import shifted_solver
+    from nlsground.nodal import _minres
+
+    grid, _, frozen = _frozen_square(15)
+    dense = np.column_stack([frozen.apply(e) for e in np.eye(grid.size)])
+    assert np.array_equal(dense, dense.T)
+    dense -= 100.0 * np.eye(grid.size)
+    eigs = np.linalg.eigvalsh(dense)
+    assert eigs[0] < 0.0 < eigs[-1] and np.min(np.abs(eigs)) > 1.0
+    b = np.random.default_rng(1).standard_normal(grid.size)
+    x = _minres(lambda v: frozen.apply(v) - 100.0 * v, b,
+                shifted_solver(grid, 0.0)._raw_solve, 1e-14, 500)
+    exact = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)

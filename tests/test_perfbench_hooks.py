@@ -22,22 +22,23 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install()
-if sys.argv[1] == "2":
+kind, dimension = sys.argv[1], sys.argv[2]
+if dimension == "2":
     grid = nls.build_grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
 else:
     grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63)
-solve = nls.nodal_ground_state if sys.argv[1] == "nodal" else nls.ground_state
+solve = nls.nodal_ground_state if kind == "nodal" else nls.ground_state
 solve(grid, nls.ActionParams(4.0, 10.0))
 print(json.dumps(tracer.layer_metrics()))
 """
 
 
-def _layer_metrics(case: str) -> dict:
+def _layer_metrics(kind: str, dimension: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", SCRIPT, case],
+    out = subprocess.run([sys.executable, "-c", SCRIPT, kind, str(dimension)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -45,7 +46,7 @@ def _layer_metrics(case: str) -> dict:
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_tracer_counts_solver_layers(dimension):
-    metrics = _layer_metrics(str(dimension))
+    metrics = _layer_metrics("signed", dimension)
     assert metrics["action.ground_state.calls"] == 1
     for name in ("linsolve.solve.calls", "linsolve.factorize.calls",
                  "linsolve.backsub.calls"):
@@ -55,6 +56,14 @@ def test_tracer_counts_solver_layers(dimension):
 def test_tracer_counts_1d_nodal_side_solves():
     # side solves are ground_state spans under nodal_ground_state: the
     # midpoint walk on odd n needs three node counts
-    metrics = _layer_metrics("nodal")
+    metrics = _layer_metrics("nodal", 1)
     assert metrics["nodal.nodal_ground_state.calls"] == 1
     assert 0 < metrics["nodal.side_solves"] <= 3
+
+
+def test_tracer_sees_2d_nodal_preconditioner_solves():
+    # the Newton stage's MINRES applies the preconditioner by back-substitution
+    # alone; those solves must stay visible to the tracer
+    metrics = _layer_metrics("nodal", 2)
+    assert metrics["nodal.nodal_ground_state.calls"] == 1
+    assert metrics["linsolve.backsub.calls"] > 0
