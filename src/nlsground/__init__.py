@@ -4,7 +4,7 @@ and rectangles: level curves over the frequency, their mass maps, and the
 prescribed-mass problem solved through them."""
 
 from .action import (ActionParams, GroundState, SolverOptions, action,
-                     energy, ground_state, kappa, nehari_project,
+                     energy, ground_state, kappa, mass_slope, nehari_project,
                      nehari_scale, pde_residual, ray_action)
 from .config import RunConfig
 from .curves import (AsymptoticReport, DerivativeMassReport, ExhaustionReport,

@@ -8,10 +8,13 @@ is the normalized fixed-point iteration
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
 along which R is provably nonincreasing, followed by the exact scalar
-normalization onto the constraint manifold and, when tight tolerances
-demand it, a Newton polish of the resulting field (in double, then in
-extended precision with an optimized final rounding: on fine grids the
-storage rounding of the field itself dominates the attainable residual).
+normalization onto the constraint manifold and, when the fixed point
+stops above tol, Newton's method on the resulting field (the linearized
+solve of `linsolve`, banded in 1D and MINRES in 2D) and, in 1D, an
+extended-precision polish with an optimized final rounding: on fine
+grids the storage rounding of the field itself dominates the attainable
+residual.  The same linearized solve gives the exact slope of the mass
+along the branch of states, `mass_slope`.
 """
 
 from __future__ import annotations
@@ -19,17 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
 from .grid import Field, Grid, dot, node_count
-from .linsolve import shifted_solver, solve_tridiagonal_longdouble
+from .linsolve import (_FrozenPartition, newton, shifted_solver,
+                       solve_tridiagonal_longdouble)
 
 _P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
 # tolerated quotient increase per fixed-point step, relative to its scale
 _DESCENT_SLACK = 1e-12
+# relative preconditioned residual of the 2D tangent solve in mass_slope
+_SLOPE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,10 +143,6 @@ def energy(u: Field, p: float) -> float:
 def pde_residual(u: Field, params: ActionParams) -> float:
     """Weighted L2 norm of A u + lambda u - |u|^(p-2) u."""
     return _res_norm(u.grid, u.values, params.p, params.lam)
-
-
-def _residual_vec(grid: Grid, vals: np.ndarray, p: float, lam: float) -> np.ndarray:
-    return grid.laplacian(vals) + lam * vals - np.abs(vals) ** (p - 2) * vals
 
 
 def nehari_scale(u: Field, params: ActionParams) -> float:
@@ -262,6 +263,22 @@ def ground_state(grid: Grid, params: ActionParams,
     return finalize_state(grid, best_vals, params, best_res, iterations)
 
 
+def mass_slope(state: GroundState) -> float:
+    """Exact derivative of the mass along the branch through state.
+
+    The branch keeps the state's sign pattern.  Differentiating its
+    partwise system in lambda gives L u' = -u, with L the linearization
+    Newton uses, and the mass h^N <u, u> changes at the rate
+    2 h^N <u, u'>.  For a ground state the mass is twice the derivative
+    of the level, so this is twice its second derivative.
+    """
+    grid, u = state.u.grid, state.u.values
+    p, lam = state.params.p, state.params.lam
+    du = _FrozenPartition(grid, np.sign(u)).solve(
+        lam - (p - 1) * np.abs(u) ** (p - 2), -u, _SLOPE_RTOL)
+    return 2.0 * grid.weight * dot(u, du)
+
+
 def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
                    residual: float, iterations: int,
                    action_override: float | None = None,
@@ -289,7 +306,7 @@ def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
 
 
 def _res_norm(grid: Grid, vals: np.ndarray, p: float, lam: float) -> float:
-    r = _residual_vec(grid, vals, p, lam)
+    r = grid.laplacian(vals) + lam * vals - np.abs(vals) ** (p - 2) * vals
     return float(np.sqrt(grid.weight * dot(r, r)))
 
 
@@ -313,42 +330,11 @@ def _initial_vector(grid: Grid, opts: SolverOptions,
 
 def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
             opts: SolverOptions, res: float) -> tuple[np.ndarray, float]:
-    vals, res = _newton_polish(grid, vals, p, lam, res)
+    # on a positive field the partwise residual is the full one
+    vals, res, _ = newton(grid, vals, p, lam, opts.tol)
     if res > opts.tol and grid.dimension == 1:
         vals, res = _rounding_polish(grid, vals, p, lam, res)
     return vals, res
-
-
-def _newton_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
-                   res: float, steps: int = 5) -> tuple[np.ndarray, float]:
-    """Newton steps on the full PDE, 1D only.
-
-    The linearization is generally indefinite, so a pivoted banded solve
-    is used.  2D grids never need this stage: their coarser spacing keeps
-    the fixed point well below any practical tolerance."""
-    if grid.dimension != 1:
-        return vals, res
-    n = grid.n
-    h2 = grid.h[0] * grid.h[0]
-    best, best_res = vals, res
-    cur = vals
-    for _ in range(steps):
-        r = _residual_vec(grid, cur, p, lam)
-        jac = np.zeros((3, n))
-        jac[0, 1:] = -1.0 / h2
-        jac[2, :-1] = -1.0 / h2
-        jac[1, :] = 2.0 / h2 + lam - (p - 1) * np.abs(cur) ** (p - 2)
-        try:
-            step = solve_banded((1, 1), jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        cur = cur + step
-        rn = _res_norm(grid, cur, p, lam)
-        if rn < best_res:
-            best, best_res = cur, rn
-        else:
-            break
-    return best, best_res
 
 
 def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,

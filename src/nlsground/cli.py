@@ -10,6 +10,7 @@ sorted, and nothing time- or host-dependent is written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -168,14 +169,7 @@ def _cmd_normalized(args) -> int:
 def _cmd_pohozaev(args) -> int:
     u = load_field(getattr(args, "in"))
     params = ActionParams(args.p, getattr(args, "lambda"))
-    report = pohozaev_check(u, params)
-    _dump_json({
-        "identity_residual": report.identity_residual,
-        "boundary_term": report.boundary_term,
-        "interior_terms": report.interior_terms,
-        "bound_coefficient": report.bound_coefficient,
-        "energy_bound_ok": report.energy_bound_ok,
-    }, args.out)
+    _dump_json(dataclasses.asdict(pohozaev_check(u, params)), args.out)
     return 0
 
 
@@ -202,15 +196,7 @@ def _cmd_exhaustion(args) -> int:
     params = ActionParams(args.p, getattr(args, "lambda"))
     opts = _solver_options(args)
     report = exhaustion_test(spec, shrinks, params, args.n, opts)
-    _dump_json({
-        "epsilons": report.epsilons,
-        "levels": report.levels,
-        "base_level": report.base_level,
-        "gaps": report.gaps,
-        "final_gap": report.final_gap,
-        "monotone": report.monotone,
-        "passed": report.passed,
-    }, args.out)
+    _dump_json(dataclasses.asdict(report), args.out)
     return 0 if report.passed else 3
 
 

@@ -6,9 +6,11 @@ central-difference derivative.  The derivative carries the mass law
 (twice the derivative of the level equals the ground-state mass wherever
 the level is differentiable), the supremum of the mass along the curve
 is the finite mass threshold in the critical and supercritical regimes,
-and the large-frequency trend of level/frequency separates the three
-regimes.  Warm/cold disagreements are flagged rather than resolved: the
-level may genuinely have countably many kinks where the minimizer jumps.
+located as the zero of the exact mass slope (`mass_slope`) by safeguarded
+secant steps, and the large-frequency trend of level/frequency separates
+the three regimes.  Warm/cold disagreements are flagged rather than
+resolved: the level may genuinely have countably many kinks where the
+minimizer jumps.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .action import ActionParams, GroundState, SolverOptions, ground_state
+from .action import (ActionParams, GroundState, SolverOptions, ground_state,
+                     mass_slope)
 from .errors import (InsufficientRange, InvalidSpec, NlsgroundError,
                      NoConvergence, NotCritical)
 from .grid import DomainSpec, Grid, build_grid
 from .nodal import nodal_ground_state
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -73,7 +74,7 @@ def threshold_eigenvalue(grid: Grid, kind: str) -> float:
 
 def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
           opts: SolverOptions | None = None, cold_check_every: int = 10,
-          keep_states: bool = True, mismatch_rtol: float = 1e-6,
+          mismatch_rtol: float = 1e-6,
           max_failure_fraction: float = 0.2) -> LevelCurve:
     """Level curve along an ascending frequency list, warm-started.
 
@@ -82,6 +83,7 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     mismatch_rtol flags the sample as a possible branch/jump point and
     the lower level wins.  Failed samples are flagged and skipped; the
     sweep aborts only when more than max_failure_fraction of them fail.
+    The state of every usable sample is kept in `states`.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -128,7 +130,7 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
                     st = cold
         J[i] = st.action_value
         mass[i] = st.mass
-        states[i] = st if keep_states else None
+        states[i] = st
         warm = st
 
     dJ = _central_differences(lambdas, J)
@@ -218,9 +220,13 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
     """Mass threshold from the sampled curve, refined around the argmax.
 
     Twice the supremum of the level derivative equals the supremum of
-    the sampled mass, so the refinement maximizes the mass directly by
-    golden-section re-solves inside the bracketing frequency interval
-    until the maximum moves by less than refine_rtol relatively.
+    the sampled mass, so the refinement finds the zero of the exact mass
+    slope (`mass_slope`) between the neighbours of the sampled argmax:
+    secant steps on warm re-solves, starting from the slopes of the
+    sweep's stored states, until a step moves the peak frequency by less
+    than refine_rtol relative to the bracket's frequencies.  The mass is
+    flat at its peak, so it has then settled far below refine_rtol.
+    Without a sign change of the slope there the sampled maximum is kept.
     """
     p_c = critical_exponent(curve.grid.dimension)
     if curve.p < p_c:
@@ -229,57 +235,58 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
     ok = curve.ok_indices()
     if ok.size == 0:
         raise NoConvergence("no usable samples in the curve")
-    masses = curve.mass[ok]
-    k = int(ok[int(np.argmax(masses))])
-    best_lam = float(curve.lambdas[k])
-    best_mass = float(curve.mass[k])
-    interior = 0 < k < curve.lambdas.size - 1
-    if interior:
-        lo = float(curve.lambdas[k - 1])
-        hi = float(curve.lambdas[k + 1])
-        warm = curve.states[k]
-        best_lam, best_mass = _golden_max_mass(
-            curve, lo, hi, best_lam, best_mass, warm, opts, refine_rtol)
+    j = int(np.argmax(curve.mass[ok]))
+    best_lam, best_mass = float(curve.lambdas[ok[j]]), float(curve.mass[ok[j]])
+    if 0 < j < ok.size - 1:
+        lo, hi = ok[j - 1], ok[j + 1]
+        slope_lo, slope_hi = mass_slope(curve.states[lo]), mass_slope(curve.states[hi])
+        if slope_lo > 0.0 > slope_hi:
+            warm = curve.states[ok[j]]
+
+            def slope_at(lam: float):
+                st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
+                return mass_slope(st), st
+
+            lam_lo, lam_hi = float(curve.lambdas[lo]), float(curve.lambdas[hi])
+            scale = max(abs(lam_lo), abs(lam_hi))
+            prev = best_lam
+            for lam, st in _secant_steps(slope_at, lam_lo, slope_lo, lam_hi, slope_hi):
+                warm = st
+                if st.mass > best_mass:
+                    best_lam, best_mass = lam, st.mass
+                if abs(lam - prev) <= refine_rtol * scale:
+                    break
+                prev = lam
     attained = "yes" if curve.p > p_c else "undetermined"
     return MassThreshold(best_mass, best_lam, attained)
 
 
-def _mass_at(curve: LevelCurve, lam: float, warm, opts: SolverOptions):
-    st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
-    return st.mass, st
+def _secant_steps(g, lo: float, g_lo: float, hi: float, g_hi: float,
+                  max_iter: int = 80):
+    """Iterates of a safeguarded secant search for a root of g in [lo, hi].
 
-
-def _golden_max_mass(curve: LevelCurve, lo: float, hi: float,
-                     best_lam: float, best_mass: float, warm,
-                     opts: SolverOptions, rtol: float,
-                     max_iter: int = 80):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, st1 = _mass_at(curve, x1, warm, opts)
-    f2, st2 = _mass_at(curve, x2, st1, opts)
-    settled = 0
+    g_lo and g_hi must differ in sign; g(lam) returns (value, payload).
+    Each step is a secant step through the last two iterates, or a
+    bisection when that step leaves the bracket; every iterate replaces
+    the bracket end whose value has its sign.  Yields (lam, payload) per
+    iterate, at most max_iter.
+    """
+    lam_prev, g_prev = lo, g_lo
+    lam_cur, g_cur = hi, g_hi
     for _ in range(max_iter):
-        prev = best_mass
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            st1 = st2
-            x2 = a + _GOLDEN * (b - a)
-            f2, st2 = _mass_at(curve, x2, st1, opts)
+        lam = 0.5 * (lo + hi)
+        if g_cur != g_prev:
+            secant = lam_cur - g_cur * (lam_cur - lam_prev) / (g_cur - g_prev)
+            if lo < secant < hi:
+                lam = secant
+        value, payload = g(lam)
+        yield lam, payload
+        if (g_lo < 0) == (value < 0):
+            lo, g_lo = lam, value
         else:
-            b, x2, f2 = x2, x1, f1
-            st2 = st1
-            x1 = b - _GOLDEN * (b - a)
-            f1, st1 = _mass_at(curve, x1, st2, opts)
-        if f1 > best_mass:
-            best_mass, best_lam = f1, x1
-        if f2 > best_mass:
-            best_mass, best_lam = f2, x2
-        # stop only after successive refinements stall below rtol
-        settled = settled + 1 if abs(best_mass - prev) <= rtol * best_mass else 0
-        if settled >= 3 and abs(f1 - f2) <= rtol * best_mass:
-            break
-    return best_lam, best_mass
+            hi, g_hi = lam, value
+        lam_prev, g_prev = lam_cur, g_cur
+        lam_cur, g_cur = lam, value
 
 
 @dataclass

@@ -75,12 +75,6 @@ class DomainSpec:
     def lengths(self) -> tuple:
         return tuple(hi - lo for lo, hi in self.bounds)
 
-    def volume(self) -> float:
-        out = 1.0
-        for length in self.lengths:
-            out *= length
-        return out
-
 
 class Grid:
     """Uniform interior grid with spacing h = (b - a)/(n + 1) per axis."""
@@ -162,9 +156,6 @@ class Grid:
         return (g[:-1] - g[1:]) / h2
 
     # -- quadrature ------------------------------------------------------
-
-    def integrate(self, values: np.ndarray) -> float:
-        return self.weight * float(np.sum(values))
 
     def l2_sq(self, values: np.ndarray) -> float:
         return self.weight * dot(values, values)

@@ -9,11 +9,19 @@ Both are followed by iterative refinement against the stencil evaluation
 used everywhere else in the package, so solve residuals are consistent
 with how every other module measures them.  Solves are bitwise
 deterministic for fixed inputs.
+
+The same module holds the one linearized solve the package uses: the
+Jacobian of the partwise system on a frozen sign pattern, solved by a
+pivoted banded LU in 1D and by MINRES preconditioned with the sine
+solve in 2D.  Newton's method on that solve finishes the signed and the
+2D nodal ground states, and its solve of -u gives the exact slope of the
+mass along a branch of states.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import spectral
@@ -24,6 +32,9 @@ from .grid import Grid, dot
 # stops as soon as a step fails to halve the residual
 _REFINE_TOL = 1e-13
 _MAX_REFINE = 4
+# Newton steps per call and MINRES steps per 2D linearized solve
+_NEWTON_STEPS = 8
+_MINRES_STEPS = 200
 
 
 class OperatorSolver:
@@ -113,6 +124,147 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 def _dst2(u: np.ndarray) -> np.ndarray:
     """DST-I along both axes of a square array."""
     return _dst1(_dst1(u).T).T
+
+
+class _FrozenPartition:
+    """The stencil with every edge between nodes of different sign cut.
+
+    Each sign part then sees the other, and any zero node, as a Dirichlet
+    zero: applied to a field with this sign pattern it gives the operator
+    of the partwise system, and a one-signed field without zero nodes
+    gets the plain stencil.  It is symmetric, so the Jacobian of the
+    partwise system is too.
+    """
+
+    def __init__(self, grid: Grid, sign: np.ndarray):
+        self.grid = grid
+        s = sign.reshape(grid.shape)
+        # per axis, 1/h^2 on every edge whose two nodes differ in sign
+        self.cuts = [(np.diff(s, axis=axis) != 0.0) / (h * h)
+                     for axis, h in enumerate(grid.h)]
+        self._metric = None
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        # the full stencil couples v_i to a cut neighbour by -v_j/h^2
+        out = self.grid.laplacian(v).reshape(self.grid.shape)
+        w = v.reshape(self.grid.shape)
+        for axis, cut in enumerate(self.cuts):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            out[lo] += cut * w[hi]
+            out[hi] += cut * w[lo]
+        return out.reshape(-1)
+
+    def solve(self, shift: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+        """x with (D + diag(shift)) x = b, D this operator.
+
+        The linearization of the partwise system has shift
+        lambda - (p-1)|u|^(p-2) and is generally indefinite.  In 1D it is
+        tridiagonal and solved by a pivoted banded LU.  In 2D it is solved
+        by MINRES to the relative preconditioned residual rtol, with the
+        sine solve of A + max(shift, 0) I as the preconditioner: the
+        largest shift is lambda up to the smallest |u|.  It is factored at
+        the first solve and kept for the later ones on this partition.
+        """
+        g = self.grid
+        if g.dimension == 1:
+            h2 = g.h[0] * g.h[0]
+            off = np.where(self.cuts[0] > 0.0, 0.0, -1.0 / h2)
+            jac = np.zeros((3, g.n))
+            jac[0, 1:] = off
+            jac[2, :-1] = off
+            jac[1, :] = 2.0 / h2 + shift
+            return solve_banded((1, 1), jac, b)
+        if self._metric is None:
+            self._metric = OperatorSolver(g, max(float(np.max(shift)), 0.0))
+        return _minres(lambda v: self.apply(v) + shift * v, b,
+                       self._metric._raw_solve, rtol, _MINRES_STEPS)
+
+
+def newton(grid: Grid, u: np.ndarray, p: float, lam: float,
+           tol: float) -> tuple[np.ndarray, float, int]:
+    """Newton on the partwise system D u + lam u = |u|^(p-2) u.
+
+    D is the stencil cut along u's sign pattern, which stays frozen.
+    Returns (best iterate, its residual, steps taken).  Stops once the
+    residual reaches tol, when a step changes the sign of a node, when a
+    step fails to lower the residual, when the linearized solve is
+    singular, or after _NEWTON_STEPS steps.
+    """
+    sign = np.sign(u)
+    frozen = _FrozenPartition(grid, sign)
+
+    def residual(v):
+        r = frozen.apply(v) + lam * v - np.abs(v) ** (p - 2) * v
+        return r, float(np.sqrt(grid.weight * dot(r, r)))
+
+    r, res = residual(u)
+    step = 0
+    while res > tol and step < _NEWTON_STEPS:
+        step += 1
+        # loose solves while far away, and none tighter than the last
+        # step needs to land well inside tol
+        rtol = max(min(0.1, res), 0.01 * tol / res)
+        try:
+            delta = frozen.solve(lam - (p - 1) * np.abs(u) ** (p - 2), -r, rtol)
+        except np.linalg.LinAlgError:
+            break
+        delta[sign == 0.0] = 0.0
+        trial = u + delta
+        if not np.array_equal(np.sign(trial), sign):
+            break
+        r_trial, res_trial = residual(trial)
+        if not res_trial < res:
+            break
+        u, r, res = trial, r_trial, res_trial
+    return u, res, step
+
+
+def _minres(apply, b: np.ndarray, precond, rtol: float,
+            maxiter: int) -> np.ndarray:
+    """Preconditioned MINRES (Paige and Saunders) for symmetric apply.
+
+    precond must be symmetric positive definite.  Stops once the
+    preconditioned residual norm falls to rtol times its initial value,
+    or after maxiter steps.
+    """
+    x = np.zeros_like(b)
+    y = precond(b)
+    beta1 = float(np.sqrt(dot(b, y)))
+    if beta1 == 0.0:
+        return x
+    beta, old_beta = beta1, 0.0
+    r1, r2 = b, b
+    cs, sn = -1.0, 0.0
+    dbar = epsln = 0.0
+    phibar = beta1
+    w = np.zeros_like(b)
+    w2 = np.zeros_like(b)
+    for _ in range(maxiter):
+        v = y / beta
+        y = apply(v)
+        if old_beta:
+            y = y - (beta / old_beta) * r1
+        alpha = dot(v, y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        old_beta, beta = beta, float(np.sqrt(dot(r2, y)))
+        old_eps = epsln
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = max(float(np.hypot(gbar, beta)), np.finfo(float).tiny)
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) / gamma
+        x = x + phi * w
+        if phibar <= rtol * beta1 or beta == 0.0:
+            break
+    return x
 
 
 def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,

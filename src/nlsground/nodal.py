@@ -23,10 +23,11 @@ the solver runs a projected descent: the gradient of
 u -> action(project(u)) restricted to each sign support, preconditioned
 by the shifted Laplacian, with a backtracking line search.  Once the
 sign pattern stops changing, Newton's method runs on the partwise system
-over that frozen partition (the stencil with the edges between opposite
-signs cut), each step a MINRES solve preconditioned by the same shifted
-Laplacian; its result is kept only if it meets the tolerance, keeps every
-sign and does not raise the action, and the descent resumes otherwise.
+over that frozen partition (`linsolve.newton`: the stencil with the
+edges between opposite signs cut, each step a MINRES solve preconditioned
+by the sine solve), and its result is projected; it is kept only if it
+meets the tolerance and does not raise the action, and the descent
+resumes otherwise.
 The least-action start is returned, or NoConvergence raised when it is
 above tol.
 """
@@ -43,7 +44,7 @@ from .action import (ActionParams, GroundState, SolverOptions, finalize_state,
 from .errors import (DegeneratePart, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, NotSignChanging)
 from .grid import DomainSpec, Field, Grid, build_grid, dot
-from .linsolve import shifted_solver
+from .linsolve import newton, shifted_solver
 
 # smallest L^p mass a sign part may keep during the 2D descent
 _LP_FLOOR = 1e-12
@@ -63,13 +64,18 @@ def _part_data(grid: Grid, part: np.ndarray, p: float, lam: float):
 
 
 class NodalCandidate:
-    """Feasibility record of a sign-changing field for the projection."""
+    """Feasibility record of a sign-changing field for the projection.
+
+    Holds one (L^p mass, quadratic form) pair per sign part; the
+    projection scales and the projected action both come from it.
+    """
 
     def __init__(self, u: Field, params: ActionParams):
-        plus, minus = _parts(u.values)
         self.u = u
-        self.lp_plus, self.q_plus = _part_data(u.grid, plus, params.p, params.lam)
-        self.lp_minus, self.q_minus = _part_data(u.grid, minus, params.p, params.lam)
+        self.params = params
+        self.plus, self.minus = _parts(u.values)
+        self.lp_plus, self.q_plus = _part_data(u.grid, self.plus, params.p, params.lam)
+        self.lp_minus, self.q_minus = _part_data(u.grid, self.minus, params.p, params.lam)
 
     @property
     def sign_changing(self) -> bool:
@@ -78,6 +84,23 @@ class NodalCandidate:
     @property
     def feasible(self) -> bool:
         return self.sign_changing and self.q_plus > 0.0 and self.q_minus > 0.0
+
+    def projected(self) -> np.ndarray:
+        """Values with each sign part scaled onto the constraint manifold."""
+        e = 1.0 / (self.params.p - 2.0)
+        return ((self.q_plus / self.lp_plus) ** e * self.plus
+                + (self.q_minus / self.lp_minus) ** e * self.minus)
+
+    def part_actions(self) -> tuple[float, float]:
+        """Ray actions of the two parts, which no rescaling of a part changes."""
+        p = self.params.p
+        ex = p / (p - 2.0)
+        return tuple(kappa(p) * (q / lp ** (2.0 / p)) ** ex
+                     for lp, q in ((self.lp_plus, self.q_plus),
+                                   (self.lp_minus, self.q_minus)))
+
+    def action(self) -> float:
+        return sum(self.part_actions())
 
 
 def _check_parts(u: Field, params: ActionParams):
@@ -95,22 +118,12 @@ def _check_parts(u: Field, params: ActionParams):
 
 def nodal_project(u: Field, params: ActionParams) -> Field:
     """Scale each sign part onto the constraint manifold separately."""
-    cand = _check_parts(u, params)
-    plus, minus = _parts(u.values)
-    e = 1.0 / (params.p - 2.0)
-    s_plus = (cand.q_plus / cand.lp_plus) ** e
-    s_minus = (cand.q_minus / cand.lp_minus) ** e
-    return Field(u.grid, s_plus * plus + s_minus * minus)
+    return Field(u.grid, _check_parts(u, params).projected())
 
 
 def nodal_action_of(u: Field, params: ActionParams) -> float:
     """Action of the partwise projection, computed from the two quotients."""
-    cand = _check_parts(u, params)
-    p = params.p
-    ex = p / (p - 2.0)
-    r_plus = cand.q_plus / cand.lp_plus ** (2.0 / p)
-    r_minus = cand.q_minus / cand.lp_minus ** (2.0 / p)
-    return kappa(p) * (r_plus ** ex + r_minus ** ex)
+    return _check_parts(u, params).action()
 
 
 def nodal_ground_state(grid: Grid, params: ActionParams,
@@ -264,8 +277,6 @@ def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
 # accepted descent steps with an unchanged sign pattern before Newton is
 # tried on that partition (again after each failed try)
 _SETTLED_STEPS = 5
-_NEWTON_STEPS = 8
-_MINRES_STEPS = 200
 
 
 def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
@@ -294,15 +305,12 @@ def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
         raise NoConvergence(
             f"best 2D nodal start {best_label!r} has residual {residual:.3e} "
             f"above tol {opts.tol:.1e} ({starts})")
-    part_actions = tuple(
-        kappa(params.p) * (q / lp ** (2.0 / params.p)) ** (params.p / (params.p - 2.0))
-        for lp, q in (_part_data(grid, part, params.p, params.lam)
-                      for part in _parts(best_vals)))
+    best = NodalCandidate(Field(grid, best_vals), params)
     return finalize_state(
         grid, best_vals, params, residual=residual, iterations=total_iters,
-        action_override=sum(part_actions),
-        part_masses=tuple(grid.l2_sq(part) for part in _parts(best_vals)),
-        part_actions=part_actions,
+        action_override=best.action(),
+        part_masses=(grid.l2_sq(best.plus), grid.l2_sq(best.minus)),
+        part_actions=best.part_actions(),
         multistart=tuple((label, value) for label, _, _, value, _ in results),
     )
 
@@ -360,10 +368,10 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
     """Projected descent from vals; (field, iterations, stop reason).
 
     Once the sign pattern has held for a while, Newton on the frozen
-    partition is tried; its result replaces the descent's only if it
-    meets tol, keeps every sign and does not raise the action.  The stop
-    reason is one of newton, tol, stall, max_iter or line-search, and
-    iterations counts descent and Newton steps.
+    partition is tried; its projected result replaces the descent's only
+    if it meets tol and does not raise the action (Newton keeps every
+    sign).  The stop reason is one of newton, tol, stall, max_iter or
+    line-search, and iterations counts descent and Newton steps.
     """
     u = nodal_project(Field(grid, vals), params).values
     f_val = nodal_action_of(Field(grid, u), params)
@@ -388,16 +396,14 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
         t = t_start
         accepted = False
         while t > 1e-14:
-            trial = u - t * d
-            trial_field = Field(grid, trial)
-            cand = NodalCandidate(trial_field, params)
+            cand = NodalCandidate(Field(grid, u - t * d), params)
             if cand.feasible and min(cand.lp_plus, cand.lp_minus) >= _LP_FLOOR:
-                f_trial = nodal_action_of(trial_field, params)
+                # the projection leaves each part's ray action unchanged
+                f_trial = cand.action()
                 if f_trial <= f_val - 1e-4 * t * slope:
-                    u = nodal_project(trial_field, params).values
-                    f_new = nodal_action_of(Field(grid, u), params)
-                    stalled = stalled + 1 if f_val - f_new <= 1e-12 * abs(f_val) else 0
-                    f_val = f_new
+                    u = cand.projected()
+                    stalled = stalled + 1 if f_val - f_trial <= 1e-12 * abs(f_val) else 0
+                    f_val = f_trial
                     accepted = True
                     break
             t *= 0.5
@@ -412,129 +418,18 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
         settled = settled + 1 if np.array_equal(new_sign, sign) else 0
         sign = new_sign
         if settled >= _SETTLED_STEPS:
-            polished, steps = _newton_frozen(grid, params, opts, metric, u)
+            polished, res, steps = newton(grid, u, params.p, params.lam, opts.tol)
             newton_steps += steps
-            if polished is not None:
-                f_polished = nodal_action_of(Field(grid, polished), params)
-                if f_polished <= f_val * (1.0 + 1e-12):
-                    return polished, it + newton_steps, "newton"
+            if res <= opts.tol:
+                # the projection scales each part by a positive factor near 1
+                cand = NodalCandidate(Field(grid, polished), params)
+                projected = cand.projected()
+                if (_masked_residual(grid, projected, params) <= opts.tol
+                        and cand.action() <= f_val * (1.0 + 1e-12)):
+                    return projected, it + newton_steps, "newton"
             settled = 0
         if stalled >= 15:
             reason = "stall"
             break
         t_start = min(1.0, 2.0 * t)
     return u, it + newton_steps, reason
-
-
-class _FrozenPartition:
-    """The stencil with every edge between nodes of different sign cut.
-
-    Each sign part then sees the other, and any zero node, as a Dirichlet
-    zero: applied to a field with this sign pattern it gives the operator
-    `_partwise_gradient` measures.  It is symmetric, so the Jacobian of
-    the partwise system is too.
-    """
-
-    def __init__(self, grid: Grid, sign: np.ndarray):
-        self.grid = grid
-        s = sign.reshape(grid.shape)
-        self.cut_x = (s[1:] != s[:-1]) / (grid.h[0] * grid.h[0])
-        self.cut_y = (s[:, 1:] != s[:, :-1]) / (grid.h[1] * grid.h[1])
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        # the full stencil couples v_i to a cut neighbour by -v_j/h^2
-        out = self.grid.laplacian(v).reshape(self.grid.shape)
-        w = v.reshape(self.grid.shape)
-        out[:-1] += self.cut_x * w[1:]
-        out[1:] += self.cut_x * w[:-1]
-        out[:, :-1] += self.cut_y * w[:, 1:]
-        out[:, 1:] += self.cut_y * w[:, :-1]
-        return out.reshape(-1)
-
-
-def _newton_frozen(grid: Grid, params: ActionParams, opts: SolverOptions,
-                   metric, u: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """Newton on the partwise system over u's sign supports.
-
-    Returns (projected field, steps) once the partwise residual of the
-    projected field reaches tol with every node keeping its sign, and
-    (None, steps) when a step flips a sign or stops shrinking the
-    residual.  The Jacobian is indefinite (one negative direction per
-    part); each step is a preconditioned MINRES solve with the descent's
-    metric as the preconditioner.
-    """
-    p, lam = params.p, params.lam
-    sign = np.sign(u)
-    frozen = _FrozenPartition(grid, sign)
-    g = _partwise_gradient(grid, u, params)
-    res = float(np.sqrt(grid.weight * dot(g, g)))
-    for step in range(1, _NEWTON_STEPS + 1):
-        shift = lam - (p - 1) * np.abs(u) ** (p - 2)
-        # loose solves while far away, and none tighter than the last
-        # step needs to land well inside tol
-        rtol = max(min(0.1, res), 0.01 * opts.tol / res)
-        delta = _minres(lambda v: frozen.apply(v) + shift * v, -g,
-                        metric._raw_solve, rtol, _MINRES_STEPS)
-        delta[sign == 0.0] = 0.0
-        u = u + delta
-        if not np.array_equal(np.sign(u), sign):
-            return None, step
-        g = _partwise_gradient(grid, u, params)
-        res_new = float(np.sqrt(grid.weight * dot(g, g)))
-        if res_new <= opts.tol:
-            # the projection scales each part by a positive factor near 1
-            projected = nodal_project(Field(grid, u), params).values
-            if _masked_residual(grid, projected, params) <= opts.tol:
-                return projected, step
-            return None, step
-        if not res_new < res:
-            return None, step
-        res = res_new
-    return None, _NEWTON_STEPS
-
-
-def _minres(apply, b: np.ndarray, precond, rtol: float,
-            maxiter: int) -> np.ndarray:
-    """Preconditioned MINRES (Paige and Saunders) for symmetric apply.
-
-    precond must be symmetric positive definite.  Stops once the
-    preconditioned residual norm falls to rtol times its initial value,
-    or after maxiter steps.
-    """
-    x = np.zeros_like(b)
-    y = precond(b)
-    beta1 = float(np.sqrt(dot(b, y)))
-    if beta1 == 0.0:
-        return x
-    beta, old_beta = beta1, 0.0
-    r1, r2 = b, b
-    cs, sn = -1.0, 0.0
-    dbar = epsln = 0.0
-    phibar = beta1
-    w = np.zeros_like(b)
-    w2 = np.zeros_like(b)
-    for _ in range(maxiter):
-        v = y / beta
-        y = apply(v)
-        if old_beta:
-            y = y - (beta / old_beta) * r1
-        alpha = dot(v, y)
-        y = y - (alpha / beta) * r2
-        r1, r2 = r2, y
-        y = precond(r2)
-        old_beta, beta = beta, float(np.sqrt(dot(r2, y)))
-        old_eps = epsln
-        delta = cs * dbar + sn * alpha
-        gbar = sn * dbar - cs * alpha
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = max(float(np.hypot(gbar, beta)), np.finfo(float).tiny)
-        cs, sn = gbar / gamma, beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-        w1, w2 = w2, w
-        w = (v - old_eps * w1 - delta * w2) / gamma
-        x = x + phi * w
-        if phibar <= rtol * beta1 or beta == 0.0:
-            break
-    return x

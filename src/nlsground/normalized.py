@@ -5,9 +5,11 @@ prescribed mass mu to the frequencies where the ground-state mass curve
 crosses mu.  The solver enumerates those crossings on a sampled curve,
 polishes each to the mass tolerance by safeguarded secant steps, and
 returns the branch of least energy; certification re-checks minimality
-against the curve and that the returned field is a ground state at its
-own frequency.  Star-shaped boundary-weighted identities provide an
-independent consistency check and the supercritical frequency bound.
+against the curve's minimum, refined by the same secant steps on cold
+re-solves (the derivative of J - mu lambda / 2 is (mass - mu) / 2), and
+that the returned field is a ground state at its own frequency.
+Star-shaped boundary-weighted identities provide an independent
+consistency check and the supercritical frequency bound.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import numpy as np
 
 from . import spectral
 from .action import ActionParams, SolverOptions, action, energy
-from .curves import (LevelCurve, _solve_one, critical_exponent, mass_threshold,
-                     sweep, threshold_eigenvalue)
+from .curves import (LevelCurve, _secant_steps, _solve_one, critical_exponent,
+                     mass_threshold, sweep, threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
                      MassOutOfRange, NoBracket, NotStarShaped)
 from .grid import DomainSpec, Field, Grid
+from .nodal import nodal_ground_state
 
 _MASS_RTOL = 1e-6
 
@@ -256,39 +259,27 @@ def _polish_crossing(curve: LevelCurve, mu: float, bracket, opts):
     """Safeguarded secant iteration on mass(lambda) - mu inside a bracket."""
     ia, ib = bracket
     grid, kind, p = curve.grid, curve.kind, curve.p
-    warm = curve.states[ia] if curve.states[ia] is not None else None
+    warm = curve.states[ia]
     if ia == ib:
         lam = float(curve.lambdas[ia])
+        return lam, _solve_one(grid, p, lam, kind, opts, warm)
+
+    def mass_gap(lam: float):
         st = _solve_one(grid, p, lam, kind, opts, warm)
-        return lam, st
-    lo, hi = float(curve.lambdas[ia]), float(curve.lambdas[ib])
-    f_lo = float(curve.mass[ia] - mu)
-    f_hi = float(curve.mass[ib] - mu)
-    lam_prev, f_prev = lo, f_lo
-    lam_cur, f_cur = hi, f_hi
-    st = None
-    for _ in range(80):
-        denom = f_cur - f_prev
-        if denom != 0.0:
-            lam_next = lam_cur - f_cur * (lam_cur - lam_prev) / denom
-        else:
-            lam_next = 0.5 * (lo + hi)
-        if not (lo < lam_next < hi):
-            lam_next = 0.5 * (lo + hi)
-        st = _solve_one(grid, p, lam_next, kind, opts, warm)
+        return st.mass - mu, st
+
+    gap = math.nan
+    for lam, st in _secant_steps(mass_gap, float(curve.lambdas[ia]),
+                                 float(curve.mass[ia] - mu),
+                                 float(curve.lambdas[ib]),
+                                 float(curve.mass[ib] - mu)):
         warm = st
-        f_next = st.mass - mu
-        if abs(f_next) <= _MASS_RTOL * mu:
-            return lam_next, st
-        if (f_lo < 0) == (f_next < 0):
-            lo, f_lo = lam_next, f_next
-        else:
-            hi, f_hi = lam_next, f_next
-        lam_prev, f_prev = lam_cur, f_cur
-        lam_cur, f_cur = lam_next, f_next
+        gap = abs(st.mass - mu) / mu
+        if gap <= _MASS_RTOL:
+            return lam, st
     raise NoBracket(
-        f"mass matching stalled at |mass-mu|/mu = {abs(f_cur) / mu:.2e} "
-        f"inside [{lo}, {hi}]")
+        f"mass matching stalled at |mass-mu|/mu = {gap:.2e} inside "
+        f"[{curve.lambdas[ia]}, {curve.lambdas[ib]}]")
 
 
 @dataclass
@@ -308,7 +299,8 @@ def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
     """Check the two selection identities behind the returned solution.
 
     The energy must match the minimum of J(lambda) - mu lambda / 2 over
-    the curve (refined locally by golden-section re-solves), and the
+    the curve (refined locally by secant steps on cold re-solves toward
+    the zero of its derivative (mass(lambda) - mu) / 2), and the
     action must match a fresh ground-state level at the solution's own
     frequency to within twice the solver tolerance.  Raises
     CertificationFailed with the violating frequency otherwise.
@@ -341,46 +333,33 @@ def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
 
 
 def _refine_profile_min(curve: LevelCurve, mu: float, profile: FMuProfile,
-                        opts: SolverOptions, iters: int = 40):
-    lam_arr = profile.lambdas
+                        opts: SolverOptions):
+    """Least f(lambda) = J(lambda) - mu lambda / 2 near the sampled argmin.
+
+    f' = (mass(lambda) - mu) / 2, so the minimum sits where the mass
+    crosses mu: secant steps on cold re-solves between the argmin's
+    neighbours, until the mass matches mu to _MASS_RTOL.  Without a sign
+    change of f' there the sampled minimum stands.
+    """
+    ok = curve.ok_indices()
     k = int(np.argmin(profile.f_values))
-    if lam_arr.size < 2:
-        return float(profile.f_values[k]), float(lam_arr[k])
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    best = (float(profile.f_values[k]), float(profile.lambdas[k]))
     # an argmin at an edge sample still brackets a minimum one step in
-    a = float(lam_arr[max(k - 1, 0)])
-    b = float(lam_arr[min(k + 1, lam_arr.size - 1)])
-    warm = None
+    lo, hi = ok[max(k - 1, 0)], ok[min(k + 1, ok.size - 1)]
+    gap_lo, gap_hi = float(curve.mass[lo] - mu), float(curve.mass[hi] - mu)
+    if gap_lo * gap_hi >= 0.0:
+        return best
 
-    def f_at(lam):
-        nonlocal warm
-        st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
-        warm = st
-        return st.action_value - 0.5 * mu * lam
+    def mass_gap(lam: float):
+        st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, None)
+        return st.mass - mu, st
 
-    x1 = b - golden * (b - a)
-    x2 = a + golden * (b - a)
-    f1, f2 = f_at(x1), f_at(x2)
-    best_f, best_lam = min((f1, x1), (f2, x2))
-    width_floor = 1e-9 * max(1.0, abs(a), abs(b))
-    for _ in range(iters):
-        if b - a <= width_floor:
+    for lam, st in _secant_steps(mass_gap, float(curve.lambdas[lo]), gap_lo,
+                                 float(curve.lambdas[hi]), gap_hi):
+        best = min(best, (st.action_value - 0.5 * mu * lam, lam))
+        if abs(st.mass - mu) <= _MASS_RTOL * mu:
             break
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + golden * (b - a)
-            f2 = f_at(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - golden * (b - a)
-            f1 = f_at(x1)
-        cand = min((f1, x1), (f2, x2))
-        if cand[0] < best_f:
-            best_f, best_lam = cand
-    grid_min = float(profile.f_values[k])
-    if grid_min < best_f:
-        best_f, best_lam = grid_min, float(lam_arr[k])
-    return best_f, best_lam
+    return best
 
 
 @dataclass
@@ -506,7 +485,6 @@ def supercritical_lambda_bound(grid: Grid, p: float, mu: float,
         lo = -lam2 + 0.5
         hi = 1.2 * lambda_bar
         curve = sweep(grid, p, np.linspace(lo, hi, samples), "nodal", opts)
-    from .nodal import nodal_ground_state
     j_bar = nodal_ground_state(grid, ActionParams(p, lambda_bar), opts)
     mu_bar = 2.0 * j_bar.action_value / (lambda_bar + lam2)
     if mu > mu_bar:

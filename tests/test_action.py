@@ -10,8 +10,8 @@ from nlsground import (ActionParams, DomainSpec, Field, InvalidSpec,
                        LambdaBelowThreshold, NonpositiveQuotient,
                        SolverOptions, ZeroField, action, build_grid,
                        dirichlet_eigenpairs, energy, ground_state, kappa,
-                       nehari_project, nehari_scale, norms, pde_residual,
-                       ray_action)
+                       mass_slope, nehari_project, nehari_scale,
+                       nodal_ground_state, norms, pde_residual, ray_action)
 
 from conftest import tridiag_eigenvalue
 
@@ -150,6 +150,33 @@ def test_2d_ground_state_and_p_cap(unit_square):
     assert st.node_count == 0
     with pytest.raises(InvalidSpec):
         ground_state(grid, ActionParams(11.0, 5.0))
+
+
+def test_2d_newton_polish_meets_tol(unit_square):
+    # four fixed-point steps stop far above tol; Newton on the linearized
+    # solve (MINRES in 2D) finishes the state
+    grid = build_grid(unit_square, 63)
+    params = ActionParams(4.0, 10.0)
+    st = ground_state(grid, params, SolverOptions(max_iter=4))
+    assert st.iterations == 4
+    assert st.residual <= 1e-8
+    assert pde_residual(st.u, params) <= 1e-8
+    assert st.node_count == 0
+    full = ground_state(grid, params)
+    assert st.action_value == pytest.approx(full.action_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, dim", [("signed", 1), ("nodal", 1), ("signed", 2)])
+def test_mass_slope_matches_resolved_masses(unit_interval, unit_square, kind, dim):
+    # 2 h^N <u, u'> with u' the linearized solve of -u, against central
+    # differences of the masses of states re-solved at lambda -+ 1e-3
+    grid = (build_grid(unit_interval, 255) if dim == 1
+            else build_grid(unit_square, 63))
+    solve = ground_state if kind == "signed" else nodal_ground_state
+    p, lam, step = 4.0, 10.0, 1e-3
+    slope = mass_slope(solve(grid, ActionParams(p, lam)))
+    up, down = (solve(grid, ActionParams(p, lam + s)).mass for s in (step, -step))
+    assert slope == pytest.approx((up - down) / (2.0 * step), rel=1e-7)
 
 
 def test_unscaled_mode_is_not_a_solution(grid255):

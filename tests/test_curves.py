@@ -102,6 +102,10 @@ def test_mass_threshold_supercritical(grid255):
     assert mt.mu_p >= np.nanmax(cur.mass)
     tight = mass_threshold(cur, refine_rtol=1e-7)
     assert tight.mu_p == pytest.approx(mt.mu_p, rel=1e-3)
+    # the secant on the exact mass slope settles the peak far below the
+    # default refine_rtol
+    tightest = mass_threshold(cur, refine_rtol=1e-9)
+    assert tightest.mu_p == pytest.approx(mt.mu_p, rel=1e-9)
 
 
 def test_nodal_threshold_at_critical_exponent_dominates_two_solitons(grid511):

@@ -267,7 +267,7 @@ def test_2d_nodal_raises_above_tol(unit_square):
 
 
 def _frozen_square(n: int):
-    from nlsground.nodal import _FrozenPartition
+    from nlsground.linsolve import _FrozenPartition
 
     grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
     x, y = grid.meshes()
@@ -291,7 +291,7 @@ def test_frozen_partition_is_the_partwise_operator():
 
 def test_minres_matches_dense_solve_on_indefinite_system():
     from nlsground.linsolve import shifted_solver
-    from nlsground.nodal import _minres
+    from nlsground.linsolve import _minres
 
     grid, _, frozen = _frozen_square(15)
     dense = np.column_stack([frozen.apply(e) for e in np.eye(grid.size)])

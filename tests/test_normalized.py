@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nlsground.normalized
+
 from nlsground import (ActionParams, CertificationFailed, DomainSpec, Field,
                        InvalidSpec, MassAboveBarMu, MassOutOfRange, NoBracket,
                        SolverOptions, action, build_grid, energy, f_mu_profile,
@@ -73,6 +75,25 @@ def test_perturbed_solution_fails_certification(grid255, p4_curve):
         action_value=action(projected, ActionParams(4.0, sol.lam)))
     with pytest.raises(CertificationFailed):
         least_energy_certify(perturbed, p4_curve)
+
+
+def test_certification_minimum_takes_few_resolves(grid255, monkeypatch):
+    # the check-all curve: the minimum of J - mu lambda / 2 sits where the
+    # mass crosses mu, found by secant steps on cold re-solves
+    lams = np.linspace(-lambda1(grid255) + 0.5, 60.0, 80)
+    curve = sweep(grid255, 4.0, lams, "signed")
+    sol = solve_normalized(grid255, 4.0, 1.0, "signed", curve=curve)
+    solve_one = nlsground.normalized._solve_one
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_one(*args, **kwargs)
+
+    monkeypatch.setattr(nlsground.normalized, "_solve_one", counted)
+    cert = least_energy_certify(sol, curve)
+    assert cert.passed and cert.energy_gap <= 1e-12
+    assert len(calls) <= 5
 
 
 def test_mass_out_of_range_supercritical(grid255):
