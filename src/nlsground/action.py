@@ -35,6 +35,9 @@ _P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
 _DESCENT_SLACK = 1e-12
 # relative preconditioned residual of the 2D tangent solve in mass_slope
 _SLOPE_RTOL = 1e-12
+# a frequency must clear an existence threshold -lambda_k by this fraction
+# of lambda_k (the signed solver by lambda_1, the nodal one by lambda_2)
+THRESHOLD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,17 +58,14 @@ class ActionParams:
 class SolverOptions:
     """Knobs shared by the ground-state solvers.
 
-    tol is the absolute norm the PDE residual must reach; margin_factor
-    sets the refusal margin above the existence threshold (relative to
-    the threshold eigenvalue).  seed reaches only init="random" and the
-    "random" start of the 2D nodal descent.
+    tol is the absolute norm the PDE residual must reach and max_iter
+    caps the iterations of one solve.  seed reaches only the "random"
+    start of the 2D nodal descent.
     """
 
     tol: float = 1e-8
     max_iter: int = 600
-    margin_factor: float = 1e-6
     seed: int = 0
-    init: str = "phi1"  # or "random"
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
@@ -184,8 +184,9 @@ def _ray_action_vals(grid: Grid, vals: np.ndarray, p: float, lam: float) -> floa
     return kappa(p) * quotient ** (p / (p - 2.0))
 
 
-def threshold_margin(lam_threshold: float, opts: SolverOptions) -> float:
-    return opts.margin_factor * abs(lam_threshold)
+def threshold_floor(lam_k):
+    """The frequency a solve must exceed, for eigenvalue(s) lam_k > 0."""
+    return -lam_k + THRESHOLD_MARGIN * lam_k
 
 
 def ground_state(grid: Grid, params: ActionParams,
@@ -193,7 +194,7 @@ def ground_state(grid: Grid, params: ActionParams,
                  init_field: Field | None = None) -> GroundState:
     """Signed action ground state at fixed frequency.
 
-    Requires lambda > -lambda_1 + margin.  The returned state satisfies
+    Requires lambda above threshold_floor(lambda_1).  The returned state satisfies
     the manifold identity to machine precision and the PDE residual to
     opts.tol; NoConvergence is raised if the residual cannot reach tol
     (on fine grids with default tol this can only happen when the
@@ -203,14 +204,13 @@ def ground_state(grid: Grid, params: ActionParams,
     p, lam = params.p, params.lam
     if grid.dimension == 2 and p > _P_CAP_2D:
         raise InvalidSpec(f"p={p} above the practical 2D cap {_P_CAP_2D}")
-    lam1 = spectral.lambda1(grid)
-    margin = threshold_margin(lam1, opts)
-    if lam <= -lam1 + margin:
+    floor = threshold_floor(spectral.lambda1(grid))
+    if lam <= floor:
         raise LambdaBelowThreshold(
-            f"lambda={lam} at or below -lambda_1 + margin = {-lam1 + margin:.6g}")
+            f"lambda={lam} at or below -lambda_1 + margin = {floor:.6g}")
 
     solver = shifted_solver(grid, lam)
-    u = _initial_vector(grid, opts, init_field)
+    u = _initial_vector(grid, init_field)
     u = u / grid.lp_p(u, p) ** (1.0 / p)
 
     best_vals = None
@@ -310,17 +310,13 @@ def _res_norm(grid: Grid, vals: np.ndarray, p: float, lam: float) -> float:
     return float(np.sqrt(grid.weight * dot(r, r)))
 
 
-def _initial_vector(grid: Grid, opts: SolverOptions,
-                    init_field: Field | None) -> np.ndarray:
+def _initial_vector(grid: Grid, init_field: Field | None) -> np.ndarray:
     if init_field is not None:
         if init_field.grid != grid:
             raise InvalidSpec("initial field lives on a different grid")
         vals = np.abs(init_field.values)
         if np.max(vals) > 0.0:
             return vals.copy()
-    if opts.init == "random":
-        rng = np.random.default_rng(opts.seed)
-        return np.abs(rng.standard_normal(grid.size)) + 1e-3
     pair = spectral.dirichlet_eigenpairs(grid, 1)[0]
     return pair.vector.values.copy()
 

@@ -203,7 +203,7 @@ def _cmd_exhaustion(args) -> int:
 # -- check-all ----------------------------------------------------------
 
 
-def _check_eig_1d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_eig_1d(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
     pairs = spectral.dirichlet_eigenpairs(grid, 2)
     h = grid.h[0]
@@ -218,7 +218,7 @@ def _check_eig_1d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     return ok, f"max relative gap to the closed-form stencil values {worst:.2e}", artifacts
 
 
-def _check_eig_2d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_eig_2d(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 63)
     pairs = spectral.dirichlet_eigenpairs(grid, 2)
     rel1 = abs(pairs[0].value - 2.0 * np.pi ** 2) / (2.0 * np.pi ** 2)
@@ -231,7 +231,7 @@ def _check_eig_2d(cfg: RunConfig, opts: SolverOptions, outdir: Path):
         outdir / "eig_2d.csv": lines}
 
 
-def _check_ground(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_ground(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
     artifacts = {}
     worst = []
@@ -255,7 +255,7 @@ def _check_ground(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     return ok, detail, artifacts
 
 
-def _check_nodal(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_nodal(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
     p, lam = 4.0, 10.0
     st = nodal_ground_state(grid, ActionParams(p, lam), opts)
@@ -273,7 +273,7 @@ def _check_nodal(cfg: RunConfig, opts: SolverOptions, outdir: Path):
                 f"J_nod={st.action_value:.6f} vs 2J={2 * signed.action_value:.6f}"), artifacts
 
 
-def _check_sweeps(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_sweeps(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
     details = []
     ok = True
@@ -292,7 +292,7 @@ def _check_sweeps(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     return ok, "; ".join(details), artifacts
 
 
-def _check_threshold(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_threshold(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
     lam1 = spectral.lambda1(grid)
     lams = np.linspace(-lam1 + 0.5, 150.0, 80)
@@ -311,7 +311,7 @@ def _check_threshold(cfg: RunConfig, opts: SolverOptions, outdir: Path):
     return ok, detail, {outdir / "mass_thresholds.csv": lines}
 
 
-def _check_normalized(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_normalized(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
     curve = sweep(grid, 4.0,
                   np.linspace(-threshold_eigenvalue(grid, "signed") + 0.5,
@@ -329,7 +329,7 @@ def _check_normalized(cfg: RunConfig, opts: SolverOptions, outdir: Path):
                 f"energy gap {cert.energy_gap:.1e}"), artifacts
 
 
-def _check_pohozaev(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_pohozaev(opts: SolverOptions, outdir: Path):
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 1023)
     params = ActionParams(8.0, 10.0)
     st = ground_state(grid, params, opts)
@@ -344,7 +344,7 @@ def _check_pohozaev(cfg: RunConfig, opts: SolverOptions, outdir: Path):
         outdir / "pohozaev_p8.json": lines}
 
 
-def _check_exhaustion(cfg: RunConfig, opts: SolverOptions, outdir: Path):
+def _check_exhaustion(opts: SolverOptions, outdir: Path):
     report = exhaustion_test(DomainSpec.interval(0.0, 1.0),
                              [0.05, 0.02, 0.005], ActionParams(4.0, 100.0),
                              511, opts)
@@ -371,18 +371,17 @@ _CHECKS = [
 
 
 def _cmd_check_all(args) -> int:
-    if args.config:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig(seed=args.seed, out_dir=args.out_dir)
-    outdir = Path(args.out_dir or cfg.out_dir)
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    # a seed given on the command line wins over the config file
+    seed = cfg.seed if args.seed is None else args.seed
+    opts = SolverOptions(tol=cfg.tol, seed=seed)
+    outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    opts = SolverOptions(tol=cfg.tol, seed=cfg.seed)
 
     def run_one(item):
         name, fn = item
         try:
-            ok, detail, artifacts = fn(cfg, opts, outdir)
+            ok, detail, artifacts = fn(opts, outdir)
             return name, ("pass" if ok else "fail"), detail, artifacts
         except NoConvergence as exc:
             return name, "error:NoConvergence", str(exc), {}
@@ -402,7 +401,7 @@ def _cmd_check_all(args) -> int:
                 _dump_lines(payload, str(path))
 
     summary = {
-        "seed": cfg.seed,
+        "seed": seed,
         "checks": [{"name": name, "status": status, "detail": detail}
                    for name, status, detail, _ in results],
     }
@@ -490,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-all", help="run the full verification battery")
     sp.add_argument("--out-dir", default="out")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--config", default=None, help="RunConfig file")
+    sp.add_argument("--seed", type=int, default=None, help="overrides the config")
+    sp.add_argument("--config", default=None, help="file setting seed and tol")
     sp.set_defaults(fn=_cmd_check_all)
 
     return parser

@@ -28,6 +28,19 @@ from .errors import (InsufficientRange, InvalidSpec, NlsgroundError,
 from .grid import DomainSpec, Grid, build_grid
 from .nodal import nodal_ground_state
 
+# sweep: cold re-solve period, level gap it flags, failed share that aborts
+_COLD_CHECK_EVERY = 10
+_MISMATCH_RTOL = 1e-6
+_MAX_FAILURE_FRACTION = 0.2
+_PLATEAU_BAND = 0.1  # asymptotic_classify: exponents this close to 1 plateau
+_FACTORY_N_CAP = 65535  # node cap of resolution_matched_factory
+# estimate_mu_N: the scaling check's frequency and tolerance, and the node
+# cap per axis by dimension
+_SCALING_LAMBDA = 4.0
+_SCALING_RTOL = 0.02
+_MU_N_CAP = {1: 8191, 2: 301}
+_EXHAUSTION_GAP_TOL = 1e-2  # exhaustion_test: relative gap of the last margin
+
 
 @dataclass
 class LevelCurve:
@@ -73,17 +86,15 @@ def threshold_eigenvalue(grid: Grid, kind: str) -> float:
 
 
 def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
-          opts: SolverOptions | None = None, cold_check_every: int = 10,
-          mismatch_rtol: float = 1e-6,
-          max_failure_fraction: float = 0.2) -> LevelCurve:
+          opts: SolverOptions | None = None) -> LevelCurve:
     """Level curve along an ascending frequency list, warm-started.
 
-    Every cold_check_every-th sample is re-solved from the default
-    initialization; a relative disagreement in the level above
-    mismatch_rtol flags the sample as a possible branch/jump point and
-    the lower level wins.  Failed samples are flagged and skipped; the
-    sweep aborts only when more than max_failure_fraction of them fail.
-    The state of every usable sample is kept in `states`.
+    Every 10th sample (from the first) is re-solved from the default
+    initialization; a relative disagreement in the level above 1e-6
+    flags the sample as a possible branch/jump point and the lower level
+    wins.  Failed samples are flagged and skipped; the sweep aborts only
+    when more than a fifth of them fail.  The state of every usable
+    sample is kept in `states`.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -112,19 +123,19 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
             failures += 1
             flags[i] = f"failed:{type(exc).__name__}"
             warm = None
-            if failures > max_failure_fraction * count:
+            if failures > _MAX_FAILURE_FRACTION * count:
                 raise NoConvergence(
                     f"sweep aborted: {failures}/{i + 1} samples failed "
                     f"(last: {exc})") from exc
             continue
-        if cold_check_every and i % cold_check_every == 0 and warm is not None:
+        if i % _COLD_CHECK_EVERY == 0 and warm is not None:
             try:
                 cold = _solve_one(grid, p, lam, kind, opts, None)
             except NlsgroundError:
                 cold = None
             if cold is not None:
                 gap = abs(cold.action_value - st.action_value)
-                if gap > mismatch_rtol * abs(st.action_value):
+                if gap > _MISMATCH_RTOL * abs(st.action_value):
                     flags[i] = "jump?"
                 if cold.action_value < st.action_value:
                     st = cold
@@ -301,16 +312,15 @@ class AsymptoticReport:
 
 
 def asymptotic_classify(grid_factory, p: float, lambdas, kind: str = "signed",
-                        opts: SolverOptions | None = None,
-                        plateau_band: float = 0.1) -> AsymptoticReport:
+                        opts: SolverOptions | None = None) -> AsymptoticReport:
     """Classify the large-frequency trend of level/frequency.
 
     grid_factory maps a frequency to the Grid used at that frequency
     (meshes must refine with the frequency to resolve the concentration
     width ~ lambda^(-1/2)).  The frequency list must span at least two
     decades.  The level is fit as a power of the frequency over the top
-    half of the range: exponent above 1 + plateau_band diverges, below
-    1 - plateau_band vanishes, else plateau.
+    half of the range: exponent at or above 1.1 diverges, at or below
+    0.9 vanishes, else plateau.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -326,9 +336,9 @@ def asymptotic_classify(grid_factory, p: float, lambdas, kind: str = "signed",
         mass[i] = st.mass
     tail = lambdas >= np.sqrt(lambdas.min() * lambdas.max())
     gamma = _loglog_slope(lambdas[tail], J[tail])
-    if gamma >= 1.0 + plateau_band:
+    if gamma >= 1.0 + _PLATEAU_BAND:
         classification = "diverges"
-    elif gamma <= 1.0 - plateau_band:
+    elif gamma <= 1.0 - _PLATEAU_BAND:
         classification = "vanishes"
     else:
         classification = "plateau"
@@ -372,15 +382,15 @@ def mass_growth_exponent(dimension: int, p: float) -> float:
 
 
 def resolution_matched_factory(spec: DomainSpec, n_base: int,
-                               lam_base: float = 1.0, n_cap: int = 65535):
+                               lam_base: float = 1.0):
     """Grid factory with node count growing like sqrt(frequency).
 
     Node counts are rounded up to odd so symmetric nodal splits keep an
-    exact center node.
+    exact center node, and capped at 65535.
     """
     def factory(lam: float) -> Grid:
         n = int(math.ceil(n_base * math.sqrt(max(lam, lam_base) / lam_base)))
-        n = min(n | 1, n_cap)
+        n = min(n | 1, _FACTORY_N_CAP)
         return build_grid(spec, n)
     return factory
 
@@ -400,10 +410,7 @@ class MuNReport:
 
 def estimate_mu_N(N: int, L_list, p: float | None = None,
                   opts: SolverOptions | None = None,
-                  resolution: float | None = None,
-                  scaling_check_lambda: float = 4.0,
-                  scaling_rtol: float = 0.02,
-                  n_cap: int | None = None) -> MuNReport:
+                  resolution: float | None = None) -> MuNReport:
     """Estimate the critical mass constant by exhausting boxes.
 
     Solves the signed problem at unit frequency on centered boxes of
@@ -414,7 +421,10 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
     when the box sequence has not settled (increments not shrinking).
 
     resolution is the target spacing (defaults to 0.01 in 1D, 0.06 in
-    2D, where node counts are per axis and grow quadratically in cost).
+    2D, where node counts are per axis and grow quadratically in cost);
+    node counts are capped at 8191 in 1D and 301 in 2D.  scaling_ok
+    compares the level ratio between frequencies 4 and 1 on the largest
+    box with the critical scaling to 2%.
     """
     if N not in (1, 2):
         raise NotCritical(f"dimension must be 1 or 2, got {N}")
@@ -428,8 +438,6 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
     opts = opts or SolverOptions()
     if resolution is None:
         resolution = 0.01 if N == 1 else 0.06
-    if n_cap is None:
-        n_cap = 8191 if N == 1 else 301
     lengths = [float(L) for L in L_list]
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("need at least two strictly increasing box sizes")
@@ -437,7 +445,7 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
     values = []
     largest_grid = None
     for L in lengths:
-        n = min(int(math.ceil(L / resolution)) - 1, n_cap) | 1
+        n = min(int(math.ceil(L / resolution)) - 1, _MU_N_CAP[N]) | 1
         if N == 1:
             spec = DomainSpec.interval(-L / 2.0, L / 2.0)
         else:
@@ -456,9 +464,9 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
             f"increments {increments} (boxes too small for the bound state)")
 
     st1 = ground_state(largest_grid, ActionParams(p, 1.0), opts)
-    st2 = ground_state(largest_grid, ActionParams(p, scaling_check_lambda), opts)
+    st2 = ground_state(largest_grid, ActionParams(p, _SCALING_LAMBDA), opts)
     exponent = (2.0 * N - p * (N - 2.0)) / (2.0 * (p - 2.0))
-    expected = scaling_check_lambda ** exponent
+    expected = _SCALING_LAMBDA ** exponent
     ratio = st2.action_value / st1.action_value
     return MuNReport(
         value=values[-1],
@@ -467,7 +475,7 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
         box_values=values,
         scaling_ratio=float(ratio),
         scaling_expected=float(expected),
-        scaling_ok=bool(abs(ratio / expected - 1.0) <= scaling_rtol),
+        scaling_ok=bool(abs(ratio / expected - 1.0) <= _SCALING_RTOL),
     )
 
 
@@ -485,14 +493,13 @@ class ExhaustionReport:
 
 
 def exhaustion_test(spec: DomainSpec, shrink_list, params: ActionParams,
-                    n: int, opts: SolverOptions | None = None,
-                    gap_tol: float = 1e-2) -> ExhaustionReport:
+                    n: int, opts: SolverOptions | None = None) -> ExhaustionReport:
     """Shrink the domain by each margin and track the nodal level.
 
     Levels on shrunken domains lie above the base level (smaller domain,
     larger infimum) and must decrease toward it as the margin vanishes;
-    `passed` additionally requires the smallest margin to land within
-    gap_tol relatively.
+    `passed` additionally requires the smallest margin to land within 1%
+    of the base level.
     """
     opts = opts or SolverOptions()
     eps_list = [float(e) for e in shrink_list]
@@ -516,7 +523,7 @@ def exhaustion_test(spec: DomainSpec, shrink_list, params: ActionParams,
     gaps = [(lv - base) / base for lv in levels]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(levels, levels[1:]))
     final_gap = gaps[-1]
-    passed = monotone and final_gap <= gap_tol and all(g >= -1e-9 for g in gaps)
+    passed = monotone and final_gap <= _EXHAUSTION_GAP_TOL and all(g >= -1e-9 for g in gaps)
     return ExhaustionReport(
         epsilons=eps_list, levels=levels, base_level=base, gaps=gaps,
         final_gap=final_gap, monotone=monotone, passed=passed)

@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidSpec
 
+# node_count treats values within this fraction of max|u| as zeros
+_NODE_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -236,17 +239,17 @@ def split(u: Field) -> tuple[Field, Field]:
     return Field(u.grid, plus), Field(u.grid, minus)
 
 
-def node_count(u: Field, rel_tol: float = 1e-9) -> int:
+def node_count(u: Field) -> int:
     """Number of sign interfaces: nodal domains minus one.
 
-    Values below rel_tol * max|u| count as zero.  A single-signed field
+    Values at or below 1e-9 times max|u| count as zero.  A single-signed field
     has count 0, the zero field has count 0.
     """
     vals = u.values
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     if scale == 0.0:
         return 0
-    thr = rel_tol * scale
+    thr = _NODE_REL_TOL * scale
     if u.grid.dimension == 1:
         signs = np.sign(vals) * (np.abs(vals) > thr)
         signs = signs[signs != 0]

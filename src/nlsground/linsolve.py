@@ -155,6 +155,19 @@ class _FrozenPartition:
             out[hi] += cut * w[lo]
         return out.reshape(-1)
 
+    def residual(self, v: np.ndarray, p: float,
+                 lam: float) -> tuple[np.ndarray, float]:
+        """F(v) = D v + lam v - |v|^(p-2) v and its weighted L2 norm.
+
+        On a field with this sign pattern F is each sign part's residual
+        on its own support (zero on zero nodes): the partwise problem's
+        gradient and optimality measure.  The full-PDE residual of a
+        sign-changing 2D lattice field also carries an O(1/h) interface
+        coupling that no grid-aligned field can remove.
+        """
+        r = self.apply(v) + lam * v - np.abs(v) ** (p - 2) * v
+        return r, float(np.sqrt(self.grid.weight * dot(r, r)))
+
     def solve(self, shift: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
         """x with (D + diag(shift)) x = b, D this operator.
 
@@ -193,12 +206,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float,
     """
     sign = np.sign(u)
     frozen = _FrozenPartition(grid, sign)
-
-    def residual(v):
-        r = frozen.apply(v) + lam * v - np.abs(v) ** (p - 2) * v
-        return r, float(np.sqrt(grid.weight * dot(r, r)))
-
-    r, res = residual(u)
+    r, res = frozen.residual(u, p, lam)
     step = 0
     while res > tol and step < _NEWTON_STEPS:
         step += 1
@@ -213,7 +221,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float,
         trial = u + delta
         if not np.array_equal(np.sign(trial), sign):
             break
-        r_trial, res_trial = residual(trial)
+        r_trial, res_trial = frozen.residual(trial, p, lam)
         if not res_trial < res:
             break
         u, r, res = trial, r_trial, res_trial

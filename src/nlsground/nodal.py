@@ -40,11 +40,11 @@ import numpy as np
 
 from . import spectral
 from .action import (ActionParams, GroundState, SolverOptions, finalize_state,
-                     ground_state, kappa)
+                     ground_state, kappa, threshold_floor)
 from .errors import (DegeneratePart, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, NotSignChanging)
 from .grid import DomainSpec, Field, Grid, build_grid, dot
-from .linsolve import newton, shifted_solver
+from .linsolve import _FrozenPartition, newton, shifted_solver
 
 # smallest L^p mass a sign part may keep during the 2D descent
 _LP_FLOOR = 1e-12
@@ -132,18 +132,16 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
                        init_field: Field | None = None) -> GroundState:
     """Least-action sign-changing state at fixed frequency.
 
-    Requires lambda > -lambda_2 + margin.  1D grids use the exact
+    Requires lambda above threshold_floor(lambda_2).  1D grids use the exact
     interface decomposition; 2D grids use projected descent from several
     starts, finished by Newton on the settled partition, and raise
     NoConvergence when the best start stays above tol.
     """
     opts = opts or SolverOptions()
-    lam2 = spectral.lambda2(grid)
-    margin = opts.margin_factor * abs(lam2)
-    if params.lam <= -lam2 + margin:
+    floor = threshold_floor(spectral.lambda2(grid))
+    if params.lam <= floor:
         raise LambdaBelowThreshold(
-            f"lambda={params.lam} at or below -lambda_2 + margin = "
-            f"{-lam2 + margin:.6g}")
+            f"lambda={params.lam} at or below -lambda_2 + margin = {floor:.6g}")
     if grid.dimension == 1:
         return _nodal_interval(grid, params, opts, interface_hint)
     return _nodal_descent_2d(grid, params, opts, init_field)
@@ -165,7 +163,7 @@ class _InterfaceProblem:
         self.grid = grid
         self.params = params
         # parts carry the full tolerance; their residuals add in quadrature
-        self.side_opts = replace(opts, tol=opts.tol / 1.5, init="phi1")
+        self.side_opts = replace(opts, tol=opts.tol / 1.5)
         self.a = grid.spec.bounds[0][0]
         self.h = grid.h[0]
         self.n = grid.n
@@ -191,7 +189,7 @@ class _InterfaceProblem:
         # the spacing the side grid of k nodes derives from its bounds
         h_k = (self.a + (k + 1) * self.h - self.a) / (k + 1)
         lam1 = spectral.axis_eigenvalues(k, h_k, 1)
-        return self.params.lam > -lam1 + self.side_opts.margin_factor * lam1
+        return self.params.lam > threshold_floor(lam1)
 
     def side(self, k: int) -> GroundState | None:
         """f(k), or None where the signed solve fails."""
@@ -288,14 +286,14 @@ def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
     last_error: Exception | None = None
     for label, vals in seeds:
         try:
-            out, iters, reason = _descend(grid, params, opts, metric, vals)
+            out, iters, reason, residual = _descend(grid, params, opts,
+                                                    metric, vals)
         except (NonpositiveQuotient, NotSignChanging, DegeneratePart) as exc:
             last_error = exc
             continue
         total_iters += iters
         results.append((label, out, reason,
-                        nodal_action_of(Field(grid, out), params),
-                        _masked_residual(grid, out, params)))
+                        nodal_action_of(Field(grid, out), params), residual))
     if not results:
         raise NoConvergence(f"all descent starts failed: {last_error}")
     best_label, best_vals, _, _, residual = min(results, key=lambda t: t[3])
@@ -339,52 +337,31 @@ def _descent_seeds(grid: Grid, params: ActionParams, opts: SolverOptions,
     return seeds
 
 
-def _partwise_gradient(grid: Grid, vals: np.ndarray,
-                       params: ActionParams) -> np.ndarray:
-    """Residual of each sign part on its own support, zero elsewhere."""
-    p, lam = params.p, params.lam
-    g = np.zeros_like(vals)
-    for part in _parts(vals):
-        mask = part != 0.0
-        r = grid.laplacian(part) + lam * part - np.abs(part) ** (p - 2) * part
-        g[mask] = r[mask]
-    return g
-
-
-def _masked_residual(grid: Grid, vals: np.ndarray, params: ActionParams) -> float:
-    """Norm of the first variation of the composed functional.
-
-    The residual of each projected part on its own support; this is the
-    optimality measure of the partwise problem.  The full-PDE residual of
-    a sign-changing field on a 2D lattice additionally carries interface
-    coupling of order 1/h, which no grid-aligned field can remove.
-    """
-    g = _partwise_gradient(grid, vals, params)
-    return float(np.sqrt(grid.weight * dot(g, g)))
-
-
 def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
-             vals: np.ndarray) -> tuple[np.ndarray, int, str]:
-    """Projected descent from vals; (field, iterations, stop reason).
+             vals: np.ndarray) -> tuple[np.ndarray, int, str, float]:
+    """Projected descent from vals; (field, iterations, stop reason, residual).
 
     Once the sign pattern has held for a while, Newton on the frozen
     partition is tried; its projected result replaces the descent's only
     if it meets tol and does not raise the action (Newton keeps every
     sign).  The stop reason is one of newton, tol, stall, max_iter or
-    line-search, and iterations counts descent and Newton steps.
+    line-search, iterations counts descent and Newton steps, and the
+    residual is the partwise one of the returned field.
     """
+    p, lam = params.p, params.lam
     u = nodal_project(Field(grid, vals), params).values
     f_val = nodal_action_of(Field(grid, u), params)
     t_start = 1.0
     stalled = 0
     sign = np.sign(u)
+    # the partwise residual on u's sign pattern is the descent gradient
+    frozen = _FrozenPartition(grid, sign)
     settled = 0
     newton_steps = 0
     reason = "max_iter"
     it = 0
     for it in range(1, opts.max_iter + 1):
-        gvec = _partwise_gradient(grid, u, params)
-        gnorm = float(np.sqrt(grid.weight * dot(gvec, gvec)))
+        gvec, gnorm = frozen.residual(u, p, lam)
         if gnorm <= opts.tol:
             reason = "tol"
             break
@@ -415,21 +392,27 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
             reason = "line-search"
             break
         new_sign = np.sign(u)
-        settled = settled + 1 if np.array_equal(new_sign, sign) else 0
-        sign = new_sign
+        if np.array_equal(new_sign, sign):
+            settled += 1
+        else:
+            settled = 0
+            sign = new_sign
+            frozen = _FrozenPartition(grid, sign)
         if settled >= _SETTLED_STEPS:
-            polished, res, steps = newton(grid, u, params.p, params.lam, opts.tol)
+            polished, res, steps = newton(grid, u, p, lam, opts.tol)
             newton_steps += steps
             if res <= opts.tol:
-                # the projection scales each part by a positive factor near 1
+                # the projection scales each part by a positive factor near
+                # 1, so it keeps the sign pattern Newton kept
                 cand = NodalCandidate(Field(grid, polished), params)
                 projected = cand.projected()
-                if (_masked_residual(grid, projected, params) <= opts.tol
+                res_projected = frozen.residual(projected, p, lam)[1]
+                if (res_projected <= opts.tol
                         and cand.action() <= f_val * (1.0 + 1e-12)):
-                    return projected, it + newton_steps, "newton"
+                    return projected, it + newton_steps, "newton", res_projected
             settled = 0
         if stalled >= 15:
             reason = "stall"
             break
         t_start = min(1.0, 2.0 * t)
-    return u, it + newton_steps, reason
+    return u, it + newton_steps, reason, frozen.residual(u, p, lam)[1]

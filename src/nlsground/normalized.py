@@ -29,6 +29,10 @@ from .grid import DomainSpec, Field, Grid
 from .nodal import nodal_ground_state
 
 _MASS_RTOL = 1e-6
+# relative energy gap and relative action slack the certification allows
+_CERTIFY_RTOL = 1e-6
+# times a subcritical solve may extend its own sweep to bracket the mass
+_MAX_EXTENSIONS = 6
 
 
 @dataclass(frozen=True)
@@ -119,20 +123,10 @@ def f_mu_profile(curve: LevelCurve, mu: float) -> FMuProfile:
     )
 
 
-def _default_curve(grid: Grid, p: float, kind: str, opts: SolverOptions,
-                   lambda_min: float | None, lambda_max: float | None,
-                   samples: int) -> LevelCurve:
-    thr = threshold_eigenvalue(grid, kind)
-    lo = lambda_min if lambda_min is not None else -thr + 0.5
-    hi = lambda_max if lambda_max is not None else max(4.0 * thr, lo + 50.0)
-    return sweep(grid, p, np.linspace(lo, hi, samples), kind, opts)
-
-
-def _extend_curve(curve: LevelCurve, opts: SolverOptions,
-                  factor: float = 2.0) -> LevelCurve:
+def _extend_curve(curve: LevelCurve, opts: SolverOptions) -> LevelCurve:
     lam = curve.lambdas
     lo, hi = lam[0], lam[-1]
-    new_hi = hi + (hi - lo) * factor
+    new_hi = hi + (hi - lo) * 2.0
     extra = np.linspace(hi, new_hi, lam.size)[1:]
     ext = sweep(curve.grid, curve.p, extra, curve.kind, opts)
     return LevelCurve(
@@ -150,29 +144,31 @@ def _extend_curve(curve: LevelCurve, opts: SolverOptions,
 def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
                      opts: SolverOptions | None = None,
                      curve: LevelCurve | None = None,
-                     lambda_min: float | None = None,
                      lambda_max: float | None = None,
-                     samples: int = 200,
-                     max_extensions: int = 6) -> NormalizedSolution:
+                     samples: int = 200) -> NormalizedSolution:
     """Solve the prescribed-mass problem along the ground-state branch.
 
     Enumerates the frequencies where the sampled mass curve crosses mu,
     polishes each to |mass - mu| <= 1e-6 mu, and returns the crossing of
-    least energy (ties: smaller frequency).  Subcritical sweeps are
-    extended until the mass is bracketed; critical/supercritical masses
-    above the refined threshold raise MassOutOfRange, and the threshold
-    mass itself is matched at the curve's argmax.
+    least energy (ties: smaller frequency).  Without a curve, `samples`
+    frequencies are swept from 0.5 above the threshold, and subcritical
+    sweeps are extended (at most 6 times) until the mass is bracketed;
+    critical/supercritical masses above the refined threshold raise
+    MassOutOfRange, and the threshold mass itself is matched at the
+    curve's argmax.
     """
     if not (np.isfinite(mu) and mu > 0):
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
     opts = opts or SolverOptions()
     own_curve = curve is None
     if own_curve:
-        curve = _default_curve(grid, p, kind, opts, lambda_min, lambda_max,
-                               samples)
+        thr = threshold_eigenvalue(grid, kind)
+        lo = -thr + 0.5
+        hi = lambda_max if lambda_max is not None else max(4.0 * thr, lo + 50.0)
+        curve = sweep(grid, p, np.linspace(lo, hi, samples), kind, opts)
     p_c = critical_exponent(grid.dimension)
 
-    for _ in range(max_extensions + 1):
+    for _ in range(_MAX_EXTENSIONS + 1):
         brackets = _mass_brackets(curve, mu)
         if brackets:
             break
@@ -294,15 +290,15 @@ class CertificationReport:
 
 
 def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
-                         opts: SolverOptions | None = None,
-                         rtol: float = 1e-6) -> CertificationReport:
+                         opts: SolverOptions | None = None) -> CertificationReport:
     """Check the two selection identities behind the returned solution.
 
     The energy must match the minimum of J(lambda) - mu lambda / 2 over
     the curve (refined locally by secant steps on cold re-solves toward
-    the zero of its derivative (mass(lambda) - mu) / 2), and the
-    action must match a fresh ground-state level at the solution's own
-    frequency to within twice the solver tolerance.  Raises
+    the zero of its derivative (mass(lambda) - mu) / 2) to 1e-6
+    relatively, and the action must match a fresh ground-state level at
+    the solution's own frequency to within twice the solver tolerance
+    plus 1e-6 of that level.  Raises
     CertificationFailed with the violating frequency otherwise.
     """
     opts = opts or SolverOptions()
@@ -310,7 +306,7 @@ def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
     f_min, lam_min = _refine_profile_min(curve, sol.mu, profile, opts)
     scale = max(abs(sol.energy), abs(f_min), 1e-9)
     energy_gap = abs(sol.energy - f_min) / scale
-    if energy_gap > rtol:
+    if energy_gap > _CERTIFY_RTOL:
         raise CertificationFailed(
             f"energy {sol.energy:.10g} differs from the curve minimum "
             f"{f_min:.10g} (relative gap {energy_gap:.2e})", lam=lam_min)
@@ -318,7 +314,8 @@ def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
     action_gap = abs(sol.action_value - fresh.action_value)
     sol_action = action(sol.u, ActionParams(curve.p, sol.lam))
     recomputed_gap = abs(sol_action - fresh.action_value)
-    if max(action_gap, recomputed_gap) > 2.0 * opts.tol + rtol * abs(fresh.action_value):
+    if max(action_gap, recomputed_gap) > (2.0 * opts.tol
+                                          + _CERTIFY_RTOL * abs(fresh.action_value)):
         raise CertificationFailed(
             f"action {max(sol.action_value, sol_action):.10g} exceeds the "
             f"ground-state level {fresh.action_value:.10g} at "
@@ -461,15 +458,15 @@ class SupercriticalBoundReport:
 
 def supercritical_lambda_bound(grid: Grid, p: float, mu: float,
                                opts: SolverOptions | None = None,
-                               curve: LevelCurve | None = None,
                                samples: int = 200) -> SupercriticalBoundReport:
     """Check the supercritical frequency bound on the nodal branch.
 
     Computes lambda_bar = 2 p lambda_2 / (N (p - p_c)) and the mass cap
     mu_bar = 2 J_nod(lambda_bar) / (lambda_bar + lambda_2) from the
-    discrete spectrum and curve, solves the prescribed-mass nodal
-    problem, and verifies the returned frequency stays below lambda_bar
-    with energy below lambda_2 mu / 2.  Raises MassAboveBarMu when mu
+    discrete spectrum, solves the prescribed-mass nodal problem on a
+    sweep of `samples` frequencies from 0.5 above -lambda_2 to
+    1.2 lambda_bar, and verifies the returned frequency stays below
+    lambda_bar with energy below lambda_2 mu / 2.  Raises MassAboveBarMu when mu
     exceeds the cap.
     """
     opts = opts or SolverOptions()
@@ -481,10 +478,8 @@ def supercritical_lambda_bound(grid: Grid, p: float, mu: float,
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
     lam2 = spectral.lambda2(grid)
     lambda_bar = 2.0 * p * lam2 / (N * (p - p_c))
-    if curve is None:
-        lo = -lam2 + 0.5
-        hi = 1.2 * lambda_bar
-        curve = sweep(grid, p, np.linspace(lo, hi, samples), "nodal", opts)
+    curve = sweep(grid, p, np.linspace(-lam2 + 0.5, 1.2 * lambda_bar, samples),
+                  "nodal", opts)
     j_bar = nodal_ground_state(grid, ActionParams(p, lambda_bar), opts)
     mu_bar = 2.0 * j_bar.action_value / (lambda_bar + lam2)
     if mu > mu_bar:

@@ -110,7 +110,9 @@ def test_ground_state_init_invariance(grid255):
     scaled_init = Field(grid255, 7.25 * _phi1(grid255).values)
     st2 = ground_state(grid255, params, init_field=scaled_init)
     assert st2.action_value == pytest.approx(base.action_value, rel=1e-9)
-    st3 = ground_state(grid255, params, SolverOptions(init="random", seed=4))
+    draw = np.random.default_rng(4).standard_normal(grid255.size)
+    st3 = ground_state(grid255, params,
+                       init_field=Field(grid255, np.abs(draw) + 1e-3))
     assert st3.action_value == pytest.approx(base.action_value, rel=1e-8)
 
 

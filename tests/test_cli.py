@@ -4,6 +4,7 @@ import math
 import pytest
 
 from nlsground import InvalidSpec, RunConfig, load_field
+from nlsground import cli
 from nlsground.cli import EIG_HEADER, SWEEP_HEADER, main
 
 
@@ -145,10 +146,7 @@ def test_truncated_dump_is_invalid(tmp_path, capsys):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = RunConfig(dimension=1, bounds=(0.0, 2.5), n=127, p=6.0,
-                    kind="nodal", lambda_min=None, lambda_max=321.0,
-                    samples=50, mu=(0.5, 1.5), seed=11, tol=1e-9,
-                    out_dir="artifacts")
+    cfg = RunConfig(seed=11, tol=1e-9)
     path = tmp_path / "run.cfg"
     cfg.to_file(path)
     back = RunConfig.from_file(path)
@@ -159,15 +157,52 @@ def test_config_roundtrip(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def test_config_roundtrip_keeps_every_float_bit(tmp_path):
+    cfg = RunConfig(seed=7, tol=0.1 + 0.2)
+    path = tmp_path / "run.cfg"
+    cfg.to_file(path)
+    assert path.read_text() == "seed = 7\ntol = 0.30000000000000004\n"
+    back = RunConfig.from_file(path)
+    assert back == cfg and back.tol != 0.3
+
+
 def test_config_validation(tmp_path):
-    with pytest.raises(InvalidSpec):
-        RunConfig(kind="weird")
-    with pytest.raises(InvalidSpec):
-        RunConfig(mu=(0.0,))
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")
     with pytest.raises(InvalidSpec):
         RunConfig.from_file(bad)
+
+
+@pytest.mark.parametrize("line", ["n = 1023", "dimension = 2", "kind = nodal",
+                                  "bounds = 0.0,1.0,0.0,1.0", "out_dir = elsewhere"])
+def test_check_all_refuses_removed_config_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"seed = 0\n{line}\n")
+    out_dir = tmp_path / "artifacts"
+    code = main(["check-all", "--config", str(cfg), "--out-dir", str(out_dir)])
+    assert code == 1
+    key = line.split("=")[0].strip()
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_check_all_seed_flag_wins_over_config(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def probe(opts, outdir):
+        seen.append((opts.seed, opts.tol))
+        return True, "", {}
+
+    monkeypatch.setattr(cli, "_CHECKS", [("probe", probe)])
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("seed = 3\ntol = 1e-9\n")
+    for argv, seed in ((["--seed", "5"], 5), ([], 3)):
+        out_dir = tmp_path / f"seed{seed}"
+        code = main(["check-all", "--config", str(cfg), "--out-dir",
+                     str(out_dir)] + argv)
+        assert code == 0
+        assert json.loads((out_dir / "summary.json").read_text())["seed"] == seed
+        assert seen.pop() == (seed, 1e-9)
 
 
 def test_check_all_runs_clean(tmp_path, capsys):

@@ -206,11 +206,11 @@ def test_sweep_flags_failures_and_budget(unit_interval):
     lam2_h = _l2(grid)
     good = np.linspace(-lam2_h + 3.0, 50.0, 8)
     bad_one = np.concatenate([[-lam2_h + 0.1], good])
-    cur = sweep(grid, 4.0, bad_one, "nodal", max_failure_fraction=0.2)
+    cur = sweep(grid, 4.0, bad_one, "nodal")
     assert cur.flags[0].startswith("failed:")
     assert all(f == "ok" for f in cur.flags[1:])
     assert math.isnan(cur.J[0])
     many_bad = np.concatenate([np.linspace(-lam2_h + 0.1, -lam2_h + 0.4, 4),
                                good])
     with pytest.raises(NoConvergence):
-        sweep(grid, 4.0, many_bad, "nodal", max_failure_fraction=0.2)
+        sweep(grid, 4.0, many_bad, "nodal")

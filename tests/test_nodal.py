@@ -201,12 +201,13 @@ def test_2d_descent(unit_square):
 
 @pytest.mark.parametrize("rel", [1e-3, 0.2, 0.9])
 def test_interface_window_matches_side_grid_scan(rel):
+    from nlsground.action import THRESHOLD_MARGIN
     from nlsground.nodal import _InterfaceProblem
 
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 63)
     params = ActionParams(4.0, -lambda2(grid) * (1.0 - rel))
     prob = _InterfaceProblem(grid, params, SolverOptions())
-    h, mf = grid.h[0], prob.side_opts.margin_factor
+    h, mf = grid.h[0], THRESHOLD_MARGIN
 
     def admissible(lo, hi, n_side):
         lam1 = lambda1(build_grid(DomainSpec.interval(lo, hi), n_side))
@@ -278,15 +279,25 @@ def _frozen_square(n: int):
 
 
 def test_frozen_partition_is_the_partwise_operator():
-    from nlsground.nodal import _partwise_gradient
-
     grid, sign, frozen = _frozen_square(15)
     rng = np.random.default_rng(0)
     u = sign * (0.5 + rng.random(grid.size))
-    params = ActionParams(4.0, 10.0)
-    f = frozen.apply(u) + params.lam * u - np.abs(u) ** 2 * u
-    g = _partwise_gradient(grid, u, params)
+    p, lam = 4.0, 10.0
+    f, norm = frozen.residual(u, p, lam)
+    # each sign part by its own padded 5-point stencil, zero off its support
+    h = grid.h[0]
+    g = np.zeros(grid.shape)
+    for part in (np.maximum(u, 0.0), np.minimum(u, 0.0)):
+        part = part.reshape(grid.shape)
+        w = np.pad(part, 1)
+        lap = (4.0 * w[1:-1, 1:-1] - w[2:, 1:-1] - w[:-2, 1:-1]
+               - w[1:-1, 2:] - w[1:-1, :-2]) / (h * h)
+        r = lap + lam * part - np.abs(part) ** (p - 2) * part
+        g[part != 0.0] = r[part != 0.0]
+    g = g.reshape(-1)
     assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(grid.laplacian(u)))
+    assert norm == pytest.approx(_own_partwise_residual(
+        u.reshape(grid.shape), h, p, lam), rel=1e-12)
 
 
 def test_minres_matches_dense_solve_on_indefinite_system():
