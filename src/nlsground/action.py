@@ -3,18 +3,23 @@
 The ground state at fixed frequency minimizes the homogeneous quotient
 R(u) = (||grad u||^2 + lambda ||u||^2) / ||u||_p^2 over nonzero fields;
 equivalently, the action constrained to its natural manifold.  The solver
-is the normalized fixed-point iteration
+starts with the normalized fixed-point iteration
 
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
-along which R is provably nonincreasing, followed by the exact scalar
-normalization onto the constraint manifold and, when the fixed point
-stops above tol, Newton's method on the resulting field (the linearized
-solve of `linsolve`, banded in 1D and MINRES in 2D) and, in 1D, an
-extended-precision polish with an optimized final rounding: on fine
-grids the storage rounding of the field itself dominates the attainable
-residual.  The same linearized solve gives the exact slope of the mass
-along the branch of states, `mass_slope`.
+along which R is provably nonincreasing but which converges only
+linearly.  After _COLD_STEPS steps Newton's method takes over from the
+iterate's exact scalar normalization onto the constraint manifold (the
+linearized solve of `linsolve`, banded in 1D and MINRES preconditioned
+by the fixed point's own shifted solve in 2D), and its result is
+rescaled exactly onto the manifold.  It is kept only if it is
+one-signed, meets tol and does not raise the action; otherwise the
+fixed point resumes as it was.  When the fixed point stops above tol,
+the same Newton stage runs from its best iterate and, in 1D, an
+extended-precision polish with an optimized final rounding follows: on
+fine grids the storage rounding of the field itself dominates the
+attainable residual.  The same linearized solve gives the exact slope of
+the mass along the branch of states, `mass_slope`.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from .linsolve import (_FrozenPartition, newton, shifted_solver,
 _P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
 # tolerated quotient increase per fixed-point step, relative to its scale
 _DESCENT_SLACK = 1e-12
+# fixed-point steps from a cold start before Newton is tried
+_COLD_STEPS = 4
 # relative preconditioned residual of the 2D tangent solve in mass_slope
 _SLOPE_RTOL = 1e-12
 # a frequency must clear an existence threshold -lambda_k by this fraction
@@ -82,7 +89,10 @@ class GroundState:
     sign parts and interface_index the zero node (1-based, 1D only).
     multistart lists (label, action) for every converged start: in 1D the
     one interface walk ("midpoint", or "hint" when warm), in 2D each
-    descent start.
+    descent start.  iterations counts the solver's steps: for a signed
+    state its fixed-point steps plus its Newton steps, rejected ones
+    included; for a nodal state the descent and Newton steps of every
+    start in 2D, and the interface positions evaluated in 1D.
     """
 
     u: Field
@@ -194,11 +204,15 @@ def ground_state(grid: Grid, params: ActionParams,
                  init_field: Field | None = None) -> GroundState:
     """Signed action ground state at fixed frequency.
 
-    Requires lambda above threshold_floor(lambda_1).  The returned state satisfies
-    the manifold identity to machine precision and the PDE residual to
-    opts.tol; NoConvergence is raised if the residual cannot reach tol
-    (on fine grids with default tol this can only happen when the
-    rounding floor of stored doubles exceeds tol).
+    Requires lambda above threshold_floor(lambda_1).  Runs at most
+    _COLD_STEPS fixed-point steps from the first eigenmode (or from
+    |init_field|), then Newton from the normalized iterate; the fixed
+    point resumes only if Newton's result is rejected (see the module
+    docstring).  The returned state satisfies the manifold identity to
+    machine precision and the PDE residual to opts.tol; NoConvergence is
+    raised if the residual cannot reach tol (on fine grids with default
+    tol this can only happen when the rounding floor of stored doubles
+    exceeds tol).
     """
     opts = opts or SolverOptions()
     p, lam = params.p, params.lam
@@ -216,14 +230,14 @@ def ground_state(grid: Grid, params: ActionParams,
     best_vals = None
     best_res = np.inf
     r_prev = np.inf
-    iterations = 0
+    iterations = newton_steps = 0
     for iterations in range(1, opts.max_iter + 1):
-        b = np.abs(u) ** (p - 2) * u
-        v = solver.solve(b)
-        lp_v = grid.lp_p(v, p)
+        # the right-hand side |u|^(p-2) u lives only for the solve
+        u_new = solver.solve(np.abs(u) ** (p - 2) * u)
+        lp_v = grid.lp_p(u_new, p)
         if lp_v == 0.0:
             raise NoConvergence("iterate collapsed to zero")
-        u_new = v / lp_v ** (1.0 / p)
+        u_new /= lp_v ** (1.0 / p)
         lp_u = grid.lp_p(u_new, p)
         grad = grid.grad_sq(u_new)
         l2 = grid.l2_sq(u_new)
@@ -245,22 +259,39 @@ def ground_state(grid: Grid, params: ActionParams,
         r_prev = r_now
         w_vals = (q / lp_u) ** (1.0 / (p - 2.0)) * u
         res = _res_norm(grid, w_vals, p, lam)
+        j_now = kappa(p) * r_now ** (p / (p - 2.0))
         if res < best_res:
-            best_res = res
-            best_vals = w_vals
+            best_res, best_vals, best_j = res, w_vals, j_now
         if res <= opts.tol or moved <= 5e-14 * scale:
             break
+        if iterations == _COLD_STEPS:
+            vals, res, kept, steps = _polish(grid, w_vals, p, lam, opts.tol,
+                                             solver, j_now)
+            newton_steps += steps
+            if kept:
+                best_vals, best_res = vals, res
+                break
+            del vals  # the fixed point resumes as it was
 
     if best_vals is None:
         raise NoConvergence("no iterate had a finite residual")
     if best_res > opts.tol:
-        best_vals, best_res = _polish(grid, best_vals, p, lam, opts, best_res)
-    if best_res > opts.tol:
-        raise NoConvergence(
-            f"residual {best_res:.3e} above tol {opts.tol:.1e} after "
-            f"{iterations} iterations (p={p}, lambda={lam}, n={grid.n})")
+        vals, res, kept, steps = _polish(grid, best_vals, p, lam, opts.tol,
+                                         solver, best_j,
+                                         rounding=grid.dimension == 1)
+        newton_steps += steps
+        if not kept:
+            why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
+                   if res > opts.tol else
+                   f"Newton's state (residual {res:.3e}) is not one-signed "
+                   "or raises the action")
+            raise NoConvergence(
+                f"{why} after {iterations} fixed-point and {newton_steps} "
+                f"Newton iterations (p={p}, lambda={lam}, n={grid.n})")
+        best_vals, best_res = vals, res
 
-    return finalize_state(grid, best_vals, params, best_res, iterations)
+    return finalize_state(grid, best_vals, params, best_res,
+                          iterations + newton_steps)
 
 
 def mass_slope(state: GroundState) -> float:
@@ -324,13 +355,26 @@ def _initial_vector(grid: Grid, init_field: Field | None) -> np.ndarray:
 # -- residual polishing ------------------------------------------------
 
 
-def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
-            opts: SolverOptions, res: float) -> tuple[np.ndarray, float]:
+def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float, tol: float,
+            solver, j_ref: float, rounding: bool = False):
+    """Newton from vals, then the exact rescale onto the manifold.
+
+    With rounding, a result still above tol goes on to the extended-
+    precision rounding polish.  Returns (values, residual, kept, Newton
+    steps); kept says the result is one-signed, meets tol and has a ray
+    action at most j_ref (1 + 1e-12).
+    """
     # on a positive field the partwise residual is the full one
-    vals, res, _ = newton(grid, vals, p, lam, opts.tol)
-    if res > opts.tol and grid.dimension == 1:
-        vals, res = _rounding_polish(grid, vals, p, lam, res)
-    return vals, res
+    out, res, steps = newton(grid, vals, p, lam, tol, solver)
+    lp = grid.lp_p(out, p)
+    q = grid.grad_sq(out) + lam * grid.l2_sq(out)
+    out = (q / lp) ** (1.0 / (p - 2.0)) * out
+    res = _res_norm(grid, out, p, lam)
+    if res > tol and rounding:
+        out, res = _rounding_polish(grid, out, p, lam, res)
+    kept = (res <= tol and np.min(out) >= 0.0
+            and _ray_action_vals(grid, out, p, lam) <= j_ref * (1.0 + 1e-12))
+    return out, res, kept, steps
 
 
 def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,

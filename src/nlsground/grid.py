@@ -16,7 +16,6 @@ mutually consistent to machine precision.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,16 +137,21 @@ class Grid:
         u = values.reshape(self.shape)
         hx2 = self.h[0] * self.h[0]
         hy2 = self.h[1] * self.h[1]
-        gx = np.empty((self.n + 1, self.n), dtype=values.dtype)
-        gx[0] = u[0]
-        gx[-1] = -u[-1]
-        np.subtract(u[1:], u[:-1], out=gx[1:-1])
-        out = (gx[:-1] - gx[1:]) / hx2
-        gy = np.empty((self.n, self.n + 1), dtype=values.dtype)
-        gy[:, 0] = u[:, 0]
-        gy[:, -1] = -u[:, -1]
-        np.subtract(u[:, 1:], u[:, :-1], out=gy[:, 1:-1])
-        out += (gy[:, :-1] - gy[:, 1:]) / hy2
+        # at most three field-sized arrays are live besides the input
+        g = np.empty((self.n + 1, self.n), dtype=values.dtype)
+        g[0] = u[0]
+        g[-1] = -u[-1]
+        np.subtract(u[1:], u[:-1], out=g[1:-1])
+        out = g[:-1] - g[1:]
+        out /= hx2
+        g = np.empty((self.n, self.n + 1), dtype=values.dtype)
+        g[:, 0] = u[:, 0]
+        g[:, -1] = -u[:, -1]
+        np.subtract(u[:, 1:], u[:, :-1], out=g[:, 1:-1])
+        d = g[:, :-1] - g[:, 1:]
+        del g
+        d /= hy2
+        out += d
         return out.reshape(-1)
 
     @staticmethod
@@ -261,23 +265,38 @@ def node_count(u: Field) -> int:
 
 def _count_components_2d(u: np.ndarray, thr: float) -> int:
     """Connected components (4-neighborhood) of {u > thr} and {u < -thr}."""
-    count = 0
-    for mask in (u > thr, u < -thr):
-        seen = np.zeros_like(mask, dtype=bool)
-        nx, ny = mask.shape
-        for i in range(nx):
-            for j in np.flatnonzero(mask[i]):
-                if seen[i, j]:
-                    continue
-                count += 1
-                queue = deque([(i, int(j))])
-                seen[i, j] = True
-                while queue:
-                    a, b = queue.popleft()
-                    for c, d in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
-                        if 0 <= c < nx and 0 <= d < ny and mask[c, d] and not seen[c, d]:
-                            seen[c, d] = True
-                            queue.append((c, d))
+    return sum(_components(mask) for mask in (u > thr, u < -thr))
+
+
+def _components(mask: np.ndarray) -> int:
+    """4-connected components of a boolean matrix.
+
+    Each run of set entries along a row is one node, numbered by a
+    cumulative sum over the run starts; runs in adjacent rows that share
+    a column are joined by union-find over the distinct such pairs.
+    """
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    runs = int(np.count_nonzero(starts))
+    if runs == 0:
+        return 0
+    label = np.cumsum(starts).reshape(mask.shape)
+    below = mask[:-1] & mask[1:]
+    pairs = np.unique(label[:-1][below] * (runs + 1) + label[1:][below])
+    parent = list(range(runs + 1))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    count = runs
+    for key in pairs.tolist():
+        a, b = root(key // (runs + 1)), root(key % (runs + 1))
+        if a != b:
+            parent[a] = b
+            count -= 1
     return count
 
 

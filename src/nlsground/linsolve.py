@@ -13,9 +13,10 @@ deterministic for fixed inputs.
 The same module holds the one linearized solve the package uses: the
 Jacobian of the partwise system on a frozen sign pattern, solved by a
 pivoted banded LU in 1D and by MINRES preconditioned with the sine
-solve in 2D.  Newton's method on that solve finishes the signed and the
-2D nodal ground states, and its solve of -u gives the exact slope of the
-mass along a branch of states.
+solve in 2D.  Newton's method on that solve takes the signed ground
+state over from a few fixed-point steps and finishes the 2D nodal one,
+and its solve of -u gives the exact slope of the mass along a branch of
+states.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ _MAX_REFINE = 4
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
 _MINRES_STEPS = 200
+# values per block of the 2D sine transform's odd-extension buffer: the
+# FFT's work arrays stay a small fraction of a field on fine grids, and
+# coarse grids (n <= 63) take one block
+_DST_BLOCK = 8192
 
 
 class OperatorSolver:
@@ -77,8 +82,9 @@ class OperatorSolver:
         if self.grid.dimension == 1:
             d, e = self._factor
             return dpttrs(d, e, b)[0]
-        u = b.reshape(self.grid.shape)
-        return _dst2(_dst2(u) * self._factor).reshape(-1)
+        x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
+        x *= self._factor
+        return _dst2(x, x).reshape(-1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve, refined toward relative residual _REFINE_TOL."""
@@ -108,22 +114,26 @@ def shifted_solver(grid: Grid, c: float) -> OperatorSolver:
     return OperatorSolver(grid, c)
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I along the last axis, 2 sum_j x_j sin(pi j k/(n+1)).
+def _dst2(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I along both axes of a square array, into out.
 
-    The imaginary part of the real FFT of the odd extension; applying it
-    twice multiplies by 2(n+1).
+    Along an axis the transform is 2 sum_j x_j sin(pi j k/(n+1)), the
+    imaginary part of the real FFT of the odd extension; applying it
+    twice multiplies by 2(n+1).  Rows, then columns, are transformed a
+    block at a time through one odd-extension buffer of about _DST_BLOCK
+    values, each block written straight into out, which may be u itself.
     """
-    n = x.shape[-1]
-    z = np.zeros(x.shape[:-1] + (2 * (n + 1),))
-    z[..., 1:n + 1] = x
-    z[..., n + 2:] = -x[..., ::-1]
-    return -np.fft.rfft(z)[..., 1:n + 1].imag
-
-
-def _dst2(u: np.ndarray) -> np.ndarray:
-    """DST-I along both axes of a square array."""
-    return _dst1(_dst1(u).T).T
+    n = u.shape[0]
+    rows = min(max(_DST_BLOCK // (2 * (n + 1)), 1), n)
+    z = np.zeros((rows, 2 * (n + 1)))
+    for src, dst in ((u, out), (out.T, out.T)):
+        for lo in range(0, n, rows):
+            x = src[lo:lo + rows]
+            zb = z[:len(x)]
+            zb[:, 1:n + 1] = x
+            np.negative(x[:, ::-1], out=zb[:, n + 2:])
+            np.negative(np.fft.rfft(zb)[:, 1:n + 1].imag, out=dst[lo:lo + rows])
+    return out
 
 
 class _FrozenPartition:
@@ -132,17 +142,20 @@ class _FrozenPartition:
     Each sign part then sees the other, and any zero node, as a Dirichlet
     zero: applied to a field with this sign pattern it gives the operator
     of the partwise system, and a one-signed field without zero nodes
-    gets the plain stencil.  It is symmetric, so the Jacobian of the
-    partwise system is too.
+    gets the plain stencil (and no cut arrays are stored).  It is
+    symmetric, so the Jacobian of the partwise system is too.  metric,
+    when given, is the OperatorSolver that preconditions the 2D solves.
     """
 
-    def __init__(self, grid: Grid, sign: np.ndarray):
+    def __init__(self, grid: Grid, sign: np.ndarray,
+                 metric: OperatorSolver | None = None):
         self.grid = grid
         s = sign.reshape(grid.shape)
         # per axis, 1/h^2 on every edge whose two nodes differ in sign
-        self.cuts = [(np.diff(s, axis=axis) != 0.0) / (h * h)
-                     for axis, h in enumerate(grid.h)]
-        self._metric = None
+        cut = [np.diff(s, axis=axis) != 0 for axis in range(grid.dimension)]
+        self.cuts = ([c / (h * h) for c, h in zip(cut, grid.h)]
+                     if any(c.any() for c in cut) else [])
+        self._metric = metric
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         # the full stencil couples v_i to a cut neighbour by -v_j/h^2
@@ -165,7 +178,9 @@ class _FrozenPartition:
         sign-changing 2D lattice field also carries an O(1/h) interface
         coupling that no grid-aligned field can remove.
         """
-        r = self.apply(v) + lam * v - np.abs(v) ** (p - 2) * v
+        r = self.apply(v)
+        r += lam * v
+        r -= np.abs(v) ** (p - 2) * v
         return r, float(np.sqrt(self.grid.weight * dot(r, r)))
 
     def solve(self, shift: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
@@ -174,15 +189,17 @@ class _FrozenPartition:
         The linearization of the partwise system has shift
         lambda - (p-1)|u|^(p-2) and is generally indefinite.  In 1D it is
         tridiagonal and solved by a pivoted banded LU.  In 2D it is solved
-        by MINRES to the relative preconditioned residual rtol, with the
-        sine solve of A + max(shift, 0) I as the preconditioner: the
-        largest shift is lambda up to the smallest |u|.  It is factored at
-        the first solve and kept for the later ones on this partition.
+        by MINRES to the relative preconditioned residual rtol.  Without
+        a metric the preconditioner is the sine solve of
+        A + max(shift, 0) I (the largest shift is lambda up to the
+        smallest |u|), factored at the first solve and kept for the later
+        ones on this partition.
         """
         g = self.grid
         if g.dimension == 1:
             h2 = g.h[0] * g.h[0]
-            off = np.where(self.cuts[0] > 0.0, 0.0, -1.0 / h2)
+            off = (np.where(self.cuts[0] > 0.0, 0.0, -1.0 / h2) if self.cuts
+                   else -1.0 / h2)
             jac = np.zeros((3, g.n))
             jac[0, 1:] = off
             jac[2, :-1] = off
@@ -190,22 +207,33 @@ class _FrozenPartition:
             return solve_banded((1, 1), jac, b)
         if self._metric is None:
             self._metric = OperatorSolver(g, max(float(np.max(shift)), 0.0))
-        return _minres(lambda v: self.apply(v) + shift * v, b,
-                       self._metric._raw_solve, rtol, _MINRES_STEPS)
+
+        def apply(v):
+            out = self.apply(v)
+            out += shift * v
+            return out
+
+        return _minres(apply, b, self._metric._raw_solve, rtol, _MINRES_STEPS)
 
 
-def newton(grid: Grid, u: np.ndarray, p: float, lam: float,
-           tol: float) -> tuple[np.ndarray, float, int]:
+def _sign_pattern(v: np.ndarray) -> np.ndarray:
+    """The signs of v as int8: +1, -1, or 0 on zero nodes."""
+    return (v > 0.0).view(np.int8) - (v < 0.0).view(np.int8)
+
+
+def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
+           metric: OperatorSolver | None = None) -> tuple[np.ndarray, float, int]:
     """Newton on the partwise system D u + lam u = |u|^(p-2) u.
 
-    D is the stencil cut along u's sign pattern, which stays frozen.
-    Returns (best iterate, its residual, steps taken).  Stops once the
-    residual reaches tol, when a step changes the sign of a node, when a
-    step fails to lower the residual, when the linearized solve is
-    singular, or after _NEWTON_STEPS steps.
+    D is the stencil cut along u's sign pattern, which stays frozen;
+    metric, if given, preconditions the 2D linearized solves.  Returns
+    (best iterate, its residual, steps taken).  Stops once the residual
+    reaches tol, when a step changes the sign of a node, when a step
+    fails to lower the residual, when the linearized solve is singular,
+    or after _NEWTON_STEPS steps.
     """
-    sign = np.sign(u)
-    frozen = _FrozenPartition(grid, sign)
+    sign = _sign_pattern(u)
+    frozen = _FrozenPartition(grid, sign, metric)
     r, res = frozen.residual(u, p, lam)
     step = 0
     while res > tol and step < _NEWTON_STEPS:
@@ -214,12 +242,14 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float,
         # step needs to land well inside tol
         rtol = max(min(0.1, res), 0.01 * tol / res)
         try:
-            delta = frozen.solve(lam - (p - 1) * np.abs(u) ** (p - 2), -r, rtol)
+            trial = frozen.solve(lam - (p - 1) * np.abs(u) ** (p - 2),
+                                 np.negative(r, out=r), rtol)
         except np.linalg.LinAlgError:
             break
-        delta[sign == 0.0] = 0.0
-        trial = u + delta
-        if not np.array_equal(np.sign(trial), sign):
+        del r  # negated in place as the solve's right-hand side
+        trial[sign == 0] = 0.0
+        trial += u
+        if not np.array_equal(_sign_pattern(trial), sign):
             break
         r_trial, res_trial = frozen.residual(trial, p, lam)
         if not res_trial < res:
@@ -232,9 +262,10 @@ def _minres(apply, b: np.ndarray, precond, rtol: float,
             maxiter: int) -> np.ndarray:
     """Preconditioned MINRES (Paige and Saunders) for symmetric apply.
 
-    precond must be symmetric positive definite.  Stops once the
-    preconditioned residual norm falls to rtol times its initial value,
-    or after maxiter steps.
+    precond must be symmetric positive definite; it and apply must
+    return new arrays, which are then updated in place, so seven vectors
+    are live besides b.  Stops once the preconditioned residual norm
+    falls to rtol times its initial value, or after maxiter steps.
     """
     x = np.zeros_like(b)
     y = precond(b)
@@ -249,12 +280,13 @@ def _minres(apply, b: np.ndarray, precond, rtol: float,
     w = np.zeros_like(b)
     w2 = np.zeros_like(b)
     for _ in range(maxiter):
-        v = y / beta
+        v = y
+        v /= beta
         y = apply(v)
         if old_beta:
-            y = y - (beta / old_beta) * r1
+            y -= (beta / old_beta) * r1
         alpha = dot(v, y)
-        y = y - (alpha / beta) * r2
+        y -= (alpha / beta) * r2
         r1, r2 = r2, y
         y = precond(r2)
         old_beta, beta = beta, float(np.sqrt(dot(r2, y)))
@@ -267,9 +299,13 @@ def _minres(apply, b: np.ndarray, precond, rtol: float,
         cs, sn = gbar / gamma, beta / gamma
         phi = cs * phibar
         phibar = sn * phibar
-        w1, w2 = w2, w
-        w = (v - old_eps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w <- (v - old_eps w_{k-2} - delta w_{k-1}) / gamma, in w_{k-2}
+        w2 *= old_eps
+        np.subtract(v, w2, out=w2)
+        w2 -= delta * w
+        w2 /= gamma
+        w, w2 = w2, w
+        x += phi * w
         if phibar <= rtol * beta1 or beta == 0.0:
             break
     return x

@@ -282,34 +282,33 @@ def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
     seeds = _descent_seeds(grid, params, opts, init_field)
     metric = shifted_solver(grid, max(params.lam, 0.0))
     results = []
+    stops = []  # how every start ended, dropped ones included
     total_iters = 0
-    last_error: Exception | None = None
     for label, vals in seeds:
         try:
             out, iters, reason, residual = _descend(grid, params, opts,
                                                     metric, vals)
         except (NonpositiveQuotient, NotSignChanging, DegeneratePart) as exc:
-            last_error = exc
+            stops.append(f"{label}: {type(exc).__name__} ({exc})")
             continue
         total_iters += iters
-        results.append((label, out, reason,
-                        nodal_action_of(Field(grid, out), params), residual))
+        stops.append(f"{label}: {reason}, residual {residual:.3e}")
+        results.append((label, out, nodal_action_of(Field(grid, out), params),
+                        residual))
     if not results:
-        raise NoConvergence(f"all descent starts failed: {last_error}")
-    best_label, best_vals, _, _, residual = min(results, key=lambda t: t[3])
+        raise NoConvergence(f"all descent starts failed ({'; '.join(stops)})")
+    best_label, best_vals, _, residual = min(results, key=lambda t: t[2])
     if residual > opts.tol:
-        starts = "; ".join(f"{label}: {reason}, residual {res:.3e}"
-                           for label, _, reason, _, res in results)
         raise NoConvergence(
             f"best 2D nodal start {best_label!r} has residual {residual:.3e} "
-            f"above tol {opts.tol:.1e} ({starts})")
+            f"above tol {opts.tol:.1e} ({'; '.join(stops)})")
     best = NodalCandidate(Field(grid, best_vals), params)
     return finalize_state(
         grid, best_vals, params, residual=residual, iterations=total_iters,
         action_override=best.action(),
         part_masses=(grid.l2_sq(best.plus), grid.l2_sq(best.minus)),
         part_actions=best.part_actions(),
-        multistart=tuple((label, value) for label, _, _, value, _ in results),
+        multistart=tuple((label, value) for label, _, value, _ in results),
     )
 
 
@@ -334,7 +333,16 @@ def _descent_seeds(grid: Grid, params: ActionParams, opts: SolverOptions,
     seeds.append(("two-bump", bumps.reshape(-1)))
     rng = np.random.default_rng(opts.seed)
     seeds.append(("random", rng.standard_normal(grid.size)))
-    return seeds
+    # a start on the ray of an earlier one repeats its descent up to sign:
+    # on rectangles wider than tall the odd reflection is phi2
+    unit = [vals / (np.max(np.abs(vals)) or 1.0) for _, vals in seeds]
+    return [seed for i, seed in enumerate(seeds)
+            if not any(_same_ray(unit[i], unit[j]) for j in range(i))]
+
+
+def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a = +-b to rounding, for a and b scaled to max|.| = 1."""
+    return min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) <= 1e-12
 
 
 def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,

@@ -154,18 +154,93 @@ def test_2d_ground_state_and_p_cap(unit_square):
         ground_state(grid, ActionParams(11.0, 5.0))
 
 
-def test_2d_newton_polish_meets_tol(unit_square):
+def _fixed_point_steps(monkeypatch):
+    """Counter of fixed-point steps: each makes one shifted solve."""
+    from nlsground.linsolve import OperatorSolver
+
+    calls = []
+    solve = OperatorSolver.solve
+    monkeypatch.setattr(OperatorSolver, "solve",
+                        lambda self, b: calls.append(1) or solve(self, b))
+    return calls
+
+
+def _nehari_gaps(st):
+    """(|J - kappa ||u||_p^p| / J, |Q(u) - ||u||_p^p| / ||u||_p^p)."""
+    p, lam = st.params.p, st.params.lam
+    l2, lp, gr = norms(st.u, p)
+    return (abs(st.action_value - kappa(p) * lp) / st.action_value,
+            abs(gr + lam * l2 - lp) / lp)
+
+
+def test_2d_newton_polish_meets_tol(unit_square, monkeypatch):
     # four fixed-point steps stop far above tol; Newton on the linearized
-    # solve (MINRES in 2D) finishes the state
+    # solve (MINRES in 2D) finishes the state, and its steps are counted
     grid = build_grid(unit_square, 63)
     params = ActionParams(4.0, 10.0)
+    steps = _fixed_point_steps(monkeypatch)
     st = ground_state(grid, params, SolverOptions(max_iter=4))
-    assert st.iterations == 4
+    assert len(steps) == 4 < st.iterations
     assert st.residual <= 1e-8
     assert pde_residual(st.u, params) <= 1e-8
     assert st.node_count == 0
     full = ground_state(grid, params)
     assert st.action_value == pytest.approx(full.action_value, rel=1e-12)
+
+
+def test_2d_signed_state_switches_to_newton(unit_square, monkeypatch):
+    # the fixed point alone takes 33 linearly converging steps at n = 63,
+    # 127 and 255; Newton takes over after four and lands on the tightly
+    # converged level
+    grid = build_grid(unit_square, 63)
+    params = ActionParams(4.0, 10.0)
+    steps = _fixed_point_steps(monkeypatch)
+    st = ground_state(grid, params)
+    assert len(steps) <= 4
+    assert st.residual <= 1e-8
+    assert _nehari_gaps(st)[0] <= 1e-12
+    tight = ground_state(grid, params, SolverOptions(tol=1e-11))
+    assert st.action_value == pytest.approx(tight.action_value, rel=1e-12)
+
+
+def test_newton_finished_state_is_nehari_exact(grid511):
+    # Newton lowers the residual but does not keep the constraint; the
+    # rescale after it puts the state back on the manifold
+    st = ground_state(grid511, ActionParams(4.0, 10.0), SolverOptions(max_iter=4))
+    assert st.residual <= 1e-8
+    j_gap, nehari_gap = _nehari_gaps(st)
+    assert j_gap <= 1e-12
+    assert nehari_gap <= 1e-13
+
+
+def test_rejected_newton_resumes_fixed_point(monkeypatch):
+    # Newton from the fourth step stalls at the rounding floor above tol on
+    # this fine grid, so the fixed point goes on and the rounding polish
+    # finishes; the state is on the manifold all the same
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 4096)
+    steps = _fixed_point_steps(monkeypatch)
+    st = ground_state(grid, ActionParams(4.0, 100.0))
+    assert len(steps) > 4
+    assert st.residual <= 1e-8
+    assert max(_nehari_gaps(st)) <= 1e-13
+
+
+def test_2d_solve_memory_stays_near_fixed_point(unit_square):
+    # Newton's MINRES shares the fixed point's shifted solver as its
+    # preconditioner and the sine transform works in row blocks, so the
+    # peak stays within a few field-sized arrays of the fixed point's own
+    import tracemalloc
+
+    grid = build_grid(unit_square, 127)
+    params = ActionParams(4.0, 10.0)
+    ground_state(grid, params)
+    tracemalloc.start()
+    try:
+        ground_state(grid, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * grid.size * 8
 
 
 @pytest.mark.parametrize("kind, dim", [("signed", 1), ("nodal", 1), ("signed", 2)])

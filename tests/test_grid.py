@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,70 @@ def test_node_count_2d(unit_square):
     assert node_count(u) == 1
     u4 = grid.sample(lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
     assert node_count(u4) == 3
+
+
+def _bfs_components(u: np.ndarray, thr: float) -> int:
+    """Reference count: breadth-first search over {u > thr} and {u < -thr}."""
+    count = 0
+    for mask in (u > thr, u < -thr):
+        seen = np.zeros_like(mask, dtype=bool)
+        nx, ny = mask.shape
+        for i in range(nx):
+            for j in np.flatnonzero(mask[i]):
+                if seen[i, j]:
+                    continue
+                count += 1
+                queue = deque([(i, int(j))])
+                seen[i, j] = True
+                while queue:
+                    a, b = queue.popleft()
+                    for c, d in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)):
+                        if 0 <= c < nx and 0 <= d < ny and mask[c, d] and not seen[c, d]:
+                            seen[c, d] = True
+                            queue.append((c, d))
+    return count
+
+
+def _rings() -> np.ndarray:
+    """Nested rings with holes, of both signs, on a 21 x 21 array."""
+    r = np.hypot(*np.meshgrid(np.arange(21) - 10.0, np.arange(21) - 10.0))
+    return (np.where((r > 3) & (r < 6), 1.0, 0.0)
+            - np.where((r > 7) & (r < 9), 1.0, 0.0)
+            + np.where(r < 1.5, 1.0, 0.0))
+
+
+def _oracle_shapes():
+    rng = np.random.default_rng(11)
+    shapes = [rng.standard_normal((nx, ny))
+              for nx, ny in rng.integers(1, 24, size=(40, 2))]
+    shapes += [rng.standard_normal((1, k)) for k in (1, 2, 9)]
+    shapes += [rng.standard_normal((k, 1)) for k in (1, 2, 9)]
+    shapes.append(_rings())
+    # a snake: one component whose rows split into many runs
+    snake = -np.ones((15, 15))
+    snake[1::2, :] = 1.0
+    snake[2::4, 0] = 1.0
+    snake[4::4, -1] = 1.0
+    shapes.append(snake)
+    shapes.append(np.indices((12, 12)).sum(axis=0) % 2 - 0.5)  # checkerboard
+    return shapes
+
+
+def test_component_count_matches_search():
+    from nlsground.grid import _count_components_2d
+
+    for u in _oracle_shapes():
+        scale = float(np.max(np.abs(u)))
+        for thr in (0.0, 0.3 * scale, 0.9 * scale, 2.0 * scale):
+            assert _count_components_2d(u, thr) == _bfs_components(u, thr)
+
+
+def test_node_count_2d_matches_search():
+    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 21)
+    rng = np.random.default_rng(12)
+    for vals in (rng.standard_normal(grid.shape), _rings()):
+        want = max(_bfs_components(vals, 1e-9 * np.max(np.abs(vals))) - 1, 0)
+        assert node_count(Field(grid, vals)) == want
 
 
 def test_grid_mismatch_guard(grid255, grid511):

@@ -267,6 +267,29 @@ def test_2d_nodal_raises_above_tol(unit_square):
         assert f"{label}: max_iter" in str(err.value)
 
 
+def test_2d_descent_skips_repeated_start():
+    # on a rectangle wider than tall the odd reflection sin(2 pi x / L)
+    # sin(pi y / H) is the second Dirichlet mode, so its descent would
+    # repeat phi2's
+    grid = build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 31)
+    st = nodal_ground_state(grid, ActionParams(4.0, 10.0))
+    labels = [label for label, _ in st.multistart]
+    assert labels == ["phi2", "two-bump", "random"]
+    assert st.action_value == pytest.approx(154.1021564774822, rel=1e-12)
+
+
+def test_2d_nodal_error_names_every_start(unit_square):
+    # near -lambda_2 three starts collapse a sign part and are dropped; the
+    # error must still say so, not only name the start that survived
+    grid = build_grid(unit_square, 31)
+    with pytest.raises(NoConvergence) as err:
+        nodal_ground_state(grid, ActionParams(3.0, -48.2))
+    message = str(err.value)
+    assert "odd-reflection: max_iter, residual" in message
+    for label in ("phi2", "two-bump", "random"):
+        assert f"{label}: DegeneratePart (" in message
+
+
 def _frozen_square(n: int):
     from nlsground.linsolve import _FrozenPartition
 
