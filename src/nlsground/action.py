@@ -12,13 +12,17 @@ linearly.  After _COLD_STEPS steps Newton's method takes over from the
 iterate's exact scalar normalization onto the constraint manifold (the
 linearized solve of `linsolve`, banded in 1D and MINRES preconditioned
 by the fixed point's own shifted solve in 2D), and its result is
-rescaled exactly onto the manifold.  It is kept only if it is
-one-signed, meets tol and does not raise the action; otherwise the
-fixed point resumes as it was.  When the fixed point stops above tol,
-the same Newton stage runs from its best iterate and, in 1D, an
-extended-precision polish with an optimized final rounding follows: on
-fine grids the storage rounding of the field itself dominates the
-attainable residual.  The same linearized solve gives the exact slope of
+rescaled exactly onto the manifold.  On fine 1D grids the storage
+rounding of the field itself dominates the attainable residual, and
+Newton stalls there; a stalled Newton above tol goes straight on to the
+rounding polish: long-double Newton steps, each a mixed-precision
+refined solve, and a min-plus Viterbi pass that picks the rounding of
+every node.  A result is kept only if it is one-signed, meets tol and
+does not raise the action; otherwise the fixed point resumes as it was.
+When the fixed point stops above tol, the same Newton stage runs from
+its best iterate and, in 1D, the rounding polish follows whatever
+stopped Newton.  A NoConvergence names where the fixed point, Newton and
+the polish stopped.  The same linearized solve gives the exact slope of
 the mass along the branch of states, `mass_slope`.
 """
 
@@ -206,9 +210,10 @@ def ground_state(grid: Grid, params: ActionParams,
 
     Requires lambda above threshold_floor(lambda_1).  Runs at most
     _COLD_STEPS fixed-point steps from the first eigenmode (or from
-    |init_field|), then Newton from the normalized iterate; the fixed
-    point resumes only if Newton's result is rejected (see the module
-    docstring).  The returned state satisfies the manifold identity to
+    |init_field|), then Newton from the normalized iterate (in 1D, and
+    if it stalls above tol, the rounding polish); the fixed point
+    resumes only if that result is rejected (see the module docstring).
+    The returned state satisfies the manifold identity to
     machine precision and the PDE residual to opts.tol; NoConvergence is
     raised if the residual cannot reach tol (on fine grids with default
     tol this can only happen when the rounding floor of stored doubles
@@ -227,10 +232,14 @@ def ground_state(grid: Grid, params: ActionParams,
     u = _initial_vector(grid, init_field)
     u = u / grid.lp_p(u, p) ** (1.0 / p)
 
+    # in 1D a Newton stall above tol is the rounding floor of stored
+    # doubles, which only the rounding polish gets below
+    one_d = grid.dimension == 1
     best_vals = None
     best_res = np.inf
     r_prev = np.inf
     iterations = newton_steps = 0
+    stop = "max_iter"
     for iterations in range(1, opts.max_iter + 1):
         # the right-hand side |u|^(p-2) u lives only for the solve
         u_new = solver.solve(np.abs(u) ** (p - 2) * u)
@@ -263,10 +272,12 @@ def ground_state(grid: Grid, params: ActionParams,
         if res < best_res:
             best_res, best_vals, best_j = res, w_vals, j_now
         if res <= opts.tol or moved <= 5e-14 * scale:
+            stop = "tol" if res <= opts.tol else "stall"
             break
         if iterations == _COLD_STEPS:
-            vals, res, kept, steps = _polish(grid, w_vals, p, lam, opts.tol,
-                                             solver, j_now)
+            vals, res, kept, steps, _ = _polish(
+                grid, w_vals, p, lam, opts.tol, solver, j_now,
+                rounding="stall" if one_d else None)
             newton_steps += steps
             if kept:
                 best_vals, best_res = vals, res
@@ -276,9 +287,9 @@ def ground_state(grid: Grid, params: ActionParams,
     if best_vals is None:
         raise NoConvergence("no iterate had a finite residual")
     if best_res > opts.tol:
-        vals, res, kept, steps = _polish(grid, best_vals, p, lam, opts.tol,
-                                         solver, best_j,
-                                         rounding=grid.dimension == 1)
+        vals, res, kept, steps, last = _polish(
+            grid, best_vals, p, lam, opts.tol, solver, best_j,
+            rounding="any" if one_d else None)
         newton_steps += steps
         if not kept:
             why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
@@ -287,7 +298,8 @@ def ground_state(grid: Grid, params: ActionParams,
                    "or raises the action")
             raise NoConvergence(
                 f"{why} after {iterations} fixed-point and {newton_steps} "
-                f"Newton iterations (p={p}, lambda={lam}, n={grid.n})")
+                f"Newton iterations; the fixed point stopped on {stop}, "
+                f"then {last} (p={p}, lambda={lam}, n={grid.n})")
         best_vals, best_res = vals, res
 
     return finalize_state(grid, best_vals, params, best_res,
@@ -356,25 +368,29 @@ def _initial_vector(grid: Grid, init_field: Field | None) -> np.ndarray:
 
 
 def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float, tol: float,
-            solver, j_ref: float, rounding: bool = False):
+            solver, j_ref: float, rounding: str | None):
     """Newton from vals, then the exact rescale onto the manifold.
 
-    With rounding, a result still above tol goes on to the extended-
-    precision rounding polish.  Returns (values, residual, kept, Newton
-    steps); kept says the result is one-signed, meets tol and has a ray
-    action at most j_ref (1 + 1e-12).
+    A result still above tol goes on to the extended-precision rounding
+    polish when rounding is "any", or names Newton's stop reason (see
+    `linsolve.newton`).  Returns (values, residual, kept, Newton steps,
+    last stage): kept says the result is one-signed, meets tol and has a
+    ray action at most j_ref (1 + 1e-12); the last stage names Newton's
+    stop reason and whether the rounding polish ran.
     """
     # on a positive field the partwise residual is the full one
-    out, res, steps = newton(grid, vals, p, lam, tol, solver)
+    out, res, steps, reason = newton(grid, vals, p, lam, tol, solver)
+    last = f"Newton on {reason}"
     lp = grid.lp_p(out, p)
     q = grid.grad_sq(out) + lam * grid.l2_sq(out)
     out = (q / lp) ** (1.0 / (p - 2.0)) * out
     res = _res_norm(grid, out, p, lam)
-    if res > tol and rounding:
+    if res > tol and rounding in ("any", reason):
         out, res = _rounding_polish(grid, out, p, lam, res)
+        last += " and the rounding polish"
     kept = (res <= tol and np.min(out) >= 0.0
             and _ray_action_vals(grid, out, p, lam) <= j_ref * (1.0 + 1e-12))
-    return out, res, kept, steps
+    return out, res, kept, steps, last
 
 
 def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
@@ -383,10 +399,13 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
 
     On fine grids the attainable double-precision residual is limited by
     the rounding of the stored values themselves (noise amplified by
-    1/h^2).  A short extended-precision Newton gives a reference beyond
-    double accuracy; a Viterbi pass then chooses, per node, between the
-    two neighboring doubles so that the second difference of the rounding
-    error -- hence the stored field's true residual -- is minimized.
+    1/h^2).  Three long-double Newton steps, each solved by mixed-
+    precision refinement (`solve_tridiagonal_longdouble`), give a
+    reference beyond double accuracy; a min-plus Viterbi pass then
+    chooses, per node, between the two neighboring doubles so that the
+    second difference of the rounding error -- hence the stored field's
+    true residual -- is minimized.  The result is returned only if its
+    residual is below res; otherwise vals and res are.
     """
     n = grid.n
     h2l = np.longdouble(grid.h[0]) * np.longdouble(grid.h[0])
@@ -394,9 +413,9 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
     uld = vals.astype(np.longdouble)
     off = np.full(n - 1, -1.0 / h2l, dtype=np.longdouble)
     for _ in range(3):
-        r = (grid._lap_axis(uld, h2l) + laml * uld
-             - np.abs(uld) ** (p - 2) * uld)
-        diag = (2.0 / h2l + laml - (p - 1) * np.abs(uld) ** (p - 2))
+        power = np.abs(uld) ** (p - 2)
+        r = grid._lap_axis(uld, h2l) + laml * uld - power * uld
+        diag = 2.0 / h2l + laml - (p - 1) * power
         uld = uld + solve_tridiagonal_longdouble(diag, off, -r)
     nearest = uld.astype(np.float64)
     below = np.where(nearest.astype(np.longdouble) <= uld,
@@ -413,45 +432,85 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
 
 
 def _viterbi_rounding(eps_lo: np.ndarray, eps_hi: np.ndarray) -> np.ndarray:
-    """Binary rounding choices minimizing sum of squared second differences."""
+    """Binary rounding choices minimizing sum of squared second differences.
+
+    Node i with error e_i = eps_lo[i] or eps_hi[i] (choice 0 or 1) costs
+    (2 e_i - e_{i-1} - e_{i+1})^2, zero padding at the walls, so a dynamic
+    program over the choice pairs (c_{i-1}, c_i) finds the least total in
+    min-plus arithmetic.  Its n - 2 steps run in blocks of about sqrt(n),
+    side by side: a first sweep builds each block's 4 x 4 transfer, a
+    short chain of those gives every block's starting costs, and a second
+    sweep records each pair's best predecessor and the pair its block
+    started from.  The backtrack then walks the blocks' starting pairs and
+    every block's predecessors, again side by side.  Ties go to choice 0
+    and to the first least final pair.  Needs n >= 2.
+    """
     n = eps_lo.size
-    e = (eps_lo.tolist(), eps_hi.tolist())
-    # dp[a][b]: best cost with choice a at node i-1 and b at node i;
-    # the cost of node i couples (i-1, i, i+1), zero padding at the walls.
-    dp = [[0.0, 0.0], [0.0, 0.0]]
-    for a in range(2):
-        for b in range(2):
-            r = 2.0 * e[a][0] - e[b][1]
-            dp[a][b] = r * r
-    back = []
-    for i in range(1, n - 1):
-        ndp = [[0.0, 0.0], [0.0, 0.0]]
-        bk = [[0, 0], [0, 0]]
-        for b in range(2):
-            for c in range(2):
-                r0 = 2.0 * e[b][i] - e[0][i - 1] - e[c][i + 1]
-                r1 = 2.0 * e[b][i] - e[1][i - 1] - e[c][i + 1]
-                c0 = dp[0][b] + r0 * r0
-                c1 = dp[1][b] + r1 * r1
-                if c0 <= c1:
-                    ndp[b][c] = c0
-                    bk[b][c] = 0
-                else:
-                    ndp[b][c] = c1
-                    bk[b][c] = 1
-        dp = ndp
-        back.append(bk)
-    best = np.inf
-    state = (0, 0)
-    for a in range(2):
-        for b in range(2):
-            r = 2.0 * e[b][n - 1] - e[a][n - 2]
-            tot = dp[a][b] + r * r
-            if tot < best:
-                best = tot
-                state = (a, b)
-    choices = np.zeros(n, dtype=np.int8)
-    choices[n - 2], choices[n - 1] = state
-    for i in range(n - 3, -1, -1):
-        choices[i] = back[i][choices[i + 1]][choices[i + 2]]
+    e = np.stack((eps_lo, eps_hi))  # e[c, i]
+    r = 2.0 * e[:, None, 0] - e[None, :, 1]
+    # dp[a, b]: least cost of the nodes before i, choices a, b at i-1, i
+    dp = r * r
+    m = n - 2
+    if m > 0:
+        size = int(np.ceil(np.sqrt(m)))
+        blocks = -(-m // size)
+        # cost[a, b, c, j, k]: step t = j size + k, the cost of node t + 1
+        # with choices a, b, c at nodes t, t+1, t+2; zero past the last step
+        cost = np.zeros((2, 2, 2, blocks * size))
+        np.square(2.0 * e[None, :, None, 1:-1] - e[:, None, None, :-2]
+                  - e[None, None, :, 2:], out=cost[..., :m])
+        cost = cost.reshape(2, 2, 2, blocks, size)
+        # transfer[a, b, c, d, j]: from the pair (a, b) at the start of
+        # block j to (c, d) at its end, for every block but the last
+        eye = np.where(np.eye(4) > 0.0, 0.0, np.inf).reshape(2, 2, 2, 2, 1)
+        transfer = np.broadcast_to(eye, (2, 2, 2, 2, blocks - 1))
+        for k in range(size):
+            c = cost[:, :, :, :-1, k]
+            transfer = np.minimum(transfer[:, :, 0, :, None] + c[0],
+                                  transfer[:, :, 1, :, None] + c[1])
+        starts = np.empty((4, blocks))
+        starts[:, 0] = dp.ravel()
+        transfer = transfer.reshape(4, 4, blocks - 1)
+        for j in range(blocks - 1):
+            paths = starts[:, j, None] + transfer[:, :, j]
+            starts[:, j + 1] = paths.min(axis=0)
+        dp = starts.reshape(2, 2, blocks)
+        # back[k, b, c, j]: the choice a before the pair (b, c) after step
+        # k of block j; origin[b, c, j]: the pair that path left block j's
+        # start from
+        back = np.empty((size, 2, 2, blocks), dtype=bool)
+        origin = np.broadcast_to(np.arange(4).reshape(2, 2, 1), (2, 2, blocks))
+        last = m - 1 - (blocks - 1) * size  # the last block's last step
+        for k in range(size):
+            c0 = dp[0, :, None] + cost[0, :, :, :, k]
+            c1 = dp[1, :, None] + cost[1, :, :, :, k]
+            np.less(c1, c0, out=back[k])
+            dp = np.minimum(c0, c1)
+            origin = np.where(back[k], origin[1, :, None], origin[0, :, None])
+            if k == last:
+                final, final_origin = dp[..., -1], origin[..., -1]
+        dp = final
+    r = 2.0 * e[:, n - 1] - e[:, n - 2, None]
+    # the last pair (c_{n-2}, c_{n-1}) = (a, b) as 2a + b
+    end = int(np.argmin(dp + r * r))
+    choices = np.empty(n, dtype=np.int8)
+    choices[-2:] = divmod(end, 2)
+    if m > 0:
+        # the pair each block ends with, from the last block backwards
+        ends = [end] * blocks
+        if blocks > 1:
+            ends[-2] = int(final_origin.ravel()[end])
+            origin = origin.reshape(4, blocks)
+            for j in range(blocks - 2, 0, -1):
+                ends[j - 1] = int(origin[ends[j], j])
+        back = back.reshape(size, 4, blocks)
+        rows = np.arange(blocks)
+        pair = np.array(ends)
+        pairs = np.empty((size, blocks), dtype=np.int8)
+        for k in range(size - 1, -1, -1):
+            if k == last:
+                pair[-1] = end  # the last block's padding is skipped
+            pair = 2 * back[k, pair, rows] + (pair >> 1)
+            pairs[k] = pair
+        choices[:m] = pairs.T.ravel()[:m] >> 1
     return choices

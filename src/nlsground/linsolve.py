@@ -15,8 +15,10 @@ Jacobian of the partwise system on a frozen sign pattern, solved by a
 pivoted banded LU in 1D and by MINRES preconditioned with the sine
 solve in 2D.  Newton's method on that solve takes the signed ground
 state over from a few fixed-point steps and finishes the 2D nodal one,
-and its solve of -u gives the exact slope of the mass along a branch of
-states.
+reporting why it stopped, and its solve of -u gives the exact slope of
+the mass along a branch of states.  The 1D rounding polish solves the
+same tridiagonal linearization in long double by mixed-precision
+refinement of the banded solve (`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -91,22 +93,34 @@ class OperatorSolver:
         bnorm = np.sqrt(dot(b, b))
         if bnorm == 0.0:
             return np.zeros_like(b)
-        x = self._raw_solve(b)
-        r = b - self.apply(x)
-        rnorm = np.sqrt(dot(r, r))
-        for _ in range(_MAX_REFINE):
-            if rnorm <= _REFINE_TOL * bnorm:
-                break
-            x_new = x + self._raw_solve(r)
-            r_new = b - self.apply(x_new)
-            rnorm_new = np.sqrt(dot(r_new, r_new))
-            if rnorm_new < rnorm:
-                x, r = x_new, r_new
-            # as in LAPACK's xGERFS: go on only while each step halves it
-            if 2.0 * rnorm_new > rnorm:
-                break
-            rnorm = rnorm_new
-        return x
+
+        def residual(x):
+            r = b - self.apply(x)
+            return r, np.sqrt(dot(r, r))
+
+        return _refine(self._raw_solve, residual, self._raw_solve(b),
+                       _REFINE_TOL * bnorm)
+
+
+def _refine(solve, residual, x: np.ndarray, target: float) -> np.ndarray:
+    """Iterative refinement x <- x + solve(r) of an approximate solution.
+
+    residual(x) returns (r, its norm).  Stops once the norm reaches
+    target, after _MAX_REFINE steps, or, as in LAPACK's xGERFS, when a
+    step fails to halve it; a step that lowers it is kept all the same.
+    """
+    r, rnorm = residual(x)
+    for _ in range(_MAX_REFINE):
+        if rnorm <= target:
+            break
+        x_new = x + solve(r)
+        r_new, rnorm_new = residual(x_new)
+        if rnorm_new < rnorm:
+            x, r = x_new, r_new
+        if 2.0 * rnorm_new > rnorm:
+            break
+        rnorm = rnorm_new
+    return x
 
 
 def shifted_solver(grid: Grid, c: float) -> OperatorSolver:
@@ -200,11 +214,8 @@ class _FrozenPartition:
             h2 = g.h[0] * g.h[0]
             off = (np.where(self.cuts[0] > 0.0, 0.0, -1.0 / h2) if self.cuts
                    else -1.0 / h2)
-            jac = np.zeros((3, g.n))
-            jac[0, 1:] = off
-            jac[2, :-1] = off
-            jac[1, :] = 2.0 / h2 + shift
-            return solve_banded((1, 1), jac, b)
+            return solve_banded((1, 1),
+                                _tridiagonal_bands(2.0 / h2 + shift, off), b)
         if self._metric is None:
             self._metric = OperatorSolver(g, max(float(np.max(shift)), 0.0))
 
@@ -222,21 +233,27 @@ def _sign_pattern(v: np.ndarray) -> np.ndarray:
 
 
 def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
-           metric: OperatorSolver | None = None) -> tuple[np.ndarray, float, int]:
+           metric: OperatorSolver | None = None
+           ) -> tuple[np.ndarray, float, int, str]:
     """Newton on the partwise system D u + lam u = |u|^(p-2) u.
 
     D is the stencil cut along u's sign pattern, which stays frozen;
     metric, if given, preconditions the 2D linearized solves.  Returns
-    (best iterate, its residual, steps taken).  Stops once the residual
-    reaches tol, when a step changes the sign of a node, when a step
-    fails to lower the residual, when the linearized solve is singular,
-    or after _NEWTON_STEPS steps.
+    (best iterate, its residual, steps taken, stop reason).  The reason
+    is "tol" once the residual reaches tol, "sign-flip" when a step
+    changes the sign of a node, "stall" when a step fails to lower the
+    residual, "singular" when the linearized solve is singular, and
+    "step-cap" after _NEWTON_STEPS steps.
     """
     sign = _sign_pattern(u)
     frozen = _FrozenPartition(grid, sign, metric)
     r, res = frozen.residual(u, p, lam)
     step = 0
-    while res > tol and step < _NEWTON_STEPS:
+    reason = "tol"
+    while res > tol:
+        if step == _NEWTON_STEPS:
+            reason = "step-cap"
+            break
         step += 1
         # loose solves while far away, and none tighter than the last
         # step needs to land well inside tol
@@ -245,17 +262,20 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
             trial = frozen.solve(lam - (p - 1) * np.abs(u) ** (p - 2),
                                  np.negative(r, out=r), rtol)
         except np.linalg.LinAlgError:
+            reason = "singular"
             break
         del r  # negated in place as the solve's right-hand side
         trial[sign == 0] = 0.0
         trial += u
         if not np.array_equal(_sign_pattern(trial), sign):
+            reason = "sign-flip"
             break
         r_trial, res_trial = frozen.residual(trial, p, lam)
         if not res_trial < res:
+            reason = "stall"
             break
         u, r, res = trial, r_trial, res_trial
-    return u, res, step
+    return u, res, step, reason
 
 
 def _minres(apply, b: np.ndarray, precond, rtol: float,
@@ -313,23 +333,41 @@ def _minres(apply, b: np.ndarray, precond, rtol: float,
 
 def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,
                                  rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm in extended precision for symmetric tridiagonal systems.
+    """Extended-precision solve of a symmetric tridiagonal system.
 
-    Used by the final polishing stage of the 1D solvers, where double
-    precision storage noise limits attainable residuals.  `diag` may vary
-    per node (linearized operators); `off` is the constant off-diagonal.
+    Mixed-precision iterative refinement (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 12): one pivoted banded LU solve in
+    double precision, then `_refine` with the residual formed in long
+    double and each correction solved in double, until the residual's
+    max norm is within long-double precision of the right-hand side's.
+    The pivoting keeps the solve stable on the indefinite linearizations
+    of the 1D rounding polish, where double precision storage noise
+    limits attainable residuals.  `diag` may vary per node (linearized
+    operators); `off` is the off-diagonal.  Returns the solution in long
+    double.
     """
-    n = diag.size
-    dd = np.empty(n, dtype=np.longdouble)
-    bb = np.empty(n, dtype=np.longdouble)
-    dd[0] = diag[0]
-    bb[0] = rhs[0]
-    for i in range(1, n):
-        m = off[i - 1] / dd[i - 1]
-        dd[i] = diag[i] - m * off[i - 1]
-        bb[i] = rhs[i] - m * bb[i - 1]
-    x = np.empty(n, dtype=np.longdouble)
-    x[-1] = bb[-1] / dd[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (bb[i] - off[i] * x[i + 1]) / dd[i]
-    return x
+    bands = _tridiagonal_bands(diag, off)
+
+    def residual(x):
+        # formed in long double, rounded to double for the correction
+        r = rhs - diag * x
+        r[:-1] -= off * x[1:]
+        r[1:] -= off * x[:-1]
+        r = r.astype(np.float64)
+        return r, np.max(np.abs(r))
+
+    def solve(b):
+        return solve_banded((1, 1), bands, b)
+
+    b = rhs.astype(np.float64)
+    return _refine(solve, residual, solve(b).astype(np.longdouble),
+                   np.finfo(np.longdouble).eps * np.max(np.abs(b)))
+
+
+def _tridiagonal_bands(diag, off) -> np.ndarray:
+    """solve_banded's (1, 1) band storage of a symmetric tridiagonal matrix."""
+    bands = np.zeros((3, diag.size))
+    bands[0, 1:] = off
+    bands[2, :-1] = off
+    bands[1] = diag
+    return bands

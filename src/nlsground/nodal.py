@@ -407,7 +407,7 @@ def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
             sign = new_sign
             frozen = _FrozenPartition(grid, sign)
         if settled >= _SETTLED_STEPS:
-            polished, res, steps = newton(grid, u, p, lam, opts.tol)
+            polished, res, steps, _ = newton(grid, u, p, lam, opts.tol)
             newton_steps += steps
             if res <= opts.tol:
                 # the projection scales each part by a positive factor near

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 
 from nlsground import (ActionParams, DomainSpec, Field, InvalidSpec,
-                       LambdaBelowThreshold, NonpositiveQuotient,
-                       SolverOptions, ZeroField, action, build_grid,
-                       dirichlet_eigenpairs, energy, ground_state, kappa,
-                       mass_slope, nehari_project, nehari_scale,
+                       LambdaBelowThreshold, NoConvergence,
+                       NonpositiveQuotient, SolverOptions, ZeroField, action,
+                       build_grid, dirichlet_eigenpairs, energy, ground_state,
+                       kappa, mass_slope, nehari_project, nehari_scale,
                        nodal_ground_state, norms, pde_residual, ray_action)
+from nlsground.action import _viterbi_rounding
 
 from conftest import tridiag_eigenvalue
+
+ACTION = importlib.import_module("nlsground.action")
 
 
 def _phi1(grid):
@@ -215,14 +219,120 @@ def test_newton_finished_state_is_nehari_exact(grid511):
 
 def test_rejected_newton_resumes_fixed_point(monkeypatch):
     # Newton from the fourth step stalls at the rounding floor above tol on
-    # this fine grid, so the fixed point goes on and the rounding polish
-    # finishes; the state is on the manifold all the same
+    # this fine grid, so the rounding polish follows it at once and
+    # finishes without further fixed-point steps; the state is on the
+    # manifold all the same
     grid = build_grid(DomainSpec.interval(0.0, 1.0), 4096)
+    steps = _fixed_point_steps(monkeypatch)
+    st = ground_state(grid, ActionParams(4.0, 100.0))
+    assert len(steps) == 4
+    assert st.residual <= 1e-8
+    assert max(_nehari_gaps(st)) <= 1e-13
+
+
+def test_newton_rejected_without_stall_resumes_fixed_point(monkeypatch):
+    # only a stall sends the switch's Newton on to the rounding polish; a
+    # result rejected for another reason lets the fixed point go on, and
+    # the final stage still polishes its best iterate to tol
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 4096)
+    newton = ACTION.newton
+    monkeypatch.setattr(ACTION, "newton",
+                        lambda *args: newton(*args)[:3] + ("sign-flip",))
     steps = _fixed_point_steps(monkeypatch)
     st = ground_state(grid, ActionParams(4.0, 100.0))
     assert len(steps) > 4
     assert st.residual <= 1e-8
+    assert pde_residual(st.u, st.params) <= 1e-8
     assert max(_nehari_gaps(st)) <= 1e-13
+
+
+def test_fine_grid_rounding_polish_work(monkeypatch):
+    # at n = 32767 Newton stalls at the rounding floor above tol after the
+    # fourth fixed-point step; the rounding polish finishes with its three
+    # long-double solves
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), 32767)
+    solve = ACTION.solve_tridiagonal_longdouble
+    calls = []
+    monkeypatch.setattr(ACTION, "solve_tridiagonal_longdouble",
+                        lambda *args: calls.append(1) or solve(*args))
+    steps = _fixed_point_steps(monkeypatch)
+    st = ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(tol=3.5e-7))
+    assert len(steps) == 4
+    assert len(calls) == 3
+    assert st.residual <= 2.6e-7
+    assert pde_residual(st.u, st.params) == st.residual
+
+
+def _viterbi_reference(eps_lo, eps_hi):
+    """The rounding choices by a scalar dynamic program over choice pairs."""
+    n = eps_lo.size
+    e = (eps_lo.tolist(), eps_hi.tolist())
+    # dp[a][b]: best cost with choice a at node i-1 and b at node i;
+    # the cost of node i couples (i-1, i, i+1), zero padding at the walls.
+    dp = [[0.0, 0.0], [0.0, 0.0]]
+    for a in range(2):
+        for b in range(2):
+            r = 2.0 * e[a][0] - e[b][1]
+            dp[a][b] = r * r
+    back = []
+    for i in range(1, n - 1):
+        ndp = [[0.0, 0.0], [0.0, 0.0]]
+        bk = [[0, 0], [0, 0]]
+        for b in range(2):
+            for c in range(2):
+                r0 = 2.0 * e[b][i] - e[0][i - 1] - e[c][i + 1]
+                r1 = 2.0 * e[b][i] - e[1][i - 1] - e[c][i + 1]
+                c0 = dp[0][b] + r0 * r0
+                c1 = dp[1][b] + r1 * r1
+                if c0 <= c1:
+                    ndp[b][c] = c0
+                    bk[b][c] = 0
+                else:
+                    ndp[b][c] = c1
+                    bk[b][c] = 1
+        dp = ndp
+        back.append(bk)
+    best = np.inf
+    state = (0, 0)
+    for a in range(2):
+        for b in range(2):
+            r = 2.0 * e[b][n - 1] - e[a][n - 2]
+            tot = dp[a][b] + r * r
+            if tot < best:
+                best = tot
+                state = (a, b)
+    choices = np.zeros(n, dtype=np.int8)
+    choices[n - 2], choices[n - 1] = state
+    for i in range(n - 3, -1, -1):
+        choices[i] = back[i][choices[i + 1]][choices[i + 2]]
+    return choices
+
+
+def _rounding_cost(eps_lo, eps_hi, choices):
+    e = np.concatenate(([0.0], np.where(choices == 0, eps_lo, eps_hi), [0.0]))
+    r = 2.0 * e[1:-1] - e[:-2] - e[2:]
+    return float(np.sum(r * r))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 4096])
+@pytest.mark.parametrize("errors", ["random", "symmetric"])
+def test_viterbi_rounding_matches_scalar_reference(n, errors):
+    # errors as the rounding polish makes them: the two neighbouring
+    # doubles of a long-double value lie one ulp apart around it
+    ulp = 2.0 ** -52
+    rng = np.random.default_rng(n)
+    eps_lo = (-ulp * rng.random(n) if errors == "random"
+              else np.full(n, -0.5 * ulp))
+    eps_hi = eps_lo + ulp
+    got = _viterbi_rounding(eps_lo, eps_hi)
+    ref = _viterbi_reference(eps_lo, eps_hi)
+    assert got.dtype == np.int8 and got.shape == (n,)
+    assert _rounding_cost(eps_lo, eps_hi, got) == pytest.approx(
+        _rounding_cost(eps_lo, eps_hi, ref), rel=1e-12)
+    if errors == "random":
+        # the optimum is unique; symmetric errors tie every path with its
+        # flip, so there only the cost is defined
+        assert np.array_equal(got, ref)
 
 
 def test_2d_solve_memory_stays_near_fixed_point(unit_square):
@@ -264,6 +374,19 @@ def test_unscaled_mode_is_not_a_solution(grid255):
     res = pde_residual(phi, ActionParams(4.0, -lam1))
     lp = grid255.lp_p(phi.values, 4.0)
     assert res > 0.1 * lp
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_unreachable_tolerance_names_every_stage(unit_square, grid511, dim):
+    # the error says where the fixed point, Newton and (in 1D) the
+    # rounding polish stopped
+    grid = grid511 if dim == 1 else build_grid(unit_square, 31)
+    with pytest.raises(NoConvergence) as err:
+        ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(tol=1e-16))
+    msg = str(err.value)
+    assert "the fixed point stopped on stall" in msg
+    assert "then Newton on stall" in msg
+    assert ("rounding polish" in msg) == (dim == 1)
 
 
 def test_unreachable_tolerance_is_reported(grid511):
