@@ -2,28 +2,34 @@
 
 The ground state at fixed frequency minimizes the homogeneous quotient
 R(u) = (||grad u||^2 + lambda ||u||^2) / ||u||_p^2 over nonzero fields;
-equivalently, the action constrained to its natural manifold.  The solver
-starts with the normalized fixed-point iteration
+equivalently, the action constrained to its natural manifold.  From a
+cold start the solver begins with the normalized fixed-point iteration
 
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
 along which R is provably nonincreasing but which converges only
 linearly.  After _COLD_STEPS steps Newton's method takes over from the
 iterate's exact scalar normalization onto the constraint manifold (the
-linearized solve of `linsolve`, banded in 1D and MINRES preconditioned
-by the fixed point's own shifted solve in 2D), and its result is
-rescaled exactly onto the manifold.  On fine 1D grids the storage
-rounding of the field itself dominates the attainable residual, and
-Newton stalls there; a stalled Newton above tol goes straight on to the
-rounding polish: long-double Newton steps, each a mixed-precision
-refined solve, and a min-plus Viterbi pass that picks the rounding of
-every node.  A result is kept only if it is one-signed, meets tol and
-does not raise the action; otherwise the fixed point resumes as it was.
-When the fixed point stops above tol, the same Newton stage runs from
-its best iterate and, in 1D, the rounding polish follows whatever
-stopped Newton.  A NoConvergence names where the fixed point, Newton and
-the polish stopped.  The same linearized solve gives the exact slope of
-the mass along the branch of states, `mass_slope`.
+linearized solve of `linsolve`, tridiagonal in 1D and MINRES
+preconditioned by the fixed point's own shifted solve in 2D), and its
+result is rescaled exactly onto the manifold.  A warm start is a
+continuation step: Newton runs at once from the init's normalization,
+typically the tangent predictor u + (lambda - lambda_0) u' of a nearby
+state (`tangent_predictor`), and the fixed point runs only if that
+result is rejected.  On fine 1D grids the storage rounding of the field
+itself dominates the attainable residual, and Newton stalls there; a
+stalled Newton above tol goes straight on to the rounding polish:
+long-double Newton steps, each a mixed-precision refined solve, and a
+min-plus Viterbi pass that picks the rounding of every node.  A result
+is kept only if it is one-signed, meets tol and does not raise the ray
+action of the point Newton started from (the ground state minimizes
+it); otherwise the fixed point resumes as it was.  When the fixed point
+stops above tol, the same Newton stage runs from its best iterate and,
+in 1D, the rounding polish follows whatever stopped Newton.  A
+NoConvergence names where the fixed point, Newton and the polish
+stopped.  The same linearized solve of -u gives the tangent u' of the
+branch of states: the exact slope of the mass, `mass_slope`, and the
+continuation predictor.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ _P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
 _DESCENT_SLACK = 1e-12
 # fixed-point steps from a cold start before Newton is tried
 _COLD_STEPS = 4
-# relative preconditioned residual of the 2D tangent solve in mass_slope
+# relative preconditioned residual of the 2D tangent solve: tight for the
+# exact mass slope, loose for the continuation predictor Newton corrects
 _SLOPE_RTOL = 1e-12
+_PREDICTOR_RTOL = 1e-4
 # a frequency must clear an existence threshold -lambda_k by this fraction
 # of lambda_k (the signed solver by lambda_1, the nodal one by lambda_2)
 THRESHOLD_MARGIN = 1e-6
@@ -208,16 +216,19 @@ def ground_state(grid: Grid, params: ActionParams,
                  init_field: Field | None = None) -> GroundState:
     """Signed action ground state at fixed frequency.
 
-    Requires lambda above threshold_floor(lambda_1).  Runs at most
-    _COLD_STEPS fixed-point steps from the first eigenmode (or from
+    Requires lambda above threshold_floor(lambda_1).  With init_field
+    (a warm start) Newton runs at once from |init_field| scaled onto the
+    manifold; without it, or if that result is rejected, at most
+    _COLD_STEPS fixed-point steps run from the first eigenmode (or from
     |init_field|), then Newton from the normalized iterate (in 1D, and
     if it stalls above tol, the rounding polish); the fixed point
     resumes only if that result is rejected (see the module docstring).
-    The returned state satisfies the manifold identity to
-    machine precision and the PDE residual to opts.tol; NoConvergence is
-    raised if the residual cannot reach tol (on fine grids with default
-    tol this can only happen when the rounding floor of stored doubles
-    exceeds tol).
+    The shifted operator is factored only when the fixed point runs or
+    in 2D, where it preconditions Newton.  The returned state satisfies
+    the manifold identity to machine precision and the PDE residual to
+    opts.tol; NoConvergence is raised if the residual cannot reach tol
+    (on fine grids with default tol this can only happen when the
+    rounding floor of stored doubles exceeds tol).
     """
     opts = opts or SolverOptions()
     p, lam = params.p, params.lam
@@ -228,17 +239,30 @@ def ground_state(grid: Grid, params: ActionParams,
         raise LambdaBelowThreshold(
             f"lambda={lam} at or below -lambda_1 + margin = {floor:.6g}")
 
-    solver = shifted_solver(grid, lam)
-    u = _initial_vector(grid, init_field)
+    u, warm = _initial_vector(grid, init_field)
     u = u / grid.lp_p(u, p) ** (1.0 / p)
 
     # in 1D a Newton stall above tol is the rounding floor of stored
-    # doubles, which only the rounding polish gets below
+    # doubles, which only the rounding polish gets below; 1D Newton
+    # factors nothing, 2D Newton preconditions with the fixed point's solve
     one_d = grid.dimension == 1
+    solver = None if one_d else shifted_solver(grid, lam)
+    newton_steps = 0
+    if warm:
+        # a continuation step: Newton at once from the Nehari-scaled init
+        vals, res, kept, newton_steps, _ = _polish(
+            grid, nehari_scale(Field(grid, u), params) * u, p, lam, opts.tol,
+            solver, _ray_action_vals(grid, u, p, lam),
+            rounding="stall" if one_d else None)
+        if kept:
+            return finalize_state(grid, vals, params, res, newton_steps)
+        del vals  # the fixed point starts from the init as a cold one would
+    if solver is None:
+        solver = shifted_solver(grid, lam)
     best_vals = None
     best_res = np.inf
     r_prev = np.inf
-    iterations = newton_steps = 0
+    iterations = 0
     stop = "max_iter"
     for iterations in range(1, opts.max_iter + 1):
         # the right-hand side |u|^(p-2) u lives only for the solve
@@ -309,17 +333,40 @@ def ground_state(grid: Grid, params: ActionParams,
 def mass_slope(state: GroundState) -> float:
     """Exact derivative of the mass along the branch through state.
 
-    The branch keeps the state's sign pattern.  Differentiating its
-    partwise system in lambda gives L u' = -u, with L the linearization
-    Newton uses, and the mass h^N <u, u> changes at the rate
-    2 h^N <u, u'>.  For a ground state the mass is twice the derivative
-    of the level, so this is twice its second derivative.
+    The branch keeps the state's sign pattern, and the mass h^N <u, u>
+    changes along it at the rate 2 h^N <u, u'> (see `_tangent`).  For a
+    ground state the mass is twice the derivative of the level, so this
+    is twice its second derivative.
+    """
+    u = state.u.values
+    return 2.0 * state.u.grid.weight * dot(u, _tangent(state, _SLOPE_RTOL))
+
+
+def tangent_predictor(state: GroundState, lam: float) -> Field:
+    """Euler predictor u + (lam - lambda) u' of the branch through state.
+
+    The start of a continuation step to frequency lam (Keller 1977;
+    Allgower and Georg, Numerical Continuation Methods, 1990), which
+    `ground_state` hands straight to Newton; the 2D tangent solve is
+    loose, as Newton corrects the predictor anyway.
+    """
+    du = _tangent(state, _PREDICTOR_RTOL)
+    du *= lam - state.params.lam
+    du += state.u.values
+    return Field(state.u.grid, du)
+
+
+def _tangent(state: GroundState, rtol: float) -> np.ndarray:
+    """u', the derivative in lambda of the state along its branch.
+
+    Differentiating the branch's partwise system in lambda gives
+    L u' = -u, with L the linearization Newton uses; rtol is the relative
+    residual of the 2D MINRES solve (the 1D solve is direct).
     """
     grid, u = state.u.grid, state.u.values
     p, lam = state.params.p, state.params.lam
-    du = _FrozenPartition(grid, np.sign(u)).solve(
-        lam - (p - 1) * np.abs(u) ** (p - 2), -u, _SLOPE_RTOL)
-    return 2.0 * grid.weight * dot(u, du)
+    return _FrozenPartition(grid, np.sign(u)).solve(
+        lam - (p - 1) * np.abs(u) ** (p - 2), -u, rtol)
 
 
 def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
@@ -353,15 +400,17 @@ def _res_norm(grid: Grid, vals: np.ndarray, p: float, lam: float) -> float:
     return float(np.sqrt(grid.weight * dot(r, r)))
 
 
-def _initial_vector(grid: Grid, init_field: Field | None) -> np.ndarray:
+def _initial_vector(grid: Grid,
+                    init_field: Field | None) -> tuple[np.ndarray, bool]:
+    """|init_field| and True, or the first eigenmode and False."""
     if init_field is not None:
         if init_field.grid != grid:
             raise InvalidSpec("initial field lives on a different grid")
         vals = np.abs(init_field.values)
         if np.max(vals) > 0.0:
-            return vals.copy()
+            return vals, True
     pair = spectral.dirichlet_eigenpairs(grid, 1)[0]
-    return pair.vector.values.copy()
+    return pair.vector.values.copy(), False
 
 
 # -- residual polishing ------------------------------------------------

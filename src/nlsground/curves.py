@@ -2,15 +2,18 @@
 
 A sweep solves the signed or sign-changing problem along an ascending
 frequency list with warm starts, recording the level, the mass and a
-central-difference derivative.  The derivative carries the mass law
-(twice the derivative of the level equals the ground-state mass wherever
-the level is differentiable), the supremum of the mass along the curve
-is the finite mass threshold in the critical and supercritical regimes,
-located as the zero of the exact mass slope (`mass_slope`) by safeguarded
-secant steps, and the large-frequency trend of level/frequency separates
-the three regimes.  Warm/cold disagreements are flagged rather than
-resolved: the level may genuinely have countably many kinks where the
-minimizer jumps.
+central-difference derivative.  A warm signed solve, in a sweep and in
+the secant refinements built on warm solves, is an Euler-Newton
+continuation step: Newton starts from the tangent predictor
+u + (lambda - lambda_0) u' of the previous state (`tangent_predictor`).
+The derivative carries the mass law (twice the derivative of the level
+equals the ground-state mass wherever the level is differentiable), the
+supremum of the mass along the curve is the finite mass threshold in the
+critical and supercritical regimes, located as the zero of the exact
+mass slope (`mass_slope`) by safeguarded secant steps, and the
+large-frequency trend of level/frequency separates the three regimes.
+Warm/cold disagreements are flagged rather than resolved: the level may
+genuinely have countably many kinks where the minimizer jumps.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import spectral
 from .action import (ActionParams, GroundState, SolverOptions, ground_state,
-                     mass_slope)
+                     mass_slope, tangent_predictor)
 from .errors import (InsufficientRange, InvalidSpec, NlsgroundError,
                      NoConvergence, NotCritical)
 from .grid import DomainSpec, Grid, build_grid
@@ -69,7 +72,8 @@ def _solve_one(grid: Grid, p: float, lam: float, kind: str,
                opts: SolverOptions, warm_state: GroundState | None):
     params = ActionParams(p, lam)
     if kind == "signed":
-        init = warm_state.u if warm_state is not None else None
+        init = (tangent_predictor(warm_state, lam) if warm_state is not None
+                else None)
         return ground_state(grid, params, opts, init_field=init)
     hint = warm_state.interface_index if warm_state is not None else None
     init = warm_state.u if warm_state is not None else None
@@ -89,6 +93,9 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
           opts: SolverOptions | None = None) -> LevelCurve:
     """Level curve along an ascending frequency list, warm-started.
 
+    A signed sample starts Newton from the tangent predictor of the
+    previous sample's state (see `_solve_one`); a nodal one hands that
+    state to `nodal_ground_state` as its warm start and interface hint.
     Every 10th sample (from the first) is re-solved from the default
     initialization; a relative disagreement in the level above 1e-6
     flags the sample as a possible branch/jump point and the lower level

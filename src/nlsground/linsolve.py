@@ -11,21 +11,22 @@ with how every other module measures them.  Solves are bitwise
 deterministic for fixed inputs.
 
 The same module holds the one linearized solve the package uses: the
-Jacobian of the partwise system on a frozen sign pattern, solved by a
-pivoted banded LU in 1D and by MINRES preconditioned with the sine
-solve in 2D.  Newton's method on that solve takes the signed ground
-state over from a few fixed-point steps and finishes the 2D nodal one,
-reporting why it stopped, and its solve of -u gives the exact slope of
-the mass along a branch of states.  The 1D rounding polish solves the
-same tridiagonal linearization in long double by mixed-precision
-refinement of the banded solve (`solve_tridiagonal_longdouble`).
+Jacobian of the partwise system on a frozen sign pattern, solved by
+LAPACK's pivoted tridiagonal dgtsv in 1D and by MINRES preconditioned
+with the sine solve in 2D.  Newton's method on that solve finishes the
+signed ground state (from a few fixed-point steps, or at once from a
+continuation predictor) and the 2D nodal one, reporting why it stopped,
+and its solve of -u gives the tangent of a branch of states: the exact
+slope of the mass and the predictor of the next continuation step.  The
+1D rounding polish solves the same tridiagonal linearization in long
+double by mixed-precision refinement of dgtsv
+(`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import spectral
 from .errors import NoConvergence
@@ -202,7 +203,7 @@ class _FrozenPartition:
 
         The linearization of the partwise system has shift
         lambda - (p-1)|u|^(p-2) and is generally indefinite.  In 1D it is
-        tridiagonal and solved by a pivoted banded LU.  In 2D it is solved
+        tridiagonal and solved by `_tridiagonal_solve`.  In 2D it is solved
         by MINRES to the relative preconditioned residual rtol.  Without
         a metric the preconditioner is the sine solve of
         A + max(shift, 0) I (the largest shift is lambda up to the
@@ -213,9 +214,8 @@ class _FrozenPartition:
         if g.dimension == 1:
             h2 = g.h[0] * g.h[0]
             off = (np.where(self.cuts[0] > 0.0, 0.0, -1.0 / h2) if self.cuts
-                   else -1.0 / h2)
-            return solve_banded((1, 1),
-                                _tridiagonal_bands(2.0 / h2 + shift, off), b)
+                   else np.full(g.n - 1, -1.0 / h2))
+            return _tridiagonal_solve(2.0 / h2 + shift, off, b)
         if self._metric is None:
             self._metric = OperatorSolver(g, max(float(np.max(shift)), 0.0))
 
@@ -336,17 +336,17 @@ def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,
     """Extended-precision solve of a symmetric tridiagonal system.
 
     Mixed-precision iterative refinement (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 12): one pivoted banded LU solve in
-    double precision, then `_refine` with the residual formed in long
-    double and each correction solved in double, until the residual's
-    max norm is within long-double precision of the right-hand side's.
-    The pivoting keeps the solve stable on the indefinite linearizations
-    of the 1D rounding polish, where double precision storage noise
-    limits attainable residuals.  `diag` may vary per node (linearized
-    operators); `off` is the off-diagonal.  Returns the solution in long
-    double.
+    of Numerical Algorithms, ch. 12): one pivoted solve in double
+    precision (`_tridiagonal_solve`), then `_refine` with the residual
+    formed in long double and each correction solved in double, until
+    the residual's max norm is within long-double precision of the
+    right-hand side's.  The pivoting keeps the solve stable on the
+    indefinite linearizations of the 1D rounding polish, where double
+    precision storage noise limits attainable residuals.  `diag` may vary
+    per node (linearized operators); `off` is the off-diagonal.  Returns
+    the solution in long double.
     """
-    bands = _tridiagonal_bands(diag, off)
+    dl, d = off.astype(np.float64), diag.astype(np.float64)
 
     def residual(x):
         # formed in long double, rounded to double for the correction
@@ -357,17 +357,23 @@ def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,
         return r, np.max(np.abs(r))
 
     def solve(b):
-        return solve_banded((1, 1), bands, b)
+        return _tridiagonal_solve(d, dl, b)
 
     b = rhs.astype(np.float64)
     return _refine(solve, residual, solve(b).astype(np.longdouble),
                    np.finfo(np.longdouble).eps * np.max(np.abs(b)))
 
 
-def _tridiagonal_bands(diag, off) -> np.ndarray:
-    """solve_banded's (1, 1) band storage of a symmetric tridiagonal matrix."""
-    bands = np.zeros((3, diag.size))
-    bands[0, 1:] = off
-    bands[2, :-1] = off
-    bands[1] = diag
-    return bands
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """x with T x = b, T symmetric tridiagonal, by LAPACK's dgtsv.
+
+    Gaussian elimination with partial pivoting, stable on indefinite T;
+    a singular T raises np.linalg.LinAlgError.  The inputs are left
+    unchanged.
+    """
+    x, info = dgtsv(off, diag, off, b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular tridiagonal matrix (pivot {info})")
+    return x

@@ -13,7 +13,7 @@ from nlsground import (ActionParams, DomainSpec, Field, InvalidSpec,
                        build_grid, dirichlet_eigenpairs, energy, ground_state,
                        kappa, mass_slope, nehari_project, nehari_scale,
                        nodal_ground_state, norms, pde_residual, ray_action)
-from nlsground.action import _viterbi_rounding
+from nlsground.action import _viterbi_rounding, tangent_predictor
 
 from conftest import tridiag_eigenvalue
 
@@ -215,6 +215,71 @@ def test_newton_finished_state_is_nehari_exact(grid511):
     j_gap, nehari_gap = _nehari_gaps(st)
     assert j_gap <= 1e-12
     assert nehari_gap <= 1e-13
+
+
+def _factorizations(monkeypatch):
+    """Counter of shifted-operator factorizations."""
+    from nlsground.linsolve import OperatorSolver
+
+    calls = []
+    factorize = OperatorSolver._factorize
+    monkeypatch.setattr(OperatorSolver, "_factorize",
+                        lambda self: calls.append(1) or factorize(self))
+    return calls
+
+
+def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
+    # from its own converged state a warm solve is a continuation step of
+    # length zero: Newton accepts the init, no fixed-point step runs and
+    # in 1D nothing is factored
+    params = ActionParams(4.0, 10.0)
+    st = ground_state(grid255, params)
+    steps = _fixed_point_steps(monkeypatch)
+    factored = _factorizations(monkeypatch)
+    warm = ground_state(grid255, params, init_field=st.u)
+    assert steps == [] and factored == []
+    assert warm.iterations <= 1
+    assert warm.action_value == pytest.approx(st.action_value, rel=1e-12)
+    assert warm.residual <= 1e-8
+
+
+def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
+    # a warm Newton result that does not meet tol is dropped, and the
+    # fixed point runs from the init as it would from a cold start
+    params = ActionParams(4.0, 10.0)
+    cold = ground_state(grid255, params)
+    newton = ACTION.newton
+    calls = []
+
+    def first_makes_no_step(grid, u, *args):
+        calls.append(1)
+        if len(calls) == 1:
+            return u, np.inf, 0, "sign-flip"
+        return newton(grid, u, *args)
+
+    monkeypatch.setattr(ACTION, "newton", first_makes_no_step)
+    steps = _fixed_point_steps(monkeypatch)
+    init = Field(grid255, cold.u.values * (1.0 + 0.2 * grid255.coords[0]))
+    st = ground_state(grid255, params, init_field=init)
+    assert len(calls) == 2 and len(steps) == 4
+    assert st.residual <= 1e-8
+    assert st.action_value == pytest.approx(cold.action_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tangent_predictor_is_second_order(unit_interval, unit_square, dim):
+    # the Euler predictor misses the branch by O(dlambda^2): halving the
+    # step quarters the error
+    grid = (build_grid(unit_interval, 255) if dim == 1
+            else build_grid(unit_square, 31))
+    p, lam, tight = 4.0, 10.0, SolverOptions(tol=1e-10)
+    st = ground_state(grid, ActionParams(p, lam), tight)
+    errors = []
+    for step in (0.4, 0.2):
+        exact = ground_state(grid, ActionParams(p, lam + step), tight).u.values
+        guess = tangent_predictor(st, lam + step).values
+        errors.append(np.max(np.abs(guess - exact)))
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_rejected_newton_resumes_fixed_point(monkeypatch):

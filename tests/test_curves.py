@@ -36,6 +36,23 @@ def test_sweep_warm_matches_cold(grid255, signed_curve_p4):
         assert signed_curve_p4.J[i] == pytest.approx(cold.action_value, rel=1e-9)
 
 
+def test_sweep_continuation_work(signed_curve_p4):
+    # every warm sample is an Euler-Newton continuation step of about two
+    # Newton steps; the fixed point runs only on cold solves
+    assert sum(st.iterations for st in signed_curve_p4.states) <= 200
+
+
+def test_2d_signed_sweep_matches_cold(unit_square):
+    from nlsground import build_grid, ground_state
+    grid = build_grid(unit_square, 31)
+    lams = np.linspace(-lambda1(grid) + 1.0, 60.0, 10)
+    cur = sweep(grid, 4.0, lams, "signed")
+    assert set(cur.flags) == {"ok"}
+    for i in (3, 8):
+        cold = ground_state(grid, ActionParams(4.0, lams[i]))
+        assert cur.J[i] == pytest.approx(cold.action_value, rel=1e-9)
+
+
 def test_sweep_validation(grid255):
     with pytest.raises(ValueError):
         sweep(grid255, 4.0, [2.0, 1.0], "signed")

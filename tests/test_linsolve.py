@@ -5,7 +5,7 @@ from scipy.linalg.lapack import dpttrf
 from nlsground import (ActionParams, DomainSpec, NoConvergence, build_grid,
                        ground_state, lambda1)
 from nlsground import linsolve
-from nlsground.linsolve import (newton, shifted_solver,
+from nlsground.linsolve import (_tridiagonal_solve, newton, shifted_solver,
                                 solve_tridiagonal_longdouble)
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
@@ -136,3 +136,32 @@ def test_newton_names_its_stop(grid511, monkeypatch):
     v[0] = -1e-3
     out, _, steps, reason = newton(grid511, v, p, lam, 1e-16)
     assert reason == "sign-flip" and steps == 1 and np.array_equal(out, v)
+
+
+def test_tridiagonal_solve_matches_dense_on_indefinite_system():
+    rng = np.random.default_rng(3)
+    n = 255
+    diag = 3.0 * rng.standard_normal(n)
+    off = rng.standard_normal(n - 1)
+    b = rng.standard_normal(n)
+    kept = (diag.copy(), off.copy(), b.copy())
+    x = _tridiagonal_solve(diag, off, b)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert all(np.array_equal(a, k) for a, k in zip((diag, off, b), kept))
+
+
+def test_singular_linearization_is_reported(unit_interval):
+    # an exactly singular tridiagonal system raises LinAlgError ...
+    with pytest.raises(np.linalg.LinAlgError):
+        _tridiagonal_solve(np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0]),
+                           np.ones(3))
+    # ... and Newton names it: the zero middle node is cut from both of
+    # its neighbours, and lambda = -2/h^2 zeroes its diagonal entry
+    grid = build_grid(unit_interval, 3)
+    lam = -2.0 / grid.h[0] ** 2
+    u = np.array([1.0, 0.0, 1.0])
+    out, _, steps, reason = newton(grid, u, 4.0, lam, 1e-8)
+    assert (steps, reason) == (1, "singular")
+    assert np.array_equal(out, u)
