@@ -12,11 +12,11 @@ from .curves import (AsymptoticReport, DerivativeMassReport, ExhaustionReport,
                      critical_exponent, derivative_mass_check, estimate_mu_N,
                      exhaustion_test, mass_growth_exponent, mass_threshold,
                      resolution_matched_factory, sweep)
-from .errors import (CertificationFailed, DegeneratePart, GridMismatch,
-                     InsufficientRange, InvalidSpec, LambdaBelowThreshold,
-                     MassAboveBarMu, MassOutOfRange, NlsgroundError,
-                     NoBracket, NoConvergence, NonpositiveQuotient,
-                     NotCritical, NotSignChanging, NotStarShaped, ZeroField)
+from .errors import (CertificationFailed, GridMismatch, InsufficientRange,
+                     InvalidSpec, LambdaBelowThreshold, MassAboveBarMu,
+                     MassOutOfRange, NlsgroundError, NoBracket, NoConvergence,
+                     NonpositiveQuotient, NotCritical, NotSignChanging,
+                     NotStarShaped, ZeroField)
 from .grid import (DomainSpec, Field, Grid, apply_laplacian, build_grid,
                    load_field, node_count, norms, save_field, split)
 from .nodal import (NodalCandidate, nodal_action_of, nodal_ground_state,

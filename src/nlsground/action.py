@@ -29,7 +29,10 @@ in 1D, the rounding polish follows whatever stopped Newton.  A
 NoConvergence names where the fixed point, Newton and the polish
 stopped.  The same linearized solve of -u gives the tangent u' of the
 branch of states: the exact slope of the mass, `mass_slope`, and the
-continuation predictor.
+continuation predictor.  The 2D nodal solver runs the same fixed point
+and Newton on the fields that are odd under a reflection of the box,
+where one-signed means one-signed on each side of the reflection's
+fixed line.
 """
 
 from __future__ import annotations
@@ -78,8 +81,9 @@ class SolverOptions:
     """Knobs shared by the ground-state solvers.
 
     tol is the absolute norm the PDE residual must reach and max_iter
-    caps the iterations of one solve.  seed reaches only the "random"
-    start of the 2D nodal descent.
+    caps the iterations of one solve.  No solver draws random numbers,
+    so seed reaches nothing; it is kept because the benchmark's workloads
+    (perfbench/workloads.py) still pass it.
     """
 
     tol: float = 1e-8
@@ -101,10 +105,11 @@ class GroundState:
     sign parts and interface_index the zero node (1-based, 1D only).
     multistart lists (label, action) for every converged start: in 1D the
     one interface walk ("midpoint", or "hint" when warm), in 2D each
-    descent start.  iterations counts the solver's steps: for a signed
-    state its fixed-point steps plus its Newton steps, rejected ones
-    included; for a nodal state the descent and Newton steps of every
-    start in 2D, and the interface positions evaluated in 1D.
+    reflection whose state has two nodal domains ("diagonal", "midline"),
+    or "warm".  iterations counts the solver's steps: for a signed state
+    its fixed-point steps plus its Newton steps, rejected ones included;
+    for a nodal state the same over every start in 2D, and the interface
+    positions evaluated in 1D.
     """
 
     u: Field
@@ -242,9 +247,8 @@ def ground_state(grid: Grid, params: ActionParams,
     u, warm = _initial_vector(grid, init_field)
     u = u / grid.lp_p(u, p) ** (1.0 / p)
 
-    # in 1D a Newton stall above tol is the rounding floor of stored
-    # doubles, which only the rounding polish gets below; 1D Newton
-    # factors nothing, 2D Newton preconditions with the fixed point's solve
+    # 1D Newton factors nothing, 2D Newton preconditions with the fixed
+    # point's solve
     one_d = grid.dimension == 1
     solver = None if one_d else shifted_solver(grid, lam)
     newton_steps = 0
@@ -257,6 +261,30 @@ def ground_state(grid: Grid, params: ActionParams,
         if kept:
             return finalize_state(grid, vals, params, res, newton_steps)
         del vals  # the fixed point starts from the init as a cold one would
+    vals, res, iterations = _fixed_point_newton(grid, params, opts, u, solver,
+                                                newton_steps)
+    return finalize_state(grid, vals, params, res, iterations)
+
+
+def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
+                        u: np.ndarray, solver, newton_steps: int = 0,
+                        half=slice(None)) -> tuple[np.ndarray, float, int]:
+    """The normalized fixed point from u, with Newton after _COLD_STEPS.
+
+    u has unit L^p norm.  solver is the OperatorSolver of A + lambda I,
+    or None to factor it here; one restricted to a reflection's odd
+    fields keeps every iterate odd.  A Newton result is kept only if it
+    is nonnegative on the nodes half selects (every node for a signed
+    state), meets tol and does not raise the ray action (see the module
+    docstring).  newton_steps counts steps taken before the call.
+    Returns (values, residual, fixed-point plus Newton steps), or raises
+    NoConvergence naming where the fixed point, Newton and the polish
+    stopped.
+    """
+    p, lam = params.p, params.lam
+    # in 1D a Newton stall above tol is the rounding floor of stored
+    # doubles, which only the rounding polish gets below
+    one_d = grid.dimension == 1
     if solver is None:
         solver = shifted_solver(grid, lam)
     best_vals = None
@@ -301,7 +329,7 @@ def ground_state(grid: Grid, params: ActionParams,
         if iterations == _COLD_STEPS:
             vals, res, kept, steps, _ = _polish(
                 grid, w_vals, p, lam, opts.tol, solver, j_now,
-                rounding="stall" if one_d else None)
+                rounding="stall" if one_d else None, half=half)
             newton_steps += steps
             if kept:
                 best_vals, best_res = vals, res
@@ -313,21 +341,20 @@ def ground_state(grid: Grid, params: ActionParams,
     if best_res > opts.tol:
         vals, res, kept, steps, last = _polish(
             grid, best_vals, p, lam, opts.tol, solver, best_j,
-            rounding="any" if one_d else None)
+            rounding="any" if one_d else None, half=half)
         newton_steps += steps
         if not kept:
             why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
                    if res > opts.tol else
-                   f"Newton's state (residual {res:.3e}) is not one-signed "
-                   "or raises the action")
+                   f"Newton's state (residual {res:.3e}) has a node of the "
+                   "wrong sign or raises the action")
             raise NoConvergence(
                 f"{why} after {iterations} fixed-point and {newton_steps} "
                 f"Newton iterations; the fixed point stopped on {stop}, "
                 f"then {last} (p={p}, lambda={lam}, n={grid.n})")
         best_vals, best_res = vals, res
 
-    return finalize_state(grid, best_vals, params, best_res,
-                          iterations + newton_steps)
+    return best_vals, best_res, iterations + newton_steps
 
 
 def mass_slope(state: GroundState) -> float:
@@ -359,7 +386,7 @@ def tangent_predictor(state: GroundState, lam: float) -> Field:
 def _tangent(state: GroundState, rtol: float) -> np.ndarray:
     """u', the derivative in lambda of the state along its branch.
 
-    Differentiating the branch's partwise system in lambda gives
+    Differentiating the branch's system (zero nodes pinned) in lambda gives
     L u' = -u, with L the linearization Newton uses; rtol is the relative
     residual of the 2D MINRES solve (the 1D solve is direct).
     """
@@ -370,18 +397,11 @@ def _tangent(state: GroundState, rtol: float) -> np.ndarray:
 
 
 def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
-                   residual: float, iterations: int,
-                   action_override: float | None = None,
-                   **extra) -> GroundState:
-    """Assemble a GroundState record from converged values.
-
-    action_override carries the partwise value for sign-changing fields
-    whose supports touch on the lattice: there the raw functional picks
-    up spurious interface coupling that the partwise problem excludes.
-    """
+                   residual: float, iterations: int, **extra) -> GroundState:
+    """Assemble a GroundState record from converged values."""
     field = Field(grid, vals)
     mass = grid.l2_sq(vals)
-    j = action(field, params) if action_override is None else action_override
+    j = action(field, params)
     return GroundState(
         u=field,
         params=params,
@@ -417,17 +437,16 @@ def _initial_vector(grid: Grid,
 
 
 def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float, tol: float,
-            solver, j_ref: float, rounding: str | None):
+            solver, j_ref: float, rounding: str | None, half=slice(None)):
     """Newton from vals, then the exact rescale onto the manifold.
 
     A result still above tol goes on to the extended-precision rounding
     polish when rounding is "any", or names Newton's stop reason (see
     `linsolve.newton`).  Returns (values, residual, kept, Newton steps,
-    last stage): kept says the result is one-signed, meets tol and has a
-    ray action at most j_ref (1 + 1e-12); the last stage names Newton's
-    stop reason and whether the rounding polish ran.
+    last stage): kept says the result is nonnegative on half, meets tol
+    and has a ray action at most j_ref (1 + 1e-12); the last stage names
+    Newton's stop reason and whether the rounding polish ran.
     """
-    # on a positive field the partwise residual is the full one
     out, res, steps, reason = newton(grid, vals, p, lam, tol, solver)
     last = f"Newton on {reason}"
     lp = grid.lp_p(out, p)
@@ -437,7 +456,7 @@ def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float, tol: float,
     if res > tol and rounding in ("any", reason):
         out, res = _rounding_polish(grid, out, p, lam, res)
         last += " and the rounding polish"
-    kept = (res <= tol and np.min(out) >= 0.0
+    kept = (res <= tol and np.min(out[half]) >= 0.0
             and _ray_action_vals(grid, out, p, lam) <= j_ref * (1.0 + 1e-12))
     return out, res, kept, steps, last
 

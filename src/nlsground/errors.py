@@ -46,10 +46,6 @@ class NotSignChanging(NlsgroundError):
     """A nodal operation received a field without both signs."""
 
 
-class DegeneratePart(NlsgroundError):
-    """A sign part collapsed below the configured norm floor during descent."""
-
-
 class MassOutOfRange(NlsgroundError):
     """Prescribed mass exceeds the attainable mass threshold."""
 

@@ -5,22 +5,24 @@ structure directly: in 1D A + c I is symmetric tridiagonal and is
 factored once by LAPACK's LDL^T (dpttrf/dpttrs); in 2D it is diagonal in
 the discrete sine basis, and a solve is a sine transform, a division by
 the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform.
-Both are followed by iterative refinement against the stencil evaluation
-used everywhere else in the package, so solve residuals are consistent
-with how every other module measures them.  Solves are bitwise
-deterministic for fixed inputs.
+A 2D solve may be restricted to the fields that are odd under a
+reflection of the box, which commutes with A: each solve is then
+projected onto them.  Both are followed by iterative refinement against
+the stencil evaluation used everywhere else in the package, so solve
+residuals are consistent with how every other module measures them.
+Solves are bitwise deterministic for fixed inputs.
 
 The same module holds the one linearized solve the package uses: the
-Jacobian of the partwise system on a frozen sign pattern, solved by
-LAPACK's pivoted tridiagonal dgtsv in 1D and by MINRES preconditioned
-with the sine solve in 2D.  Newton's method on that solve finishes the
-signed ground state (from a few fixed-point steps, or at once from a
-continuation predictor) and the 2D nodal one, reporting why it stopped,
-and its solve of -u gives the tangent of a branch of states: the exact
-slope of the mass and the predictor of the next continuation step.  The
-1D rounding polish solves the same tridiagonal linearization in long
-double by mixed-precision refinement of dgtsv
-(`solve_tridiagonal_longdouble`).
+Jacobian of D u + lambda u = |u|^(p-2) u, D the stencil with a field's
+zero nodes pinned, solved by LAPACK's pivoted tridiagonal dgtsv in 1D
+and by MINRES preconditioned with the sine solve in 2D.  Newton's method
+on that solve finishes the signed ground state (from a few fixed-point
+steps, or at once from a continuation predictor) and the 2D nodal one,
+reporting why it stopped, and its solve of -u gives the tangent of a
+branch of states: the exact slope of the mass and the predictor of the
+next continuation step.  The 1D rounding polish solves the same
+tridiagonal linearization in long double by mixed-precision refinement
+of dgtsv (`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -49,19 +51,26 @@ class OperatorSolver:
     """Repeated solves of (A + c I) x = b on one grid.
 
     c must keep the operator positive definite (c > -lambda_1 of the
-    discrete Laplacian); NoConvergence is raised otherwise.
+    discrete Laplacian); NoConvergence is raised otherwise.  reflect, on
+    a 2D grid, maps an n x n array to its mirror image under a reflection
+    of the box whose odd fields start at lambda_2 (the transpose of a
+    square, or the flip of the longer axis); every solve is then
+    projected onto those odd fields, (x - R x) / 2, and c need only
+    exceed -lambda_2.
     """
 
-    def __init__(self, grid: Grid, c: float):
+    def __init__(self, grid: Grid, c: float, reflect=None):
         self.grid = grid
         self.c = float(c)
+        self.reflect = reflect
         self._factorize()
 
     def _factorize(self):
         g = self.grid
-        # the closed-form lambda_1 decides c = -lambda_1 exactly, where a
+        # the closed-form eigenvalue decides c = -lambda_k exactly, where a
         # factorization would only see rounding noise
-        definite = self.c > -spectral.lambda1(g)
+        bottom = spectral.lambda1(g) if self.reflect is None else spectral.lambda2(g)
+        definite = self.c > -bottom
         if definite and g.dimension == 1:
             h2 = g.h[0] * g.h[0]
             d, e, info = dpttrf(np.full(g.n, 2.0 / h2 + self.c),
@@ -87,7 +96,10 @@ class OperatorSolver:
             return dpttrs(d, e, b)[0]
         x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
         x *= self._factor
-        return _dst2(x, x).reshape(-1)
+        x = _dst2(x, x)
+        if self.reflect is not None:
+            x = odd_part(x, self.reflect)
+        return x.reshape(-1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve, refined toward relative residual _REFINE_TOL."""
@@ -124,9 +136,16 @@ def _refine(solve, residual, x: np.ndarray, target: float) -> np.ndarray:
     return x
 
 
-def shifted_solver(grid: Grid, c: float) -> OperatorSolver:
-    """OperatorSolver for A + c I on grid."""
-    return OperatorSolver(grid, c)
+def shifted_solver(grid: Grid, c: float, reflect=None) -> OperatorSolver:
+    """OperatorSolver for A + c I on grid, on reflect's odd fields if given."""
+    return OperatorSolver(grid, c, reflect)
+
+
+def odd_part(x: np.ndarray, reflect) -> np.ndarray:
+    """(x - R x) / 2 for an n x n array x; exactly zero on R's fixed nodes."""
+    out = x - reflect(x)
+    out *= 0.5
+    return out
 
 
 def _dst2(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -152,24 +171,26 @@ def _dst2(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _FrozenPartition:
-    """The stencil with every edge between nodes of different sign cut.
+    """The stencil with every edge that touches a zero node cut.
 
-    Each sign part then sees the other, and any zero node, as a Dirichlet
-    zero: applied to a field with this sign pattern it gives the operator
-    of the partwise system, and a one-signed field without zero nodes
-    gets the plain stencil (and no cut arrays are stored).  It is
-    symmetric, so the Jacobian of the partwise system is too.  metric,
-    when given, is the OperatorSolver that preconditions the 2D solves.
+    The zero nodes are pinned: each sees only its own diagonal, and no
+    other node sees them, which on a field that vanishes there is the
+    plain stencil.  Edges between nodes of opposite sign keep their
+    coupling.  A field without zero nodes gets the plain stencil (and no
+    cut arrays are stored).  It is symmetric, so the Jacobian of its
+    system is too.  metric, when given, is the OperatorSolver that
+    preconditions the 2D solves.
     """
 
     def __init__(self, grid: Grid, sign: np.ndarray,
                  metric: OperatorSolver | None = None):
         self.grid = grid
-        s = sign.reshape(grid.shape)
-        # per axis, 1/h^2 on every edge whose two nodes differ in sign
-        cut = [np.diff(s, axis=axis) != 0 for axis in range(grid.dimension)]
+        zero = sign.reshape(grid.shape) == 0
+        # per axis, 1/h^2 on every edge with a zero node at either end
+        cut = [zero[lo] | zero[hi]
+               for lo, hi in map(_edge_ends, range(grid.dimension))]
         self.cuts = ([c / (h * h) for c, h in zip(cut, grid.h)]
-                     if any(c.any() for c in cut) else [])
+                     if zero.any() else [])
         self._metric = metric
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -177,8 +198,7 @@ class _FrozenPartition:
         out = self.grid.laplacian(v).reshape(self.grid.shape)
         w = v.reshape(self.grid.shape)
         for axis, cut in enumerate(self.cuts):
-            lo = (slice(None),) * axis + (slice(None, -1),)
-            hi = (slice(None),) * axis + (slice(1, None),)
+            lo, hi = _edge_ends(axis)
             out[lo] += cut * w[hi]
             out[hi] += cut * w[lo]
         return out.reshape(-1)
@@ -187,11 +207,8 @@ class _FrozenPartition:
                  lam: float) -> tuple[np.ndarray, float]:
         """F(v) = D v + lam v - |v|^(p-2) v and its weighted L2 norm.
 
-        On a field with this sign pattern F is each sign part's residual
-        on its own support (zero on zero nodes): the partwise problem's
-        gradient and optimality measure.  The full-PDE residual of a
-        sign-changing 2D lattice field also carries an O(1/h) interface
-        coupling that no grid-aligned field can remove.
+        On a field with this sign pattern F is the full-PDE residual on
+        the nonzero nodes and zero on the pinned ones.
         """
         r = self.apply(v)
         r += lam * v
@@ -201,8 +218,8 @@ class _FrozenPartition:
     def solve(self, shift: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
         """x with (D + diag(shift)) x = b, D this operator.
 
-        The linearization of the partwise system has shift
-        lambda - (p-1)|u|^(p-2) and is generally indefinite.  In 1D it is
+        The linearization has shift lambda - (p-1)|u|^(p-2) and is
+        generally indefinite.  In 1D it is
         tridiagonal and solved by `_tridiagonal_solve`.  In 2D it is solved
         by MINRES to the relative preconditioned residual rtol.  Without
         a metric the preconditioner is the sine solve of
@@ -227,6 +244,12 @@ class _FrozenPartition:
         return _minres(apply, b, self._metric._raw_solve, rtol, _MINRES_STEPS)
 
 
+def _edge_ends(axis: int) -> tuple[tuple, tuple]:
+    """Indices of the lower and upper nodes of every edge along axis."""
+    return ((slice(None),) * axis + (slice(None, -1),),
+            (slice(None),) * axis + (slice(1, None),))
+
+
 def _sign_pattern(v: np.ndarray) -> np.ndarray:
     """The signs of v as int8: +1, -1, or 0 on zero nodes."""
     return (v > 0.0).view(np.int8) - (v < 0.0).view(np.int8)
@@ -235,10 +258,11 @@ def _sign_pattern(v: np.ndarray) -> np.ndarray:
 def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
            metric: OperatorSolver | None = None
            ) -> tuple[np.ndarray, float, int, str]:
-    """Newton on the partwise system D u + lam u = |u|^(p-2) u.
+    """Newton on D u + lam u = |u|^(p-2) u with u's zero nodes pinned.
 
-    D is the stencil cut along u's sign pattern, which stays frozen;
-    metric, if given, preconditions the 2D linearized solves.  Returns
+    D is the stencil with those nodes cut out (`_FrozenPartition`), and
+    u's sign pattern stays frozen; metric, if given, preconditions the 2D
+    linearized solves.  Returns
     (best iterate, its residual, steps taken, stop reason).  The reason
     is "tol" once the residual reaches tol, "sign-flip" when a step
     changes the sign of a node, "stall" when a step fails to lower the

@@ -1,9 +1,10 @@
-"""Sign-changing ground states over the partwise constraint set.
+"""Sign-changing ground states: the least-action state with two nodal domains.
 
-A field is admissible when both its positive and negative parts can be
-scaled onto the constraint manifold; the nodal level is the infimum of
-the action over such fields, which splits as a sum of the two ray
-actions.
+Least-energy nodal solutions have exactly two nodal domains (Bartsch and
+Weth 2003) and are critical points of the full action (Castro, Cossio
+and Neuberger 1997).  `NodalCandidate` and `nodal_project` scale each
+sign part onto the constraint manifold separately; on a field whose
+parts are separated by zero nodes that projection is exact.
 
 In 1D the minimizer decouples exactly across a zero node: each sign part
 solves the signed problem on its own subinterval, and the action is
@@ -12,24 +13,20 @@ walks the interface node to the discrete optimum, starting from the
 midpoint (both humps leave the zero with the same slope, so the split is
 symmetric).  Each side is the signed state on an interval of its node
 count at spacing h, solved once per node count; the right part is that
-state reversed and negated.  This is the only construction compatible
-with machine-precision partwise identities and small full-PDE residuals
-at the same time; a descent on the composed functional converges to
-overlapping-part configurations whose full residual is dominated by
-O(1/h) interface coupling.
+state reversed and negated.
 
-In 2D no node-aligned decoupling exists.  From each of several starts
-the solver runs a projected descent: the gradient of
-u -> action(project(u)) restricted to each sign support, preconditioned
-by the shifted Laplacian, with a backtracking line search.  Once the
-sign pattern stops changing, Newton's method runs on the partwise system
-over that frozen partition (`linsolve.newton`: the stencil with the
-edges between opposite signs cut, each step a MINRES solve preconditioned
-by the sine solve), and its result is projected; it is kept only if it
-meets the tolerance and does not raise the action, and the descent
-resumes otherwise.
-The least-action start is returned, or NoConvergence raised when it is
-above tol.
+On a box in 2D a reflection R separates the two sign parts.  A field
+that is odd under R vanishes on R's fixed nodes, so the signed problem
+on the odd fields is the signed problem on half the box, and the signed
+solver solves it: the normalized fixed point from the R-odd lambda_2
+mode, each sine solve projected onto the odd fields, then Newton on the
+full system (`linsolve.newton`, with the zero nodes pinned).  A square
+has two such reflections (the transpose and a midline flip), any other
+rectangle one (the flip of its longer axis).  The least raw action among
+the converged states with exactly two nodal domains is returned, or
+NoConvergence raised naming how every start stopped.  A warm start runs
+Newton at once from the init and falls back to the reflections if that
+result is rejected.
 """
 
 from __future__ import annotations
@@ -39,15 +36,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import spectral
-from .action import (ActionParams, GroundState, SolverOptions, finalize_state,
-                     ground_state, kappa, threshold_floor)
-from .errors import (DegeneratePart, LambdaBelowThreshold, NoConvergence,
+from .action import (ActionParams, GroundState, SolverOptions,
+                     _fixed_point_newton, _polish, action, finalize_state,
+                     ground_state, kappa, nehari_scale, threshold_floor)
+from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, NotSignChanging)
-from .grid import DomainSpec, Field, Grid, build_grid, dot
-from .linsolve import _FrozenPartition, newton, shifted_solver
+from .grid import DomainSpec, Field, Grid, build_grid, node_count
+from .linsolve import odd_part, shifted_solver
 
-# smallest L^p mass a sign part may keep during the 2D descent
-_LP_FLOOR = 1e-12
 # relative J(m) differences the interface walk treats as rounding noise: on
 # fine grids with large lambda J is flat to its last digits near the optimum
 _WALK_SLACK = 256 * np.finfo(float).eps
@@ -133,9 +129,9 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
     """Least-action sign-changing state at fixed frequency.
 
     Requires lambda above threshold_floor(lambda_2).  1D grids use the exact
-    interface decomposition; 2D grids use projected descent from several
-    starts, finished by Newton on the settled partition, and raise
-    NoConvergence when the best start stays above tol.
+    interface decomposition, 2D grids the signed solver on the odd fields
+    of each reflection of the box (see the module docstring); init_field
+    is a 2D warm start, interface_hint a 1D one.
     """
     opts = opts or SolverOptions()
     floor = threshold_floor(spectral.lambda2(grid))
@@ -144,7 +140,7 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
             f"lambda={params.lam} at or below -lambda_2 + margin = {floor:.6g}")
     if grid.dimension == 1:
         return _nodal_interval(grid, params, opts, interface_hint)
-    return _nodal_descent_2d(grid, params, opts, init_field)
+    return _nodal_box(grid, params, opts, init_field)
 
 
 # -- 1D: interface decomposition --------------------------------------
@@ -270,157 +266,76 @@ def _walk_interface(prob: _InterfaceProblem, m0: int) -> int:
         step = min(step * 2, (hi - lo) // 2 + 1)
 
 
-# -- 2D: projected descent, then Newton on the frozen partition --------
-
-# accepted descent steps with an unchanged sign pattern before Newton is
-# tried on that partition (again after each failed try)
-_SETTLED_STEPS = 5
+# -- 2D: the signed problem on a reflection's odd fields ---------------
 
 
-def _nodal_descent_2d(grid: Grid, params: ActionParams, opts: SolverOptions,
-                      init_field: Field | None) -> GroundState:
-    seeds = _descent_seeds(grid, params, opts, init_field)
-    metric = shifted_solver(grid, max(params.lam, 0.0))
-    results = []
-    stops = []  # how every start ended, dropped ones included
-    total_iters = 0
-    for label, vals in seeds:
-        try:
-            out, iters, reason, residual = _descend(grid, params, opts,
-                                                    metric, vals)
-        except (NonpositiveQuotient, NotSignChanging, DegeneratePart) as exc:
-            stops.append(f"{label}: {type(exc).__name__} ({exc})")
-            continue
-        total_iters += iters
-        stops.append(f"{label}: {reason}, residual {residual:.3e}")
-        results.append((label, out, nodal_action_of(Field(grid, out), params),
-                        residual))
-    if not results:
-        raise NoConvergence(f"all descent starts failed ({'; '.join(stops)})")
-    best_label, best_vals, _, residual = min(results, key=lambda t: t[2])
-    if residual > opts.tol:
-        raise NoConvergence(
-            f"best 2D nodal start {best_label!r} has residual {residual:.3e} "
-            f"above tol {opts.tol:.1e} ({'; '.join(stops)})")
-    best = NodalCandidate(Field(grid, best_vals), params)
-    return finalize_state(
-        grid, best_vals, params, residual=residual, iterations=total_iters,
-        action_override=best.action(),
-        part_masses=(grid.l2_sq(best.plus), grid.l2_sq(best.minus)),
-        part_actions=best.part_actions(),
-        multistart=tuple((label, value) for label, _, value, _ in results),
-    )
+def _reflections(grid: Grid) -> list:
+    """(label, reflection, its odd lambda_2 mode) for each cold 2D start.
 
-
-def _descent_seeds(grid: Grid, params: ActionParams, opts: SolverOptions,
-                   init_field: Field | None):
-    seeds = []
-    if init_field is not None:
-        seeds.append(("warm", init_field.values.copy()))
-    phi2 = spectral.dirichlet_eigenpairs(grid, 2)[1]
-    seeds.append(("phi2", phi2.vector.values.copy()))
-    x, y = grid.meshes()
-    (ax, bx), (ay, by) = grid.spec.bounds
-    odd = (np.sin(2.0 * np.pi * (x - ax) / (bx - ax))
-           * np.sin(np.pi * (y - ay) / (by - ay)))
-    seeds.append(("odd-reflection", odd.reshape(-1)))
-    width = max((bx - ax), (by - ay)) / max(np.sqrt(abs(params.lam)), 4.0)
-    cxl = ax + 0.25 * (bx - ax)
-    cxr = ax + 0.75 * (bx - ax)
-    cy = 0.5 * (ay + by)
-    bumps = (np.exp(-((x - cxl) ** 2 + (y - cy) ** 2) / width ** 2)
-             - np.exp(-((x - cxr) ** 2 + (y - cy) ** 2) / width ** 2))
-    seeds.append(("two-bump", bumps.reshape(-1)))
-    rng = np.random.default_rng(opts.seed)
-    seeds.append(("random", rng.standard_normal(grid.size)))
-    # a start on the ray of an earlier one repeats its descent up to sign:
-    # on rectangles wider than tall the odd reflection is phi2
-    unit = [vals / (np.max(np.abs(vals)) or 1.0) for _, vals in seeds]
-    return [seed for i, seed in enumerate(seeds)
-            if not any(_same_ray(unit[i], unit[j]) for j in range(i))]
-
-
-def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a = +-b to rounding, for a and b scaled to max|.| = 1."""
-    return min(np.max(np.abs(a - b)), np.max(np.abs(a + b))) <= 1e-12
-
-
-def _descend(grid: Grid, params: ActionParams, opts: SolverOptions, metric,
-             vals: np.ndarray) -> tuple[np.ndarray, int, str, float]:
-    """Projected descent from vals; (field, iterations, stop reason, residual).
-
-    Once the sign pattern has held for a while, Newton on the frozen
-    partition is tried; its projected result replaces the descent's only
-    if it meets tol and does not raise the action (Newton keeps every
-    sign).  The stop reason is one of newton, tol, stall, max_iter or
-    line-search, iterations counts descent and Newton steps, and the
-    residual is the partwise one of the returned field.
+    A reflection maps the n x n array of node values to its mirror
+    image.  A square has the transpose, whose fixed line is the
+    diagonal, and the flip of its first axis, whose fixed line is a
+    midline; the other midline's state is the transpose of that one.
+    Any other rectangle has the flip of its longer axis.  Each mode is
+    the discrete lambda_2 eigenvector that is odd under its reflection.
     """
+    t = np.arange(1, grid.n + 1) * (np.pi / (grid.n + 1))
+    s1, s2 = np.sin(t), np.sin(2.0 * t)
+    if grid.h[0] < grid.h[1]:
+        return [("midline", lambda a: a[:, ::-1], np.outer(s1, s2))]
+    midline = ("midline", lambda a: a[::-1], np.outer(s2, s1))
+    if grid.h[0] > grid.h[1]:
+        return [midline]
+    return [("diagonal", np.transpose, np.outer(s1, s2) - np.outer(s2, s1)),
+            midline]
+
+
+def _nodal_box(grid: Grid, params: ActionParams, opts: SolverOptions,
+               init_field: Field | None) -> GroundState:
     p, lam = params.p, params.lam
-    u = nodal_project(Field(grid, vals), params).values
-    f_val = nodal_action_of(Field(grid, u), params)
-    t_start = 1.0
-    stalled = 0
-    sign = np.sign(u)
-    # the partwise residual on u's sign pattern is the descent gradient
-    frozen = _FrozenPartition(grid, sign)
-    settled = 0
-    newton_steps = 0
-    reason = "max_iter"
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        gvec, gnorm = frozen.residual(u, p, lam)
-        if gnorm <= opts.tol:
-            reason = "tol"
-            break
-        d = metric.solve(gvec)
-        slope = grid.weight * dot(gvec, d)
-        if slope <= 0.0:
-            reason = "stall"
-            break
-        t = t_start
-        accepted = False
-        while t > 1e-14:
-            cand = NodalCandidate(Field(grid, u - t * d), params)
-            if cand.feasible and min(cand.lp_plus, cand.lp_minus) >= _LP_FLOOR:
-                # the projection leaves each part's ray action unchanged
-                f_trial = cand.action()
-                if f_trial <= f_val - 1e-4 * t * slope:
-                    u = cand.projected()
-                    stalled = stalled + 1 if f_val - f_trial <= 1e-12 * abs(f_val) else 0
-                    f_val = f_trial
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            cand = NodalCandidate(Field(grid, u), params)
-            if min(cand.lp_plus, cand.lp_minus) < 10.0 * _LP_FLOOR:
-                raise DegeneratePart(
-                    "a sign part collapsed toward the norm floor during descent")
-            reason = "line-search"
-            break
-        new_sign = np.sign(u)
-        if np.array_equal(new_sign, sign):
-            settled += 1
-        else:
-            settled = 0
-            sign = new_sign
-            frozen = _FrozenPartition(grid, sign)
-        if settled >= _SETTLED_STEPS:
-            polished, res, steps, _ = newton(grid, u, p, lam, opts.tol)
-            newton_steps += steps
-            if res <= opts.tol:
-                # the projection scales each part by a positive factor near
-                # 1, so it keeps the sign pattern Newton kept
-                cand = NodalCandidate(Field(grid, polished), params)
-                projected = cand.projected()
-                res_projected = frozen.residual(projected, p, lam)[1]
-                if (res_projected <= opts.tol
-                        and cand.action() <= f_val * (1.0 + 1e-12)):
-                    return projected, it + newton_steps, "newton", res_projected
-            settled = 0
-        if stalled >= 15:
-            reason = "stall"
-            break
-        t_start = min(1.0, 2.0 * t)
-    return u, it + newton_steps, reason, frozen.residual(u, p, lam)[1]
+    iterations = 0
+    if init_field is not None:
+        if init_field.grid != grid:
+            raise InvalidSpec("initial field lives on a different grid")
+        # a continuation step: Newton at once from the Nehari-scaled init,
+        # which keeps the init's sign pattern
+        u = init_field.values
+        vals, res, kept, iterations, _ = _polish(
+            grid, nehari_scale(init_field, params) * u, p, lam, opts.tol,
+            solver=None, j_ref=np.inf, rounding=None, half=u > 0.0)
+        if kept and node_count(Field(grid, vals)) == 1:
+            return _box_state(grid, params, vals, res, iterations, (
+                ("warm", action(Field(grid, vals), params)),))
+    candidates = []
+    stops = []  # how every start ended
+    for label, reflect, mode in _reflections(grid):
+        mode = odd_part(mode, reflect).reshape(-1)
+        try:
+            vals, res, steps = _fixed_point_newton(
+                grid, params, opts, mode / grid.lp_p(mode, p) ** (1.0 / p),
+                shifted_solver(grid, lam, reflect), half=mode > 0.0)
+        except NoConvergence as exc:
+            stops.append(f"{label}: {exc}")
+            continue
+        iterations += steps
+        domains = node_count(Field(grid, vals)) + 1
+        stops.append(f"{label}: {domains} nodal domains, residual {res:.3e}")
+        if domains == 2:
+            candidates.append((action(Field(grid, vals), params), label, vals, res))
+    if not candidates:
+        raise NoConvergence(
+            f"no 2D nodal start reached two nodal domains ({'; '.join(stops)})")
+    _, _, vals, res = min(candidates, key=lambda c: c[0])
+    return _box_state(grid, params, vals, res, iterations,
+                      tuple((label, j) for j, label, _, _ in candidates))
+
+
+def _box_state(grid: Grid, params: ActionParams, vals: np.ndarray, res: float,
+               iterations: int, multistart: tuple) -> GroundState:
+    plus, minus = _parts(vals)
+    return finalize_state(
+        grid, vals, params, residual=res, iterations=iterations,
+        part_masses=(grid.l2_sq(plus), grid.l2_sq(minus)),
+        part_actions=(action(Field(grid, plus), params),
+                      action(Field(grid, minus), params)),
+        multistart=multistart)

@@ -418,7 +418,8 @@ def test_2d_solve_memory_stays_near_fixed_point(unit_square):
     assert peak <= 18 * grid.size * 8
 
 
-@pytest.mark.parametrize("kind, dim", [("signed", 1), ("nodal", 1), ("signed", 2)])
+@pytest.mark.parametrize("kind, dim", [("signed", 1), ("nodal", 1), ("signed", 2),
+                                       ("nodal", 2)])
 def test_mass_slope_matches_resolved_masses(unit_interval, unit_square, kind, dim):
     # 2 h^N <u, u'> with u' the linearized solve of -u, against central
     # differences of the masses of states re-solved at lambda -+ 1e-3

@@ -6,7 +6,7 @@ from nlsground import (ActionParams, DomainSpec, LambdaBelowThreshold,
                        NotSignChanging, SolverOptions, action, build_grid, dirichlet_eigenpairs,
                        ground_state, kappa, lambda1, lambda2, nodal_action_of,
                        nodal_ground_state, nodal_project, norms, pde_residual,
-                       split)
+                       split, sweep)
 
 
 def test_kappa_values():
@@ -139,14 +139,22 @@ def test_walk_ignores_rounding_noise_on_flat_action():
     assert st.iterations == 3
 
 
-def test_1d_nodal_state_ignores_seed(grid511):
+def _assert_ignores_seed(grid):
     params = ActionParams(4.0, 10.0)
-    states = [nodal_ground_state(grid511, params, SolverOptions(seed=seed))
+    states = [nodal_ground_state(grid, params, SolverOptions(seed=seed))
               for seed in range(4)]
     for st in states[1:]:
         assert st.u.values.tobytes() == states[0].u.values.tobytes()
         assert st.multistart == states[0].multistart
         assert st.iterations == states[0].iterations
+
+
+def test_1d_nodal_state_ignores_seed(grid511):
+    _assert_ignores_seed(grid511)
+
+
+def test_2d_nodal_state_ignores_seed(unit_square):
+    _assert_ignores_seed(build_grid(unit_square, 31))
 
 
 def test_threshold_refusal(grid255):
@@ -243,8 +251,10 @@ def test_2d_nodal_state_meets_tol(square_nodal):
     grid, params, st = square_nodal
     vals = st.u.values.reshape(grid.shape)
     assert _own_partwise_residual(vals, grid.h[0], params.p, params.lam) <= 1e-8
+    # the reported residual is the full-PDE one
+    assert st.residual == pde_residual(st.u, params)
     assert st.residual <= 1e-8
-    assert st.node_count >= 1
+    assert st.node_count == 1
     for part in split(st.u):
         l2, lp, gr = norms(part, params.p)
         assert abs(gr + params.lam * l2 - lp) <= 1e-10 * lp
@@ -254,55 +264,98 @@ def test_2d_nodal_level(square_nodal):
     grid, params, st = square_nodal
     signed = ground_state(grid, params)
     assert st.action_value > 2.0 * signed.action_value
-    # the descent alone stalled at this value, above tol
-    assert st.action_value <= 268.97481804262
+    # the state odd under the transpose, below the midline one (293.04)
+    assert [label for label, _ in st.multistart] == ["diagonal", "midline"]
+    assert st.action_value == pytest.approx(270.94971341704604, rel=1e-10)
     assert st.action_value == min(value for _, value in st.multistart)
+    vals = st.u.values.reshape(grid.shape)
+    assert np.array_equal(vals, -vals.T)
 
 
 def test_2d_nodal_raises_above_tol(unit_square):
+    # the full residual's rounding floor at n=63 lies far above 1e-15
     grid = build_grid(unit_square, 63)
     with pytest.raises(NoConvergence) as err:
-        nodal_ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(max_iter=1))
-    for label in ("phi2", "odd-reflection", "two-bump", "random"):
-        assert f"{label}: max_iter" in str(err.value)
+        nodal_ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(tol=1e-15))
+    assert "above tol 1.0e-15" in str(err.value)
 
 
 def test_2d_descent_skips_repeated_start():
-    # on a rectangle wider than tall the odd reflection sin(2 pi x / L)
-    # sin(pi y / H) is the second Dirichlet mode, so its descent would
-    # repeat phi2's
-    grid = build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 31)
-    st = nodal_ground_state(grid, ActionParams(4.0, 10.0))
-    labels = [label for label, _ in st.multistart]
-    assert labels == ["phi2", "two-bump", "random"]
-    assert st.action_value == pytest.approx(154.1021564774822, rel=1e-12)
+    # a rectangle wider than tall has one reflection whose odd fields start
+    # at lambda_2, the flip of its longer axis; the one taller than wide
+    # gives the transposed state
+    params = ActionParams(4.0, 10.0)
+    wide = nodal_ground_state(
+        build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 31), params)
+    tall = nodal_ground_state(
+        build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 31), params)
+    assert [label for label, _ in wide.multistart] == ["midline"]
+    assert wide.action_value == pytest.approx(155.85458030348136, rel=1e-10)
+    assert tall.action_value == pytest.approx(wide.action_value, rel=1e-12)
+    wide_vals = wide.u.values.reshape(31, 31)
+    tall_vals = tall.u.values.reshape(31, 31)
+    assert np.max(np.abs(tall_vals - wide_vals.T)) <= 1e-10 * np.max(np.abs(wide_vals))
 
 
 def test_2d_nodal_error_names_every_start(unit_square):
-    # near -lambda_2 three starts collapse a sign part and are dropped; the
-    # error must still say so, not only name the start that survived
     grid = build_grid(unit_square, 31)
     with pytest.raises(NoConvergence) as err:
-        nodal_ground_state(grid, ActionParams(3.0, -48.2))
+        nodal_ground_state(grid, ActionParams(3.0, -48.2), SolverOptions(tol=1e-15))
     message = str(err.value)
-    assert "odd-reflection: max_iter, residual" in message
-    for label in ("phi2", "two-bump", "random"):
-        assert f"{label}: DegeneratePart (" in message
+    for label in ("diagonal", "midline"):
+        assert message.count(f"{label}: residual ") == 1
+    assert message.count("the fixed point stopped on") == 2
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergence,
-                   reason="the phi2 start's sign pattern 2-cycles, so its "
-                          "descent never settles for Newton")
 def test_2d_nodal_period_two_sign_pattern_meets_tol(unit_square):
-    # sample 9 of a 20-sample p=3 sweep from -lambda_2 + 1 to 100: two
-    # nodes flip sign at every accepted descent step, and the phi2 start
-    # stops at max_iter with residual 85.1 while the other three starts
-    # converge; phi2's projected action is the lowest, so the solve raises
+    # sample 9 of the 20-sample p=3 sweep in
+    # test_2d_nodal_sweep_flags_nothing, solved cold
     grid = build_grid(unit_square, 31)
     params = ActionParams(3.0, 21.992933942355357)
     st = nodal_ground_state(grid, params)
     assert st.residual <= 1e-8
-    assert st.node_count >= 1
+    assert st.node_count == 1
+    assert st.action_value == pytest.approx(21715.034725375022, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, lam", [(3.0, -45.0), (3.0, 10.0), (4.0, -45.0),
+                                    (4.0, 10.0)])
+def test_2d_nodal_level_converges_in_h(unit_square, p, lam):
+    # second order in h: successive differences shrink by 4, the bound the
+    # benchmark's square-2d workload puts on signed levels
+    levels = [nodal_ground_state(build_grid(unit_square, n),
+                                 ActionParams(p, lam)).action_value
+              for n in (31, 63, 127)]
+    ratio = (levels[1] - levels[0]) / (levels[2] - levels[1])
+    assert 3.0 <= ratio <= 5.0
+
+
+def test_2d_nodal_sweep_flags_nothing(unit_square):
+    grid = build_grid(unit_square, 31)
+    lambdas = np.linspace(-lambda2(grid) + 1.0, 100.0, 20)
+    curve = sweep(grid, 3.0, lambdas, kind="nodal")
+    assert curve.flags == ["ok"] * 20
+    assert np.all(np.diff(curve.J) > 0.0)
+    # most samples are continuation steps from the previous state
+    labels = [st.multistart[0][0] for st in curve.states]
+    assert labels.count("warm") >= 15
+
+
+@pytest.mark.parametrize("lam, label, level, other", [
+    (100.0, "diagonal", 78.67666450185101, 78.96564280744462),
+    (150.0, "midline", 94.90993004686891, 95.16694167706692),
+    (200.0, "diagonal", 106.42944033288222, 106.46931746411593),
+])
+def test_2d_nodal_branch_selection(unit_square, lam, label, level, other):
+    # the least raw action of the two reflection starts wins.  At
+    # lambda=150 the diagonal start stops on a transpose-odd state above
+    # the one a warm continuation from lambda=100 reaches (94.795)
+    grid = build_grid(unit_square, 63)
+    st = nodal_ground_state(grid, ActionParams(6.0, lam))
+    values = dict(st.multistart)
+    assert values[label] == st.action_value == pytest.approx(level, rel=1e-9)
+    (loser,) = set(values) - {label}
+    assert values[loser] == pytest.approx(other, rel=1e-9)
 
 
 def _frozen_square(n: int):
@@ -316,26 +369,26 @@ def _frozen_square(n: int):
     return grid, sign, _FrozenPartition(grid, sign)
 
 
-def test_frozen_partition_is_the_partwise_operator():
+def test_frozen_partition_pins_zero_nodes():
     grid, sign, frozen = _frozen_square(15)
     rng = np.random.default_rng(0)
     u = sign * (0.5 + rng.random(grid.size))
     p, lam = 4.0, 10.0
     f, norm = frozen.residual(u, p, lam)
-    # each sign part by its own padded 5-point stencil, zero off its support
+    # the full residual by a padded 5-point stencil, zero on zero nodes
     h = grid.h[0]
-    g = np.zeros(grid.shape)
-    for part in (np.maximum(u, 0.0), np.minimum(u, 0.0)):
-        part = part.reshape(grid.shape)
-        w = np.pad(part, 1)
-        lap = (4.0 * w[1:-1, 1:-1] - w[2:, 1:-1] - w[:-2, 1:-1]
-               - w[1:-1, 2:] - w[1:-1, :-2]) / (h * h)
-        r = lap + lam * part - np.abs(part) ** (p - 2) * part
-        g[part != 0.0] = r[part != 0.0]
-    g = g.reshape(-1)
-    assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(grid.laplacian(u)))
-    assert norm == pytest.approx(_own_partwise_residual(
-        u.reshape(grid.shape), h, p, lam), rel=1e-12)
+    w = np.pad(u.reshape(grid.shape), 1)
+    lap = (4.0 * w[1:-1, 1:-1] - w[2:, 1:-1] - w[:-2, 1:-1]
+           - w[1:-1, 2:] - w[1:-1, :-2]).reshape(-1) / (h * h)
+    g = np.where(sign != 0.0, lap + lam * u - np.abs(u) ** (p - 2) * u, 0.0)
+    assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(lap))
+    assert norm == pytest.approx(np.sqrt(h * h * np.sum(g * g)), rel=1e-12)
+    # on any field: the plain stencil with the zero nodes' values dropped,
+    # and the bare diagonal on the zero nodes
+    v = rng.standard_normal(grid.size)
+    pinned = np.where(sign != 0.0, v, 0.0)
+    expected = np.where(sign != 0.0, grid.laplacian(pinned), 4.0 / (h * h) * v)
+    assert np.max(np.abs(frozen.apply(v) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_minres_matches_dense_solve_on_indefinite_system():
