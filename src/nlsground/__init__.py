@@ -15,12 +15,11 @@ from .curves import (AsymptoticReport, DerivativeMassReport, ExhaustionReport,
 from .errors import (CertificationFailed, GridMismatch, InsufficientRange,
                      InvalidSpec, LambdaBelowThreshold, MassAboveBarMu,
                      MassOutOfRange, NlsgroundError, NoBracket, NoConvergence,
-                     NonpositiveQuotient, NotCritical, NotSignChanging,
-                     NotStarShaped, ZeroField)
-from .grid import (DomainSpec, Field, Grid, apply_laplacian, build_grid,
-                   load_field, node_count, norms, save_field, split)
-from .nodal import (NodalCandidate, nodal_action_of, nodal_ground_state,
-                    nodal_project)
+                     NonpositiveQuotient, NotCritical, NotStarShaped,
+                     ZeroField)
+from .grid import (DomainSpec, Field, Grid, build_grid, load_field,
+                   node_count, norms, save_field, split)
+from .nodal import nodal_ground_state
 from .normalized import (BranchRecord, Certification, CertificationReport,
                          FMuProfile, NormalizedSolution, PohozaevReport,
                          SupercriticalBoundReport, f_mu_profile,

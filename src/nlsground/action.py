@@ -29,7 +29,7 @@ in 1D, the rounding polish follows whatever stopped Newton.  A
 NoConvergence names where the fixed point, Newton and the polish
 stopped.  The same linearized solve of -u gives the tangent u' of the
 branch of states: the exact slope of the mass, `mass_slope`, and the
-continuation predictor.  The 2D nodal solver runs the same fixed point
+continuation predictor.  The nodal solver runs the same fixed point
 and Newton on the fields that are odd under a reflection of the box,
 where one-signed means one-signed on each side of the reflection's
 fixed line.
@@ -102,14 +102,11 @@ class GroundState:
     """A converged minimizer with its invariant bookkeeping.
 
     For sign-changing states, part_masses/part_actions record the two
-    sign parts and interface_index the zero node (1-based, 1D only).
-    multistart lists (label, action) for every converged start: in 1D the
-    one interface walk ("midpoint", or "hint" when warm), in 2D each
-    reflection whose state has two nodal domains ("diagonal", "midline"),
-    or "warm".  iterations counts the solver's steps: for a signed state
-    its fixed-point steps plus its Newton steps, rejected ones included;
-    for a nodal state the same over every start in 2D, and the interface
-    positions evaluated in 1D.
+    sign parts.  multistart lists (label, action) for every converged
+    start: each reflection whose state has two nodal domains ("midpoint"
+    in 1D, "diagonal" and "midline" in 2D), or "warm".  iterations counts
+    the solver's fixed-point steps plus its Newton steps, rejected ones
+    included, for a nodal state over every start.
     """
 
     u: Field
@@ -122,7 +119,6 @@ class GroundState:
     iterations: int
     part_masses: tuple | None = None
     part_actions: tuple | None = None
-    interface_index: int | None = None
     multistart: tuple | None = None
 
     def to_record(self) -> dict:

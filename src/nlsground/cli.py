@@ -143,15 +143,9 @@ def _cmd_mu_n(args) -> int:
     boxes = [float(v) for v in args.boxes.split(",")]
     report = estimate_mu_N(args.dim, boxes, p=args.p,
                            opts=_solver_options(args))
-    _dump_json({
-        "mu_N": report.value,
-        "error_bar": report.error_bar,
-        "box_lengths": report.box_lengths,
-        "box_values": report.box_values,
-        "scaling_ratio": report.scaling_ratio,
-        "scaling_expected": report.scaling_expected,
-        "scaling_ok": report.scaling_ok,
-    }, args.out)
+    rec = dataclasses.asdict(report)
+    rec["mu_N"] = rec.pop("value")
+    _dump_json(rec, args.out)
     return 0
 
 
@@ -177,16 +171,9 @@ def _cmd_bound(args) -> int:
     grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
     opts = _solver_options(args)
     report = supercritical_lambda_bound(grid, args.p, args.mu, opts=opts)
-    _dump_json({
-        "lambda_bar": report.lambda_bar,
-        "mu_bar": report.mu_bar,
-        "lambda": report.lam,
-        "energy": report.energy,
-        "energy_cap": report.energy_cap,
-        "lambda_ok": report.lambda_ok,
-        "energy_ok": report.energy_ok,
-        "passed": report.passed,
-    }, args.out)
+    rec = dataclasses.asdict(report)
+    rec["lambda"] = rec.pop("lam")
+    _dump_json(rec, args.out)
     return 0 if report.passed else 3
 
 

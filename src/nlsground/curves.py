@@ -75,10 +75,11 @@ def _solve_one(grid: Grid, p: float, lam: float, kind: str,
         init = (tangent_predictor(warm_state, lam) if warm_state is not None
                 else None)
         return ground_state(grid, params, opts, init_field=init)
-    hint = warm_state.interface_index if warm_state is not None else None
+    # a nodal step starts from the previous state itself: from the tangent
+    # predictor, Newton's result was rejected on every warm step of a
+    # 20-sample 2D sweep (n=31, p=3)
     init = warm_state.u if warm_state is not None else None
-    return nodal_ground_state(grid, params, opts, interface_hint=hint,
-                              init_field=init)
+    return nodal_ground_state(grid, params, opts, init_field=init)
 
 
 def threshold_eigenvalue(grid: Grid, kind: str) -> float:
@@ -95,7 +96,7 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
 
     A signed sample starts Newton from the tangent predictor of the
     previous sample's state (see `_solve_one`); a nodal one hands that
-    state to `nodal_ground_state` as its warm start and interface hint.
+    state itself to `nodal_ground_state` as its warm start.
     Every 10th sample (from the first) is re-solved from the default
     initialization; a relative disagreement in the level above 1e-6
     flags the sample as a possible branch/jump point and the lower level
@@ -392,8 +393,8 @@ def resolution_matched_factory(spec: DomainSpec, n_base: int,
                                lam_base: float = 1.0):
     """Grid factory with node count growing like sqrt(frequency).
 
-    Node counts are rounded up to odd so symmetric nodal splits keep an
-    exact center node, and capped at 65535.
+    Node counts are rounded up to odd so 1D nodal states keep a zero node
+    at the midpoint, and capped at 65535.
     """
     def factory(lam: float) -> Grid:
         n = int(math.ceil(n_base * math.sqrt(max(lam, lam_base) / lam_base)))

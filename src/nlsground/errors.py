@@ -29,21 +29,12 @@ class NonpositiveQuotient(NlsgroundError):
     """The quadratic form ||grad u||^2 + lambda ||u||^2 is not positive.
 
     The Nehari normalization is undefined for such fields; this typically
-    signals a frequency below the relevant eigenvalue threshold.  For
-    sign-changing fields, `part` records which part failed ("plus"/"minus").
+    signals a frequency below the relevant eigenvalue threshold.
     """
-
-    def __init__(self, message: str, part: str | None = None):
-        super().__init__(message)
-        self.part = part
 
 
 class LambdaBelowThreshold(NlsgroundError):
     """Frequency at or below the existence threshold; no ground state exists."""
-
-
-class NotSignChanging(NlsgroundError):
-    """A nodal operation received a field without both signs."""
 
 
 class MassOutOfRange(NlsgroundError):

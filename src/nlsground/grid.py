@@ -217,13 +217,6 @@ class Field:
         return f"Field(grid={self.grid!r}, max|u|={np.max(np.abs(self.values)):.4g})"
 
 
-def apply_laplacian(grid: Grid, u: Field) -> Field:
-    """A u for the symmetric finite-difference negative Laplacian."""
-    if u.grid != grid:
-        raise GridMismatch("field does not live on the given grid")
-    return Field(grid, grid.laplacian(u.values))
-
-
 def norms(u: Field, p: float) -> tuple[float, float, float]:
     """(l2_sq, lp_p, grad_sq) of a field, all with the same quadrature.
 

@@ -5,11 +5,14 @@ structure directly: in 1D A + c I is symmetric tridiagonal and is
 factored once by LAPACK's LDL^T (dpttrf/dpttrs); in 2D it is diagonal in
 the discrete sine basis, and a solve is a sine transform, a division by
 the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform.
-A 2D solve may be restricted to the fields that are odd under a
-reflection of the box, which commutes with A: each solve is then
-projected onto them.  Both are followed by iterative refinement against
-the stencil evaluation used everywhere else in the package, so solve
-residuals are consistent with how every other module measures them.
+A solve may be restricted to the fields that are odd under a reflection
+of the box, which commutes with A.  In 1D the reflection is the midpoint
+flip, and the odd fields are fixed by their first n // 2 nodes, on which
+the restricted operator is again tridiagonal; in 2D each sine solve is
+projected onto the odd fields.  Every solve is followed by iterative
+refinement against the stencil evaluation used everywhere else in the
+package, so solve residuals are consistent with how every other module
+measures them.
 Solves are bitwise deterministic for fixed inputs.
 
 The same module holds the one linearized solve the package uses: the
@@ -17,7 +20,7 @@ Jacobian of D u + lambda u = |u|^(p-2) u, D the stencil with a field's
 zero nodes pinned, solved by LAPACK's pivoted tridiagonal dgtsv in 1D
 and by MINRES preconditioned with the sine solve in 2D.  Newton's method
 on that solve finishes the signed ground state (from a few fixed-point
-steps, or at once from a continuation predictor) and the 2D nodal one,
+steps, or at once from a continuation predictor) and the nodal one,
 reporting why it stopped, and its solve of -u gives the tangent of a
 branch of states: the exact slope of the mass and the predictor of the
 next continuation step.  The 1D rounding polish solves the same
@@ -51,12 +54,14 @@ class OperatorSolver:
     """Repeated solves of (A + c I) x = b on one grid.
 
     c must keep the operator positive definite (c > -lambda_1 of the
-    discrete Laplacian); NoConvergence is raised otherwise.  reflect, on
-    a 2D grid, maps an n x n array to its mirror image under a reflection
-    of the box whose odd fields start at lambda_2 (the transpose of a
-    square, or the flip of the longer axis); every solve is then
-    projected onto those odd fields, (x - R x) / 2, and c need only
-    exceed -lambda_2.
+    discrete Laplacian); NoConvergence is raised otherwise.  reflect maps
+    the array of node values to its mirror image under a reflection of
+    the box whose odd fields start at lambda_2: the midpoint flip in 1D,
+    the transpose of a square or the flip of the longer axis in 2D.
+    Every solve is then restricted to those odd fields, and c need only
+    exceed -lambda_2.  In 1D the operator on the odd fields is factored
+    on the first n // 2 nodes, each solve mirrored onto the full grid;
+    in 2D each solve is projected onto them, (x - R x) / 2.
     """
 
     def __init__(self, grid: Grid, c: float, reflect=None):
@@ -73,8 +78,11 @@ class OperatorSolver:
         definite = self.c > -bottom
         if definite and g.dimension == 1:
             h2 = g.h[0] * g.h[0]
-            d, e, info = dpttrf(np.full(g.n, 2.0 / h2 + self.c),
-                                np.full(g.n - 1, -1.0 / h2))
+            k = g.n if self.reflect is None else g.n // 2
+            diag = np.full(k, 2.0 / h2 + self.c)
+            if self.reflect is not None and g.n % 2 == 0:
+                diag[-1] += 1.0 / h2  # the mirror node holds -u_k
+            d, e, info = dpttrf(diag, np.full(k - 1, -1.0 / h2))
             definite = info == 0
             self._factor = (d, e)
         elif definite:
@@ -93,7 +101,13 @@ class OperatorSolver:
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         if self.grid.dimension == 1:
             d, e = self._factor
-            return dpttrs(d, e, b)[0]
+            if self.reflect is None:
+                return dpttrs(d, e, b)[0]
+            k = d.size
+            x = np.zeros_like(b)
+            x[:k] = dpttrs(d, e, odd_part(b, self.reflect)[:k])[0]
+            x[-k:] = -x[k - 1::-1]
+            return x
         x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
         x *= self._factor
         x = _dst2(x, x)
@@ -142,7 +156,7 @@ def shifted_solver(grid: Grid, c: float, reflect=None) -> OperatorSolver:
 
 
 def odd_part(x: np.ndarray, reflect) -> np.ndarray:
-    """(x - R x) / 2 for an n x n array x; exactly zero on R's fixed nodes."""
+    """(x - R x) / 2 for node values x; exactly zero on R's fixed nodes."""
     out = x - reflect(x)
     out *= 0.5
     return out

@@ -72,8 +72,23 @@ def test_mu_n_subcommand(capsys):
     code, out = run_cli(capsys, "mu-n", "--dim", "1", "--boxes", "8,16")
     assert code == 0
     rec = json.loads(out)
+    assert sorted(rec) == ["box_lengths", "box_values", "error_bar", "mu_N",
+                           "scaling_expected", "scaling_ok", "scaling_ratio"]
     assert rec["mu_N"] == pytest.approx(math.sqrt(3) * math.pi / 2, rel=0.02)
     assert rec["scaling_ok"]
+
+
+def test_bound_subcommand(capsys):
+    code, out = run_cli(capsys, "bound", "--p", "8", "--mu", "1.0",
+                        "--n", "127")
+    assert code == 0
+    rec = json.loads(out)
+    assert sorted(rec) == ["energy", "energy_cap", "energy_ok", "lambda",
+                           "lambda_bar", "lambda_ok", "mu_bar", "passed"]
+    assert rec["passed"] and rec["lambda_ok"] and rec["energy_ok"]
+    assert rec["lambda"] < rec["lambda_bar"]
+    assert rec["energy"] < rec["energy_cap"]
+    assert rec["mu_bar"] > 1.0
 
 
 def test_normalized_exit_codes(capsys):

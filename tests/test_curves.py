@@ -215,19 +215,20 @@ def test_exhaustion_other_exponent(unit_interval):
 
 
 def test_sweep_flags_failures_and_budget(unit_interval):
-    # an even node count has no midpoint node, so near the sign-changing
-    # threshold no interface split is admissible at this resolution;
-    # such samples are flagged, and too many of them abort the sweep
+    # a frequency above -lambda_2 but inside the solver's threshold margin
+    # raises LambdaBelowThreshold; such samples are flagged, and too many
+    # of them abort the sweep
     from nlsground import build_grid as _bg, lambda2 as _l2
+    from nlsground.action import threshold_floor
     grid = _bg(unit_interval, 64)
     lam2_h = _l2(grid)
+    inside = np.linspace(-lam2_h, threshold_floor(lam2_h), 5)[1:]
     good = np.linspace(-lam2_h + 3.0, 50.0, 8)
-    bad_one = np.concatenate([[-lam2_h + 0.1], good])
+    bad_one = np.concatenate([inside[-1:], good])
     cur = sweep(grid, 4.0, bad_one, "nodal")
-    assert cur.flags[0].startswith("failed:")
+    assert cur.flags[0] == "failed:LambdaBelowThreshold"
     assert all(f == "ok" for f in cur.flags[1:])
     assert math.isnan(cur.J[0])
-    many_bad = np.concatenate([np.linspace(-lam2_h + 0.1, -lam2_h + 0.4, 4),
-                               good])
+    many_bad = np.concatenate([inside, good])
     with pytest.raises(NoConvergence):
         sweep(grid, 4.0, many_bad, "nodal")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsground import (DomainSpec, Field, GridMismatch, InvalidSpec,
-                       apply_laplacian, build_grid, load_field, node_count,
-                       norms, save_field, split)
+                       build_grid, load_field, node_count, norms, save_field,
+                       split)
 
 from conftest import tridiag_eigenvalue
 
@@ -46,13 +46,13 @@ def test_laplacian_discrete_eigenrelation(grid511):
     for j in (1, 2, 3):
         u = grid511.sample(lambda x, j=j: np.sin(j * np.pi * x))
         exact = tridiag_eigenvalue(j, grid511.n)
-        out = apply_laplacian(grid511, u)
-        assert np.max(np.abs(out.values - exact * u.values)) <= 1e-10 * exact
+        out = grid511.laplacian(u.values)
+        assert np.max(np.abs(out - exact * u.values)) <= 1e-10 * exact
 
 
 def test_laplacian_zero_field(grid255):
     zero = Field(grid255, np.zeros(grid255.size))
-    assert np.all(apply_laplacian(grid255, zero).values == 0.0)
+    assert np.all(grid255.laplacian(zero.values) == 0.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -230,9 +230,6 @@ def test_node_count_2d_matches_search():
 
 
 def test_grid_mismatch_guard(grid255, grid511):
-    u = Field(grid511, np.ones(grid511.size))
-    with pytest.raises(GridMismatch):
-        apply_laplacian(grid255, u)
     with pytest.raises(GridMismatch):
         Field(grid255, np.ones(grid511.size))
 

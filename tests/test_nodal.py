@@ -2,89 +2,15 @@ import numpy as np
 import pytest
 
 from nlsground import (ActionParams, DomainSpec, LambdaBelowThreshold,
-                       NoConvergence, NodalCandidate, NonpositiveQuotient,
-                       NotSignChanging, SolverOptions, action, build_grid, dirichlet_eigenpairs,
-                       ground_state, kappa, lambda1, lambda2, nodal_action_of,
-                       nodal_ground_state, nodal_project, norms, pde_residual,
+                       NlsgroundError, NoConvergence, SolverOptions,
+                       build_grid, dirichlet_eigenpairs, ground_state, kappa,
+                       lambda2, nodal_ground_state, norms, pde_residual,
                        split, sweep)
 
 
 def test_kappa_values():
     assert kappa(6.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert kappa(4.0) == pytest.approx(0.25, rel=1e-15)
-
-
-def test_project_identity_case(grid511):
-    params = ActionParams(4.0, 1.0)
-    u = grid511.sample(lambda x: np.sin(2.0 * np.pi * x))
-    w = nodal_project(u, params)
-    w2 = nodal_project(w, params)
-    assert np.max(np.abs(w2.values - w.values)) <= 1e-12 * np.max(np.abs(w.values))
-    # both parts sit on the constraint set
-    for part in split(w):
-        l2, lp, gr = norms(part, 4.0)
-        assert abs(gr + 1.0 * l2 - lp) <= 1e-10 * lp
-
-
-def test_project_second_mode_symmetric_scalings(grid511):
-    # the two halves of the second mode are reflections, so their
-    # scalings agree; the scaling follows the quotient formula with the
-    # discrete second eigenvalue up to the O(h) lattice interface term
-    params = ActionParams(4.0, 0.0)
-    pairs = dirichlet_eigenpairs(grid511, 2)
-    lam2_h = pairs[1].value
-    phi2 = pairs[1].vector
-    w = nodal_project(phi2, params)
-    plus_in, minus_in = split(phi2)
-    plus_out, minus_out = split(w)
-    s_plus = np.max(plus_out.values) / np.max(plus_in.values)
-    s_minus = np.min(minus_out.values) / np.min(minus_in.values)
-    assert s_plus == pytest.approx(s_minus, rel=1e-10)
-    l2p, lpp, _ = norms(plus_in, 4.0)
-    expected = np.sqrt(lam2_h * l2p / lpp)
-    assert s_plus == pytest.approx(expected, rel=5e-2)
-
-
-def test_project_rejects_one_signed(grid255):
-    u = grid255.sample(lambda x: np.sin(np.pi * x))
-    with pytest.raises(NotSignChanging):
-        nodal_project(u, ActionParams(4.0, 1.0))
-
-
-def test_project_nonpositive_quotient_reports_part(grid255):
-    lam = -2.0 * lambda2(grid255)
-    u = grid255.sample(lambda x: np.sin(2.0 * np.pi * x))
-    with pytest.raises(NonpositiveQuotient) as err:
-        nodal_project(u, ActionParams(4.0, lam))
-    assert err.value.part in ("plus", "minus")
-
-
-def test_nodal_action_matches_projection_on_zero_node_field(grid511):
-    # n odd puts a node at the midpoint, so the parts decouple exactly
-    # and the partwise formula equals the action of the projection
-    params = ActionParams(4.0, 3.0)
-    u = grid511.sample(lambda x: np.sin(2.0 * np.pi * x) * (1.0 + 0.2 * x))
-    val = nodal_action_of(u, params)
-    direct = action(nodal_project(u, params), params)
-    assert val == pytest.approx(direct, rel=1e-12)
-
-
-def test_nodal_action_dominates_twice_level(grid511):
-    params = ActionParams(4.0, 10.0)
-    level = ground_state(grid511, params).action_value
-    for fn in (lambda x: np.sin(2 * np.pi * x),
-               lambda x: np.sin(2 * np.pi * x) + 0.4 * np.sin(3 * np.pi * x),
-               lambda x: (x - 0.37) * np.sin(np.pi * x)):
-        u = grid511.sample(fn)
-        assert nodal_action_of(u, params) >= 2.0 * level - 1e-8
-
-
-def test_candidate_feasibility(grid255):
-    params = ActionParams(4.0, 1.0)
-    good = NodalCandidate(grid255.sample(lambda x: np.sin(2 * np.pi * x)), params)
-    assert good.sign_changing and good.feasible
-    bad = NodalCandidate(grid255.sample(lambda x: np.sin(np.pi * x)), params)
-    assert not bad.sign_changing
 
 
 def test_ground_state_contracts(grid511):
@@ -95,9 +21,7 @@ def test_ground_state_contracts(grid511):
         l2, lp, gr = norms(part, p)
         assert abs(gr + lam * l2 - lp) <= 1e-10 * lp
         assert lp ** (1.0 / p) > 1e-3
-    # symmetric split: the full-PDE residual matches the parts
-    assert pde_residual(st.u, ActionParams(p, lam)) <= 1.5e-8
-    assert st.interface_index == (grid511.n + 1) // 2
+    assert st.residual == pde_residual(st.u, ActionParams(p, lam)) <= 1e-8
     assert st.part_masses is not None
     assert st.mass == pytest.approx(sum(st.part_masses), rel=1e-12)
     assert st.action_value == pytest.approx(sum(st.part_actions), rel=1e-12)
@@ -109,8 +33,8 @@ def test_ground_state_contracts(grid511):
 def test_warm_hint_reproduces(grid511):
     params = ActionParams(4.0, 10.0)
     cold = nodal_ground_state(grid511, params)
-    warm = nodal_ground_state(grid511, params,
-                              interface_hint=cold.interface_index)
+    warm = nodal_ground_state(grid511, params, init_field=cold.u)
+    assert [label for label, _ in warm.multistart] == ["warm"]
     assert warm.action_value == pytest.approx(cold.action_value, rel=1e-12)
 
 
@@ -118,25 +42,34 @@ def test_warm_hint_reproduces(grid511):
 @pytest.mark.parametrize("p", [4.0, 8.0])
 @pytest.mark.parametrize("lam", [10.0, 2500.0])
 def test_midpoint_walk_reaches_scanned_minimum(n, p, lam):
-    from nlsground.nodal import _InterfaceProblem
-
+    # no split with a zero node at m (the left part the signed state on
+    # m - 1 nodes, the right one on n - m) lies below the nodal level
     grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
     params = ActionParams(p, lam)
     st = nodal_ground_state(grid, params)
-    prob = _InterfaceProblem(grid, params, SolverOptions())
-    lo, hi = prob.window
-    best = min(prob.evaluate(m) for m in range(lo, hi + 1))
-    # values, not indices: at large lambda J has plateaus tied to rounding
+    h = grid.h[0]
+    f = {}
+    for k in range(3, n - 3):
+        side = build_grid(DomainSpec.interval(0.0, (k + 1) * h), k)
+        try:
+            f[k] = ground_state(side, params).action_value
+        except NlsgroundError:
+            f[k] = np.inf
+    best = min(f[m - 1] + f[n - m] for m in range(4, n - 2))
+    assert np.isfinite(best)
     assert st.action_value <= best * (1.0 + 1e-12)
 
 
-def test_walk_ignores_rounding_noise_on_flat_action():
-    # at large lambda J(m) near the midpoint agrees to its last digits;
-    # the cold walk evaluates the midpoint and its two neighbours only
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 2047)
-    st = nodal_ground_state(grid, ActionParams(6.0, 1e4))
-    assert st.interface_index == (grid.n + 1) // 2
-    assert st.iterations == 3
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("p, lam", [(4.0, 10.0), (8.0, 2500.0), (4.0, None)])
+def test_1d_nodal_residual_is_the_full_residual(n, p, lam):
+    # on even n no node lies at the midpoint: the state solves the full
+    # discrete system across the middle edge, near the threshold too
+    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    params = ActionParams(p, -lambda2(grid) + 0.5 if lam is None else lam)
+    st = nodal_ground_state(grid, params)
+    assert st.residual == pde_residual(st.u, params) <= SolverOptions().tol
+    assert st.node_count == 1
 
 
 def _assert_ignores_seed(grid):
@@ -205,27 +138,6 @@ def test_2d_descent(unit_square):
     assert st.action_value >= 2.0 * signed.action_value - 1e-8
     assert st.action_value == pytest.approx(sum(st.part_actions), rel=1e-12)
     assert st.node_count >= 1
-
-
-@pytest.mark.parametrize("rel", [1e-3, 0.2, 0.9])
-def test_interface_window_matches_side_grid_scan(rel):
-    from nlsground.action import THRESHOLD_MARGIN
-    from nlsground.nodal import _InterfaceProblem
-
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 63)
-    params = ActionParams(4.0, -lambda2(grid) * (1.0 - rel))
-    prob = _InterfaceProblem(grid, params, SolverOptions())
-    h, mf = grid.h[0], THRESHOLD_MARGIN
-
-    def admissible(lo, hi, n_side):
-        lam1 = lambda1(build_grid(DomainSpec.interval(lo, hi), n_side))
-        return params.lam > -lam1 + mf * lam1
-
-    feasible = [m for m in range(4, grid.n - 2)
-                if admissible(0.0, m * h, m - 1)
-                and admissible(m * h, 1.0, grid.n - m)]
-    assert feasible == list(range(feasible[0], feasible[-1] + 1))
-    assert prob.window == (feasible[0], feasible[-1])
 
 
 def _own_partwise_residual(vals: np.ndarray, h: float, p: float, lam: float) -> float:
