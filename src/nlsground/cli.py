@@ -63,16 +63,19 @@ def _dump_lines(lines: list[str], path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_domain(text: str | None, dim: int) -> DomainSpec:
+def _parse_domain(text: str | None, dim: int | None) -> DomainSpec:
+    """The box of --domain, or the unit box of --dim (default 1)."""
     if text is None:
-        return (DomainSpec.interval(0.0, 1.0) if dim == 1
-                else DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0))
+        return (DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0) if dim == 2
+                else DomainSpec.interval(0.0, 1.0))
     vals = [float(v) for v in text.split(",")]
-    if len(vals) == 2:
-        return DomainSpec.interval(vals[0], vals[1])
-    if len(vals) == 4:
-        return DomainSpec.rectangle(*vals)
-    raise InvalidSpec(f"domain must have 2 or 4 bounds, got {text!r}")
+    if len(vals) not in (2, 4):
+        raise InvalidSpec(f"domain must have 2 or 4 bounds, got {text!r}")
+    if dim not in (None, len(vals) // 2):
+        raise InvalidSpec(f"--dim {dim} disagrees with the "
+                          f"{len(vals) // 2}D domain {text!r}")
+    return (DomainSpec.interval(*vals) if len(vals) == 2
+            else DomainSpec.rectangle(*vals))
 
 
 def _solver_options(args) -> SolverOptions:
@@ -84,7 +87,8 @@ def _add_common(sp, solver=True):
                     help="interior nodes per axis")
     sp.add_argument("--domain", default=None,
                     help="bounds a,b (1D) or ax,bx,ay,by (2D)")
-    sp.add_argument("--dim", type=int, default=1, choices=(1, 2))
+    sp.add_argument("--dim", type=int, default=None, choices=(1, 2),
+                    help="default: that of --domain, else 1")
     if solver:
         sp.add_argument("--tol", type=float, default=1e-8)
         sp.add_argument("--seed", type=int, default=0)

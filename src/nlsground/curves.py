@@ -447,13 +447,17 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
     if resolution is None:
         resolution = 0.01 if N == 1 else 0.06
     lengths = [float(L) for L in L_list]
+    for L in lengths:
+        if not (np.isfinite(L) and L > 0):
+            raise InvalidSpec(f"box size must be finite and positive, got {L}")
     if len(lengths) < 2 or any(b <= a for a, b in zip(lengths, lengths[1:])):
         raise ValueError("need at least two strictly increasing box sizes")
 
     values = []
     largest_grid = None
     for L in lengths:
-        n = min(int(math.ceil(L / resolution)) - 1, _MU_N_CAP[N]) | 1
+        # capped before rounding: L / resolution may overflow to inf
+        n = int(math.ceil(min(L / resolution, _MU_N_CAP[N] + 1)) - 1) | 1
         if N == 1:
             spec = DomainSpec.interval(-L / 2.0, L / 2.0)
         else:

@@ -4,7 +4,9 @@ The stencil has constant coefficients on a box, so the solve uses its
 structure directly: in 1D A + c I is symmetric tridiagonal and is
 factored once by LAPACK's LDL^T (dpttrf/dpttrs); in 2D it is diagonal in
 the discrete sine basis, and a solve is a sine transform, a division by
-the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform.
+the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform,
+each pocketfft's real DST-I (from scipy's extension file, loaded alone
+at the first 2D solve; see `_pocketfft_dst`).
 A solve may be restricted to the fields that are odd under a reflection
 of the box, which commutes with A.  In 1D the reflection is the midpoint
 flip, and the odd fields are fixed by their first n // 2 nodes, on which
@@ -30,6 +32,11 @@ of dgtsv (`solve_tridiagonal_longdouble`).
 
 from __future__ import annotations
 
+import functools
+import os
+import sys
+from importlib import machinery, util
+
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
@@ -44,10 +51,6 @@ _MAX_REFINE = 4
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
 _MINRES_STEPS = 200
-# values per block of the 2D sine transform's odd-extension buffer: the
-# FFT's work arrays stay a small fraction of a field on fine grids, and
-# coarse grids (n <= 63) take one block
-_DST_BLOCK = 8192
 
 
 class OperatorSolver:
@@ -165,23 +168,35 @@ def odd_part(x: np.ndarray, reflect) -> np.ndarray:
 def _dst2(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unnormalized DST-I along both axes of a square array, into out.
 
-    Along an axis the transform is 2 sum_j x_j sin(pi j k/(n+1)), the
-    imaginary part of the real FFT of the odd extension; applying it
-    twice multiplies by 2(n+1).  Rows, then columns, are transformed a
-    block at a time through one odd-extension buffer of about _DST_BLOCK
-    values, each block written straight into out, which may be u itself.
+    Along an axis the transform is 2 sum_j x_j sin(pi j k/(n+1));
+    applying it twice multiplies by 2(n+1).  pocketfft's real-to-real
+    kernel computes it on one thread; out may be u itself.
     """
-    n = u.shape[0]
-    rows = min(max(_DST_BLOCK // (2 * (n + 1)), 1), n)
-    z = np.zeros((rows, 2 * (n + 1)))
-    for src, dst in ((u, out), (out.T, out.T)):
-        for lo in range(0, n, rows):
-            x = src[lo:lo + rows]
-            zb = z[:len(x)]
-            zb[:, 1:n + 1] = x
-            np.negative(x[:, ::-1], out=zb[:, n + 2:])
-            np.negative(np.fft.rfft(zb)[:, 1:n + 1].imag, out=dst[lo:lo + rows])
+    _pocketfft_dst()(u, 1, (0, 1), 0, out, 1)
     return out
+
+
+@functools.cache
+def _pocketfft_dst():
+    """pocketfft's dst(a, type, axes, inorm, out, nthreads), on first use.
+
+    scipy's extension file is found in scipy's fft/_pocketfft directory
+    and loaded by itself (an ExtensionFileLoader), without scipy.fft's
+    other imports, under its own name, where a later `import scipy.fft`
+    finds it.  Without the file, scipy.fft.dstn calls the same kernel.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    root = util.find_spec("scipy").submodule_search_locations[0]
+    spec = machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "fft", "_pocketfft")])
+    if spec is None:
+        from scipy.fft import dstn
+        return lambda u, kind, axes, inorm, out, nthreads: np.copyto(
+            out, dstn(u, kind, axes=axes, workers=nthreads))
+    if name not in sys.modules:
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].dst
 
 
 class _FrozenPartition:

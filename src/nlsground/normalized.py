@@ -159,6 +159,8 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
     """
     if not (np.isfinite(mu) and mu > 0):
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
+    if samples < 2:
+        raise InvalidSpec(f"samples must be at least 2, got {samples}")
     opts = opts or SolverOptions()
     own_curve = curve is None
     if own_curve:
@@ -476,6 +478,8 @@ def supercritical_lambda_bound(grid: Grid, p: float, mu: float,
         raise InvalidSpec(f"p={p} is not supercritical (p_c={p_c})")
     if not (np.isfinite(mu) and mu > 0):
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
+    if samples < 2:
+        raise InvalidSpec(f"samples must be at least 2, got {samples}")
     lam2 = spectral.lambda2(grid)
     lambda_bar = 2.0 * p * lam2 / (N * (p - p_c))
     curve = sweep(grid, p, np.linspace(-lam2 + 0.5, 1.2 * lambda_bar, samples),

@@ -402,8 +402,9 @@ def test_viterbi_rounding_matches_scalar_reference(n, errors):
 
 def test_2d_solve_memory_stays_near_fixed_point(unit_square):
     # Newton's MINRES shares the fixed point's shifted solver as its
-    # preconditioner and the sine transform works in row blocks, so the
-    # peak stays within a few field-sized arrays of the fixed point's own
+    # preconditioner and the sine transform writes into a field-sized
+    # output (in place for the second one), so the peak stays within a
+    # few field-sized arrays of the fixed point's own
     import tracemalloc
 
     grid = build_grid(unit_square, 127)

@@ -139,6 +139,48 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert code == 1, argv
 
 
+@pytest.mark.parametrize("boxes", ["1,inf", "1,nan", "-2,4", "0,4"])
+def test_mu_n_rejects_bad_box_sizes(capsys, boxes):
+    code = main(["mu-n", f"--boxes={boxes}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "box size" in err and "Traceback" not in err
+
+
+def test_mu_n_huge_box_is_a_solver_failure(capsys):
+    # finite, but box / resolution overflows: the node count is capped
+    # before it is rounded, and the degenerate solve fails with exit 2
+    code = main(["mu-n", "--boxes", "1,1e308"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--dim", "2", "--domain", "0,1"),
+                                  ("--dim", "1", "--domain", "0,1,0,1")])
+def test_dim_and_domain_must_agree(capsys, argv):
+    code = main(["ground", "--p", "4", "--lambda", "10", "--n", "15", *argv])
+    assert code == 1
+    assert "disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, dimension", [(("--domain", "0,1,0,2"), 2),
+                                             (("--domain", "0,2"), 1),
+                                             (("--dim", "2"), 2),
+                                             ((), 1)])
+def test_dim_follows_domain(capsys, argv, dimension):
+    code, out = run_cli(capsys, "ground", "--p", "4", "--lambda", "10",
+                        "--n", "15", *argv)
+    assert code == 0
+    assert json.loads(out)["domain"]["dimension"] == dimension
+
+
+def test_normalized_needs_two_samples(capsys):
+    code = main(["normalized", "--p", "4", "--mu", "1", "--n", "63",
+                 "--samples", "1"])
+    assert code == 1
+    assert "samples" in capsys.readouterr().err
+
+
 def test_truncated_dump_is_invalid(tmp_path, capsys):
     dump = tmp_path / "u.field"
     code, _ = run_cli(capsys, "ground", "--p", "4", "--lambda", "10",

@@ -1,3 +1,10 @@
+import importlib.util
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrf
@@ -5,8 +12,8 @@ from scipy.linalg.lapack import dpttrf
 from nlsground import (ActionParams, DomainSpec, NoConvergence, build_grid,
                        ground_state, lambda1)
 from nlsground import linsolve
-from nlsground.linsolve import (_tridiagonal_solve, newton, shifted_solver,
-                                solve_tridiagonal_longdouble)
+from nlsground.linsolve import (_dst2, _tridiagonal_solve, newton,
+                                shifted_solver, solve_tridiagonal_longdouble)
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
 # through numpy.  Row-major flattening puts the x index first, so the x
@@ -165,3 +172,80 @@ def test_singular_linearization_is_reported(unit_interval):
     out, _, steps, reason = newton(grid, u, 4.0, lam, 1e-8)
     assert (steps, reason) == (1, "singular")
     assert np.array_equal(out, u)
+
+
+def _sine_matrix(n):
+    # 2 sin(pi j k/(n+1)), its argument reduced exactly mod 2 pi first
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
+    return 2.0 * np.sin(np.pi * jk / (n + 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 31, 64, 255])
+def test_dst2_matches_dense_sine_matrix(n):
+    u = np.random.default_rng(n).standard_normal((n, n))
+    s = _sine_matrix(n)
+    ref = s @ u @ s
+    got = _dst2(u, np.empty_like(u))
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    # out may be the input itself
+    assert np.array_equal(_dst2(u, u), got)
+
+
+def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
+    # without pocketfft's extension file, scipy.fft.dstn runs the kernel
+    u = np.random.default_rng(5).standard_normal((127, 127))
+    loaded = _dst2(u, np.empty_like(u))
+    find_spec = importlib.util.find_spec
+    missing = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        missing if name == "scipy" else find_spec(name, *args)))
+    linsolve._pocketfft_dst.cache_clear()
+    try:
+        kernel = linsolve._pocketfft_dst()
+        fallback = _dst2(u, np.empty_like(u))
+        v = u.copy()
+        _dst2(v, v)
+    finally:
+        linsolve._pocketfft_dst.cache_clear()
+    assert kernel is not sys.modules["scipy.fft._pocketfft.pypocketfft"].dst
+    assert np.array_equal(fallback, loaded)
+    assert np.array_equal(v, loaded)
+
+
+LAZY_LOAD_SCRIPT = """
+import sys
+import nlsground as nls
+
+name = "scipy.fft._pocketfft.pypocketfft"
+params = nls.ActionParams(4.0, 10.0)
+nls.ground_state(nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63), params)
+print(name in sys.modules)
+nls.ground_state(nls.build_grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0),
+                                15), params)
+from scipy.fft._pocketfft import basic
+print(name in sys.modules, basic.pfft is sys.modules[name])
+"""
+
+
+def test_sine_transform_loads_only_for_2d_solves():
+    # 1D processes never map pocketfft; a later import of scipy.fft finds
+    # the module a 2D solve loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", LAZY_LOAD_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True", "True"]
+
+
+def test_cold_2d_solve_makes_24_sine_solves(unit_square, monkeypatch):
+    raw = linsolve.OperatorSolver._raw_solve
+    calls = []
+
+    def counted(self, b):
+        calls.append(b.size)
+        return raw(self, b)
+
+    monkeypatch.setattr(linsolve.OperatorSolver, "_raw_solve", counted)
+    ground_state(build_grid(unit_square, 63), ActionParams(4.0, 10.0))
+    assert len(calls) == 24

@@ -113,6 +113,15 @@ def test_no_bracket_without_extension(grid255, p4_curve):
         solve_normalized(grid255, 4.0, big_mu, "signed", curve=p4_curve)
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_too_few_samples_is_invalid(grid255, samples):
+    # one sample leaves no frequency range to bracket or extend
+    with pytest.raises(InvalidSpec, match="samples"):
+        solve_normalized(grid255, 4.0, 1.0, samples=samples)
+    with pytest.raises(InvalidSpec, match="samples"):
+        supercritical_lambda_bound(grid255, 8.0, 1.0, samples=samples)
+
+
 def test_auto_extension_reaches_large_mass(grid255):
     big = solve_normalized(grid255, 4.0, 30.0, "signed", lambda_max=40.0,
                            samples=60)
