@@ -17,8 +17,8 @@ from .errors import (CertificationFailed, GridMismatch, InsufficientRange,
                      MassOutOfRange, NlsgroundError, NoBracket, NoConvergence,
                      NonpositiveQuotient, NotCritical, NotStarShaped,
                      ZeroField)
-from .grid import (DomainSpec, Field, Grid, build_grid, load_field,
-                   node_count, norms, save_field, split)
+from .grid import (DomainSpec, Field, Grid, load_field, node_count, norms,
+                   save_field, split)
 from .nodal import nodal_ground_state
 from .normalized import (BranchRecord, Certification, CertificationReport,
                          FMuProfile, NormalizedSolution, PohozaevReport,

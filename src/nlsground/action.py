@@ -241,7 +241,10 @@ def ground_state(grid: Grid, params: ActionParams,
             f"lambda={lam} at or below -lambda_1 + margin = {floor:.6g}")
 
     u, warm = _initial_vector(grid, init_field)
-    u = u / grid.lp_p(u, p) ** (1.0 / p)
+    lp = grid.lp_p(u, p)
+    if lp == 0.0:
+        raise ZeroField("the start vector's L^p norm underflows to 0")
+    u = u / lp ** (1.0 / p)
 
     # 1D Newton factors nothing, 2D Newton preconditions with the fixed
     # point's solve

@@ -24,8 +24,7 @@ from .curves import (derivative_mass_check, exhaustion_test, estimate_mu_N,
                      mass_threshold, sweep, threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
                      MassOutOfRange, NlsgroundError, NoConvergence)
-from .grid import (DomainSpec, Field, build_grid, load_field, norms,
-                   save_field, split)
+from .grid import DomainSpec, Field, Grid, load_field, norms, save_field, split
 from .nodal import nodal_ground_state
 from .normalized import (least_energy_certify, pohozaev_check,
                          solve_normalized, supercritical_lambda_bound)
@@ -108,7 +107,7 @@ def sweep_csv_lines(curve) -> list[str]:
 
 
 def _cmd_eig(args) -> int:
-    grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
+    grid = Grid(_parse_domain(args.domain, args.dim), args.n)
     pairs = spectral.dirichlet_eigenpairs(grid, args.k)
     lines = [EIG_HEADER]
     for i, pr in enumerate(pairs, start=1):
@@ -118,7 +117,7 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_ground(args, kind: str) -> int:
-    grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
+    grid = Grid(_parse_domain(args.domain, args.dim), args.n)
     params = ActionParams(args.p, getattr(args, "lambda"))
     opts = _solver_options(args)
     if kind == "signed":
@@ -132,7 +131,7 @@ def _cmd_ground(args, kind: str) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
+    grid = Grid(_parse_domain(args.domain, args.dim), args.n)
     opts = _solver_options(args)
     lo = args.lambda_min
     if lo is None:
@@ -154,7 +153,7 @@ def _cmd_mu_n(args) -> int:
 
 
 def _cmd_normalized(args) -> int:
-    grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
+    grid = Grid(_parse_domain(args.domain, args.dim), args.n)
     opts = _solver_options(args)
     sol = solve_normalized(grid, args.p, args.mu, args.kind, opts=opts,
                            lambda_max=args.lambda_max, samples=args.samples)
@@ -172,7 +171,7 @@ def _cmd_pohozaev(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    grid = build_grid(_parse_domain(args.domain, args.dim), args.n)
+    grid = Grid(_parse_domain(args.domain, args.dim), args.n)
     opts = _solver_options(args)
     report = supercritical_lambda_bound(grid, args.p, args.mu, opts=opts)
     rec = dataclasses.asdict(report)
@@ -195,7 +194,7 @@ def _cmd_exhaustion(args) -> int:
 
 
 def _check_eig_1d(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 511)
     pairs = spectral.dirichlet_eigenpairs(grid, 2)
     h = grid.h[0]
     lines = [EIG_HEADER]
@@ -210,7 +209,7 @@ def _check_eig_1d(opts: SolverOptions, outdir: Path):
 
 
 def _check_eig_2d(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 63)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 63)
     pairs = spectral.dirichlet_eigenpairs(grid, 2)
     rel1 = abs(pairs[0].value - 2.0 * np.pi ** 2) / (2.0 * np.pi ** 2)
     rel2 = abs(pairs[1].value - 5.0 * np.pi ** 2) / (5.0 * np.pi ** 2)
@@ -223,7 +222,7 @@ def _check_eig_2d(opts: SolverOptions, outdir: Path):
 
 
 def _check_ground(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 511)
     artifacts = {}
     worst = []
     for p in (4.0, 6.0):
@@ -247,7 +246,7 @@ def _check_ground(opts: SolverOptions, outdir: Path):
 
 
 def _check_nodal(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 511)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 511)
     p, lam = 4.0, 10.0
     st = nodal_ground_state(grid, ActionParams(p, lam), opts)
     signed = ground_state(grid, ActionParams(p, lam), opts)
@@ -265,7 +264,7 @@ def _check_nodal(opts: SolverOptions, outdir: Path):
 
 
 def _check_sweeps(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 255)
     details = []
     ok = True
     artifacts = {}
@@ -284,7 +283,7 @@ def _check_sweeps(opts: SolverOptions, outdir: Path):
 
 
 def _check_threshold(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 255)
     lam1 = spectral.lambda1(grid)
     lams = np.linspace(-lam1 + 0.5, 150.0, 80)
     c8 = sweep(grid, 8.0, lams, "signed", opts)
@@ -292,8 +291,10 @@ def _check_threshold(opts: SolverOptions, outdir: Path):
     c4 = sweep(grid, 4.0, lams, "signed", opts)
     t4 = mass_threshold(c4, opts)
     interior = (c8.lambdas[2] < t8.argmax_lambda < c8.lambdas[-3])
+    # subcritical: the masses of action ground states fill (0, inf)
+    rising = bool(np.all(np.diff(c4.mass[c4.ok_indices()]) > 0))
     ok = (not t8.unbounded and t8.attained == "yes" and interior
-          and t4.unbounded and t4.mu_p == float("inf"))
+          and t4.unbounded and t4.mu_p == float("inf") and rising)
     detail = (f"p=8: mu_p={t8.mu_p:.6f} at lambda={t8.argmax_lambda:.3f}; "
               f"p=4 unbounded={t4.unbounded}")
     lines = ["p,mu_p,argmax_lambda,attained,unbounded",
@@ -303,7 +304,7 @@ def _check_threshold(opts: SolverOptions, outdir: Path):
 
 
 def _check_normalized(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 255)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 255)
     curve = sweep(grid, 4.0,
                   np.linspace(-threshold_eigenvalue(grid, "signed") + 0.5,
                               60.0, 80), "signed", opts)
@@ -321,7 +322,7 @@ def _check_normalized(opts: SolverOptions, outdir: Path):
 
 
 def _check_pohozaev(opts: SolverOptions, outdir: Path):
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 1023)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 1023)
     params = ActionParams(8.0, 10.0)
     st = ground_state(grid, params, opts)
     rep = pohozaev_check(st.u, params)

@@ -28,7 +28,7 @@ from .action import (ActionParams, GroundState, SolverOptions, ground_state,
                      mass_slope, tangent_predictor)
 from .errors import (InsufficientRange, InvalidSpec, NlsgroundError,
                      NoConvergence, NotCritical)
-from .grid import DomainSpec, Grid, build_grid
+from .grid import DomainSpec, Grid
 from .nodal import nodal_ground_state
 
 # sweep: cold re-solve period, level gap it flags, failed share that aborts
@@ -399,7 +399,7 @@ def resolution_matched_factory(spec: DomainSpec, n_base: int,
     def factory(lam: float) -> Grid:
         n = int(math.ceil(n_base * math.sqrt(max(lam, lam_base) / lam_base)))
         n = min(n | 1, _FACTORY_N_CAP)
-        return build_grid(spec, n)
+        return Grid(spec, n)
     return factory
 
 
@@ -454,7 +454,6 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
         raise ValueError("need at least two strictly increasing box sizes")
 
     values = []
-    largest_grid = None
     for L in lengths:
         # capped before rounding: L / resolution may overflow to inf
         n = int(math.ceil(min(L / resolution, _MU_N_CAP[N] + 1)) - 1) | 1
@@ -462,10 +461,9 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
             spec = DomainSpec.interval(-L / 2.0, L / 2.0)
         else:
             spec = DomainSpec.rectangle(-L / 2.0, L / 2.0, -L / 2.0, L / 2.0)
-        grid = build_grid(spec, n)
-        st = ground_state(grid, ActionParams(p, 1.0), opts)
-        values.append(2.0 * st.action_value)
-        largest_grid = grid
+        grid = Grid(spec, n)
+        st1 = ground_state(grid, ActionParams(p, 1.0), opts)
+        values.append(2.0 * st1.action_value)
     increments = [abs(b - a) for a, b in zip(values, values[1:])]
     decreasing = all(b <= a * (1.0 + 1e-12) for a, b in zip(values, values[1:]))
     settled = increments[-1] <= 0.02 * values[-1] and (
@@ -475,8 +473,8 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
             f"box sequence has not converged: values {values}, "
             f"increments {increments} (boxes too small for the bound state)")
 
-    st1 = ground_state(largest_grid, ActionParams(p, 1.0), opts)
-    st2 = ground_state(largest_grid, ActionParams(p, _SCALING_LAMBDA), opts)
+    # grid and st1 are the largest box's, at unit frequency
+    st2 = ground_state(grid, ActionParams(p, _SCALING_LAMBDA), opts)
     exponent = (2.0 * N - p * (N - 2.0)) / (2.0 * (p - 2.0))
     expected = _SCALING_LAMBDA ** exponent
     ratio = st2.action_value / st1.action_value
@@ -519,19 +517,18 @@ def exhaustion_test(spec: DomainSpec, shrink_list, params: ActionParams,
         raise ValueError("shrink margins must be nonnegative")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("shrink margins must be strictly decreasing")
-    base_grid = build_grid(spec, n)
-    base = nodal_ground_state(base_grid, params, opts).action_value
+    base = nodal_ground_state(Grid(spec, n), params, opts).action_value
     levels = []
     for eps in eps_list:
         if eps == 0.0:
-            levels.append(nodal_ground_state(base_grid, params, opts).action_value)
+            levels.append(base)
             continue
         bounds = tuple((lo + eps, hi - eps) for lo, hi in spec.bounds)
         if any(hi - lo <= 0 for lo, hi in bounds):
             raise ValueError(f"shrink margin {eps} eliminates the domain")
         shrunk = DomainSpec(spec.dimension, bounds)
         levels.append(
-            nodal_ground_state(build_grid(shrunk, n), params, opts).action_value)
+            nodal_ground_state(Grid(shrunk, n), params, opts).action_value)
     gaps = [(lv - base) / base for lv in levels]
     monotone = all(b <= a * (1.0 + 1e-12) for a, b in zip(levels, levels[1:]))
     final_gap = gaps[-1]

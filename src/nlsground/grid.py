@@ -187,11 +187,6 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
-def build_grid(spec: DomainSpec, n: int) -> Grid:
-    """Grid with n interior nodes per axis on the given domain."""
-    return Grid(spec, n)
-
-
 class Field:
     """Real grid function on the interior nodes of one Grid.
 
@@ -346,4 +341,4 @@ def load_field(path) -> Field:
     if count != n ** dim:
         raise InvalidSpec(f"{path}: {count} values for n={n} in dimension {dim}")
     bounds = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(dim))
-    return Field(build_grid(DomainSpec(dim, bounds, center), n), values)
+    return Field(Grid(DomainSpec(dim, bounds, center), n), values)

@@ -11,10 +11,10 @@ A solve may be restricted to the fields that are odd under a reflection
 of the box, which commutes with A.  In 1D the reflection is the midpoint
 flip, and the odd fields are fixed by their first n // 2 nodes, on which
 the restricted operator is again tridiagonal; in 2D each sine solve is
-projected onto the odd fields.  Every solve is followed by iterative
-refinement against the stencil evaluation used everywhere else in the
-package, so solve residuals are consistent with how every other module
-measures them.
+projected onto the odd fields.  A solve is one back-substitution with
+the factor: the direct solve is backward stable, so refining it in
+double precision would gain almost nothing (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 12).
 Solves are bitwise deterministic for fixed inputs.
 
 The same module holds the one linearized solve the package uses: the
@@ -44,9 +44,7 @@ from . import spectral
 from .errors import NoConvergence
 from .grid import Grid, dot
 
-# refinement target (relative residual) and step cap; refinement also
-# stops as soon as a step fails to halve the residual
-_REFINE_TOL = 1e-13
+# refinement step cap of the long-double solve
 _MAX_REFINE = 4
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
@@ -64,7 +62,8 @@ class OperatorSolver:
     Every solve is then restricted to those odd fields, and c need only
     exceed -lambda_2.  In 1D the operator on the odd fields is factored
     on the first n // 2 nodes, each solve mirrored onto the full grid;
-    in 2D each solve is projected onto them, (x - R x) / 2.
+    in 2D each solve is projected onto them, (x - R x) / 2.  Each solve
+    is one back-substitution with the factor.
     """
 
     def __init__(self, grid: Grid, c: float, reflect=None):
@@ -98,9 +97,6 @@ class OperatorSolver:
             raise NoConvergence(
                 f"operator A + ({self.c}) I is not positive definite")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.grid.laplacian(x) + self.c * x
-
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         if self.grid.dimension == 1:
             d, e = self._factor
@@ -119,38 +115,8 @@ class OperatorSolver:
         return x.reshape(-1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve, refined toward relative residual _REFINE_TOL."""
-        bnorm = np.sqrt(dot(b, b))
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-
-        def residual(x):
-            r = b - self.apply(x)
-            return r, np.sqrt(dot(r, r))
-
-        return _refine(self._raw_solve, residual, self._raw_solve(b),
-                       _REFINE_TOL * bnorm)
-
-
-def _refine(solve, residual, x: np.ndarray, target: float) -> np.ndarray:
-    """Iterative refinement x <- x + solve(r) of an approximate solution.
-
-    residual(x) returns (r, its norm).  Stops once the norm reaches
-    target, after _MAX_REFINE steps, or, as in LAPACK's xGERFS, when a
-    step fails to halve it; a step that lowers it is kept all the same.
-    """
-    r, rnorm = residual(x)
-    for _ in range(_MAX_REFINE):
-        if rnorm <= target:
-            break
-        x_new = x + solve(r)
-        r_new, rnorm_new = residual(x_new)
-        if rnorm_new < rnorm:
-            x, r = x_new, r_new
-        if 2.0 * rnorm_new > rnorm:
-            break
-        rnorm = rnorm_new
-    return x
+        """x with (A + c I) x = b, on reflect's odd fields if given."""
+        return self._raw_solve(b)
 
 
 def shifted_solver(grid: Grid, c: float, reflect=None) -> OperatorSolver:
@@ -390,14 +356,16 @@ def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,
 
     Mixed-precision iterative refinement (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 12): one pivoted solve in double
-    precision (`_tridiagonal_solve`), then `_refine` with the residual
-    formed in long double and each correction solved in double, until
-    the residual's max norm is within long-double precision of the
-    right-hand side's.  The pivoting keeps the solve stable on the
-    indefinite linearizations of the 1D rounding polish, where double
-    precision storage noise limits attainable residuals.  `diag` may vary
-    per node (linearized operators); `off` is the off-diagonal.  Returns
-    the solution in long double.
+    precision (`_tridiagonal_solve`), then corrections x <- x + solve(r)
+    with the residual r formed in long double and each correction solved
+    in double.  Refinement stops once the residual's max norm is within
+    long-double precision of the right-hand side's, after _MAX_REFINE
+    steps, or, as in LAPACK's xGERFS, when a step fails to halve it; a
+    step that lowers it is kept all the same.  The pivoting keeps the
+    solve stable on the indefinite linearizations of the 1D rounding
+    polish, where double precision storage noise limits attainable
+    residuals.  `diag` may vary per node (linearized operators); `off`
+    is the off-diagonal.  Returns the solution in long double.
     """
     dl, d = off.astype(np.float64), diag.astype(np.float64)
 
@@ -409,12 +377,21 @@ def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,
         r = r.astype(np.float64)
         return r, np.max(np.abs(r))
 
-    def solve(b):
-        return _tridiagonal_solve(d, dl, b)
-
     b = rhs.astype(np.float64)
-    return _refine(solve, residual, solve(b).astype(np.longdouble),
-                   np.finfo(np.longdouble).eps * np.max(np.abs(b)))
+    target = np.finfo(np.longdouble).eps * np.max(np.abs(b))
+    x = _tridiagonal_solve(d, dl, b).astype(np.longdouble)
+    r, rnorm = residual(x)
+    for _ in range(_MAX_REFINE):
+        if rnorm <= target:
+            break
+        x_new = x + _tridiagonal_solve(d, dl, r)
+        r_new, rnorm_new = residual(x_new)
+        if rnorm_new < rnorm:
+            x, r = x_new, r_new
+        if 2.0 * rnorm_new > rnorm:
+            break
+        rnorm = rnorm_new
+    return x
 
 
 def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray,

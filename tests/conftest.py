@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlsground import DomainSpec, build_grid
+from nlsground import DomainSpec, Grid
 
 # Discrete Dirichlet eigenvalues of the 1D second-difference operator on n
 # interior nodes over an interval of length L (independent oracle: the
@@ -21,17 +21,17 @@ def unit_interval():
 
 @pytest.fixture(scope="session")
 def grid255(unit_interval):
-    return build_grid(unit_interval, 255)
+    return Grid(unit_interval, 255)
 
 
 @pytest.fixture(scope="session")
 def grid511(unit_interval):
-    return build_grid(unit_interval, 511)
+    return Grid(unit_interval, 511)
 
 
 @pytest.fixture(scope="session")
 def grid2047(unit_interval):
-    return build_grid(unit_interval, 2047)
+    return Grid(unit_interval, 2047)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from nlsground import (ActionParams, DomainSpec, MassOutOfRange,
-                       SolverOptions, build_grid, derivative_mass_check,
+from nlsground import (ActionParams, DomainSpec, Grid, MassOutOfRange,
+                       SolverOptions, derivative_mass_check,
                        dirichlet_eigenpairs, estimate_mu_N, exhaustion_test,
                        f_mu_profile, ground_state, kappa, lambda1, lambda2,
                        least_energy_certify, mass_threshold,
@@ -36,7 +36,7 @@ def report(num: int, passed: bool, detail: str):
 @pytest.fixture(scope="module")
 def sweeps_1d():
     """Criterion 3 sweeps: 200 samples, both kinds, p in {4, 6, 8}."""
-    grid = build_grid(UNIT, 511)
+    grid = Grid(UNIT, 511)
     out = {}
     for kind, thr in (("signed", lambda1(grid)), ("nodal", lambda2(grid))):
         lams = np.linspace(-thr + 0.5, 200.0, 200)
@@ -48,18 +48,18 @@ def sweeps_1d():
 @pytest.fixture(scope="module")
 def p6_nodal_curve():
     """Criterion 7 critical-exponent curve, swept deep into the plateau."""
-    grid = build_grid(UNIT, 1023)
+    grid = Grid(UNIT, 1023)
     lams = np.linspace(-lambda2(grid) + 0.5, 2500.0, 160)
     return grid, sweep(grid, 6.0, lams, "nodal")
 
 
 def test_criterion_01_eigenvalues():
     t0 = time.perf_counter()
-    grid1 = build_grid(UNIT, 2048)
+    grid1 = Grid(UNIT, 2048)
     pairs = dirichlet_eigenpairs(grid1, 2)
     rel1 = abs(pairs[0].value - math.pi**2) / math.pi**2
     rel2 = abs(pairs[1].value - 4 * math.pi**2) / (4 * math.pi**2)
-    grid2 = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 256)
+    grid2 = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 256)
     pair2d = dirichlet_eigenpairs(grid2, 1)[0]
     rel3 = abs(pair2d.value - 2 * math.pi**2) / (2 * math.pi**2)
     elapsed = time.perf_counter() - t0
@@ -70,7 +70,7 @@ def test_criterion_01_eigenvalues():
 
 def test_criterion_02_ground_state_contracts():
     t0 = time.perf_counter()
-    grid = build_grid(UNIT, 4096)
+    grid = Grid(UNIT, 4096)
     worst = {"res": 0.0, "nehari": 0.0, "jk": 0.0, "nodes": 0}
     for p in (4.0, 6.0, 8.0):
         for lam in (1.0, 10.0, 100.0):
@@ -118,7 +118,7 @@ def test_criterion_04_sandwich_and_threshold_decay(sweeps_1d):
         min_gap = min(min_gap, float(gap))
     sandwich_ok = min_gap >= -1e-8
 
-    fine = build_grid(UNIT, 2047)
+    fine = Grid(UNIT, 2047)
     pairs = dirichlet_eigenpairs(fine, 2)
     lam2_h = pairs[1].value
     decay_ok = True
@@ -140,7 +140,7 @@ def test_criterion_05_critical_plateau():
     t0 = time.perf_counter()
     mun = estimate_mu_N(1, [10.0, 20.0, 40.0])
     rel_mu = abs(mun.value - MU_N) / MU_N
-    grid = build_grid(UNIT, 32768)
+    grid = Grid(UNIT, 32768)
     opts = SolverOptions(tol=1e-6)
     signed = ground_state(grid, ActionParams(6.0, 2500.0), opts)
     nodal = nodal_ground_state(grid, ActionParams(6.0, 2500.0), opts)
@@ -191,7 +191,7 @@ def test_criterion_06_regime_trichotomy(sweeps_1d):
 @pytest.fixture(scope="module")
 def normalized_solutions(p6_nodal_curve):
     """Criterion 7 solves, shared with criterion 8."""
-    grid = build_grid(UNIT, 511)
+    grid = Grid(UNIT, 511)
     results = {}
     lams_signed = np.linspace(-lambda1(grid) + 0.5, 80.0, 120)
     signed_curve = sweep(grid, 4.0, lams_signed, "signed")
@@ -272,7 +272,7 @@ def test_criterion_09_pohozaev():
     residuals = {}
     bounds_ok = True
     for n in (4096, 8192):
-        grid = build_grid(UNIT, n)
+        grid = Grid(UNIT, n)
         st = ground_state(grid, params)
         rep = pohozaev_check(st.u, params)
         residuals[n] = rep.identity_residual
@@ -288,7 +288,7 @@ def test_criterion_09_pohozaev():
 
 
 def test_criterion_10_supercritical_frequency_bound():
-    grid = build_grid(UNIT, 511)
+    grid = Grid(UNIT, 511)
     lam2_h = lambda2(grid)
     probe = supercritical_lambda_bound(grid, 8.0, 1.0, samples=140)
     # paper formula 2 p lambda_2 / (N (p - p_c)) = 8 lambda_2 = 32 pi^2

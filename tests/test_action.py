@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlsground import (ActionParams, DomainSpec, Field, InvalidSpec,
+from nlsground import (ActionParams, DomainSpec, Field, Grid, InvalidSpec,
                        LambdaBelowThreshold, NoConvergence,
                        NonpositiveQuotient, SolverOptions, ZeroField, action,
-                       build_grid, dirichlet_eigenpairs, energy, ground_state,
-                       kappa, mass_slope, nehari_project, nehari_scale,
+                       dirichlet_eigenpairs, energy, ground_state, kappa,
+                       mass_slope, nehari_project, nehari_scale,
                        nodal_ground_state, norms, pde_residual, ray_action)
 from nlsground.action import _viterbi_rounding, tangent_predictor
 
@@ -87,6 +87,14 @@ def test_projection_errors(grid255):
         nehari_project(Field(grid255, np.zeros(grid255.size)), ActionParams(4.0, 0.0))
 
 
+
+def test_tiny_start_vector_raises_zero_field(grid255):
+    # its L^p norm underflows to 0: raised before any division, as the
+    # nodal solver does through nehari_scale
+    tiny = Field(grid255, np.full(grid255.size, 1e-200))
+    for solve in (ground_state, nodal_ground_state):
+        with pytest.raises(ZeroField):
+            solve(grid255, ActionParams(4.0, 10.0), init_field=tiny)
 def test_ground_state_beats_first_mode(grid511):
     # the first eigenmode is admissible but not optimal
     st = ground_state(grid511, ActionParams(4.0, 0.0))
@@ -141,14 +149,14 @@ def test_soliton_limit_large_interval():
     # closed-form bound state at unit frequency, p=6:
     #   u(x) = 3^(1/4) sech(2x)^(1/2),
     #   mass = sqrt(3) pi / 2,  level = sqrt(3) pi / 4 (quadrature oracle)
-    grid = build_grid(DomainSpec.interval(-10.0, 10.0), 2047)
+    grid = Grid(DomainSpec.interval(-10.0, 10.0), 2047)
     st = ground_state(grid, ActionParams(6.0, 1.0), SolverOptions(tol=1e-9))
     assert st.action_value == pytest.approx(np.sqrt(3.0) * np.pi / 4.0, rel=1e-4)
     assert st.mass == pytest.approx(np.sqrt(3.0) * np.pi / 2.0, rel=1e-4)
 
 
 def test_2d_ground_state_and_p_cap(unit_square):
-    grid = build_grid(unit_square, 31)
+    grid = Grid(unit_square, 31)
     p, lam = 4.0, 5.0
     st = ground_state(grid, ActionParams(p, lam), SolverOptions(tol=1e-9))
     l2, lp, gr = norms(st.u, p)
@@ -180,7 +188,7 @@ def _nehari_gaps(st):
 def test_2d_newton_polish_meets_tol(unit_square, monkeypatch):
     # four fixed-point steps stop far above tol; Newton on the linearized
     # solve (MINRES in 2D) finishes the state, and its steps are counted
-    grid = build_grid(unit_square, 63)
+    grid = Grid(unit_square, 63)
     params = ActionParams(4.0, 10.0)
     steps = _fixed_point_steps(monkeypatch)
     st = ground_state(grid, params, SolverOptions(max_iter=4))
@@ -196,7 +204,7 @@ def test_2d_signed_state_switches_to_newton(unit_square, monkeypatch):
     # the fixed point alone takes 33 linearly converging steps at n = 63,
     # 127 and 255; Newton takes over after four and lands on the tightly
     # converged level
-    grid = build_grid(unit_square, 63)
+    grid = Grid(unit_square, 63)
     params = ActionParams(4.0, 10.0)
     steps = _fixed_point_steps(monkeypatch)
     st = ground_state(grid, params)
@@ -270,8 +278,8 @@ def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
 def test_tangent_predictor_is_second_order(unit_interval, unit_square, dim):
     # the Euler predictor misses the branch by O(dlambda^2): halving the
     # step quarters the error
-    grid = (build_grid(unit_interval, 255) if dim == 1
-            else build_grid(unit_square, 31))
+    grid = (Grid(unit_interval, 255) if dim == 1
+            else Grid(unit_square, 31))
     p, lam, tight = 4.0, 10.0, SolverOptions(tol=1e-10)
     st = ground_state(grid, ActionParams(p, lam), tight)
     errors = []
@@ -287,7 +295,7 @@ def test_rejected_newton_resumes_fixed_point(monkeypatch):
     # this fine grid, so the rounding polish follows it at once and
     # finishes without further fixed-point steps; the state is on the
     # manifold all the same
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 4096)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 4096)
     steps = _fixed_point_steps(monkeypatch)
     st = ground_state(grid, ActionParams(4.0, 100.0))
     assert len(steps) == 4
@@ -299,7 +307,7 @@ def test_newton_rejected_without_stall_resumes_fixed_point(monkeypatch):
     # only a stall sends the switch's Newton on to the rounding polish; a
     # result rejected for another reason lets the fixed point go on, and
     # the final stage still polishes its best iterate to tol
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 4096)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 4096)
     newton = ACTION.newton
     monkeypatch.setattr(ACTION, "newton",
                         lambda *args: newton(*args)[:3] + ("sign-flip",))
@@ -315,7 +323,7 @@ def test_fine_grid_rounding_polish_work(monkeypatch):
     # at n = 32767 Newton stalls at the rounding floor above tol after the
     # fourth fixed-point step; the rounding polish finishes with its three
     # long-double solves
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 32767)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 32767)
     solve = ACTION.solve_tridiagonal_longdouble
     calls = []
     monkeypatch.setattr(ACTION, "solve_tridiagonal_longdouble",
@@ -407,7 +415,7 @@ def test_2d_solve_memory_stays_near_fixed_point(unit_square):
     # few field-sized arrays of the fixed point's own
     import tracemalloc
 
-    grid = build_grid(unit_square, 127)
+    grid = Grid(unit_square, 127)
     params = ActionParams(4.0, 10.0)
     ground_state(grid, params)
     tracemalloc.start()
@@ -424,8 +432,8 @@ def test_2d_solve_memory_stays_near_fixed_point(unit_square):
 def test_mass_slope_matches_resolved_masses(unit_interval, unit_square, kind, dim):
     # 2 h^N <u, u'> with u' the linearized solve of -u, against central
     # differences of the masses of states re-solved at lambda -+ 1e-3
-    grid = (build_grid(unit_interval, 255) if dim == 1
-            else build_grid(unit_square, 63))
+    grid = (Grid(unit_interval, 255) if dim == 1
+            else Grid(unit_square, 63))
     solve = ground_state if kind == "signed" else nodal_ground_state
     p, lam, step = 4.0, 10.0, 1e-3
     slope = mass_slope(solve(grid, ActionParams(p, lam)))
@@ -447,7 +455,7 @@ def test_unscaled_mode_is_not_a_solution(grid255):
 def test_unreachable_tolerance_names_every_stage(unit_square, grid511, dim):
     # the error says where the fixed point, Newton and (in 1D) the
     # rounding polish stopped
-    grid = grid511 if dim == 1 else build_grid(unit_square, 31)
+    grid = grid511 if dim == 1 else Grid(unit_square, 31)
     with pytest.raises(NoConvergence) as err:
         ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(tol=1e-16))
     msg = str(err.value)
@@ -468,7 +476,7 @@ BLAS_THREADS_SCRIPT = """
 import hashlib
 import nlsground as nls
 
-grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 32767)
+grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 32767)
 st = nls.ground_state(grid, nls.ActionParams(6.0, 2500.0),
                       nls.SolverOptions(tol=2e-7))
 print(hashlib.sha256(st.u.values.tobytes()).hexdigest(), repr(st.residual))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nlsground import InvalidSpec, RunConfig, load_field
+from nlsground import InvalidSpec, RunConfig, SolverOptions, load_field
 from nlsground import cli
 from nlsground.cli import EIG_HEADER, SWEEP_HEADER, main
 
@@ -289,3 +289,20 @@ def test_check_all_artifacts_independent_of_seed(tmp_path, capsys):
             a, b = (json.loads(x) for x in (a, b))
             assert (a.pop("seed"), b.pop("seed")) == (0, 5)
         assert a == b, name
+
+
+def test_mass_threshold_check_needs_rising_p4_masses(tmp_path, monkeypatch):
+    # p=4 is subcritical, so its sampled masses must rise strictly; one
+    # flat step fails the check though mass_threshold never reads them
+    sweep = cli.sweep
+
+    def flattened(grid, p, lams, kind, opts):
+        curve = sweep(grid, p, lams, kind, opts)
+        if p == 4.0:
+            curve.mass[-1] = curve.mass[-2]
+        return curve
+
+    monkeypatch.setattr(cli, "sweep", flattened)
+    ok, detail, _ = cli._check_threshold(SolverOptions(), tmp_path)
+    assert not ok
+    assert "p=4 unbounded=True" in detail

@@ -8,6 +8,7 @@ from nlsground import (ActionParams, InsufficientRange, LevelCurve,
                        derivative_mass_check, estimate_mu_N,
                        exhaustion_test, lambda1, lambda2, mass_growth_exponent,
                        mass_threshold, resolution_matched_factory, sweep)
+from nlsground import curves
 from nlsground.curves import asymptotic_classify
 
 SOLITON_MASS = math.sqrt(3.0) * math.pi / 2.0  # quadrature of the exact profile
@@ -43,8 +44,8 @@ def test_sweep_continuation_work(signed_curve_p4):
 
 
 def test_2d_signed_sweep_matches_cold(unit_square):
-    from nlsground import build_grid, ground_state
-    grid = build_grid(unit_square, 31)
+    from nlsground import Grid, ground_state
+    grid = Grid(unit_square, 31)
     lams = np.linspace(-lambda1(grid) + 1.0, 60.0, 10)
     cur = sweep(grid, 4.0, lams, "signed")
     assert set(cur.flags) == {"ok"}
@@ -170,6 +171,28 @@ def test_estimate_mu_n():
     assert rep.scaling_expected == pytest.approx(4.0, rel=1e-12)
 
 
+def _counted(monkeypatch, name):
+    """Record the grid of every call to curves.<name>."""
+    solve = getattr(curves, name)
+    grids = []
+
+    def counted(grid, *args, **kwargs):
+        grids.append(grid)
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(curves, name, counted)
+    return grids
+
+
+def test_estimate_mu_n_solves_each_box_once(monkeypatch):
+    # one unit-frequency solve per box, and the largest box's state also
+    # serves the scaling ratio: boxes + 1 solves
+    grids = _counted(monkeypatch, "ground_state")
+    rep = estimate_mu_N(1, [10.0, 20.0, 40.0], resolution=0.05)
+    assert [g.n for g in grids] == [199, 399, 799, 799]
+    assert rep.scaling_ok
+
+
 def test_estimate_mu_n_validation():
     with pytest.raises(NotCritical):
         estimate_mu_N(1, [10.0, 20.0], p=4.0)
@@ -207,6 +230,15 @@ def test_exhaustion_zero_margin_is_base(unit_interval):
     assert rep.levels[-1] == pytest.approx(rep.base_level, rel=1e-12)
 
 
+def test_exhaustion_solves_the_base_once(unit_interval, monkeypatch):
+    # the zero margin's level is the base level already in hand
+    grids = _counted(monkeypatch, "nodal_ground_state")
+    rep = exhaustion_test(unit_interval, [0.02, 0.0],
+                          ActionParams(4.0, 100.0), 255)
+    assert [g.spec.bounds for g in grids] == [((0.0, 1.0),), ((0.02, 0.98),)]
+    assert rep.levels[-1] == rep.base_level
+
+
 def test_exhaustion_other_exponent(unit_interval):
     rep = exhaustion_test(unit_interval, [0.05, 0.02, 0.01],
                           ActionParams(6.0, 50.0), 255)
@@ -218,9 +250,9 @@ def test_sweep_flags_failures_and_budget(unit_interval):
     # a frequency above -lambda_2 but inside the solver's threshold margin
     # raises LambdaBelowThreshold; such samples are flagged, and too many
     # of them abort the sweep
-    from nlsground import build_grid as _bg, lambda2 as _l2
+    from nlsground import Grid, lambda2 as _l2
     from nlsground.action import threshold_floor
-    grid = _bg(unit_interval, 64)
+    grid = Grid(unit_interval, 64)
     lam2_h = _l2(grid)
     inside = np.linspace(-lam2_h, threshold_floor(lam2_h), 5)[1:]
     good = np.linspace(-lam2_h + 3.0, 50.0, 8)

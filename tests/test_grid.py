@@ -5,22 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsground import (DomainSpec, Field, GridMismatch, InvalidSpec,
-                       build_grid, load_field, node_count, norms, save_field,
-                       split)
+from nlsground import (DomainSpec, Field, Grid, GridMismatch, InvalidSpec,
+                       load_field, node_count, norms, save_field, split)
 
 from conftest import tridiag_eigenvalue
 
 
 def test_unit_interval_n3():
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), 3)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 3)
     assert grid.h == (0.25,)
     assert np.allclose(grid.coords[0], [0.25, 0.5, 0.75])
     assert grid.weight == 0.25
 
 
 def test_unit_square_n4():
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 4)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 4)
     assert grid.size == 16
     assert grid.weight == pytest.approx(0.04, abs=1e-15)
 
@@ -31,7 +30,7 @@ def test_degenerate_bounds_rejected():
     with pytest.raises(InvalidSpec):
         DomainSpec.interval(0.0, np.inf)
     with pytest.raises(InvalidSpec):
-        build_grid(DomainSpec.interval(0.0, 1.0), 2)
+        Grid(DomainSpec.interval(0.0, 1.0), 2)
 
 
 def test_star_center_must_be_interior():
@@ -58,7 +57,7 @@ def test_laplacian_zero_field(grid255):
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_laplacian_self_adjoint(seed):
-    grid = build_grid(DomainSpec.interval(-1.0, 2.0), 100)
+    grid = Grid(DomainSpec.interval(-1.0, 2.0), 100)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(grid.size)
     v = rng.standard_normal(grid.size)
@@ -69,7 +68,7 @@ def test_laplacian_self_adjoint(seed):
 
 
 def test_laplacian_self_adjoint_2d():
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 24)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 24)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(grid.size)
     v = rng.standard_normal(grid.size)
@@ -116,7 +115,7 @@ def test_quadrature_convergence_order(unit_interval):
     exact = {"l2": 1.0 / 30.0, "lp": 1.0 / 630.0, "grad": 1.0 / 3.0}
     errors = {"l2": [], "lp": [], "grad": []}
     for n in (63, 127, 255):
-        grid = build_grid(unit_interval, n)
+        grid = Grid(unit_interval, n)
         u = grid.sample(lambda x: x * (1.0 - x))
         l2, lp, gr = norms(u, 4.0)
         errors["l2"].append(abs(l2 - exact["l2"]))
@@ -158,7 +157,7 @@ def test_node_count_1d(grid511):
 
 
 def test_node_count_2d(unit_square):
-    grid = build_grid(unit_square, 31)
+    grid = Grid(unit_square, 31)
     u = grid.sample(lambda x, y: np.sin(2 * np.pi * x) * np.sin(np.pi * y))
     assert node_count(u) == 1
     u4 = grid.sample(lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
@@ -222,7 +221,7 @@ def test_component_count_matches_search():
 
 
 def test_node_count_2d_matches_search():
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 21)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 21)
     rng = np.random.default_rng(12)
     for vals in (rng.standard_normal(grid.shape), _rings()):
         want = max(_bfs_components(vals, 1e-9 * np.max(np.abs(vals))) - 1, 0)
@@ -238,7 +237,7 @@ def test_grid_mismatch_guard(grid255, grid511):
 @settings(max_examples=10, deadline=None)
 def test_field_dump_roundtrip_bit_exact(seed, tmp_path_factory):
     rng = np.random.default_rng(seed)
-    grid = build_grid(DomainSpec.interval(-2.0, 3.0, star_center=0.25), 17)
+    grid = Grid(DomainSpec.interval(-2.0, 3.0, star_center=0.25), 17)
     vals = rng.standard_normal(17) * 10.0 ** rng.integers(-12, 12, size=17)
     u = Field(grid, vals)
     path = tmp_path_factory.mktemp("dumps") / f"f{seed}.field"
@@ -250,7 +249,7 @@ def test_field_dump_roundtrip_bit_exact(seed, tmp_path_factory):
 
 
 def test_field_dump_roundtrip_2d(tmp_path):
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, -1.0, 1.5), 9)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, -1.0, 1.5), 9)
     u = grid.sample(lambda x, y: np.sin(np.pi * x) * y)
     save_field(u, tmp_path / "g.field")
     back = load_field(tmp_path / "g.field")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrf
 
-from nlsground import (ActionParams, DomainSpec, NoConvergence, build_grid,
+from nlsground import (ActionParams, DomainSpec, Grid, NoConvergence,
                        ground_state, lambda1)
 from nlsground import linsolve
 from nlsground.linsolve import (_dst2, _tridiagonal_solve, newton,
@@ -42,7 +42,7 @@ GRIDS = {
 @pytest.mark.parametrize("name", sorted(GRIDS))
 @pytest.mark.parametrize("shift", ["near-threshold", "zero", "positive"])
 def test_matches_dense_solve(name, shift):
-    grid = build_grid(*GRIDS[name])
+    grid = Grid(*GRIDS[name])
     c = {"near-threshold": -0.9 * lambda1(grid), "zero": 0.0,
          "positive": 10.0}[shift]
     b = np.random.default_rng(7).standard_normal(grid.size)
@@ -53,7 +53,7 @@ def test_matches_dense_solve(name, shift):
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_indefinite_shift_raises(name):
-    grid = build_grid(*GRIDS[name])
+    grid = Grid(*GRIDS[name])
     lam1 = lambda1(grid)
     for c in (-lam1, -1.5 * lam1):
         with pytest.raises(NoConvergence):
@@ -61,14 +61,14 @@ def test_indefinite_shift_raises(name):
 
 
 def test_zero_rhs_gives_zero():
-    grid = build_grid(*GRIDS["rectangle-12"])
+    grid = Grid(*GRIDS["rectangle-12"])
     x = shifted_solver(grid, 1.0).solve(np.zeros(grid.size))
     assert not np.any(x)
 
 
-def test_refinement_stops_at_the_rounding_floor(grid2047):
-    # the 1e-13 relative target is below the attainable floor at n=2047
-    # for a positive right-hand side; refinement must stop once it stalls
+def test_solve_is_one_back_substitution(grid2047):
+    # the direct solve is backward stable: one back-substitution lands
+    # near the rounding floor at n=2047
     solver = shifted_solver(grid2047, 10.0)
     raw = solver._raw_solve
     calls = []
@@ -80,8 +80,8 @@ def test_refinement_stops_at_the_rounding_floor(grid2047):
     solver._raw_solve = counted
     b = np.sin(np.pi * grid2047.coords[0]) ** 3
     x = solver.solve(b)
-    assert 2 <= len(calls) <= 3
-    r = b - solver.apply(x)
+    assert calls == [b.size]
+    r = b - (grid2047.laplacian(x) + 10.0 * x)
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -108,7 +108,7 @@ def test_longdouble_solve_on_indefinite_jacobian(unit_interval, seed):
     # the linearization 2/h^2 + lambda - 3u^2 at a p=4 ground state has
     # one negative eigenvalue; mixed-precision refinement must leave a
     # long-double residual no larger than the Thomas loop's
-    grid = build_grid(unit_interval, 4095)
+    grid = Grid(unit_interval, 4095)
     lam = 10.0
     u = ground_state(grid, ActionParams(4.0, lam)).u.values
     u = u.astype(np.longdouble)
@@ -166,7 +166,7 @@ def test_singular_linearization_is_reported(unit_interval):
                            np.ones(3))
     # ... and Newton names it: the zero middle node is cut from both of
     # its neighbours, and lambda = -2/h^2 zeroes its diagonal entry
-    grid = build_grid(unit_interval, 3)
+    grid = Grid(unit_interval, 3)
     lam = -2.0 / grid.h[0] ** 2
     u = np.array([1.0, 0.0, 1.0])
     out, _, steps, reason = newton(grid, u, 4.0, lam, 1e-8)
@@ -218,9 +218,9 @@ import nlsground as nls
 
 name = "scipy.fft._pocketfft.pypocketfft"
 params = nls.ActionParams(4.0, 10.0)
-nls.ground_state(nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63), params)
+nls.ground_state(nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 63), params)
 print(name in sys.modules)
-nls.ground_state(nls.build_grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0),
+nls.ground_state(nls.Grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0),
                                 15), params)
 from scipy.fft._pocketfft import basic
 print(name in sys.modules, basic.pfft is sys.modules[name])
@@ -247,5 +247,5 @@ def test_cold_2d_solve_makes_24_sine_solves(unit_square, monkeypatch):
         return raw(self, b)
 
     monkeypatch.setattr(linsolve.OperatorSolver, "_raw_solve", counted)
-    ground_state(build_grid(unit_square, 63), ActionParams(4.0, 10.0))
+    ground_state(Grid(unit_square, 63), ActionParams(4.0, 10.0))
     assert len(calls) == 24

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from nlsground import (ActionParams, DomainSpec, LambdaBelowThreshold,
+from nlsground import (ActionParams, DomainSpec, Grid, LambdaBelowThreshold,
                        NlsgroundError, NoConvergence, SolverOptions,
-                       build_grid, dirichlet_eigenpairs, ground_state, kappa,
-                       lambda2, nodal_ground_state, norms, pde_residual,
-                       split, sweep)
+                       dirichlet_eigenpairs, ground_state, kappa, lambda2,
+                       nodal_ground_state, norms, pde_residual, split, sweep)
 
 
 def test_kappa_values():
@@ -44,13 +43,13 @@ def test_warm_hint_reproduces(grid511):
 def test_midpoint_walk_reaches_scanned_minimum(n, p, lam):
     # no split with a zero node at m (the left part the signed state on
     # m - 1 nodes, the right one on n - m) lies below the nodal level
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), n)
     params = ActionParams(p, lam)
     st = nodal_ground_state(grid, params)
     h = grid.h[0]
     f = {}
     for k in range(3, n - 3):
-        side = build_grid(DomainSpec.interval(0.0, (k + 1) * h), k)
+        side = Grid(DomainSpec.interval(0.0, (k + 1) * h), k)
         try:
             f[k] = ground_state(side, params).action_value
         except NlsgroundError:
@@ -65,7 +64,7 @@ def test_midpoint_walk_reaches_scanned_minimum(n, p, lam):
 def test_1d_nodal_residual_is_the_full_residual(n, p, lam):
     # on even n no node lies at the midpoint: the state solves the full
     # discrete system across the middle edge, near the threshold too
-    grid = build_grid(DomainSpec.interval(0.0, 1.0), n)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), n)
     params = ActionParams(p, -lambda2(grid) + 0.5 if lam is None else lam)
     st = nodal_ground_state(grid, params)
     assert st.residual == pde_residual(st.u, params) <= SolverOptions().tol
@@ -87,7 +86,7 @@ def test_1d_nodal_state_ignores_seed(grid511):
 
 
 def test_2d_nodal_state_ignores_seed(unit_square):
-    _assert_ignores_seed(build_grid(unit_square, 31))
+    _assert_ignores_seed(Grid(unit_square, 31))
 
 
 def test_threshold_refusal(grid255):
@@ -119,14 +118,14 @@ def test_second_mode_upper_bound_near_threshold(grid2047):
 def test_two_bump_limit_large_interval():
     # far-separated opposite bumps: twice the unit-frequency level and
     # twice the soliton mass (quadrature oracle, see test_action)
-    grid = build_grid(DomainSpec.interval(-20.0, 20.0), 4095)
+    grid = Grid(DomainSpec.interval(-20.0, 20.0), 4095)
     st = nodal_ground_state(grid, ActionParams(6.0, 1.0), SolverOptions(tol=1e-9))
     assert st.action_value == pytest.approx(np.sqrt(3.0) * np.pi / 2.0, rel=1e-4)
     assert st.mass == pytest.approx(np.sqrt(3.0) * np.pi, rel=1e-4)
 
 
 def test_2d_descent(unit_square):
-    grid = build_grid(unit_square, 31)
+    grid = Grid(unit_square, 31)
     p, lam = 4.0, 30.0
     opts = SolverOptions(tol=1e-5, max_iter=300)
     st = nodal_ground_state(grid, ActionParams(p, lam), opts)
@@ -154,7 +153,7 @@ def _own_partwise_residual(vals: np.ndarray, h: float, p: float, lam: float) -> 
 
 @pytest.fixture(scope="module")
 def square_nodal(unit_square):
-    grid = build_grid(unit_square, 63)
+    grid = Grid(unit_square, 63)
     params = ActionParams(4.0, 10.0)
     return grid, params, nodal_ground_state(grid, params)
 
@@ -186,7 +185,7 @@ def test_2d_nodal_level(square_nodal):
 
 def test_2d_nodal_raises_above_tol(unit_square):
     # the full residual's rounding floor at n=63 lies far above 1e-15
-    grid = build_grid(unit_square, 63)
+    grid = Grid(unit_square, 63)
     with pytest.raises(NoConvergence) as err:
         nodal_ground_state(grid, ActionParams(4.0, 10.0), SolverOptions(tol=1e-15))
     assert "above tol 1.0e-15" in str(err.value)
@@ -198,9 +197,9 @@ def test_2d_descent_skips_repeated_start():
     # gives the transposed state
     params = ActionParams(4.0, 10.0)
     wide = nodal_ground_state(
-        build_grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 31), params)
+        Grid(DomainSpec.rectangle(0.0, 2.0, 0.0, 1.0), 31), params)
     tall = nodal_ground_state(
-        build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 31), params)
+        Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 31), params)
     assert [label for label, _ in wide.multistart] == ["midline"]
     assert wide.action_value == pytest.approx(155.85458030348136, rel=1e-10)
     assert tall.action_value == pytest.approx(wide.action_value, rel=1e-12)
@@ -210,7 +209,7 @@ def test_2d_descent_skips_repeated_start():
 
 
 def test_2d_nodal_error_names_every_start(unit_square):
-    grid = build_grid(unit_square, 31)
+    grid = Grid(unit_square, 31)
     with pytest.raises(NoConvergence) as err:
         nodal_ground_state(grid, ActionParams(3.0, -48.2), SolverOptions(tol=1e-15))
     message = str(err.value)
@@ -222,7 +221,7 @@ def test_2d_nodal_error_names_every_start(unit_square):
 def test_2d_nodal_period_two_sign_pattern_meets_tol(unit_square):
     # sample 9 of the 20-sample p=3 sweep in
     # test_2d_nodal_sweep_flags_nothing, solved cold
-    grid = build_grid(unit_square, 31)
+    grid = Grid(unit_square, 31)
     params = ActionParams(3.0, 21.992933942355357)
     st = nodal_ground_state(grid, params)
     assert st.residual <= 1e-8
@@ -235,7 +234,7 @@ def test_2d_nodal_period_two_sign_pattern_meets_tol(unit_square):
 def test_2d_nodal_level_converges_in_h(unit_square, p, lam):
     # second order in h: successive differences shrink by 4, the bound the
     # benchmark's square-2d workload puts on signed levels
-    levels = [nodal_ground_state(build_grid(unit_square, n),
+    levels = [nodal_ground_state(Grid(unit_square, n),
                                  ActionParams(p, lam)).action_value
               for n in (31, 63, 127)]
     ratio = (levels[1] - levels[0]) / (levels[2] - levels[1])
@@ -243,7 +242,7 @@ def test_2d_nodal_level_converges_in_h(unit_square, p, lam):
 
 
 def test_2d_nodal_sweep_flags_nothing(unit_square):
-    grid = build_grid(unit_square, 31)
+    grid = Grid(unit_square, 31)
     lambdas = np.linspace(-lambda2(grid) + 1.0, 100.0, 20)
     curve = sweep(grid, 3.0, lambdas, kind="nodal")
     assert curve.flags == ["ok"] * 20
@@ -262,7 +261,7 @@ def test_2d_nodal_branch_selection(unit_square, lam, label, level, other):
     # the least raw action of the two reflection starts wins.  At
     # lambda=150 the diagonal start stops on a transpose-odd state above
     # the one a warm continuation from lambda=100 reaches (94.795)
-    grid = build_grid(unit_square, 63)
+    grid = Grid(unit_square, 63)
     st = nodal_ground_state(grid, ActionParams(6.0, lam))
     values = dict(st.multistart)
     assert values[label] == st.action_value == pytest.approx(level, rel=1e-9)
@@ -273,7 +272,7 @@ def test_2d_nodal_branch_selection(unit_square, lam, label, level, other):
 def _frozen_square(n: int):
     from nlsground.linsolve import _FrozenPartition
 
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
     x, y = grid.meshes()
     sign = np.sign(np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
                    + 0.3 * np.cos(3.0 * y)).reshape(-1)

@@ -6,8 +6,8 @@ import pytest
 import nlsground.normalized
 
 from nlsground import (ActionParams, CertificationFailed, DomainSpec, Field,
-                       InvalidSpec, MassAboveBarMu, MassOutOfRange, NoBracket,
-                       SolverOptions, action, build_grid, energy, f_mu_profile,
+                       Grid, InvalidSpec, MassAboveBarMu, MassOutOfRange,
+                       NoBracket, SolverOptions, action, energy, f_mu_profile,
                        ground_state, lambda1, lambda2, least_energy_certify,
                        mass_threshold, nehari_project, pohozaev_check,
                        solve_normalized, supercritical_lambda_bound, sweep)
@@ -162,7 +162,7 @@ def test_pohozaev_refinement_order(unit_interval):
     params = ActionParams(8.0, 10.0)
     residuals = []
     for n in (511, 1023):
-        grid = build_grid(unit_interval, n)
+        grid = Grid(unit_interval, n)
         st = ground_state(grid, params)
         residuals.append(pohozaev_check(st.u, params).identity_residual)
     assert residuals[1] <= residuals[0] / 2.0  # observed order >= 1
@@ -171,7 +171,7 @@ def test_pohozaev_refinement_order(unit_interval):
 def test_pohozaev_2d_supercritical(unit_square):
     # p=6 is supercritical in the plane (critical exponent 4):
     # coefficient N(p - p_c)/(4p) = 2*2/24 = 1/6
-    grid = build_grid(unit_square, 47)
+    grid = Grid(unit_square, 47)
     params = ActionParams(6.0, 5.0)
     st = ground_state(grid, params, SolverOptions(tol=1e-9))
     rep = pohozaev_check(st.u, params)
@@ -184,7 +184,7 @@ def test_pohozaev_off_center_reference(unit_interval):
     # the identity is reference-invariant for solutions; an off-center
     # star point must give the same residual scale
     spec = DomainSpec.interval(0.0, 1.0, star_center=0.3)
-    grid = build_grid(spec, 1023)
+    grid = Grid(spec, 1023)
     params = ActionParams(8.0, 10.0)
     st = ground_state(grid, params)
     rep = pohozaev_check(st.u, params, spec)

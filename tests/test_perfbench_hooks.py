@@ -24,9 +24,9 @@ tracer = Tracer()
 tracer.install()
 kind, dimension = sys.argv[1], sys.argv[2]
 if dimension == "2":
-    grid = nls.build_grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
+    grid = nls.Grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
 else:
-    grid = nls.build_grid(nls.DomainSpec.interval(0.0, 1.0), 63)
+    grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 63)
 solve = nls.nodal_ground_state if kind == "nodal" else nls.ground_state
 solve(grid, nls.ActionParams(4.0, 10.0))
 print(json.dumps(tracer.layer_metrics()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlsground import (DomainSpec, InvalidSpec, build_grid, dirichlet_eigenpairs,
+from nlsground import (DomainSpec, Grid, InvalidSpec, dirichlet_eigenpairs,
                        lambda1, lambda2)
 
 from conftest import tridiag_eigenvalue
@@ -21,21 +21,21 @@ def test_continuum_convergence(grid2047):
 
 
 def test_unit_square_eigenvalues(unit_square):
-    grid = build_grid(unit_square, 63)
+    grid = Grid(unit_square, 63)
     pairs = dirichlet_eigenpairs(grid, 2)
     assert abs(pairs[0].value - 2 * np.pi**2) <= 1e-3 * 2 * np.pi**2
     assert abs(pairs[1].value - 5 * np.pi**2) <= 1e-3 * 5 * np.pi**2
 
 
 def test_strict_ordering_on_rectangle():
-    grid = build_grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 31)
+    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 31)
     pairs = dirichlet_eigenpairs(grid, 2)
     assert pairs[0].value < pairs[1].value
 
 
 def test_first_eigenvector_positive(grid255, unit_square):
     assert np.all(dirichlet_eigenpairs(grid255, 1)[0].vector.values > 0.0)
-    square = build_grid(unit_square, 24)
+    square = Grid(unit_square, 24)
     assert np.all(dirichlet_eigenpairs(square, 1)[0].vector.values > 0.0)
 
 
@@ -53,7 +53,7 @@ def test_normalization_orthogonality_residual(grid255):
 
 
 def test_repeated_calls_bitwise_identical(grid255, unit_square):
-    for grid in (grid255, build_grid(unit_square, 31)):
+    for grid in (grid255, Grid(unit_square, 31)):
         a = dirichlet_eigenpairs(grid, 4)
         b = dirichlet_eigenpairs(grid, 4)
         for pa, pb in zip(a, b):
@@ -94,7 +94,7 @@ def _unit(v):
     (DomainSpec.rectangle(0.0, 1.0, 0.0, 2.0), 10),
 ])
 def test_closed_form_matches_dense_eigh(spec, n):
-    grid = build_grid(spec, n)
+    grid = Grid(spec, n)
     values, vectors = np.linalg.eigh(_dense_laplacian(grid))
     pairs = dirichlet_eigenpairs(grid, 4)
     assert np.all(np.diff(values[:5]) > 1e-6 * values[4])  # nondegenerate
@@ -106,7 +106,7 @@ def test_closed_form_matches_dense_eigh(spec, n):
 
 
 def test_square_tie_is_split_by_transpose_symmetry(unit_square):
-    grid = build_grid(unit_square, 10)
+    grid = Grid(unit_square, 10)
     values, vectors = np.linalg.eigh(_dense_laplacian(grid))
     pairs = dirichlet_eigenpairs(grid, 4)
     for j, pair in enumerate(pairs):
