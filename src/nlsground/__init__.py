@@ -3,6 +3,8 @@
 and rectangles: level curves over the frequency, their mass maps, and the
 prescribed-mass problem solved through them."""
 
+# first: loads scipy's LAPACK extension before numpy (see _extensions)
+from . import _extensions  # noqa: F401  isort: skip
 from .action import (ActionParams, GroundState, SolverOptions, action,
                      energy, ground_state, kappa, mass_slope, nehari_project,
                      nehari_scale, pde_residual, ray_action)

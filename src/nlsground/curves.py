@@ -19,6 +19,7 @@ genuinely have countably many kinks where the minimizer jumps.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,7 +211,8 @@ def derivative_mass_check(curve: LevelCurve) -> DerivativeMassReport:
             excluded.append(i)
         else:
             errs_for_max.append(rel)
-    median = float(np.median(errs)) if errs else math.nan
+    # statistics.median: np.median imports numpy.ma on first use
+    median = float(statistics.median(errs)) if errs else math.nan
     biggest = float(np.max(errs_for_max)) if errs_for_max else math.nan
     return DerivativeMassReport(median, biggest, per, excluded)
 

@@ -270,7 +270,10 @@ def _components(mask: np.ndarray) -> int:
         return 0
     label = np.cumsum(starts).reshape(mask.shape)
     below = mask[:-1] & mask[1:]
-    pairs = np.unique(label[:-1][below] * (runs + 1) + label[1:][below])
+    # distinct pairs: sorted, each kept where it differs from the one
+    # before (np.unique would import numpy.ma on first use)
+    keys = np.sort(label[:-1][below] * (runs + 1) + label[1:][below])
+    pairs = keys[np.diff(keys, prepend=-1) != 0]
     parent = list(range(runs + 1))
 
     def root(i):

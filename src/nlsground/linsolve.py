@@ -6,7 +6,10 @@ factored once by LAPACK's LDL^T (dpttrf/dpttrs); in 2D it is diagonal in
 the discrete sine basis, and a solve is a sine transform, a division by
 the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform,
 each pocketfft's real DST-I (from scipy's extension file, loaded alone
-at the first 2D solve; see `_pocketfft_dst`).
+at the first 2D solve; see `_pocketfft_dst`).  The LAPACK routines come
+from scipy's _flapack extension file, loaded alone by `_extensions`
+before numpy: importing scipy.linalg for them would add about 0.3 s to
+every process.
 A solve may be restricted to the fields that are odd under a reflection
 of the box, which commutes with A.  In 1D the reflection is the midpoint
 flip, and the odd fields are fixed by their first n // 2 nodes, on which
@@ -33,16 +36,16 @@ of dgtsv (`solve_tridiagonal_longdouble`).
 from __future__ import annotations
 
 import functools
-import os
-import sys
-from importlib import machinery, util
+import types
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import spectral
+from ._extensions import lapack, load
 from .errors import NoConvergence
 from .grid import Grid, dot
+
+dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 
 # refinement step cap of the long-double solve
 _MAX_REFINE = 4
@@ -146,23 +149,21 @@ def _dst2(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _pocketfft_dst():
     """pocketfft's dst(a, type, axes, inorm, out, nthreads), on first use.
 
-    scipy's extension file is found in scipy's fft/_pocketfft directory
-    and loaded by itself (an ExtensionFileLoader), without scipy.fft's
-    other imports, under its own name, where a later `import scipy.fft`
-    finds it.  Without the file, scipy.fft.dstn calls the same kernel.
+    scipy's extension file is loaded by itself (`_extensions.load`),
+    without scipy.fft's other imports; without it, scipy.fft.dstn calls
+    the same kernel.
     """
-    name = "scipy.fft._pocketfft.pypocketfft"
-    root = util.find_spec("scipy").submodule_search_locations[0]
-    spec = machinery.PathFinder.find_spec(
-        name, [os.path.join(root, "fft", "_pocketfft")])
-    if spec is None:
-        from scipy.fft import dstn
-        return lambda u, kind, axes, inorm, out, nthreads: np.copyto(
-            out, dstn(u, kind, axes=axes, workers=nthreads))
-    if name not in sys.modules:
-        sys.modules[name] = util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].dst
+    return load("fft._pocketfft.pypocketfft", _dstn_kernel).dst
+
+
+def _dstn_kernel():
+    """pocketfft's dst signature over the public scipy.fft.dstn."""
+    from scipy.fft import dstn
+
+    def dst(u, kind, axes, inorm, out, nthreads):
+        np.copyto(out, dstn(u, kind, axes=axes, workers=nthreads))
+
+    return types.SimpleNamespace(dst=dst)
 
 
 class _FrozenPartition:

@@ -75,6 +75,13 @@ def test_derivative_mass_median(signed_curve_p4):
     assert rep.median_rel_error <= 1e-2
 
 
+def test_derivative_mass_median_matches_numpy(signed_curve_p4):
+    rep = derivative_mass_check(signed_curve_p4)
+    rel = [r for _, r in rep.per_sample]
+    assert len(rel) % 2 == 0  # the median averages the two middle values
+    assert rep.median_rel_error == float(np.median(rel))
+
+
 def test_derivative_mass_against_refined_sweep(grid255, signed_curve_p4):
     # frequency-halving oracle: doubling the sampling density must give
     # consistent central-difference derivatives at the shared nodes

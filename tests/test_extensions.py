@@ -1,0 +1,130 @@
+"""scipy's extension files loaded alone, and what a fresh import costs.
+
+Each test runs a fresh interpreter: what `import nlsground` loads, and in
+which order, is decided once per process.
+"""
+
+import os
+import subprocess
+import sys
+from importlib import machinery
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(script: str, *args: str, env: dict | None = None) -> list[str]:
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+HEAVY = ("scipy.linalg", "scipy.fft", "numpy.ma", "unittest")
+
+IMPORT_SCRIPT = """
+import sys
+import nlsground
+import nlsground.cli
+print(*[name in sys.modules for name in sys.argv[1:]])
+"""
+
+
+def test_import_leaves_scipy_linalg_and_numpy_ma_out():
+    assert run_python(IMPORT_SCRIPT, *HEAVY) == ["False"] * len(HEAVY)
+
+
+SOLVE_SCRIPT = """
+import sys
+import numpy as np
+import nlsground as nls
+
+params = nls.ActionParams(4.0, 10.0)
+square = nls.Grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
+print(nls.ground_state(square, params).node_count)
+grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 63)
+curve = nls.sweep(grid, 4.0, np.linspace(1.0, 20.0, 6))
+print(nls.derivative_mass_check(curve).median_rel_error < 1e-2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_2d_solve_and_sweep_check_leave_numpy_ma_out():
+    # np.unique and np.median import numpy.ma on first use
+    assert run_python(SOLVE_SCRIPT) == ["0", "True", "False"]
+
+
+SAME_ROUTINES_SCRIPT = """
+import nlsground
+from nlsground import linsolve
+import scipy.linalg.lapack as lapack
+print(*[getattr(lapack, name) is getattr(linsolve, name)
+        for name in ("dgtsv", "dpttrf", "dpttrs")])
+"""
+
+
+def test_later_scipy_import_returns_the_loaded_routines():
+    assert run_python(SAME_ROUTINES_SCRIPT) == ["True"] * 3
+
+
+LOAD_ORDER_SCRIPT = """
+import time
+import nlsground
+cpu = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - cpu)
+"""
+
+
+def test_blas_thread_spin_ends_inside_import():
+    # OpenBLAS's worker thread busy-waits for about 0.1 s after its
+    # library loads; loaded before numpy, that spin ends before
+    # `import nlsground` returns.  Needs the default thread count.
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    spent = float(run_python(LOAD_ORDER_SCRIPT, env=env)[0])
+    assert spent <= 0.03
+
+
+FALLBACK_SCRIPT = """
+import hashlib
+import importlib.util
+import sys
+import types
+
+if sys.argv[1] != "-":
+    # scipy's extension files are looked for in this directory instead
+    find_spec = importlib.util.find_spec
+    moved = types.SimpleNamespace(submodule_search_locations=[sys.argv[1]])
+    importlib.util.find_spec = lambda name, *args: (
+        moved if name == "scipy" else find_spec(name, *args))
+
+import numpy as np
+import nlsground as nls
+from nlsground import linsolve
+
+print("scipy.linalg" in sys.modules)
+grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 255)
+b = np.sin(np.arange(1.0, 256.0)) ** 3
+out = [linsolve.shifted_solver(grid, 10.0).solve(b),
+       linsolve.shifted_solver(grid, -12.0, lambda v: v[::-1]).solve(b),
+       linsolve._tridiagonal_solve(np.cos(np.arange(255.0)), np.ones(254), b),
+       nls.ground_state(grid, nls.ActionParams(4.0, 10.0)).u.values]
+print(hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest())
+"""
+
+
+def test_lapack_fallbacks_are_bitwise_equal(tmp_path):
+    # a missing _flapack file, and one that fails to load by itself, both
+    # fall back to scipy.linalg.lapack with the same 1D results
+    broken = tmp_path / "broken"
+    (broken / "linalg").mkdir(parents=True)
+    suffix = machinery.EXTENSION_SUFFIXES[0]
+    (broken / "linalg" / f"_flapack{suffix}").write_bytes(b"not a library")
+    direct = run_python(FALLBACK_SCRIPT, "-")
+    missing = run_python(FALLBACK_SCRIPT, str(tmp_path))
+    unloadable = run_python(FALLBACK_SCRIPT, str(broken))
+    assert direct[0] == "False"
+    assert missing[0] == unloadable[0] == "True"
+    assert direct[1] == missing[1] == unloadable[1]

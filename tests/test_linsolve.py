@@ -1,3 +1,4 @@
+import importlib.machinery
 import importlib.util
 import os
 import subprocess
@@ -7,12 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpttrf
 
 from nlsground import (ActionParams, DomainSpec, Grid, NoConvergence,
                        ground_state, lambda1)
 from nlsground import linsolve
-from nlsground.linsolve import (_dst2, _tridiagonal_solve, newton,
+from nlsground.linsolve import (_dst2, _tridiagonal_solve, dpttrf, newton,
                                 shifted_solver, solve_tridiagonal_longdouble)
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
@@ -210,6 +210,31 @@ def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
     assert kernel is not sys.modules["scipy.fft._pocketfft.pypocketfft"].dst
     assert np.array_equal(fallback, loaded)
     assert np.array_equal(v, loaded)
+
+
+def test_dst2_unloadable_file_falls_back(monkeypatch, tmp_path):
+    # a pocketfft file that fails to load by itself falls back the same way
+    u = np.random.default_rng(6).standard_normal((63, 63))
+    loaded = _dst2(u, np.empty_like(u))
+    module = "scipy.fft._pocketfft.pypocketfft"
+    folder = tmp_path / "fft" / "_pocketfft"
+    folder.mkdir(parents=True)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    (folder / f"pypocketfft{suffix}").write_bytes(b"not a library")
+    find_spec = importlib.util.find_spec
+    moved = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        moved if name == "scipy" else find_spec(name, *args)))
+    real = sys.modules[module].dst
+    monkeypatch.delitem(sys.modules, module)
+    linsolve._pocketfft_dst.cache_clear()
+    try:
+        kernel = linsolve._pocketfft_dst()
+        fallback = _dst2(u, np.empty_like(u))
+    finally:
+        linsolve._pocketfft_dst.cache_clear()
+    assert kernel is not real
+    assert np.array_equal(fallback, loaded)
 
 
 LAZY_LOAD_SCRIPT = """
