@@ -10,13 +10,13 @@ cold start the solver begins with the normalized fixed-point iteration
 along which R is provably nonincreasing but which converges only
 linearly.  After _COLD_STEPS steps Newton's method takes over from the
 iterate's exact scalar normalization onto the constraint manifold (the
-linearized solve of `linsolve`, tridiagonal in 1D and MINRES
-preconditioned by the fixed point's own shifted solve in 2D), and its
-result is rescaled exactly onto the manifold.  A warm start is a
-continuation step: Newton runs at once from the init's normalization,
-typically the tangent predictor u + (lambda - lambda_0) u' of a nearby
-state (`tangent_predictor`), and the fixed point runs only if that
-result is rejected.  On fine 1D grids the storage rounding of the field
+linearized solve of `linsolve`, the plain stencil plus a diagonal,
+tridiagonal in 1D and MINRES preconditioned by the fixed point's own
+shifted solve in 2D), and its result is rescaled exactly onto the
+manifold.  A warm start is a continuation step: Newton runs at once
+from the init's normalization, typically the tangent predictor
+u + (lambda - lambda_0) u' of a nearby state (`tangent_predictor`), and
+the fixed point runs only if that result is rejected.  On fine 1D grids the storage rounding of the field
 itself dominates the attainable residual, and Newton stalls there; a
 stalled Newton above tol goes straight on to the rounding polish:
 long-double Newton steps, each a mixed-precision refined solve, and a
@@ -45,10 +45,9 @@ from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
 from .grid import Field, Grid, dot, node_count
-from .linsolve import (_FrozenPartition, newton, shifted_solver,
+from .linsolve import (linearized_solve, newton, residual, shifted_solver,
                        solve_tridiagonal_longdouble)
 
-_P_CAP_2D = 10.0  # avoid overflow in |u|^(p-2) on planar domains
 # tolerated quotient increase per fixed-point step, relative to its scale
 _DESCENT_SLACK = 1e-12
 # fixed-point steps from a cold start before Newton is tried
@@ -165,7 +164,7 @@ def energy(u: Field, p: float) -> float:
 
 def pde_residual(u: Field, params: ActionParams) -> float:
     """Weighted L2 norm of A u + lambda u - |u|^(p-2) u."""
-    return _res_norm(u.grid, u.values, params.p, params.lam)
+    return residual(u.grid, u.values, params.p, params.lam)[1]
 
 
 def nehari_scale(u: Field, params: ActionParams) -> float:
@@ -233,8 +232,6 @@ def ground_state(grid: Grid, params: ActionParams,
     """
     opts = opts or SolverOptions()
     p, lam = params.p, params.lam
-    if grid.dimension == 2 and p > _P_CAP_2D:
-        raise InvalidSpec(f"p={p} above the practical 2D cap {_P_CAP_2D}")
     floor = threshold_floor(spectral.lambda1(grid))
     if lam <= floor:
         raise LambdaBelowThreshold(
@@ -318,7 +315,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
         u = u_new
         r_prev = r_now
         w_vals = (q / lp_u) ** (1.0 / (p - 2.0)) * u
-        res = _res_norm(grid, w_vals, p, lam)
+        res = residual(grid, w_vals, p, lam)[1]
         j_now = kappa(p) * r_now ** (p / (p - 2.0))
         if res < best_res:
             best_res, best_vals, best_j = res, w_vals, j_now
@@ -359,10 +356,11 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
 def mass_slope(state: GroundState) -> float:
     """Exact derivative of the mass along the branch through state.
 
-    The branch keeps the state's sign pattern, and the mass h^N <u, u>
-    changes along it at the rate 2 h^N <u, u'> (see `_tangent`).  For a
-    ground state the mass is twice the derivative of the level, so this
-    is twice its second derivative.
+    The branch keeps the state's sign pattern (a nodal state's stays odd
+    under its reflection), and the mass h^N <u, u> changes along it at
+    the rate 2 h^N <u, u'> (see `_tangent`).  For a ground state the mass
+    is twice the derivative of the level, so this is twice its second
+    derivative.
     """
     u = state.u.values
     return 2.0 * state.u.grid.weight * dot(u, _tangent(state, _SLOPE_RTOL))
@@ -385,14 +383,16 @@ def tangent_predictor(state: GroundState, lam: float) -> Field:
 def _tangent(state: GroundState, rtol: float) -> np.ndarray:
     """u', the derivative in lambda of the state along its branch.
 
-    Differentiating the branch's system (zero nodes pinned) in lambda gives
+    Differentiating A u + lambda u = |u|^(p-2) u in lambda gives
     L u' = -u, with L the linearization Newton uses; rtol is the relative
-    residual of the 2D MINRES solve (the 1D solve is direct).
+    residual of the 2D MINRES solve (the 1D solve is direct).  The
+    stencil maps fields odd under a reflection of the box to odd fields,
+    so a nodal state's tangent is odd too.
     """
     grid, u = state.u.grid, state.u.values
     p, lam = state.params.p, state.params.lam
-    return _FrozenPartition(grid, np.sign(u)).solve(
-        lam - (p - 1) * np.abs(u) ** (p - 2), -u, rtol)
+    return linearized_solve(grid, lam - (p - 1) * np.abs(u) ** (p - 2), -u,
+                            rtol)
 
 
 def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
@@ -412,11 +412,6 @@ def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
         iterations=iterations,
         **extra,
     )
-
-
-def _res_norm(grid: Grid, vals: np.ndarray, p: float, lam: float) -> float:
-    r = grid.laplacian(vals) + lam * vals - np.abs(vals) ** (p - 2) * vals
-    return float(np.sqrt(grid.weight * dot(r, r)))
 
 
 def _initial_vector(grid: Grid,
@@ -451,7 +446,7 @@ def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float, tol: float,
     lp = grid.lp_p(out, p)
     q = grid.grad_sq(out) + lam * grid.l2_sq(out)
     out = (q / lp) ** (1.0 / (p - 2.0)) * out
-    res = _res_norm(grid, out, p, lam)
+    res = residual(grid, out, p, lam)[1]
     if res > tol and rounding in ("any", reason):
         out, res = _rounding_polish(grid, out, p, lam, res)
         last += " and the rounding polish"
@@ -492,7 +487,7 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
     eps_hi = (above.astype(np.longdouble) - uld).astype(np.float64)
     choices = _viterbi_rounding(eps_lo, eps_hi)
     cand = np.where(choices == 0, below, above)
-    rn = _res_norm(grid, cand, p, lam)
+    rn = residual(grid, cand, p, lam)[1]
     if rn < res:
         return cand, rn
     return vals, res

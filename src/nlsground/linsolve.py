@@ -20,17 +20,17 @@ double precision would gain almost nothing (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 12).
 Solves are bitwise deterministic for fixed inputs.
 
-The same module holds the one linearized solve the package uses: the
-Jacobian of D u + lambda u = |u|^(p-2) u, D the stencil with a field's
-zero nodes pinned, solved by LAPACK's pivoted tridiagonal dgtsv in 1D
-and by MINRES preconditioned with the sine solve in 2D.  Newton's method
-on that solve finishes the signed ground state (from a few fixed-point
-steps, or at once from a continuation predictor) and the nodal one,
-reporting why it stopped, and its solve of -u gives the tangent of a
-branch of states: the exact slope of the mass and the predictor of the
-next continuation step.  The 1D rounding polish solves the same
-tridiagonal linearization in long double by mixed-precision refinement
-of dgtsv (`solve_tridiagonal_longdouble`).
+The same module holds the PDE residual A u + lambda u - |u|^(p-2) u
+and the one linearized solve the package uses: the Jacobian of that
+residual, the plain stencil plus a diagonal, solved by LAPACK's pivoted
+tridiagonal dgtsv in 1D and by MINRES preconditioned with the sine solve
+in 2D.  Newton's method on that solve finishes the signed ground state
+(from a few fixed-point steps, or at once from a continuation predictor)
+and the nodal one, reporting why it stopped, and its solve of -u gives
+the tangent of a branch of states: the exact slope of the mass and the
+predictor of the next continuation step.  The 1D rounding polish solves
+the same tridiagonal linearization in long double by mixed-precision
+refinement of dgtsv (`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -94,8 +94,12 @@ class OperatorSolver:
             j = np.arange(1, g.n + 1)
             lam_x, lam_y = (spectral.axis_eigenvalues(g.n, h, j) for h in g.h)
             # two unnormalized transforms multiply by 2(n+1) per axis
-            self._factor = 1.0 / ((2.0 * (g.n + 1)) ** 2
-                                  * (lam_x[:, None] + lam_y[None, :] + self.c))
+            denom = (2.0 * (g.n + 1)) ** 2 * (lam_x[:, None] + lam_y[None, :]
+                                              + self.c)
+            # on odd fields c may be -lambda_1, whose mode (1, 1) is even
+            # under every reflection: its factor is 0, not 1/0
+            self._factor = np.divide(1.0, denom, out=np.zeros_like(denom),
+                                     where=denom != 0.0)
         if not definite:
             raise NoConvergence(
                 f"operator A + ({self.c}) I is not positive definite")
@@ -166,84 +170,45 @@ def _dstn_kernel():
     return types.SimpleNamespace(dst=dst)
 
 
-class _FrozenPartition:
-    """The stencil with every edge that touches a zero node cut.
+def residual(grid: Grid, v: np.ndarray, p: float,
+             lam: float) -> tuple[np.ndarray, float]:
+    """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm."""
+    r = grid.laplacian(v)
+    r += lam * v
+    r -= np.abs(v) ** (p - 2) * v
+    return r, float(np.sqrt(grid.weight * dot(r, r)))
 
-    The zero nodes are pinned: each sees only its own diagonal, and no
-    other node sees them, which on a field that vanishes there is the
-    plain stencil.  Edges between nodes of opposite sign keep their
-    coupling.  A field without zero nodes gets the plain stencil (and no
-    cut arrays are stored).  It is symmetric, so the Jacobian of its
-    system is too.  metric, when given, is the OperatorSolver that
-    preconditions the 2D solves.
+
+def linearized_solve(grid: Grid, shift: np.ndarray, b: np.ndarray,
+                     rtol: float, metric: OperatorSolver | None = None
+                     ) -> np.ndarray:
+    """x with (A + diag(shift)) x = b.
+
+    The linearization of the PDE at u has shift lambda - (p-1)|u|^(p-2)
+    and is generally indefinite.  In 1D it is tridiagonal and solved by
+    `_tridiagonal_solve`.  In 2D it is solved by MINRES to the relative
+    preconditioned residual rtol, preconditioned by metric's sine solve;
+    without a metric, by that of A + max(shift, 0) I (the largest shift
+    is lambda up to the smallest |u|), factored here.
     """
+    if grid.dimension == 1:
+        h2 = grid.h[0] * grid.h[0]
+        return _tridiagonal_solve(2.0 / h2 + shift,
+                                  np.full(grid.n - 1, -1.0 / h2), b)
+    if metric is None:
+        metric = _metric(grid, shift)
 
-    def __init__(self, grid: Grid, sign: np.ndarray,
-                 metric: OperatorSolver | None = None):
-        self.grid = grid
-        zero = sign.reshape(grid.shape) == 0
-        # per axis, 1/h^2 on every edge with a zero node at either end
-        cut = [zero[lo] | zero[hi]
-               for lo, hi in map(_edge_ends, range(grid.dimension))]
-        self.cuts = ([c / (h * h) for c, h in zip(cut, grid.h)]
-                     if zero.any() else [])
-        self._metric = metric
+    def apply(v):
+        out = grid.laplacian(v)
+        out += shift * v
+        return out
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        # the full stencil couples v_i to a cut neighbour by -v_j/h^2
-        out = self.grid.laplacian(v).reshape(self.grid.shape)
-        w = v.reshape(self.grid.shape)
-        for axis, cut in enumerate(self.cuts):
-            lo, hi = _edge_ends(axis)
-            out[lo] += cut * w[hi]
-            out[hi] += cut * w[lo]
-        return out.reshape(-1)
-
-    def residual(self, v: np.ndarray, p: float,
-                 lam: float) -> tuple[np.ndarray, float]:
-        """F(v) = D v + lam v - |v|^(p-2) v and its weighted L2 norm.
-
-        On a field with this sign pattern F is the full-PDE residual on
-        the nonzero nodes and zero on the pinned ones.
-        """
-        r = self.apply(v)
-        r += lam * v
-        r -= np.abs(v) ** (p - 2) * v
-        return r, float(np.sqrt(self.grid.weight * dot(r, r)))
-
-    def solve(self, shift: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
-        """x with (D + diag(shift)) x = b, D this operator.
-
-        The linearization has shift lambda - (p-1)|u|^(p-2) and is
-        generally indefinite.  In 1D it is
-        tridiagonal and solved by `_tridiagonal_solve`.  In 2D it is solved
-        by MINRES to the relative preconditioned residual rtol.  Without
-        a metric the preconditioner is the sine solve of
-        A + max(shift, 0) I (the largest shift is lambda up to the
-        smallest |u|), factored at the first solve and kept for the later
-        ones on this partition.
-        """
-        g = self.grid
-        if g.dimension == 1:
-            h2 = g.h[0] * g.h[0]
-            off = (np.where(self.cuts[0] > 0.0, 0.0, -1.0 / h2) if self.cuts
-                   else np.full(g.n - 1, -1.0 / h2))
-            return _tridiagonal_solve(2.0 / h2 + shift, off, b)
-        if self._metric is None:
-            self._metric = OperatorSolver(g, max(float(np.max(shift)), 0.0))
-
-        def apply(v):
-            out = self.apply(v)
-            out += shift * v
-            return out
-
-        return _minres(apply, b, self._metric._raw_solve, rtol, _MINRES_STEPS)
+    return _minres(apply, b, metric._raw_solve, rtol, _MINRES_STEPS)
 
 
-def _edge_ends(axis: int) -> tuple[tuple, tuple]:
-    """Indices of the lower and upper nodes of every edge along axis."""
-    return ((slice(None),) * axis + (slice(None, -1),),
-            (slice(None),) * axis + (slice(1, None),))
+def _metric(grid: Grid, shift: np.ndarray) -> OperatorSolver:
+    """The sine solver of A + max(shift, 0) I, a preconditioner."""
+    return OperatorSolver(grid, max(float(np.max(shift)), 0.0))
 
 
 def _sign_pattern(v: np.ndarray) -> np.ndarray:
@@ -254,11 +219,15 @@ def _sign_pattern(v: np.ndarray) -> np.ndarray:
 def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
            metric: OperatorSolver | None = None
            ) -> tuple[np.ndarray, float, int, str]:
-    """Newton on D u + lam u = |u|^(p-2) u with u's zero nodes pinned.
+    """Newton on A u + lam u = |u|^(p-2) u, keeping u's sign pattern.
 
-    D is the stencil with those nodes cut out (`_FrozenPartition`), and
-    u's sign pattern stays frozen; metric, if given, preconditions the 2D
-    linearized solves.  Returns
+    Each step is one `linearized_solve` of the plain stencil's Jacobian;
+    metric, if given, preconditions the 2D solves, which otherwise share
+    one preconditioner factored at the first step.  A step leaves u's
+    zero nodes exactly zero.  The stencil maps fields odd under a
+    reflection of the box to odd fields, so from an odd u, zero on the
+    reflection's fixed nodes, the iterates stay odd up to the solves'
+    rounding and exactly zero there.  Returns
     (best iterate, its residual, steps taken, stop reason).  The reason
     is "tol" once the residual reaches tol, "sign-flip" when a step
     changes the sign of a node, "stall" when a step fails to lower the
@@ -266,8 +235,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
     "step-cap" after _NEWTON_STEPS steps.
     """
     sign = _sign_pattern(u)
-    frozen = _FrozenPartition(grid, sign, metric)
-    r, res = frozen.residual(u, p, lam)
+    r, res = residual(grid, u, p, lam)
     step = 0
     reason = "tol"
     while res > tol:
@@ -278,9 +246,12 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         # loose solves while far away, and none tighter than the last
         # step needs to land well inside tol
         rtol = max(min(0.1, res), 0.01 * tol / res)
+        shift = lam - (p - 1) * np.abs(u) ** (p - 2)
+        if metric is None and grid.dimension == 2:
+            metric = _metric(grid, shift)
         try:
-            trial = frozen.solve(lam - (p - 1) * np.abs(u) ** (p - 2),
-                                 np.negative(r, out=r), rtol)
+            trial = linearized_solve(grid, shift, np.negative(r, out=r),
+                                     rtol, metric)
         except np.linalg.LinAlgError:
             reason = "singular"
             break
@@ -290,7 +261,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         if not np.array_equal(_sign_pattern(trial), sign):
             reason = "sign-flip"
             break
-        r_trial, res_trial = frozen.residual(trial, p, lam)
+        r_trial, res_trial = residual(grid, trial, p, lam)
         if not res_trial < res:
             reason = "stall"
             break

@@ -7,8 +7,9 @@ parts.  A field that is odd under R vanishes on R's fixed nodes, so the
 signed problem on the odd fields is the signed problem on half the box,
 and the signed solver solves it: the normalized fixed point from the
 R-odd lambda_2 mode, each solve restricted to the odd fields, then
-Newton on the full system (`linsolve.newton`, with the zero nodes
-pinned).  An interval has one such reflection, the midpoint flip; on
+Newton on the full system (`linsolve.newton`: the plain stencil maps
+odd fields to odd fields, and each step keeps R's fixed nodes exactly
+zero).  An interval has one such reflection, the midpoint flip; on
 odd n it fixes the midpoint node, on even n it fixes no node and the
 sign parts meet across the middle edge.  A square has two (the
 transpose and a midline flip), any other rectangle one (the flip of its

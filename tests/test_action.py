@@ -162,8 +162,9 @@ def test_2d_ground_state_and_p_cap(unit_square):
     l2, lp, gr = norms(st.u, p)
     assert abs(gr + lam * l2 - lp) <= 1e-10 * lp
     assert st.node_count == 0
-    with pytest.raises(InvalidSpec):
-        ground_state(grid, ActionParams(11.0, 5.0))
+    # no cap on p in 2D: a large exponent meets tol as well
+    st = ground_state(grid, ActionParams(11.0, 5.0))
+    assert st.residual <= 1e-8 and st.node_count == 0
 
 
 def _fixed_point_steps(monkeypatch):

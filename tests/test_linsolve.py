@@ -164,10 +164,11 @@ def test_singular_linearization_is_reported(unit_interval):
     with pytest.raises(np.linalg.LinAlgError):
         _tridiagonal_solve(np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0]),
                            np.ones(3))
-    # ... and Newton names it: the zero middle node is cut from both of
-    # its neighbours, and lambda = -2/h^2 zeroes its diagonal entry
+    # ... and Newton names it: at u = (1, 0, 1), p = 4, lambda = 3 - 2/h^2
+    # zeroes both end diagonals 2/h^2 + lambda - 3 u^2, so the first and
+    # last rows of the Jacobian are equal
     grid = Grid(unit_interval, 3)
-    lam = -2.0 / grid.h[0] ** 2
+    lam = 3.0 - 2.0 / grid.h[0] ** 2
     u = np.array([1.0, 0.0, 1.0])
     out, _, steps, reason = newton(grid, u, 4.0, lam, 1e-8)
     assert (steps, reason) == (1, "singular")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from nlsground import (ActionParams, DomainSpec, Grid, LambdaBelowThreshold,
-                       NlsgroundError, NoConvergence, SolverOptions,
-                       dirichlet_eigenpairs, ground_state, kappa, lambda2,
+from nlsground import (ActionParams, DomainSpec, Field, Grid,
+                       LambdaBelowThreshold, NlsgroundError, NoConvergence,
+                       SolverOptions, dirichlet_eigenpairs, ground_state,
+                       kappa, lambda1, lambda2,
                        nodal_ground_state, norms, pde_residual, split, sweep)
 
 
@@ -269,51 +270,84 @@ def test_2d_nodal_branch_selection(unit_square, lam, label, level, other):
     assert values[loser] == pytest.approx(other, rel=1e-9)
 
 
-def _frozen_square(n: int):
-    from nlsground.linsolve import _FrozenPartition
+def test_residual_is_the_padded_five_point_stencil(unit_square):
+    from nlsground.linsolve import residual
 
-    grid = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), n)
+    grid = Grid(unit_square, 15)
     x, y = grid.meshes()
     sign = np.sign(np.sin(2.0 * np.pi * x) * np.sin(np.pi * y)
                    + 0.3 * np.cos(3.0 * y)).reshape(-1)
-    sign[:n] = 0.0  # a row of zero nodes, decoupled from both parts
-    return grid, sign, _FrozenPartition(grid, sign)
-
-
-def test_frozen_partition_pins_zero_nodes():
-    grid, sign, frozen = _frozen_square(15)
-    rng = np.random.default_rng(0)
-    u = sign * (0.5 + rng.random(grid.size))
+    sign[:15] = 0.0  # a row of zero nodes
+    u = sign * (0.5 + np.random.default_rng(0).random(grid.size))
     p, lam = 4.0, 10.0
-    f, norm = frozen.residual(u, p, lam)
-    # the full residual by a padded 5-point stencil, zero on zero nodes
+    f, norm = residual(grid, u, p, lam)
+    # the full residual by a padded 5-point stencil, on every node
     h = grid.h[0]
     w = np.pad(u.reshape(grid.shape), 1)
     lap = (4.0 * w[1:-1, 1:-1] - w[2:, 1:-1] - w[:-2, 1:-1]
            - w[1:-1, 2:] - w[1:-1, :-2]).reshape(-1) / (h * h)
-    g = np.where(sign != 0.0, lap + lam * u - np.abs(u) ** (p - 2) * u, 0.0)
+    g = lap + lam * u - np.abs(u) ** (p - 2) * u
     assert np.max(np.abs(f - g)) <= 1e-12 * np.max(np.abs(lap))
     assert norm == pytest.approx(np.sqrt(h * h * np.sum(g * g)), rel=1e-12)
-    # on any field: the plain stencil with the zero nodes' values dropped,
-    # and the bare diagonal on the zero nodes
-    v = rng.standard_normal(grid.size)
-    pinned = np.where(sign != 0.0, v, 0.0)
-    expected = np.where(sign != 0.0, grid.laplacian(pinned), 4.0 / (h * h) * v)
-    assert np.max(np.abs(frozen.apply(v) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_minres_matches_dense_solve_on_indefinite_system():
+def test_minres_matches_dense_solve_on_indefinite_system(unit_square):
     from nlsground.linsolve import shifted_solver
     from nlsground.linsolve import _minres
 
-    grid, _, frozen = _frozen_square(15)
-    dense = np.column_stack([frozen.apply(e) for e in np.eye(grid.size)])
+    grid = Grid(unit_square, 15)
+    dense = np.column_stack([grid.laplacian(e) for e in np.eye(grid.size)])
     assert np.array_equal(dense, dense.T)
     dense -= 100.0 * np.eye(grid.size)
     eigs = np.linalg.eigvalsh(dense)
     assert eigs[0] < 0.0 < eigs[-1] and np.min(np.abs(eigs)) > 1.0
     b = np.random.default_rng(1).standard_normal(grid.size)
-    x = _minres(lambda v: frozen.apply(v) - 100.0 * v, b,
+    x = _minres(lambda v: grid.laplacian(v) - 100.0 * v, b,
                 shifted_solver(grid, 0.0)._raw_solve, 1e-14, 500)
     exact = np.linalg.solve(dense, b)
     assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("n", [255, 511])
+def test_1d_nodal_newton_does_not_stall(unit_interval, n):
+    # Newton from the fourth fixed-point step finishes the solve (10
+    # iterations in all); a stalled Newton leaves the fixed point to creep
+    st = nodal_ground_state(Grid(unit_interval, n), ActionParams(4.0, 2500.0))
+    assert st.residual <= 1e-8
+    assert st.iterations <= 12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_newton_keeps_odd_fields_odd(unit_interval, unit_square, dim):
+    from nlsground.linsolve import newton
+
+    p, lam = 4.0, 100.0
+    if dim == 1:
+        grid = Grid(unit_interval, 255)
+        flip = lambda a: a[::-1]  # noqa: E731
+        fixed = [127]
+    else:
+        grid = Grid(unit_square, 31)
+        flip = lambda a: a.reshape(grid.shape).T.reshape(-1)  # noqa: E731
+        fixed = np.arange(31) * 32  # the diagonal
+    st = nodal_ground_state(grid, ActionParams(p, lam))
+    assert st.multistart[0][0] in ("midpoint", "diagonal")
+    # an exactly odd start off the state, zero on the fixed nodes
+    u = 0.505 * (st.u.values - flip(st.u.values))
+    assert np.array_equal(u, -flip(u)) and not np.any(u[fixed])
+    out, res, steps, reason = newton(grid, u, p, lam, 1e-10)
+    assert steps >= 2 and res < pde_residual(Field(grid, u),
+                                             ActionParams(p, lam))
+    assert not np.any(out[fixed])
+    # odd up to the rounding of the steps' solves
+    assert np.max(np.abs(out + flip(out))) <= 1e-14 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("box", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.2, 0.0, 1.0)])
+@pytest.mark.parametrize("n", [31, 32])
+def test_2d_nodal_state_at_minus_lambda1(box, n):
+    # the odd-field solve at c = -lambda_1: mode (1, 1), even under every
+    # reflection, has a zero denominator, which must not become 1/0
+    grid = Grid(DomainSpec.rectangle(*box), n)
+    st = nodal_ground_state(grid, ActionParams(4.0, -lambda1(grid)))
+    assert st.residual <= 1e-8 and st.node_count == 1
