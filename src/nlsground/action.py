@@ -1,43 +1,43 @@
-"""Action and energy functionals and the signed ground-state solver.
+"""Action and energy functionals and the one ground-state driver.
 
 The ground state at fixed frequency minimizes the homogeneous quotient
 R(u) = (||grad u||^2 + lambda ||u||^2) / ||u||_p^2 over nonzero fields;
-equivalently, the action constrained to its natural manifold.  From a
-cold start the solver begins with the normalized fixed-point iteration
+equivalently, the action constrained to its natural manifold.  A nodal
+ground state minimizes it over the fields that are odd under a
+reflection of the box (`nodal`), so one driver, `least_action_state`,
+solves both: a signed solve is a nodal one with the identity
+reflection.  From each start it runs the normalized fixed point
 
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
-along which R is provably nonincreasing but which converges only
-linearly.  After _COLD_STEPS steps Newton's method takes over from the
-iterate's exact scalar normalization onto the constraint manifold (the
-linearized solve of `linsolve`, the plain stencil plus a diagonal,
-tridiagonal in 1D and MINRES preconditioned by the fixed point's own
-shifted solve in 2D), and its result is rescaled exactly onto the
-manifold.  A warm start is a continuation step: Newton runs at once
-from the init's normalization, typically the tangent predictor
+on the start's odd fields, along which R is provably nonincreasing but
+which converges only linearly.  After _COLD_STEPS steps Newton's method
+takes over from the iterate's exact scalar normalization onto the
+constraint manifold (the linearized solve of `linsolve`: tridiagonal in
+1D, MINRES preconditioned by the fixed point's shifted solve in 2D; the
+stencil keeps odd fields odd), and its result is rescaled exactly onto
+the manifold.  A warm start is a continuation step: Newton runs at once
+from the warm field's normalization, typically the tangent predictor
 u + (lambda - lambda_0) u' of a nearby state (`tangent_predictor`), and
-the fixed point runs only if that result is rejected.  On fine 1D grids the storage rounding of the field
-itself dominates the attainable residual, and Newton stalls there; a
-stalled Newton above tol goes straight on to the rounding polish:
-long-double Newton steps, each a mixed-precision refined solve, and a
-min-plus Viterbi pass that picks the rounding of every node.  A result
-is kept only if it is one-signed, meets tol and does not raise the ray
-action of the point Newton started from (the ground state minimizes
-it); otherwise the fixed point resumes as it was.  When the fixed point
-stops above tol, the same Newton stage runs from its best iterate and,
-in 1D, the rounding polish follows whatever stopped Newton.  A
-NoConvergence names where the fixed point, Newton and the polish
-stopped.  The same linearized solve of -u gives the tangent u' of the
-branch of states: the exact slope of the mass, `mass_slope`, and the
-continuation predictor.  The nodal solver runs the same fixed point
-and Newton on the fields that are odd under a reflection of the box,
-where one-signed means one-signed on each side of the reflection's
-fixed line.
+the starts run only if that result is rejected.  Every Newton result is
+kept only if it meets tol, stays nonnegative wherever its start is
+positive and does not raise its start's ray action (the ground state
+minimizes it); otherwise the fixed point resumes as it was.  On fine 1D
+grids the storage rounding of the field bounds the attainable residual
+and Newton stalls there, so in 1D a stall goes on to the rounding
+polish: long-double Newton steps, each a mixed-precision refined solve,
+and a min-plus Viterbi pass that picks the rounding of every node.
+When the fixed point stops above tol, a last Newton runs from its best
+iterate, followed in 1D by the rounding polish whatever stopped it; a
+start that still misses tol raises NoConvergence naming where the fixed
+point, Newton and the polish stopped.  The same linearized solve of -u
+gives the tangent u' of the branch: the exact slope of the mass,
+`mass_slope`, and the continuation predictor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,9 +80,10 @@ class SolverOptions:
     """Knobs shared by the ground-state solvers.
 
     tol is the absolute norm the PDE residual must reach and max_iter
-    caps the iterations of one solve.  No solver draws random numbers,
-    so seed reaches nothing; it is kept because the benchmark's workloads
-    (perfbench/workloads.py) still pass it.
+    caps the fixed-point steps of each start; Newton steps come on top.
+    No solver draws random numbers, so seed reaches nothing; it is kept
+    because the benchmark's workloads (perfbench/workloads.py) still
+    pass it.
     """
 
     tol: float = 1e-8
@@ -105,7 +106,7 @@ class GroundState:
     start: each reflection whose state has two nodal domains ("midpoint"
     in 1D, "diagonal" and "midline" in 2D), or "warm".  iterations counts
     the solver's fixed-point steps plus its Newton steps, rejected ones
-    included, for a nodal state over every start.
+    included, over the warm attempt and every start that did not raise.
     """
 
     u: Field
@@ -216,77 +217,112 @@ def ground_state(grid: Grid, params: ActionParams,
                  init_field: Field | None = None) -> GroundState:
     """Signed action ground state at fixed frequency.
 
-    Requires lambda above threshold_floor(lambda_1).  With init_field
-    (a warm start) Newton runs at once from |init_field| scaled onto the
-    manifold; without it, or if that result is rejected, at most
-    _COLD_STEPS fixed-point steps run from the first eigenmode (or from
-    |init_field|), then Newton from the normalized iterate (in 1D, and
-    if it stalls above tol, the rounding polish); the fixed point
-    resumes only if that result is rejected (see the module docstring).
-    The shifted operator is factored only when the fixed point runs or
-    in 2D, where it preconditions Newton.  The returned state satisfies
-    the manifold identity to machine precision and the PDE residual to
-    opts.tol; NoConvergence is raised if the residual cannot reach tol
-    (on fine grids with default tol this can only happen when the
-    rounding floor of stored doubles exceeds tol).
+    Requires lambda above threshold_floor(lambda_1).  `least_action_state`
+    runs on every field from one start, the first eigenmode, or
+    |init_field| after a warm start from it (a zero init_field starts
+    cold).  The shifted operator is factored only when the fixed point
+    runs or in 2D, where it preconditions Newton.  The state meets the
+    manifold identity to machine precision and the PDE residual to
+    opts.tol.
     """
     opts = opts or SolverOptions()
-    p, lam = params.p, params.lam
     floor = threshold_floor(spectral.lambda1(grid))
-    if lam <= floor:
-        raise LambdaBelowThreshold(
-            f"lambda={lam} at or below -lambda_1 + margin = {floor:.6g}")
+    if params.lam <= floor:
+        raise LambdaBelowThreshold(f"lambda={params.lam} at or below "
+                                   f"-lambda_1 + margin = {floor:.6g}")
+    warm = None
+    if init_field is not None:
+        if init_field.grid != grid:
+            raise InvalidSpec("initial field lives on a different grid")
+        warm = np.abs(init_field.values)
+        warm = warm if np.max(warm) > 0.0 else None
+    # the start is built in the call, so the driver can release it
+    return least_action_state(grid, params, opts, warm, [(
+        "signed", None, warm if warm is not None
+        else spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values)], 1)[0]
 
-    u, warm = _initial_vector(grid, init_field)
-    lp = grid.lp_p(u, p)
+
+def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
+                       warm: np.ndarray | None, starts: list,
+                       domains: int) -> tuple[GroundState, tuple]:
+    """The least-action state with `domains` nodal domains.
+
+    Newton runs first from warm, if given, scaled onto the manifold.  If
+    `_polish` rejects that result or it has other nodal domains, each
+    start (label, reflection or None, field) is popped from starts,
+    released once normalized, and runs `_fixed_point_newton` on the
+    reflection's odd fields (all fields for None).  Returns the
+    least-action state with `domains` nodal domains and the record
+    ((label, action), ...) of every such state, or raises NoConvergence
+    naming how every start stopped.
+    """
+    p, lam = params.p, params.lam
+    # 1D Newton factors nothing; 2D Newton is preconditioned by the fixed
+    # point's shifted solve, shared with the warm attempt on the full
+    # system, while a reflection's odd-field solve serves its start only
+    full = (shifted_solver(grid, lam)
+            if grid.dimension == 2 and starts[0][1] is None else None)
+    iterations = 0
+    if warm is not None:
+        u = _unit(grid, warm, p)
+        vals, res, kept, iterations, _ = _polish(
+            grid, nehari_scale(Field(grid, u), params) * u, p, lam, opts.tol,
+            full, _ray_action_vals(grid, u, p, lam), final=False)
+        if kept:
+            state = finalize_state(grid, vals, params, res, iterations)
+            if state.node_count + 1 == domains:
+                return state, (("warm", state.action_value),)
+        del u, vals  # the starts run as cold ones would
+    best, record, stops = None, [], []
+    while starts:
+        label, reflect, field = starts.pop(0)
+        u = _unit(grid, field, p)
+        del field
+        try:
+            vals, res, steps = _fixed_point_newton(
+                grid, params, opts, u, full or shifted_solver(grid, lam, reflect))
+        except NoConvergence as exc:
+            stops.append(f"{label}: {exc}")
+            continue
+        iterations += steps
+        state = finalize_state(grid, vals, params, res, iterations)
+        if state.node_count + 1 != domains:
+            stops.append(f"{label}: {state.node_count + 1} nodal domains, "
+                         f"residual {res:.3e}")
+            continue
+        record.append((label, state.action_value))
+        if best is None or state.action_value < best.action_value:
+            best = state
+    if best is None:
+        raise NoConvergence(f"no start reached {domains} nodal domain"
+                            f"{'s' * (domains > 1)} ({'; '.join(stops)})")
+    return replace(best, iterations=iterations), tuple(record)
+
+
+def _unit(grid: Grid, vals: np.ndarray, p: float) -> np.ndarray:
+    """vals scaled to unit L^p norm; ZeroField if that norm underflows."""
+    lp = grid.lp_p(vals, p)
     if lp == 0.0:
         raise ZeroField("the start vector's L^p norm underflows to 0")
-    u = u / lp ** (1.0 / p)
-
-    # 1D Newton factors nothing, 2D Newton preconditions with the fixed
-    # point's solve
-    one_d = grid.dimension == 1
-    solver = None if one_d else shifted_solver(grid, lam)
-    newton_steps = 0
-    if warm:
-        # a continuation step: Newton at once from the Nehari-scaled init
-        vals, res, kept, newton_steps, _ = _polish(
-            grid, nehari_scale(Field(grid, u), params) * u, p, lam, opts.tol,
-            solver, _ray_action_vals(grid, u, p, lam),
-            rounding="stall" if one_d else None)
-        if kept:
-            return finalize_state(grid, vals, params, res, newton_steps)
-        del vals  # the fixed point starts from the init as a cold one would
-    vals, res, iterations = _fixed_point_newton(grid, params, opts, u, solver,
-                                                newton_steps)
-    return finalize_state(grid, vals, params, res, iterations)
+    return vals / lp ** (1.0 / p)
 
 
 def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
-                        u: np.ndarray, solver, newton_steps: int = 0,
-                        half=slice(None)) -> tuple[np.ndarray, float, int]:
+                        u: np.ndarray, solver) -> tuple[np.ndarray, float, int]:
     """The normalized fixed point from u, with Newton after _COLD_STEPS.
 
-    u has unit L^p norm.  solver is the OperatorSolver of A + lambda I,
-    or None to factor it here; one restricted to a reflection's odd
-    fields keeps every iterate odd.  A Newton result is kept only if it
-    is nonnegative on the nodes half selects (every node for a signed
-    state), meets tol and does not raise the ray action (see the module
-    docstring).  newton_steps counts steps taken before the call.
-    Returns (values, residual, fixed-point plus Newton steps), or raises
-    NoConvergence naming where the fixed point, Newton and the polish
-    stopped.
+    u has unit L^p norm and solver is the OperatorSolver of A + lambda I;
+    one restricted to a reflection's odd fields keeps every iterate odd.
+    Each Newton attempt is `_polish` from an iterate (see the module
+    docstring).  Returns (values, residual, fixed-point plus Newton
+    steps), or raises NoConvergence naming where the fixed point, Newton
+    and the polish stopped.
     """
     p, lam = params.p, params.lam
-    # in 1D a Newton stall above tol is the rounding floor of stored
-    # doubles, which only the rounding polish gets below
-    one_d = grid.dimension == 1
-    if solver is None:
-        solver = shifted_solver(grid, lam)
     best_vals = None
     best_res = np.inf
     r_prev = np.inf
-    iterations = 0
+    iterations = newton_steps = 0
     stop = "max_iter"
     for iterations in range(1, opts.max_iter + 1):
         # the right-hand side |u|^(p-2) u lives only for the solve
@@ -324,8 +360,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
             break
         if iterations == _COLD_STEPS:
             vals, res, kept, steps, _ = _polish(
-                grid, w_vals, p, lam, opts.tol, solver, j_now,
-                rounding="stall" if one_d else None, half=half)
+                grid, w_vals, p, lam, opts.tol, solver, j_now, final=False)
             newton_steps += steps
             if kept:
                 best_vals, best_res = vals, res
@@ -336,8 +371,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
         raise NoConvergence("no iterate had a finite residual")
     if best_res > opts.tol:
         vals, res, kept, steps, last = _polish(
-            grid, best_vals, p, lam, opts.tol, solver, best_j,
-            rounding="any" if one_d else None, half=half)
+            grid, best_vals, p, lam, opts.tol, solver, best_j, final=True)
         newton_steps += steps
         if not kept:
             why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
@@ -414,43 +448,31 @@ def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
     )
 
 
-def _initial_vector(grid: Grid,
-                    init_field: Field | None) -> tuple[np.ndarray, bool]:
-    """|init_field| and True, or the first eigenmode and False."""
-    if init_field is not None:
-        if init_field.grid != grid:
-            raise InvalidSpec("initial field lives on a different grid")
-        vals = np.abs(init_field.values)
-        if np.max(vals) > 0.0:
-            return vals, True
-    pair = spectral.dirichlet_eigenpairs(grid, 1)[0]
-    return pair.vector.values.copy(), False
-
-
 # -- residual polishing ------------------------------------------------
 
 
-def _polish(grid: Grid, vals: np.ndarray, p: float, lam: float, tol: float,
-            solver, j_ref: float, rounding: str | None, half=slice(None)):
-    """Newton from vals, then the exact rescale onto the manifold.
+def _polish(grid: Grid, start: np.ndarray, p: float, lam: float, tol: float,
+            solver, j_ref: float, final: bool):
+    """Newton from start, then the exact rescale onto the manifold.
 
-    A result still above tol goes on to the extended-precision rounding
-    polish when rounding is "any", or names Newton's stop reason (see
-    `linsolve.newton`).  Returns (values, residual, kept, Newton steps,
-    last stage): kept says the result is nonnegative on half, meets tol
-    and has a ray action at most j_ref (1 + 1e-12); the last stage names
-    Newton's stop reason and whether the rounding polish ran.
+    In 1D a result still above tol goes on to the extended-precision
+    rounding polish if Newton stalled or, on the final attempt, whatever
+    stopped it (see `linsolve.newton`).  Returns (values, residual, kept,
+    Newton steps, last stage): kept says the result meets tol, is
+    nonnegative wherever start is positive and has a ray action at most
+    j_ref (1 + 1e-12), start's own; the last stage names Newton's stop
+    reason and whether the rounding polish ran.
     """
-    out, res, steps, reason = newton(grid, vals, p, lam, tol, solver)
+    out, res, steps, reason = newton(grid, start, p, lam, tol, solver)
     last = f"Newton on {reason}"
     lp = grid.lp_p(out, p)
     q = grid.grad_sq(out) + lam * grid.l2_sq(out)
     out = (q / lp) ** (1.0 / (p - 2.0)) * out
     res = residual(grid, out, p, lam)[1]
-    if res > tol and rounding in ("any", reason):
+    if res > tol and grid.dimension == 1 and (final or reason == "stall"):
         out, res = _rounding_polish(grid, out, p, lam, res)
         last += " and the rounding polish"
-    kept = (res <= tol and np.min(out[half]) >= 0.0
+    kept = (res <= tol and np.all(out[start > 0.0] >= 0.0)
             and _ray_action_vals(grid, out, p, lam) <= j_ref * (1.0 + 1e-12))
     return out, res, kept, steps, last
 

@@ -499,6 +499,9 @@ def main(argv=None) -> int:
     except (InvalidSpec, ValueError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 1
+    except OSError as exc:  # an unreadable input or unwritable output
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        return 1
     except (CertificationFailed, MassAboveBarMu, MassOutOfRange) as exc:
         # failed gates are verdicts, distinct from solver breakdowns
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

@@ -87,7 +87,11 @@ class OperatorSolver:
             diag = np.full(k, 2.0 / h2 + self.c)
             if self.reflect is not None and g.n % 2 == 0:
                 diag[-1] += 1.0 / h2  # the mirror node holds -u_k
-            d, e, info = dpttrf(diag, np.full(k - 1, -1.0 / h2))
+            if k == 1:
+                # n = 3 on odd fields: dpttrf rejects an empty off-diagonal
+                d, e, info = diag, None, int(diag[0] <= 0.0)
+            else:
+                d, e, info = dpttrf(diag, np.full(k - 1, -1.0 / h2))
             definite = info == 0
             self._factor = (d, e)
         elif definite:
@@ -111,7 +115,8 @@ class OperatorSolver:
                 return dpttrs(d, e, b)[0]
             k = d.size
             x = np.zeros_like(b)
-            x[:k] = dpttrs(d, e, odd_part(b, self.reflect)[:k])[0]
+            half = odd_part(b, self.reflect)[:k]
+            x[:k] = half / d if k == 1 else dpttrs(d, e, half)[0]
             x[-k:] = -x[k - 1::-1]
             return x
         x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))

@@ -87,14 +87,14 @@ def test_projection_errors(grid255):
         nehari_project(Field(grid255, np.zeros(grid255.size)), ActionParams(4.0, 0.0))
 
 
-
 def test_tiny_start_vector_raises_zero_field(grid255):
-    # its L^p norm underflows to 0: raised before any division, as the
-    # nodal solver does through nehari_scale
+    # its L^p norm underflows to 0: both solvers raise before any division
     tiny = Field(grid255, np.full(grid255.size, 1e-200))
     for solve in (ground_state, nodal_ground_state):
         with pytest.raises(ZeroField):
             solve(grid255, ActionParams(4.0, 10.0), init_field=tiny)
+
+
 def test_ground_state_beats_first_mode(grid511):
     # the first eigenmode is admissible but not optimal
     st = ground_state(grid511, ActionParams(4.0, 0.0))
@@ -238,41 +238,47 @@ def _factorizations(monkeypatch):
 
 
 def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
-    # from its own converged state a warm solve is a continuation step of
-    # length zero: Newton accepts the init, no fixed-point step runs and
-    # in 1D nothing is factored
+    # from its own converged state a warm solve, signed or nodal, is a
+    # continuation step of length zero: Newton accepts the init, no
+    # fixed-point step runs and in 1D nothing is factored
     params = ActionParams(4.0, 10.0)
-    st = ground_state(grid255, params)
-    steps = _fixed_point_steps(monkeypatch)
-    factored = _factorizations(monkeypatch)
-    warm = ground_state(grid255, params, init_field=st.u)
-    assert steps == [] and factored == []
-    assert warm.iterations <= 1
-    assert warm.action_value == pytest.approx(st.action_value, rel=1e-12)
-    assert warm.residual <= 1e-8
+    for solve in (ground_state, nodal_ground_state):
+        st = solve(grid255, params)
+        with monkeypatch.context() as patch:
+            steps = _fixed_point_steps(patch)
+            factored = _factorizations(patch)
+            warm = solve(grid255, params, init_field=st.u)
+        assert steps == [] and factored == []
+        assert warm.iterations <= 1
+        assert warm.action_value == pytest.approx(st.action_value, rel=1e-12)
+        assert warm.residual <= 1e-8
 
 
 def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
     # a warm Newton result that does not meet tol is dropped, and the
-    # fixed point runs from the init as it would from a cold start
+    # fixed point runs as it would from a cold start: a signed one from
+    # the init, a nodal one from the reflections
     params = ActionParams(4.0, 10.0)
-    cold = ground_state(grid255, params)
     newton = ACTION.newton
-    calls = []
+    for solve in (ground_state, nodal_ground_state):
+        cold = solve(grid255, params)
+        calls = []
 
-    def first_makes_no_step(grid, u, *args):
-        calls.append(1)
-        if len(calls) == 1:
-            return u, np.inf, 0, "sign-flip"
-        return newton(grid, u, *args)
+        def first_makes_no_step(grid, u, *args):
+            calls.append(1)
+            if len(calls) == 1:
+                return u, np.inf, 0, "sign-flip"
+            return newton(grid, u, *args)
 
-    monkeypatch.setattr(ACTION, "newton", first_makes_no_step)
-    steps = _fixed_point_steps(monkeypatch)
-    init = Field(grid255, cold.u.values * (1.0 + 0.2 * grid255.coords[0]))
-    st = ground_state(grid255, params, init_field=init)
-    assert len(calls) == 2 and len(steps) == 4
-    assert st.residual <= 1e-8
-    assert st.action_value == pytest.approx(cold.action_value, rel=1e-12)
+        init = Field(grid255, cold.u.values * (1.0 + 0.2 * grid255.coords[0]))
+        with monkeypatch.context() as patch:
+            patch.setattr(ACTION, "newton", first_makes_no_step)
+            steps = _fixed_point_steps(patch)
+            st = solve(grid255, params, init_field=init)
+        assert len(calls) == 2 and len(steps) == 4
+        assert st.residual <= 1e-8
+        assert st.action_value == pytest.approx(cold.action_value, rel=1e-12)
+        assert st.multistart == cold.multistart
 
 
 @pytest.mark.parametrize("dim", [1, 2])

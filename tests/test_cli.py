@@ -202,6 +202,36 @@ def test_truncated_dump_is_invalid(tmp_path, capsys):
         assert code == 1, rows[:6]
 
 
+@pytest.mark.parametrize("argv", [
+    ("ground", "--p", "4", "--lambda", "10", "--n", "15",
+     "--out", "{missing}/x.json"),
+    ("ground", "--p", "4", "--lambda", "10", "--n", "15",
+     "--dump", "{missing}/x"),
+    ("check-all", "--out-dir", "{file}/x"),
+])
+def test_unwritable_output_exits_1(tmp_path, capsys, argv):
+    # an output under a missing directory or under a file is a bad
+    # argument: exit 1 with one line on stderr, not a traceback
+    (tmp_path / "file").write_text("")
+    code = main([a.format(missing=tmp_path / "missing", file=tmp_path / "file")
+                 for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("nodal", "--p", "4", "--lambda", "10"),
+    ("sweep", "--p", "4", "--kind", "nodal", "--samples", "5"),
+    ("normalized", "--p", "4", "--mu", "1", "--kind", "nodal"),
+])
+def test_nodal_subcommands_on_three_nodes(capsys, argv):
+    # n = 3, the smallest grid, leaves one node on each side of the
+    # midpoint flip
+    code = main([*argv, "--n", "3"])
+    assert code == 0, capsys.readouterr().err
+
+
 def test_config_roundtrip(tmp_path):
     cfg = RunConfig(seed=11, tol=1e-9)
     path = tmp_path / "run.cfg"

@@ -38,6 +38,19 @@ def test_warm_hint_reproduces(grid511):
     assert warm.action_value == pytest.approx(cold.action_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+def test_three_node_state_is_closed_form(p):
+    # the odd fields of the midpoint flip on n = 3 are (a, 0, -a), so the
+    # state solves (2/h^2 + lambda) a = a^(p-1)
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 3)
+    lam = 10.0
+    st = nodal_ground_state(grid, ActionParams(p, lam))
+    a = (2.0 / grid.h[0] ** 2 + lam) ** (1.0 / (p - 2.0))
+    assert st.node_count == 1 and st.u.values[1] == 0.0
+    np.testing.assert_allclose(st.u.values, [a, 0.0, -a], rtol=1e-14)
+    assert st.residual <= 1e-8
+
+
 @pytest.mark.parametrize("n", [63, 64])
 @pytest.mark.parametrize("p", [4.0, 8.0])
 @pytest.mark.parametrize("lam", [10.0, 2500.0])
