@@ -499,7 +499,9 @@ def main(argv=None) -> int:
     except (InvalidSpec, ValueError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return 1
-    except OSError as exc:  # an unreadable input or unwritable output
+    # an unreadable input, an unwritable output or a grid too large to
+    # allocate
+    except (OSError, MemoryError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
     except (CertificationFailed, MassAboveBarMu, MassOutOfRange) as exc:

@@ -340,6 +340,8 @@ def load_field(path) -> Field:
         raise InvalidSpec(f"{path}: {len(flat)} bounds for dimension {dim}")
     if values.size != count:
         raise InvalidSpec(f"{path}: truncated value block")
+    if not np.isfinite(values).all():
+        raise InvalidSpec(f"{path}: non-finite field value")
     # checked before the grid is built, which allocates n nodes per axis
     if count != n ** dim:
         raise InvalidSpec(f"{path}: {count} values for n={n} in dimension {dim}")

@@ -191,7 +191,9 @@ def test_truncated_dump_is_invalid(tmp_path, capsys):
     broken = [lines[:k] for k in range(7)]
     broken += [lines[:3] + ["n x"] + lines[4:],
                lines[:2] + ["bounds 0.0"] + lines[3:],
-               lines[:4] + ["n 62"] + lines[5:]]
+               lines[:4] + ["n 62"] + lines[5:],
+               lines[:9] + ["nan"] + lines[10:],
+               lines[:9] + ["-inf"] + lines[10:]]
     for i, rows in enumerate(broken):
         path = tmp_path / f"broken{i}.field"
         path.write_text("\n".join(rows) + "\n")
@@ -208,10 +210,13 @@ def test_truncated_dump_is_invalid(tmp_path, capsys):
     ("ground", "--p", "4", "--lambda", "10", "--n", "15",
      "--dump", "{missing}/x"),
     ("check-all", "--out-dir", "{file}/x"),
+    ("ground", "--p", "4", "--lambda", "10", "--n", "100000000000"),
+    ("ground", "--p", "4", "--lambda", "10", "--dim", "2", "--n", "3000000"),
 ])
 def test_unwritable_output_exits_1(tmp_path, capsys, argv):
-    # an output under a missing directory or under a file is a bad
-    # argument: exit 1 with one line on stderr, not a traceback
+    # an output under a missing directory or under a file, or a grid too
+    # large to allocate, is a bad argument: exit 1 with one line on
+    # stderr, not a traceback
     (tmp_path / "file").write_text("")
     code = main([a.format(missing=tmp_path / "missing", file=tmp_path / "file")
                  for a in argv])

@@ -1,14 +1,18 @@
-"""scipy's extension files loaded alone, and what a fresh import costs.
+"""scipy's extension files loaded alone, the malloc thresholds fixed on
+import, and what a fresh import costs.
 
 Each test runs a fresh interpreter: what `import nlsground` loads, and in
 which order, is decided once per process.
 """
 
 import os
+import platform
 import subprocess
 import sys
 from importlib import machinery
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -128,3 +132,39 @@ def test_lapack_fallbacks_are_bitwise_equal(tmp_path):
     assert direct[0] == "False"
     assert missing[0] == unloadable[0] == "True"
     assert direct[1] == missing[1] == unloadable[1]
+
+
+REPEAT_FAULTS_SCRIPT = """
+import resource
+import sys
+import nlsground as nls
+from nlsground import _extensions
+
+if sys.argv[1] == "2":
+    spec = nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0)
+    grid = nls.Grid(spec, int(sys.argv[2]))
+    params, opts = nls.ActionParams(4.0, 10.0), nls.SolverOptions()
+else:
+    grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), int(sys.argv[2]))
+    params, opts = nls.ActionParams(6.0, 2500.0), nls.SolverOptions(tol=1e-6)
+held = nls.ground_state(grid, params, opts)  # alive, as a caller's result
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+nls.ground_state(grid, params, opts)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before,
+      grid.size, *_extensions.malloc_thresholds)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt's thresholds are glibc's")
+@pytest.mark.parametrize("dim, n", [(2, 127), (1, 32767)])
+def test_repeated_solve_reuses_freed_field_pages(dim, n):
+    # glibc's dynamic thresholds used to mmap and unmap, or trim off the
+    # heap, each field-sized temporary, so a repeated solve faulted its
+    # pages in again (1,165 faults at n=127 in 2D, 2,656 at n=32767 in
+    # 1D); with the thresholds fixed it reuses freed heap
+    pytest.importorskip("resource")
+    faults, size, *status = map(int, run_python(REPEAT_FAULTS_SCRIPT,
+                                                str(dim), str(n)))
+    assert status == [1, 1]
+    assert faults < 4 * size * 8 / 4096
