@@ -25,8 +25,9 @@ positive and does not raise its start's ray action (the ground state
 minimizes it); otherwise the fixed point resumes as it was.  On fine 1D
 grids the storage rounding of the field bounds the attainable residual
 and Newton stalls there, so in 1D a stall goes on to the rounding
-polish: long-double Newton steps, each a mixed-precision refined solve,
-and a min-plus Viterbi pass that picks the rounding of every node.
+polish: long-double Newton steps, each forming its residual in long
+double and solving its correction once in double, and a min-plus
+Viterbi pass that picks the rounding of every node.
 When the fixed point stops above tol, a last Newton runs from its best
 iterate, followed in 1D by the rounding polish whatever stopped it; a
 start that still misses tol raises NoConvergence naming where the fixed
@@ -170,15 +171,7 @@ def pde_residual(u: Field, params: ActionParams) -> float:
 
 def nehari_scale(u: Field, params: ActionParams) -> float:
     """The scaling placing u's ray on the constraint manifold."""
-    g = u.grid
-    lp = g.lp_p(u.values, params.p)
-    if lp == 0.0:
-        raise ZeroField("cannot normalize the zero field")
-    q = g.grad_sq(u.values) + params.lam * g.l2_sq(u.values)
-    if q <= 0.0:
-        raise NonpositiveQuotient(
-            f"quadratic form {q:.4g} <= 0 at lambda={params.lam}")
-    return (q / lp) ** (1.0 / (params.p - 2.0))
+    return _ray(u.grid, u.values, params.p, params.lam)[0]
 
 
 def nehari_project(u: Field, params: ActionParams) -> Field:
@@ -192,19 +185,20 @@ def ray_action(u: Field, params: ActionParams) -> float:
     Equals action(nehari_project(u)); cheaper and defined directly from
     the quotient, so it is usable inside optimization loops.
     """
-    g = u.grid
-    return _ray_action_vals(g, u.values, params.p, params.lam)
+    return _ray(u.grid, u.values, params.p, params.lam)[1]
 
 
-def _ray_action_vals(grid: Grid, vals: np.ndarray, p: float, lam: float) -> float:
+def _ray(grid: Grid, vals: np.ndarray, p: float,
+         lam: float) -> tuple[float, float]:
+    """(scaling onto the manifold, ray action) of the ray through vals."""
     lp = grid.lp_p(vals, p)
     if lp == 0.0:
-        raise ZeroField("cannot project the zero field")
+        raise ZeroField("cannot normalize the zero field")
     q = grid.grad_sq(vals) + lam * grid.l2_sq(vals)
     if q <= 0.0:
-        raise NonpositiveQuotient(f"quadratic form {q:.4g} <= 0")
-    quotient = q / lp ** (2.0 / p)
-    return kappa(p) * quotient ** (p / (p - 2.0))
+        raise NonpositiveQuotient(f"quadratic form {q:.4g} <= 0 at lambda={lam}")
+    return ((q / lp) ** (1.0 / (p - 2.0)),
+            kappa(p) * (q / lp ** (2.0 / p)) ** (p / (p - 2.0)))
 
 
 def threshold_floor(lam_k):
@@ -265,9 +259,9 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     iterations = 0
     if warm is not None:
         u = _unit(grid, warm, p)
+        scale, j_warm = _ray(grid, u, p, lam)
         vals, res, kept, iterations, _ = _polish(
-            grid, nehari_scale(Field(grid, u), params) * u, p, lam, opts.tol,
-            full, _ray_action_vals(grid, u, p, lam), final=False)
+            grid, scale * u, p, lam, opts.tol, full, j_warm, final=False)
         if kept:
             state = finalize_state(grid, vals, params, res, iterations)
             if state.node_count + 1 == domains:
@@ -457,7 +451,9 @@ def _polish(grid: Grid, start: np.ndarray, p: float, lam: float, tol: float,
 
     In 1D a result still above tol goes on to the extended-precision
     rounding polish if Newton stalled or, on the final attempt, whatever
-    stopped it (see `linsolve.newton`).  Returns (values, residual, kept,
+    stopped it (see `linsolve.newton`).  One `_ray` of Newton's result
+    gives both the rescale and the ray action; a second runs only if the
+    rounding polish replaces the field.  Returns (values, residual, kept,
     Newton steps, last stage): kept says the result meets tol, is
     nonnegative wherever start is positive and has a ray action at most
     j_ref (1 + 1e-12), start's own; the last stage names Newton's stop
@@ -465,15 +461,16 @@ def _polish(grid: Grid, start: np.ndarray, p: float, lam: float, tol: float,
     """
     out, res, steps, reason = newton(grid, start, p, lam, tol, solver)
     last = f"Newton on {reason}"
-    lp = grid.lp_p(out, p)
-    q = grid.grad_sq(out) + lam * grid.l2_sq(out)
-    out = (q / lp) ** (1.0 / (p - 2.0)) * out
+    scale, j = _ray(grid, out, p, lam)
+    out = scale * out
     res = residual(grid, out, p, lam)[1]
     if res > tol and grid.dimension == 1 and (final or reason == "stall"):
-        out, res = _rounding_polish(grid, out, p, lam, res)
+        polished, res = _rounding_polish(grid, out, p, lam, res)
+        if polished is not out:
+            out, j = polished, _ray(grid, polished, p, lam)[1]
         last += " and the rounding polish"
     kept = (res <= tol and np.all(out[start > 0.0] >= 0.0)
-            and _ray_action_vals(grid, out, p, lam) <= j_ref * (1.0 + 1e-12))
+            and j <= j_ref * (1.0 + 1e-12))
     return out, res, kept, steps, last
 
 
@@ -483,9 +480,10 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
 
     On fine grids the attainable double-precision residual is limited by
     the rounding of the stored values themselves (noise amplified by
-    1/h^2).  Three long-double Newton steps, each solved by mixed-
-    precision refinement (`solve_tridiagonal_longdouble`), give a
-    reference beyond double accuracy; a min-plus Viterbi pass then
+    1/h^2).  Three long-double Newton steps give a reference beyond
+    double accuracy: each forms its residual in long double and solves
+    its correction once in double (`solve_tridiagonal_longdouble`), so
+    the steps are their own refinement.  A min-plus Viterbi pass then
     chooses, per node, between the two neighboring doubles so that the
     second difference of the rounding error -- hence the stored field's
     true residual -- is minimized.  The result is returned only if its

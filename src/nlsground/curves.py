@@ -44,6 +44,7 @@ _SCALING_LAMBDA = 4.0
 _SCALING_RTOL = 0.02
 _MU_N_CAP = {1: 8191, 2: 301}
 _EXHAUSTION_GAP_TOL = 1e-2  # exhaustion_test: relative gap of the last margin
+_SECANT_STEPS = 80  # iterate cap of _secant_steps
 
 
 @dataclass
@@ -101,9 +102,9 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     Every 10th sample (from the first) is re-solved from the default
     initialization; a relative disagreement in the level above 1e-6
     flags the sample as a possible branch/jump point and the lower level
-    wins.  Failed samples are flagged and skipped; the sweep aborts only
-    when more than a fifth of them fail.  The state of every usable
-    sample is kept in `states`.
+    wins, while closer levels keep the warm state.  Failed samples are
+    flagged and skipped; the sweep aborts only when more than a fifth of
+    them fail.  The state of every usable sample is kept in `states`.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -146,8 +147,8 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
                 gap = abs(cold.action_value - st.action_value)
                 if gap > _MISMATCH_RTOL * abs(st.action_value):
                     flags[i] = "jump?"
-                if cold.action_value < st.action_value:
-                    st = cold
+                    if cold.action_value < st.action_value:
+                        st = cold
         J[i] = st.action_value
         mass[i] = st.mass
         states[i] = st
@@ -282,19 +283,18 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
     return MassThreshold(best_mass, best_lam, attained)
 
 
-def _secant_steps(g, lo: float, g_lo: float, hi: float, g_hi: float,
-                  max_iter: int = 80):
+def _secant_steps(g, lo: float, g_lo: float, hi: float, g_hi: float):
     """Iterates of a safeguarded secant search for a root of g in [lo, hi].
 
     g_lo and g_hi must differ in sign; g(lam) returns (value, payload).
     Each step is a secant step through the last two iterates, or a
     bisection when that step leaves the bracket; every iterate replaces
     the bracket end whose value has its sign.  Yields (lam, payload) per
-    iterate, at most max_iter.
+    iterate, at most _SECANT_STEPS.
     """
     lam_prev, g_prev = lo, g_lo
     lam_cur, g_cur = hi, g_hi
-    for _ in range(max_iter):
+    for _ in range(_SECANT_STEPS):
         lam = 0.5 * (lo + hi)
         if g_cur != g_prev:
             secant = lam_cur - g_cur * (lam_cur - lam_prev) / (g_cur - g_prev)

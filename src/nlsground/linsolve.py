@@ -28,9 +28,9 @@ in 2D.  Newton's method on that solve finishes the signed ground state
 (from a few fixed-point steps, or at once from a continuation predictor)
 and the nodal one, reporting why it stopped, and its solve of -u gives
 the tangent of a branch of states: the exact slope of the mass and the
-predictor of the next continuation step.  The 1D rounding polish solves
-the same tridiagonal linearization in long double by mixed-precision
-refinement of dgtsv (`solve_tridiagonal_longdouble`).
+predictor of the next continuation step.  Each long-double Newton step
+of the 1D rounding polish forms its residual in long double and solves
+its correction once in double by dgtsv (`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .grid import Grid, dot
 
 dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 
-# refinement step cap of the long-double solve
-_MAX_REFINE = 4
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
 _MINRES_STEPS = 200
@@ -329,46 +327,20 @@ def _minres(apply, b: np.ndarray, precond, rtol: float,
 
 def solve_tridiagonal_longdouble(diag: np.ndarray, off: np.ndarray,
                                  rhs: np.ndarray) -> np.ndarray:
-    """Extended-precision solve of a symmetric tridiagonal system.
+    """One Newton correction of the 1D rounding polish, in long double.
 
-    Mixed-precision iterative refinement (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 12): one pivoted solve in double
-    precision (`_tridiagonal_solve`), then corrections x <- x + solve(r)
-    with the residual r formed in long double and each correction solved
-    in double.  Refinement stops once the residual's max norm is within
-    long-double precision of the right-hand side's, after _MAX_REFINE
-    steps, or, as in LAPACK's xGERFS, when a step fails to halve it; a
-    step that lowers it is kept all the same.  The pivoting keeps the
-    solve stable on the indefinite linearizations of the 1D rounding
-    polish, where double precision storage noise limits attainable
-    residuals.  `diag` may vary per node (linearized operators); `off`
-    is the off-diagonal.  Returns the solution in long double.
+    The symmetric tridiagonal system (`diag` per node, `off` the
+    off-diagonal) and its right-hand side, a residual formed in long
+    double, are rounded to double for one pivoted `_tridiagonal_solve`,
+    stable on the polish's indefinite linearizations.  Newton with its
+    residual in long double and its correction solved in double
+    converges to long-double accuracy by itself (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 12; Tisseur, SIAM J. Matrix
+    Anal. Appl. 22, 2001), so the solve is not refined.
     """
-    dl, d = off.astype(np.float64), diag.astype(np.float64)
-
-    def residual(x):
-        # formed in long double, rounded to double for the correction
-        r = rhs - diag * x
-        r[:-1] -= off * x[1:]
-        r[1:] -= off * x[:-1]
-        r = r.astype(np.float64)
-        return r, np.max(np.abs(r))
-
-    b = rhs.astype(np.float64)
-    target = np.finfo(np.longdouble).eps * np.max(np.abs(b))
-    x = _tridiagonal_solve(d, dl, b).astype(np.longdouble)
-    r, rnorm = residual(x)
-    for _ in range(_MAX_REFINE):
-        if rnorm <= target:
-            break
-        x_new = x + _tridiagonal_solve(d, dl, r)
-        r_new, rnorm_new = residual(x_new)
-        if rnorm_new < rnorm:
-            x, r = x_new, r_new
-        if 2.0 * rnorm_new > rnorm:
-            break
-        rnorm = rnorm_new
-    return x
+    x = _tridiagonal_solve(diag.astype(np.float64), off.astype(np.float64),
+                           rhs.astype(np.float64))
+    return x.astype(np.longdouble)
 
 
 def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray,

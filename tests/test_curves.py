@@ -54,6 +54,18 @@ def test_2d_signed_sweep_matches_cold(unit_square):
         assert cur.J[i] == pytest.approx(cold.action_value, rel=1e-9)
 
 
+def test_sweep_keeps_warm_state_on_cold_tie():
+    # at sample 20 the cold re-solve's level lies within ulps of the warm
+    # one; a tie keeps the warm state (6 iterations) instead of the cold
+    # one, whose fixed point crept through 600 steps
+    from nlsground import DomainSpec, Grid
+    grid = Grid(DomainSpec.rectangle(0.0, 1.2, 0.0, 1.0), 32)
+    lams = np.linspace(-lambda2(grid) + 1.0, 200.0, 30)
+    cur = sweep(grid, 4.0, lams, "nodal")
+    assert set(cur.flags) == {"ok"}
+    assert sum(st.iterations for st in cur.states) <= 200
+
+
 def test_sweep_validation(grid255):
     with pytest.raises(ValueError):
         sweep(grid255, 4.0, [2.0, 1.0], "signed")

@@ -12,8 +12,7 @@ import pytest
 from nlsground import (ActionParams, DomainSpec, Grid, NoConvergence,
                        ground_state, lambda1)
 from nlsground import linsolve
-from nlsground.linsolve import (_dst2, _tridiagonal_solve, dpttrf, newton,
-                                shifted_solver, solve_tridiagonal_longdouble)
+from nlsground.linsolve import _dst2, _tridiagonal_solve, newton, shifted_solver
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
 # through numpy.  Row-major flattening puts the x index first, so the x
@@ -83,51 +82,6 @@ def test_solve_is_one_back_substitution(grid2047):
     assert calls == [b.size]
     r = b - (grid2047.laplacian(x) + 10.0 * x)
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
-
-
-def _thomas_longdouble(diag, off, rhs):
-    """Unpivoted Thomas algorithm in long double, the reference solve."""
-    n = diag.size
-    dd = np.empty(n, dtype=np.longdouble)
-    bb = np.empty(n, dtype=np.longdouble)
-    dd[0] = diag[0]
-    bb[0] = rhs[0]
-    for i in range(1, n):
-        m = off[i - 1] / dd[i - 1]
-        dd[i] = diag[i] - m * off[i - 1]
-        bb[i] = rhs[i] - m * bb[i - 1]
-    x = np.empty(n, dtype=np.longdouble)
-    x[-1] = bb[-1] / dd[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (bb[i] - off[i] * x[i + 1]) / dd[i]
-    return x
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_longdouble_solve_on_indefinite_jacobian(unit_interval, seed):
-    # the linearization 2/h^2 + lambda - 3u^2 at a p=4 ground state has
-    # one negative eigenvalue; mixed-precision refinement must leave a
-    # long-double residual no larger than the Thomas loop's
-    grid = Grid(unit_interval, 4095)
-    lam = 10.0
-    u = ground_state(grid, ActionParams(4.0, lam)).u.values
-    u = u.astype(np.longdouble)
-    h2 = np.longdouble(grid.h[0]) ** 2
-    diag = 2.0 / h2 + np.longdouble(lam) - 3.0 * u * u
-    off = np.full(grid.n - 1, -1.0 / h2, dtype=np.longdouble)
-    assert dpttrf(diag.astype(float), off.astype(float))[2] > 0  # indefinite
-    rhs = np.random.default_rng(seed).standard_normal(grid.n)
-    rhs = rhs.astype(np.longdouble)
-
-    def residual(x):
-        r = rhs - diag * x
-        r[:-1] -= off * x[1:]
-        r[1:] -= off * x[:-1]
-        return np.max(np.abs(r))
-
-    x = solve_tridiagonal_longdouble(diag, off, rhs)
-    assert x.dtype == np.longdouble
-    assert residual(x) <= residual(_thomas_longdouble(diag, off, rhs))
 
 
 def test_newton_names_its_stop(grid511, monkeypatch):

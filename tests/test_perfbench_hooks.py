@@ -22,23 +22,26 @@ from spans import Tracer
 
 tracer = Tracer()
 tracer.install()
-kind, dimension = sys.argv[1], sys.argv[2]
+kind, dimension, n, lam = sys.argv[1:]
 if dimension == "2":
-    grid = nls.Grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 15)
+    grid = nls.Grid(nls.DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), int(n))
 else:
-    grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 63)
+    grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), int(n))
 solve = nls.nodal_ground_state if kind == "nodal" else nls.ground_state
-solve(grid, nls.ActionParams(4.0, 10.0))
+solve(grid, nls.ActionParams(4.0, float(lam)))
 print(json.dumps(tracer.layer_metrics()))
 """
 
 
-def _layer_metrics(kind: str, dimension: int) -> dict:
+def _layer_metrics(kind: str, dimension: int, n: int | None = None,
+                   lam: float = 10.0) -> dict:
+    n = n or (15 if dimension == 2 else 63)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", SCRIPT, kind, str(dimension)],
+    out = subprocess.run([sys.executable, "-c", SCRIPT, kind, str(dimension),
+                          str(n), str(lam)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -64,3 +67,11 @@ def test_tracer_sees_nodal_preconditioner_solves(dimension):
     assert metrics["linsolve.backsub.calls"] > 0
     if dimension == 1:
         assert metrics["nodal.side_solves"] == 0
+
+
+def test_tracer_counts_rounding_polish_solves():
+    # at n=4096, lambda=100 Newton stalls above the default tol and the
+    # rounding polish runs: its three long-double Newton steps must call
+    # the solve under the name the tracer wraps
+    metrics = _layer_metrics("signed", 1, n=4096, lam=100.0)
+    assert metrics["linsolve.longdouble.calls"] == 3
