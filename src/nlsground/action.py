@@ -5,21 +5,24 @@ R(u) = (||grad u||^2 + lambda ||u||^2) / ||u||_p^2 over nonzero fields;
 equivalently, the action constrained to its natural manifold.  A nodal
 ground state minimizes it over the fields that are odd under a
 reflection of the box (`nodal`), so one driver, `least_action_state`,
-solves both: a signed solve is a nodal one with the identity
-reflection.  From each start it runs the normalized fixed point
+solves both: a signed solve runs it from one start, the first
+eigenmode, on the fields even about the centre of the box (all fields
+where a solve does not fold, see `linsolve.OperatorSolver`).  From each
+start it runs the normalized fixed point
 
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
-on the start's odd fields, along which R is provably nonincreasing but
-which converges only linearly.  After _COLD_STEPS steps Newton's method
-takes over from the iterate's exact scalar normalization onto the
-constraint manifold (the linearized solve of `linsolve`: tridiagonal in
-1D, MINRES preconditioned by the fixed point's shifted solve in 2D; the
-stencil keeps odd fields odd), and its result is rescaled exactly onto
-the manifold.  A warm start is a continuation step: Newton runs at once
-from the warm field's normalization, typically the tangent predictor
-u + (lambda - lambda_0) u' of a nearby state (`tangent_predictor`), and
-the starts run only if that result is rejected.  Every Newton result is
+on the start's class of fields (`linsolve.OperatorSolver`), along which
+R is provably nonincreasing but which converges only linearly.  After
+_COLD_STEPS steps Newton's method takes over from the iterate's exact
+scalar normalization onto the constraint manifold (the linearized solve
+of `linsolve`: tridiagonal in 1D, MINRES preconditioned by the fixed
+point's shifted solve in 2D; the stencil keeps odd fields odd), and its
+result is rescaled exactly onto the manifold.  A warm start is a
+continuation step: Newton runs at once from the warm field's
+normalization, typically the tangent predictor u + (lambda - lambda_0) u'
+of a nearby state (`tangent_predictor`), and the starts run only if that
+result is rejected.  Every Newton result is
 kept only if it meets tol, stays nonnegative wherever its start is
 positive and does not raise its start's ray action (the ground state
 minimizes it); otherwise the fixed point resumes as it was.  On fine 1D
@@ -46,8 +49,8 @@ from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
 from .grid import Field, Grid, dot, node_count
-from .linsolve import (linearized_solve, newton, residual, shifted_solver,
-                       solve_tridiagonal_longdouble)
+from .linsolve import (EVEN, linearized_solve, newton, parity_class,
+                       residual, shifted_solver, solve_tridiagonal_longdouble)
 
 # tolerated quotient increase per fixed-point step, relative to its scale
 _DESCENT_SLACK = 1e-12
@@ -212,12 +215,12 @@ def ground_state(grid: Grid, params: ActionParams,
     """Signed action ground state at fixed frequency.
 
     Requires lambda above threshold_floor(lambda_1).  `least_action_state`
-    runs on every field from one start, the first eigenmode, or
-    |init_field| after a warm start from it (a zero init_field starts
-    cold).  The shifted operator is factored only when the fixed point
-    runs or in 2D, where it preconditions Newton.  The state meets the
-    manifold identity to machine precision and the PDE residual to
-    opts.tol.
+    runs from one start, the first eigenmode on the fields even about the
+    box centre, or |init_field| after a warm start from it (a zero
+    init_field starts cold).  The shifted operator is factored only when
+    the fixed point runs or in 2D, where it preconditions Newton.  The
+    state meets the manifold identity to machine precision and the PDE
+    residual to opts.tol.
     """
     opts = opts or SolverOptions()
     floor = threshold_floor(spectral.lambda1(grid))
@@ -232,7 +235,7 @@ def ground_state(grid: Grid, params: ActionParams,
         warm = warm if np.max(warm) > 0.0 else None
     # the start is built in the call, so the driver can release it
     return least_action_state(grid, params, opts, warm, [(
-        "signed", None, warm if warm is not None
+        "signed", (EVEN,) * grid.dimension, None, warm if warm is not None
         else spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values)], 1)[0]
 
 
@@ -243,25 +246,31 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
 
     Newton runs first from warm, if given, scaled onto the manifold.  If
     `_polish` rejects that result or it has other nodal domains, each
-    start (label, reflection or None, field) is popped from starts,
-    released once normalized, and runs `_fixed_point_newton` on the
-    reflection's odd fields (all fields for None).  Returns the
-    least-action state with `domains` nodal domains and the record
-    ((label, action), ...) of every such state, or raises NoConvergence
-    naming how every start stopped.
+    start (label, parity, reflection or None, field) is popped from
+    starts, projected onto its class of fields and released once
+    normalized, and runs `_fixed_point_newton` on that class (see
+    `linsolve.OperatorSolver`).  Returns the least-action state with
+    `domains` nodal domains and the record ((label, action), ...) of
+    every such state, or raises NoConvergence naming how every start
+    stopped.
     """
     p, lam = params.p, params.lam
     # 1D Newton factors nothing; 2D Newton is preconditioned by the fixed
-    # point's shifted solve, shared with the warm attempt on the full
-    # system, while a reflection's odd-field solve serves its start only
-    full = (shifted_solver(grid, lam)
-            if grid.dimension == 2 and starts[0][1] is None else None)
+    # point's shifted solve.  The signed start's solve serves the warm
+    # attempt too if the warm field is exactly in its class, and one on
+    # the warm field's own class otherwise; an odd-field solve serves its
+    # start only
+    first = (shifted_solver(grid, lam, *starts[0][1:3])
+             if grid.dimension == 2 and domains == 1 else None)
     iterations = 0
     if warm is not None:
+        cls = parity_class(grid, warm)
+        metric = (first if first is None or cls == first.parity
+                  else shifted_solver(grid, lam, cls))
         u = _unit(grid, warm, p)
         scale, j_warm = _ray(grid, u, p, lam)
         vals, res, kept, iterations, _ = _polish(
-            grid, scale * u, p, lam, opts.tol, full, j_warm, final=False)
+            grid, scale * u, p, lam, opts.tol, metric, j_warm, final=False)
         if kept:
             state = finalize_state(grid, vals, params, res, iterations)
             if state.node_count + 1 == domains:
@@ -269,12 +278,13 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
         del u, vals  # the starts run as cold ones would
     best, record, stops = None, [], []
     while starts:
-        label, reflect, field = starts.pop(0)
-        u = _unit(grid, field, p)
-        del field
+        label, parity, reflect, field = starts.pop(0)
         try:
-            vals, res, steps = _fixed_point_newton(
-                grid, params, opts, u, full or shifted_solver(grid, lam, reflect))
+            solver = first or shifted_solver(grid, lam, parity, reflect)
+            u = _unit(grid, solver.project(field), p)
+            del field
+            vals, res, steps = _fixed_point_newton(grid, params, opts, u,
+                                                   solver)
         except NoConvergence as exc:
             stops.append(f"{label}: {exc}")
             continue
@@ -305,8 +315,8 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
                         u: np.ndarray, solver) -> tuple[np.ndarray, float, int]:
     """The normalized fixed point from u, with Newton after _COLD_STEPS.
 
-    u has unit L^p norm and solver is the OperatorSolver of A + lambda I;
-    one restricted to a reflection's odd fields keeps every iterate odd.
+    u has unit L^p norm and solver is the OperatorSolver of A + lambda I
+    on u's class of fields, which keeps every iterate in the class.
     Each Newton attempt is `_polish` from an iterate (see the module
     docstring).  Returns (values, residual, fixed-point plus Newton
     steps), or raises NoConvergence naming where the fixed point, Newton
@@ -413,9 +423,10 @@ def _tangent(state: GroundState, rtol: float) -> np.ndarray:
 
     Differentiating A u + lambda u = |u|^(p-2) u in lambda gives
     L u' = -u, with L the linearization Newton uses; rtol is the relative
-    residual of the 2D MINRES solve (the 1D solve is direct).  The
-    stencil maps fields odd under a reflection of the box to odd fields,
-    so a nodal state's tangent is odd too.
+    residual of the 2D MINRES solve (the 1D solve is direct), which is
+    preconditioned on the state's parity class.  The stencil maps fields
+    odd under a reflection of the box to odd fields, so a nodal state's
+    tangent is odd too.
     """
     grid, u = state.u.grid, state.u.values
     p, lam = state.params.p, state.params.lam

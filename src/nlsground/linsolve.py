@@ -5,19 +5,26 @@ structure directly: in 1D A + c I is symmetric tridiagonal and is
 factored once by LAPACK's LDL^T (dpttrf/dpttrs); in 2D it is diagonal in
 the discrete sine basis, and a solve is a sine transform, a division by
 the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform,
-each pocketfft's real DST-I (from scipy's extension file, loaded alone
-at the first 2D solve; see `_pocketfft_dst`).  The LAPACK routines come
-from scipy's _flapack extension file, loaded alone by `_extensions`
+by pocketfft's real-to-real kernel (from scipy's extension file, loaded
+alone at the first 2D solve; see `_pocketfft_dst`).  The LAPACK routines
+come from scipy's _flapack extension file, loaded alone by `_extensions`
 before numpy: importing scipy.linalg for them would add about 0.3 s to
 every process.
-A solve may be restricted to the fields that are odd under a reflection
-of the box, which commutes with A.  In 1D the reflection is the midpoint
-flip, and the odd fields are fixed by their first n // 2 nodes, on which
-the restricted operator is again tridiagonal; in 2D each sine solve is
-projected onto the odd fields.  A solve is one back-substitution with
-the factor: the direct solve is backward stable, so refining it in
-double precision would gain almost nothing (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 12).
+A solve may be restricted to a class of fields that A maps to itself:
+per axis, the fields even or odd about the centre of the box, and the
+fields odd under the transpose of a square.  In 1D the odd fields are
+fixed by their first n // 2 nodes, on which the restricted operator is
+again tridiagonal.  In 2D at odd n = 2m+1, a class with a parity on
+both axes is fixed by its quarter block of m+1 (even) or m (odd) nodes
+per axis, and its solve transforms that block alone: DST-III forward and
+DST-II back along an even axis, DST-I both ways along an odd one, about
+a fifth of the work of the full DST-I pair at n=255.  Every other 2D
+solve is the full DST-I pair, projected onto its class.  The classes
+come from the starts (`action.least_action_state`); a warm field or a
+state is solved on the class it is exactly in (`parity_class`).  A solve
+is one back-substitution with the factor: the direct solve is backward
+stable, so refining it in double precision would gain almost nothing
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
 Solves are bitwise deterministic for fixed inputs.
 
 The same module holds the PDE residual A u + lambda u - |u|^(p-2) u
@@ -50,40 +57,55 @@ dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
 _MINRES_STEPS = 200
+# a field's parity about the centre of the box along one axis; 0 is none
+EVEN, ODD = 1, -1
 
 
 class OperatorSolver:
-    """Repeated solves of (A + c I) x = b on one grid.
+    """Repeated solves of (A + c I) x = b on one grid, on a class of fields.
 
-    c must keep the operator positive definite (c > -lambda_1 of the
-    discrete Laplacian); NoConvergence is raised otherwise.  reflect maps
+    The class is given per axis by parity, EVEN or ODD about the centre
+    of the box or 0 (all fields), and optionally by reflect, a map of
     the array of node values to its mirror image under a reflection of
-    the box whose odd fields start at lambda_2: the midpoint flip in 1D,
-    the transpose of a square or the flip of the longer axis in 2D.
-    Every solve is then restricted to those odd fields, and c need only
-    exceed -lambda_2.  In 1D the operator on the odd fields is factored
-    on the first n // 2 nodes, each solve mirrored onto the full grid;
-    in 2D each solve is projected onto them, (x - R x) / 2.  Each solve
-    is one back-substitution with the factor.
+    the box that commutes with A (the transpose of a square), whose odd
+    fields are kept.  c must keep the operator positive definite on the
+    class (c > -lambda_1 of the discrete Laplacian, or > -lambda_2 for a
+    class with an odd axis or a reflection); NoConvergence is raised
+    otherwise.  In 1D an odd axis is factored on its first n // 2 nodes
+    and each solve mirrored onto the full grid.  In 2D at odd n = 2m+1
+    a class with a parity on both axes is folded: the solve transforms
+    only the quarter block of its first m+1 (even) or m (odd) nodes per
+    axis, by DST-III and DST-I (`_fold_solve`), and mirrors the result.
+    Otherwise each 2D solve is the full transform, projected onto the
+    class (`project`).  An even axis counts only where solves fold;
+    elsewhere (1D, and even n, where no node lies on the centre line) the
+    solve keeps it up to rounding.  Each solve is one back-substitution
+    with the factor.
     """
 
-    def __init__(self, grid: Grid, c: float, reflect=None):
+    def __init__(self, grid: Grid, c: float, parity=None, reflect=None):
         self.grid = grid
         self.c = float(c)
+        folds = _folds(grid)
+        # the class the solves keep, with the parities they use
+        self.parity = tuple(s if s == ODD or (s == EVEN and folds) else 0
+                            for s in parity or (0,) * grid.dimension)
         self.reflect = reflect
+        self._folded = folds and reflect is None and all(self.parity)
         self._factorize()
 
     def _factorize(self):
         g = self.grid
+        odd = ODD in self.parity or self.reflect is not None
         # the closed-form eigenvalue decides c = -lambda_k exactly, where a
         # factorization would only see rounding noise
-        bottom = spectral.lambda1(g) if self.reflect is None else spectral.lambda2(g)
+        bottom = spectral.lambda2(g) if odd else spectral.lambda1(g)
         definite = self.c > -bottom
         if definite and g.dimension == 1:
             h2 = g.h[0] * g.h[0]
-            k = g.n if self.reflect is None else g.n // 2
+            k = g.n // 2 if odd else g.n
             diag = np.full(k, 2.0 / h2 + self.c)
-            if self.reflect is not None and g.n % 2 == 0:
+            if odd and g.n % 2 == 0:
                 diag[-1] += 1.0 / h2  # the mirror node holds -u_k
             if k == 1:
                 # n = 3 on odd fields: dpttrf rejects an empty off-diagonal
@@ -95,12 +117,19 @@ class OperatorSolver:
         elif definite:
             j = np.arange(1, g.n + 1)
             lam_x, lam_y = (spectral.axis_eigenvalues(g.n, h, j) for h in g.h)
-            # two unnormalized transforms multiply by 2(n+1) per axis
+            if self._folded:
+                # an even field has only the odd-index modes, an odd one
+                # only the even-index ones
+                lam_x, lam_y = (lam[0::2] if s == EVEN else lam[1::2]
+                                for lam, s in zip((lam_x, lam_y), self.parity))
+            # two unnormalized transforms multiply by 2(n+1) per axis; a
+            # folded forward transform is half the full one per axis
             denom = (2.0 * (g.n + 1)) ** 2 * (lam_x[:, None] + lam_y[None, :]
                                               + self.c)
             # on odd fields c may be -lambda_1, whose mode (1, 1) is even
             # under every reflection: its factor is 0, not 1/0
-            self._factor = np.divide(1.0, denom, out=np.zeros_like(denom),
+            self._factor = np.divide(4.0 if self._folded else 1.0, denom,
+                                     out=np.zeros_like(denom),
                                      where=denom != 0.0)
         if not definite:
             raise NoConvergence(
@@ -109,35 +138,111 @@ class OperatorSolver:
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         if self.grid.dimension == 1:
             d, e = self._factor
-            if self.reflect is None:
+            if not self.parity[0]:
                 return dpttrs(d, e, b)[0]
             k = d.size
             x = np.zeros_like(b)
-            half = odd_part(b, self.reflect)[:k]
+            half = b[:k] - b[::-1][:k]
+            half *= 0.5
             x[:k] = half / d if k == 1 else dpttrs(d, e, half)[0]
             x[-k:] = -x[k - 1::-1]
             return x
+        if self._folded:
+            return _fold_solve(b.reshape(self.grid.shape), self.parity,
+                               self._factor).reshape(-1)
         x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
         x *= self._factor
-        x = _dst2(x, x)
-        if self.reflect is not None:
-            x = odd_part(x, self.reflect)
-        return x.reshape(-1)
+        return self.project(_dst2(x, x).reshape(-1))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with (A + c I) x = b, on reflect's odd fields if given."""
+        """x with (A + c I) x = b, on the solver's class of fields."""
         return self._raw_solve(b)
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The part of the flat array x in the class, exactly in it.
 
-def shifted_solver(grid: Grid, c: float, reflect=None) -> OperatorSolver:
-    """OperatorSolver for A + c I on grid, on reflect's odd fields if given."""
-    return OperatorSolver(grid, c, reflect)
+        Per axis with a parity and for the reflection, (x + s R x) / 2
+        with s = +1 (even) or -1 (odd); x itself if nothing is kept.
+        """
+        a = x.reshape(self.grid.shape)
+        for axis, s in enumerate(self.parity):
+            if s:
+                a = _part(a, np.flip(a, axis), s)
+        if self.reflect is not None:
+            a = _part(a, self.reflect(a), ODD)
+        return a.reshape(-1)
 
 
-def odd_part(x: np.ndarray, reflect) -> np.ndarray:
-    """(x - R x) / 2 for node values x; exactly zero on R's fixed nodes."""
-    out = x - reflect(x)
+def shifted_solver(grid: Grid, c: float, parity=None,
+                   reflect=None) -> OperatorSolver:
+    """OperatorSolver for A + c I on the class of parity and reflect."""
+    return OperatorSolver(grid, c, parity, reflect)
+
+
+def parity_class(grid: Grid, x: np.ndarray) -> tuple:
+    """Per axis, EVEN or ODD if x is exactly that about the box centre.
+
+    Checked by exact comparison with x's flip, and only where a solve
+    folds (2D, odd n); every other axis reads 0.
+    """
+    if not _folds(grid):
+        return (0,) * grid.dimension
+    a = x.reshape(grid.shape)
+    return tuple(EVEN if np.array_equal(a, flip)
+                 else ODD if np.array_equal(a, -flip) else 0
+                 for flip in (a[::-1], a[:, ::-1]))
+
+
+def _folds(grid: Grid) -> bool:
+    """Whether a solve on grid folds: in 2D at odd n, with a centre node."""
+    return grid.dimension == 2 and grid.n % 2 == 1
+
+
+def _part(a: np.ndarray, mirror: np.ndarray, s: int) -> np.ndarray:
+    """(a + s R a) / 2 for mirror = R a: exactly even (s = 1) or odd."""
+    out = a + mirror if s == EVEN else a - mirror
     out *= 0.5
+    return out
+
+
+def _fold_solve(b: np.ndarray, parity: tuple, factor: np.ndarray
+                ) -> np.ndarray:
+    """The sine solve of a square array b in a parity class, at odd n.
+
+    Along an axis of n = 2m+1 nodes, the DST-I of an even field is twice
+    the DST-III of its first m+1 values at the odd-index modes, and that
+    of an odd field twice the DST-I of its first m values at the
+    even-index modes (Martucci, IEEE Trans. Signal Process. 42, 1994);
+    DST-II and DST-I take the modes back.  factor holds the 4 of the
+    two folds.  The quarter block is then mirrored onto the grid, the
+    centre line of an odd axis exactly zero.
+    """
+    n = b.shape[0]
+    m = n // 2
+    block = tuple(slice(m + 1 if s == EVEN else m) for s in parity)
+    y = _dst_axes(b[block], [3 if s == EVEN else 1 for s in parity],
+                  np.empty(factor.shape))
+    y *= factor
+    x = np.empty_like(b)
+    _dst_axes(y, [2 if s == EVEN else 1 for s in parity], x[block])
+    # the first axis on the block's columns, then the second on all rows
+    for a, s in ((x[:, block[1]], parity[0]), (x.T, parity[1])):
+        if s == EVEN:
+            a[m + 1:] = a[:m][::-1]
+        else:
+            a[m] = 0.0
+            np.negative(a[:m][::-1], out=a[m + 1:])
+    return x
+
+
+def _dst_axes(u: np.ndarray, kinds: list, out: np.ndarray) -> np.ndarray:
+    """Unnormalized DST of type kinds[k] along axis k of u, into out."""
+    dst = _pocketfft_dst()
+    if kinds[0] == kinds[1]:
+        dst(u, kinds[0], (0, 1), 0, out, 1)
+    else:
+        dst(u, kinds[0], (0,), 0, out, 1)
+        dst(out, kinds[1], (1,), 0, out, 1)
     return out
 
 
@@ -192,14 +297,17 @@ def linearized_solve(grid: Grid, shift: np.ndarray, b: np.ndarray,
     `_tridiagonal_solve`.  In 2D it is solved by MINRES to the relative
     preconditioned residual rtol, preconditioned by metric's sine solve;
     without a metric, by that of A + max(shift, 0) I (the largest shift
-    is lambda up to the smallest |u|), factored here.
+    is lambda up to the smallest |u|) on b's parity class, factored here.
+    The preconditioner must be definite on every field MINRES builds, so
+    shift must be exactly even about the centre wherever b has a parity,
+    as it is for the tangent solve of -u.
     """
     if grid.dimension == 1:
         h2 = grid.h[0] * grid.h[0]
         return _tridiagonal_solve(2.0 / h2 + shift,
                                   np.full(grid.n - 1, -1.0 / h2), b)
     if metric is None:
-        metric = _metric(grid, shift)
+        metric = _metric(grid, shift, b)
 
     def apply(v):
         out = grid.laplacian(v)
@@ -209,9 +317,14 @@ def linearized_solve(grid: Grid, shift: np.ndarray, b: np.ndarray,
     return _minres(apply, b, metric._raw_solve, rtol, _MINRES_STEPS)
 
 
-def _metric(grid: Grid, shift: np.ndarray) -> OperatorSolver:
-    """The sine solver of A + max(shift, 0) I, a preconditioner."""
-    return OperatorSolver(grid, max(float(np.max(shift)), 0.0))
+def _metric(grid: Grid, shift: np.ndarray, x: np.ndarray) -> OperatorSolver:
+    """The sine solver of A + max(shift, 0) I on x's parity class.
+
+    A preconditioner, on the class x is exactly in (`parity_class`); the
+    stencil keeps every field of that class in it, bitwise.
+    """
+    return OperatorSolver(grid, max(float(np.max(shift)), 0.0),
+                          parity_class(grid, x))
 
 
 def _sign_pattern(v: np.ndarray) -> np.ndarray:
@@ -226,11 +339,13 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
 
     Each step is one `linearized_solve` of the plain stencil's Jacobian;
     metric, if given, preconditions the 2D solves, which otherwise share
-    one preconditioner factored at the first step.  A step leaves u's
-    zero nodes exactly zero.  The stencil maps fields odd under a
-    reflection of the box to odd fields, so from an odd u, zero on the
-    reflection's fixed nodes, the iterates stay odd up to the solves'
-    rounding and exactly zero there.  Returns
+    one preconditioner factored at the first step on u's parity class.
+    A step leaves u's zero nodes exactly zero.  The stencil maps fields
+    odd under a reflection of the box to odd fields, so from an odd u,
+    zero on the reflection's fixed nodes, the iterates stay odd up to the
+    solves' rounding and exactly zero there.  The stencil keeps a parity
+    about the centre bitwise, so with a folded preconditioner the
+    iterates keep u's parity class exactly.  Returns
     (best iterate, its residual, steps taken, stop reason).  The reason
     is "tol" once the residual reaches tol, "sign-flip" when a step
     changes the sign of a node, "stall" when a step fails to lower the
@@ -251,7 +366,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         rtol = max(min(0.1, res), 0.01 * tol / res)
         shift = lam - (p - 1) * np.abs(u) ** (p - 2)
         if metric is None and grid.dimension == 2:
-            metric = _metric(grid, shift)
+            metric = _metric(grid, shift, u)
         try:
             trial = linearized_solve(grid, shift, np.negative(r, out=r),
                                      rtol, metric)

@@ -12,7 +12,11 @@ odd and R's fixed nodes exactly zero.  An interval has one such
 reflection, the midpoint flip; on odd n it fixes the midpoint node, on
 even n it fixes no node and the sign parts meet across the middle edge.
 A square has two (the transpose and a midline flip), any other
-rectangle one (the flip of its longer axis).  The least raw action
+rectangle one (the flip of its longer axis).  A flip's odd fields are a
+parity class (`linsolve.OperatorSolver`): the midline state is odd along
+the flipped axis and even along the other, so at odd n its 2D solves
+transform only a quarter of the grid; the transpose's odd fields are
+kept by projection.  The least raw action
 among the converged states with exactly two nodal domains is returned,
 or NoConvergence raised naming how every start stopped.  A warm start
 runs Newton at once from the init and falls back to the reflections if
@@ -30,7 +34,7 @@ from .action import (ActionParams, GroundState, SolverOptions, action,
                      least_action_state, threshold_floor)
 from .errors import InvalidSpec, LambdaBelowThreshold
 from .grid import Field, Grid
-from .linsolve import odd_part
+from .linsolve import EVEN, ODD
 
 
 def nodal_ground_state(grid: Grid, params: ActionParams,
@@ -63,26 +67,27 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
 
 
 def _reflections(grid: Grid) -> list:
-    """(label, reflection, its odd lambda_2 mode) for each cold start.
+    """(label, parity, reflection, its lambda_2 mode) for each cold start.
 
-    A reflection maps the array of node values to its mirror image.  An
-    interval has the midpoint flip.  A square has the transpose, whose
-    fixed line is the diagonal, and the flip of its first axis, whose
-    fixed line is a midline; the other midline's state is the transpose
-    of that one.  Any other rectangle has the flip of its longer axis.
-    Each mode is the discrete lambda_2 eigenvector that is odd under its
-    reflection, made exactly odd and flattened.
+    An interval has the midpoint flip, whose odd fields are the ODD
+    class.  A square has the transpose, whose fixed line is the
+    diagonal, and the flip of its first axis, whose fixed line is a
+    midline; the other midline's state is the transpose of that one.
+    Any other rectangle has the flip of its longer axis.  A midline
+    start's class is odd along the flipped axis and even along the
+    other; the diagonal's is the odd fields of the transpose, which maps
+    the array of node values to its mirror image.  Each mode is the
+    discrete lambda_2 eigenvector in its class, flattened; the driver
+    projects it exactly onto the class.
     """
     t = np.arange(1, grid.n + 1) * (np.pi / (grid.n + 1))
     s1, s2 = np.sin(t), np.sin(2.0 * t)
     if grid.dimension == 1:
-        starts = [("midpoint", lambda a: a[::-1], s2)]
-    elif grid.h[0] < grid.h[1]:
-        starts = [("midline", lambda a: a[:, ::-1], np.outer(s1, s2))]
-    else:
-        starts = [("midline", lambda a: a[::-1], np.outer(s2, s1))]
-        if grid.h[0] == grid.h[1]:
-            starts.insert(0, ("diagonal", np.transpose,
-                              np.outer(s1, s2) - np.outer(s2, s1)))
-    return [(label, reflect, odd_part(mode, reflect).reshape(-1))
-            for label, reflect, mode in starts]
+        return [("midpoint", (ODD,), None, s2)]
+    if grid.h[0] < grid.h[1]:
+        return [("midline", (EVEN, ODD), None, np.outer(s1, s2).reshape(-1))]
+    starts = [("midline", (ODD, EVEN), None, np.outer(s2, s1).reshape(-1))]
+    if grid.h[0] == grid.h[1]:
+        starts.insert(0, ("diagonal", None, np.transpose,
+                          (np.outer(s1, s2) - np.outer(s2, s1)).reshape(-1)))
+    return starts

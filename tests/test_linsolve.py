@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlsground import (ActionParams, DomainSpec, Grid, NoConvergence,
-                       ground_state, lambda1)
+from nlsground import (ActionParams, DomainSpec, Field, Grid, NlsgroundError,
+                       NoConvergence, ground_state, lambda1,
+                       nodal_ground_state)
 from nlsground import linsolve
-from nlsground.linsolve import _dst2, _tridiagonal_solve, newton, shifted_solver
+from nlsground.action import tangent_predictor
+from nlsground.linsolve import (EVEN, ODD, _dst2, _tridiagonal_solve, newton,
+                                parity_class, shifted_solver)
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
 # through numpy.  Row-major flattening puts the x index first, so the x
@@ -154,17 +157,37 @@ def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
     missing = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
         missing if name == "scipy" else find_spec(name, *args)))
+    # the folded solves' DST-II and DST-III, on a strided block and along
+    # one axis or both, and a folded solve itself
+    grid = Grid(DomainSpec.rectangle(0.0, 1.2, 0.0, 1.0), 127)
+    b = u.reshape(-1)
+    folded = shifted_solver(grid, 10.0, (EVEN, ODD)).solve(b)
+
+    def folds(dst):
+        out = []
+        for kind in (2, 3):
+            for axes in ((0, 1), (0,), (1,)):
+                out.append(np.empty((64, 63)))
+                dst(u[:64, :63], kind, axes, 0, out[-1], 1)
+        return out
+
+    loaded_folds = folds(linsolve._pocketfft_dst())
     linsolve._pocketfft_dst.cache_clear()
     try:
         kernel = linsolve._pocketfft_dst()
         fallback = _dst2(u, np.empty_like(u))
         v = u.copy()
         _dst2(v, v)
+        fallback_folds = folds(kernel)
+        fallback_folded = shifted_solver(grid, 10.0, (EVEN, ODD)).solve(b)
     finally:
         linsolve._pocketfft_dst.cache_clear()
     assert kernel is not sys.modules["scipy.fft._pocketfft.pypocketfft"].dst
     assert np.array_equal(fallback, loaded)
     assert np.array_equal(v, loaded)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(fallback_folds, loaded_folds))
+    assert np.array_equal(fallback_folded, folded)
 
 
 def test_dst2_unloadable_file_falls_back(monkeypatch, tmp_path):
@@ -229,3 +252,116 @@ def test_cold_2d_solve_makes_24_sine_solves(unit_square, monkeypatch):
     monkeypatch.setattr(linsolve.OperatorSolver, "_raw_solve", counted)
     ground_state(Grid(unit_square, 63), ActionParams(4.0, 10.0))
     assert len(calls) == 24
+
+
+BOXES = {"square": (0.0, 1.0, 0.0, 1.0), "wide": (0.0, 1.2, 0.0, 1.0),
+         "tall": (0.0, 1.0, 0.0, 1.2)}
+
+
+def _class_part(a, parity):
+    """(a + s flip a) / 2 along each axis with a parity s."""
+    for axis, s in enumerate(parity):
+        a = 0.5 * (a + s * np.flip(a, axis))
+    return a
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("n", [3, 5, 63, 255])
+def test_folded_solve_matches_full_solve(box, n):
+    # the quarter-block solve against the full DST-I solve projected onto
+    # the class; the folded result is exactly in the class
+    grid = Grid(DomainSpec.rectangle(*BOXES[box]), n)
+    full = shifted_solver(grid, 10.0)
+    rng = np.random.default_rng(n)
+    m = n // 2
+    for parity in [(EVEN, EVEN), (EVEN, ODD), (ODD, EVEN), (ODD, ODD)]:
+        b = _class_part(rng.standard_normal(grid.shape), parity).reshape(-1)
+        solver = shifted_solver(grid, 10.0, parity)
+        assert solver._folded
+        x = solver.solve(b).reshape(grid.shape)
+        ref = _dst2(b.reshape(grid.shape), np.empty(grid.shape))
+        ref *= full._factor
+        ref = _class_part(_dst2(ref, ref), parity)
+        assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert parity_class(grid, x) == parity
+        for axis, s in enumerate(parity):
+            if s == ODD:
+                assert not np.any(np.take(x, m, axis=axis))
+
+
+def _solve_all(grid, cases):
+    """(outcome, iterations, labels, level, values) of each cold case."""
+    out = []
+    for kind, p, lam in cases:
+        solve = ground_state if kind == "signed" else nodal_ground_state
+        try:
+            st = solve(grid, ActionParams(p, lam))
+        except NlsgroundError as exc:
+            out.append((type(exc).__name__, None, None, None, None))
+            continue
+        labels = [label for label, _ in st.multistart or ()]
+        out.append(("ok", st.iterations, labels, st.action_value, st))
+    return out
+
+
+@pytest.mark.parametrize("box", sorted(BOXES))
+@pytest.mark.parametrize("n", [31, 63])
+def test_folded_solves_keep_every_state(box, n, monkeypatch):
+    # cold signed and nodal solves with folded sine solves against the
+    # same solves with none folded: full transforms, projected onto the
+    # odd axes
+    grid = Grid(DomainSpec.rectangle(*BOXES[box]), n)
+    cases = [(kind, p, lam) for kind in ("signed", "nodal")
+             for p, lam in [(4.0, 10.0), (3.0, 400.0), (6.0, 150.0)]]
+    folded = _solve_all(grid, cases)
+    # every state is exactly in the class of the start it came from
+    midline = (EVEN, ODD) if box == "tall" else (ODD, EVEN)
+    for (kind, _, _), (outcome, _, labels, _, st) in zip(cases, folded):
+        if outcome != "ok":
+            continue
+        a = st.u.values.reshape(grid.shape)
+        if kind == "signed":
+            assert parity_class(grid, a) == (EVEN, EVEN)
+        elif min(st.multistart, key=lambda rec: rec[1])[0] == "midline":
+            assert parity_class(grid, a) == midline
+        else:
+            assert np.array_equal(a, -a.T)
+    monkeypatch.setattr(linsolve, "_folds", lambda grid: False)
+    full = _solve_all(grid, cases)
+    for got, ref in zip(folded, full):
+        assert got[:3] == ref[:3]
+        if got[0] == "ok":
+            assert got[3] == pytest.approx(ref[3], rel=1e-13, abs=0.0)
+
+
+def test_warm_signed_start_folds_only_in_its_class(unit_square, monkeypatch):
+    # a warm field off the even class gets full-size transforms, so MINRES
+    # keeps a definite preconditioner; the state itself and its tangent
+    # fold onto the 32 x 32 quarter block at n=63
+    grid = Grid(unit_square, 63)
+    params = ActionParams(4.0, 10.0)
+    st = ground_state(grid, params)
+    kernel = linsolve._pocketfft_dst()
+    shapes = []
+
+    def recorded(u, *args):
+        shapes.append(u.shape)
+        return kernel(u, *args)
+
+    monkeypatch.setattr(linsolve, "_pocketfft_dst", lambda: recorded)
+    x = grid.meshes()[0].reshape(-1)
+    off = st.u.values * (1.0 + 1e-3 * x)
+    assert parity_class(grid, off) == (0, EVEN)
+    warm = ground_state(grid, params, init_field=Field(grid, off))
+    assert warm.residual <= 1e-8
+    assert warm.action_value == pytest.approx(st.action_value, rel=1e-12)
+    assert shapes and set(shapes) == {(63, 63)}
+    shapes.clear()
+    predictor = tangent_predictor(st, 11.0)
+    assert shapes and set(shapes) == {(32, 32)}
+    assert parity_class(grid, predictor.values) == (EVEN, EVEN)
+    shapes.clear()
+    step = ground_state(grid, ActionParams(4.0, 11.0), init_field=predictor)
+    assert shapes and set(shapes) == {(32, 32)}
+    assert step.residual <= 1e-8
+    assert parity_class(grid, step.u.values) == (EVEN, EVEN)
