@@ -48,7 +48,7 @@ import numpy as np
 from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
-from .grid import Field, Grid, dot, node_count
+from .grid import Field, Grid, dot, node_count, stencil
 from .linsolve import (EVEN, linearized_solve, newton, parity_class,
                        residual, shifted_solver, solve_tridiagonal_longdouble)
 
@@ -155,10 +155,14 @@ def kappa(p: float) -> float:
 
 def action(u: Field, params: ActionParams) -> float:
     """(1/2)||grad u||^2 + (lambda/2)||u||^2 - (1/p)||u||_p^p."""
-    g = u.grid
-    return (0.5 * g.grad_sq(u.values)
-            + 0.5 * params.lam * g.l2_sq(u.values)
-            - g.lp_p(u.values, params.p) / params.p)
+    return _action(u.grid, u.values, params.p, params.lam)
+
+
+def _action(grid: Grid, vals: np.ndarray, p: float, lam: float,
+            parity: tuple = ()) -> float:
+    """The action of vals, exactly in the class parity (`Grid.laplacian`)."""
+    return (0.5 * grid.grad_sq(vals, parity) + 0.5 * lam * grid.l2_sq(vals)
+            - grid.lp_p(vals, p) / p)
 
 
 def energy(u: Field, p: float) -> float:
@@ -191,13 +195,16 @@ def ray_action(u: Field, params: ActionParams) -> float:
     return _ray(u.grid, u.values, params.p, params.lam)[1]
 
 
-def _ray(grid: Grid, vals: np.ndarray, p: float,
-         lam: float) -> tuple[float, float]:
-    """(scaling onto the manifold, ray action) of the ray through vals."""
+def _ray(grid: Grid, vals: np.ndarray, p: float, lam: float,
+         parity: tuple = ()) -> tuple[float, float]:
+    """(scaling onto the manifold, ray action) of the ray through vals.
+
+    parity is the class vals is exactly in (see `Grid.laplacian`).
+    """
     lp = grid.lp_p(vals, p)
     if lp == 0.0:
         raise ZeroField("cannot normalize the zero field")
-    q = grid.grad_sq(vals) + lam * grid.l2_sq(vals)
+    q = grid.grad_sq(vals, parity) + lam * grid.l2_sq(vals)
     if q <= 0.0:
         raise NonpositiveQuotient(f"quadratic form {q:.4g} <= 0 at lambda={lam}")
     return ((q / lp) ** (1.0 / (p - 2.0)),
@@ -268,11 +275,12 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
         metric = (first if first is None or cls == first.parity
                   else shifted_solver(grid, lam, cls))
         u = _unit(grid, warm, p)
-        scale, j_warm = _ray(grid, u, p, lam)
+        scale, j_warm = _ray(grid, u, p, lam, cls)
         vals, res, kept, iterations, _ = _polish(
             grid, scale * u, p, lam, opts.tol, metric, j_warm, final=False)
         if kept:
-            state = finalize_state(grid, vals, params, res, iterations)
+            # Newton's result stays exactly in the warm field's class
+            state = finalize_state(grid, vals, params, res, iterations, cls)
             if state.node_count + 1 == domains:
                 return state, (("warm", state.action_value),)
         del u, vals  # the starts run as cold ones would
@@ -289,7 +297,8 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
             stops.append(f"{label}: {exc}")
             continue
         iterations += steps
-        state = finalize_state(grid, vals, params, res, iterations)
+        state = finalize_state(grid, vals, params, res, iterations,
+                               solver.parity)
         if state.node_count + 1 != domains:
             stops.append(f"{label}: {state.node_count + 1} nodal domains, "
                          f"residual {res:.3e}")
@@ -336,7 +345,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
             raise NoConvergence("iterate collapsed to zero")
         u_new /= lp_v ** (1.0 / p)
         lp_u = grid.lp_p(u_new, p)
-        grad = grid.grad_sq(u_new)
+        grad = grid.grad_sq(u_new, solver.parity)
         l2 = grid.l2_sq(u_new)
         q = grad + lam * l2
         if q <= 0.0:
@@ -355,7 +364,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
         u = u_new
         r_prev = r_now
         w_vals = (q / lp_u) ** (1.0 / (p - 2.0)) * u
-        res = residual(grid, w_vals, p, lam)[1]
+        res = residual(grid, w_vals, p, lam, solver.parity)[1]
         j_now = kappa(p) * r_now ** (p / (p - 2.0))
         if res < best_res:
             best_res, best_vals, best_j = res, w_vals, j_now
@@ -435,11 +444,15 @@ def _tangent(state: GroundState, rtol: float) -> np.ndarray:
 
 
 def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
-                   residual: float, iterations: int, **extra) -> GroundState:
-    """Assemble a GroundState record from converged values."""
+                   residual: float, iterations: int, parity: tuple = (),
+                   **extra) -> GroundState:
+    """Assemble a GroundState record from converged values.
+
+    parity is the class vals is exactly in (see `Grid.laplacian`).
+    """
     field = Field(grid, vals)
     mass = grid.l2_sq(vals)
-    j = action(field, params)
+    j = _action(grid, vals, params.p, params.lam, parity)
     return GroundState(
         u=field,
         params=params,
@@ -472,9 +485,11 @@ def _polish(grid: Grid, start: np.ndarray, p: float, lam: float, tol: float,
     """
     out, res, steps, reason = newton(grid, start, p, lam, tol, solver)
     last = f"Newton on {reason}"
-    scale, j = _ray(grid, out, p, lam)
+    # with a solver, Newton's iterates stay exactly in its class
+    parity = () if solver is None else solver.parity
+    scale, j = _ray(grid, out, p, lam, parity)
     out = scale * out
-    res = residual(grid, out, p, lam)[1]
+    res = residual(grid, out, p, lam, parity)[1]
     if res > tol and grid.dimension == 1 and (final or reason == "stall"):
         polished, res = _rounding_polish(grid, out, p, lam, res)
         if polished is not out:
@@ -507,7 +522,7 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
     off = np.full(n - 1, -1.0 / h2l, dtype=np.longdouble)
     for _ in range(3):
         power = np.abs(uld) ** (p - 2)
-        r = grid._lap_axis(uld, h2l) + laml * uld - power * uld
+        r = stencil(uld, uld.shape, (h2l,)) + laml * uld - power * uld
         diag = 2.0 / h2l + laml - (p - 1) * power
         uld = uld + solve_tridiagonal_longdouble(diag, off, -r)
     nearest = uld.astype(np.float64)

@@ -6,7 +6,16 @@ negative Laplacian is the standard second-order centered stencil; it is
 applied via first differences of first differences, which keeps the
 floating-point evaluation error at the level of the gradient rather than
 of the function values (this matters when residuals are driven toward
-machine precision on fine grids).
+machine precision on fine grids).  `stencil` computes it on a leading
+block of the grid, closed past the block by the input's next node or,
+past the grid, by the zero boundary; the whole grid is one such block.
+In 2D at odd n = 2m+1 a field exactly even or odd about the centre line
+of each axis is fixed by its quarter block of m+1 (even) or m (odd)
+nodes per axis, and so is its stencil: the stencil runs on that block
+alone and is mirrored onto the grid (`unfold`).  IEEE rounding is
+symmetric under negation, so the full stencil of an exactly even or odd
+field is exactly even or odd, and the fold gives its values node for
+node (an exactly zero value may carry the other sign).
 
 All integral quantities use the product quadrature weight h^N per node,
 so the discrete integration-by-parts identity <A u, v> = "grad" pairing
@@ -25,6 +34,8 @@ from .errors import GridMismatch, InvalidSpec
 
 # node_count treats values within this fraction of max|u| as zeros
 _NODE_REL_TOL = 1e-9
+# a field's parity about the centre of the box along one axis; 0 is none
+EVEN, ODD = 1, -1
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,7 @@ class Grid:
         self.n = int(n)
         self.shape = (self.n,) * spec.dimension
         self.h = tuple(length / (self.n + 1) for length in spec.lengths)
+        self._h2 = tuple(hx * hx for hx in self.h)
         self.weight = float(np.prod(self.h))
         self.coords = tuple(
             lo + hx * np.arange(1, self.n + 1)
@@ -126,41 +138,29 @@ class Grid:
 
     # -- the Dirichlet Laplacian ----------------------------------------
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
+    def laplacian(self, values: np.ndarray, parity: tuple = ()) -> np.ndarray:
         """Apply the negative Laplacian stencil, flat array in and out.
 
-        First differences are formed before the second difference so that
-        rounding happens at the scale of the increments, not of the values.
+        parity is the class values is exactly in, per axis EVEN or ODD
+        about the centre of the box or 0, as a solver's
+        (`linsolve.OperatorSolver.parity`).  In 2D at odd n = 2m+1 a class
+        with a parity on both axes is folded: the stencil runs on the
+        quarter block of m+1 (even) or m (odd) nodes per axis, closed by
+        the input's node just past it (the mirror node on an even axis,
+        the zero centre line on an odd one), and is mirrored onto the
+        grid with an odd axis's centre line exactly 0.  The full stencil
+        negates exactly under negation of its input, so on such a field it
+        is exactly even or odd, and the fold equals it node for node (an
+        exactly zero value may carry the other sign).  Every other call
+        runs the full stencil.
         """
-        if self.dimension == 1:
-            return self._lap_axis(values, self.h[0] * self.h[0])
         u = values.reshape(self.shape)
-        hx2 = self.h[0] * self.h[0]
-        hy2 = self.h[1] * self.h[1]
-        # at most three field-sized arrays are live besides the input
-        g = np.empty((self.n + 1, self.n), dtype=values.dtype)
-        g[0] = u[0]
-        g[-1] = -u[-1]
-        np.subtract(u[1:], u[:-1], out=g[1:-1])
-        out = g[:-1] - g[1:]
-        out /= hx2
-        g = np.empty((self.n, self.n + 1), dtype=values.dtype)
-        g[:, 0] = u[:, 0]
-        g[:, -1] = -u[:, -1]
-        np.subtract(u[:, 1:], u[:, :-1], out=g[:, 1:-1])
-        d = g[:, :-1] - g[:, 1:]
-        del g
-        d /= hy2
-        out += d
-        return out.reshape(-1)
-
-    @staticmethod
-    def _lap_axis(values: np.ndarray, h2: float) -> np.ndarray:
-        g = np.empty(values.size + 1, dtype=values.dtype)
-        g[0] = values[0]
-        g[-1] = -values[-1]
-        np.subtract(values[1:], values[:-1], out=g[1:-1])
-        return (g[:-1] - g[1:]) / h2
+        if len(parity) == 2 and all(parity) and self.n % 2:
+            block = quarter(self.n, parity)
+            out = np.empty_like(u)
+            stencil(u, (block[0].stop, block[1].stop), self._h2, out[block])
+            return unfold(out, parity).reshape(-1)
+        return stencil(u, self.shape, self._h2).reshape(-1)
 
     # -- quadrature ------------------------------------------------------
 
@@ -170,12 +170,80 @@ class Grid:
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * float(np.sum(np.abs(values) ** p))
 
-    def grad_sq(self, values: np.ndarray) -> float:
-        """Dirichlet energy <A u, u> with the quadrature weight."""
-        return self.weight * dot(values, self.laplacian(values))
+    def grad_sq(self, values: np.ndarray, parity: tuple = ()) -> float:
+        """Dirichlet energy <A u, u> with the quadrature weight.
+
+        parity is the class values is exactly in (see `laplacian`).
+        """
+        return self.weight * dot(values, self.laplacian(values, parity))
 
     def l2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.l2_sq(values)))
+
+
+def stencil(u: np.ndarray, block: tuple, h2: tuple,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The negative Laplacian of u on its leading block, into out or new.
+
+    The block holds the first block[i] nodes along axis i, where h2[i] is
+    the squared spacing, and is closed as in `_differences`.  At most
+    three block-sized arrays are live besides u.
+    """
+    g = _differences(u[:, :block[1]] if u.ndim == 2 else u, block[0])
+    out = np.subtract(g[:-1], g[1:], out=out)
+    out /= h2[0]
+    if u.ndim == 2:
+        # the second axis, as the first of the transposed views
+        g = _differences(u[:block[0]].T, block[1])
+        d = g[:-1] - g[1:]
+        del g
+        d /= h2[1]
+        out += d.T
+    return out
+
+
+def _differences(a: np.ndarray, k: int) -> np.ndarray:
+    """The k + 1 first differences along axis 0 of a's first k nodes.
+
+    They are closed by the zero boundary before node 0 and by a's node k
+    after node k - 1, or by the zero boundary if a has only k nodes.
+    Formed before the second difference, they keep its rounding at the
+    scale of the increments, not of the values.
+    """
+    g = np.empty_like(a, shape=(k + 1,) + a.shape[1:])
+    g[0] = a[0]
+    np.subtract(a[1:k], a[:k - 1], out=g[1:k])
+    g[k] = a[k] - a[k - 1] if k < len(a) else -a[k - 1]
+    return g
+
+
+def quarter(n: int, parity: tuple) -> tuple:
+    """The quarter block of a 2D parity class at odd n = 2m+1, as slices.
+
+    It holds the first m+1 nodes along an even axis and the first m
+    along an odd one, which fix every field of the class.
+    """
+    m = n // 2
+    return tuple(slice(m + 1 if s == EVEN else m) for s in parity)
+
+
+def unfold(x: np.ndarray, parity: tuple) -> np.ndarray:
+    """Mirror the quarter block of the square array x onto x, in place.
+
+    Past the centre line of an even axis x copies the nodes before it;
+    on an odd axis it negates them, and the centre line is exactly 0.
+    """
+    m = x.shape[0] // 2
+    block = quarter(x.shape[0], parity)
+    # the second axis on the block's rows, then the first on whole rows,
+    # which are contiguous
+    for a, s in ((x[block[0]].T, parity[1]), (x, parity[0])):
+        if s == EVEN:
+            a[m + 1:] = a[:m][::-1]
+        else:
+            a[m] = 0.0
+            np.negative(a[:m][::-1], out=a[m + 1:])
+    return x
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -35,7 +35,13 @@ in 2D.  Newton's method on that solve finishes the signed ground state
 (from a few fixed-point steps, or at once from a continuation predictor)
 and the nodal one, reporting why it stopped, and its solve of -u gives
 the tangent of a branch of states: the exact slope of the mass and the
-predictor of the next continuation step.  Each long-double Newton step
+predictor of the next continuation step.  The residual and MINRES's
+products apply the stencil on the class of the solver at hand, which
+keeps its fields exactly in it, so in 2D at odd n they fold onto the
+quarter block like the sine solve (`Grid.laplacian`).  Newton without a
+preconditioner forms its first residual on no class and the later ones
+on the class of the one it factors at its first step, so a start that
+already meets tol factors nothing.  Each long-double Newton step
 of the 1D rounding polish forms its residual in long double and solves
 its correction once in double by dgtsv (`solve_tridiagonal_longdouble`).
 """
@@ -50,15 +56,13 @@ import numpy as np
 from . import spectral
 from ._extensions import lapack, load
 from .errors import NoConvergence
-from .grid import Grid, dot
+from .grid import EVEN, ODD, Grid, dot, quarter, unfold
 
 dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
 _MINRES_STEPS = 200
-# a field's parity about the centre of the box along one axis; 0 is none
-EVEN, ODD = 1, -1
 
 
 class OperatorSolver:
@@ -215,24 +219,15 @@ def _fold_solve(b: np.ndarray, parity: tuple, factor: np.ndarray
     even-index modes (Martucci, IEEE Trans. Signal Process. 42, 1994);
     DST-II and DST-I take the modes back.  factor holds the 4 of the
     two folds.  The quarter block is then mirrored onto the grid, the
-    centre line of an odd axis exactly zero.
+    centre line of an odd axis exactly zero (`grid.unfold`).
     """
-    n = b.shape[0]
-    m = n // 2
-    block = tuple(slice(m + 1 if s == EVEN else m) for s in parity)
+    block = quarter(b.shape[0], parity)
     y = _dst_axes(b[block], [3 if s == EVEN else 1 for s in parity],
                   np.empty(factor.shape))
     y *= factor
     x = np.empty_like(b)
     _dst_axes(y, [2 if s == EVEN else 1 for s in parity], x[block])
-    # the first axis on the block's columns, then the second on all rows
-    for a, s in ((x[:, block[1]], parity[0]), (x.T, parity[1])):
-        if s == EVEN:
-            a[m + 1:] = a[:m][::-1]
-        else:
-            a[m] = 0.0
-            np.negative(a[:m][::-1], out=a[m + 1:])
-    return x
+    return unfold(x, parity)
 
 
 def _dst_axes(u: np.ndarray, kinds: list, out: np.ndarray) -> np.ndarray:
@@ -278,10 +273,13 @@ def _dstn_kernel():
     return types.SimpleNamespace(dst=dst)
 
 
-def residual(grid: Grid, v: np.ndarray, p: float,
-             lam: float) -> tuple[np.ndarray, float]:
-    """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm."""
-    r = grid.laplacian(v)
+def residual(grid: Grid, v: np.ndarray, p: float, lam: float,
+             parity: tuple = ()) -> tuple[np.ndarray, float]:
+    """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm.
+
+    parity is the class v is exactly in (see `Grid.laplacian`).
+    """
+    r = grid.laplacian(v, parity)
     r += lam * v
     r -= np.abs(v) ** (p - 2) * v
     return r, float(np.sqrt(grid.weight * dot(r, r)))
@@ -310,7 +308,8 @@ def linearized_solve(grid: Grid, shift: np.ndarray, b: np.ndarray,
         metric = _metric(grid, shift, b)
 
     def apply(v):
-        out = grid.laplacian(v)
+        # v is a preconditioned vector, exactly in metric's class
+        out = grid.laplacian(v, metric.parity)
         out += shift * v
         return out
 
@@ -345,7 +344,8 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
     zero on the reflection's fixed nodes, the iterates stay odd up to the
     solves' rounding and exactly zero there.  The stencil keeps a parity
     about the centre bitwise, so with a folded preconditioner the
-    iterates keep u's parity class exactly.  Returns
+    iterates keep u's parity class exactly, and the residuals are formed
+    on it (see the module docstring).  Returns
     (best iterate, its residual, steps taken, stop reason).  The reason
     is "tol" once the residual reaches tol, "sign-flip" when a step
     changes the sign of a node, "stall" when a step fails to lower the
@@ -353,7 +353,8 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
     "step-cap" after _NEWTON_STEPS steps.
     """
     sign = _sign_pattern(u)
-    r, res = residual(grid, u, p, lam)
+    cls = () if metric is None else metric.parity
+    r, res = residual(grid, u, p, lam, cls)
     step = 0
     reason = "tol"
     while res > tol:
@@ -367,6 +368,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         shift = lam - (p - 1) * np.abs(u) ** (p - 2)
         if metric is None and grid.dimension == 2:
             metric = _metric(grid, shift, u)
+            cls = metric.parity
         try:
             trial = linearized_solve(grid, shift, np.negative(r, out=r),
                                      rtol, metric)
@@ -379,7 +381,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         if not np.array_equal(_sign_pattern(trial), sign):
             reason = "sign-flip"
             break
-        r_trial, res_trial = residual(grid, trial, p, lam)
+        r_trial, res_trial = residual(grid, trial, p, lam, cls)
         if not res_trial < res:
             reason = "stall"
             break

@@ -252,14 +252,46 @@ def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
             factored = _factorizations(patch)
             applied = []
             laplacian = Grid.laplacian
-            patch.setattr(Grid, "laplacian", lambda self, v:
-                          applied.append(1) or laplacian(self, v))
+            patch.setattr(Grid, "laplacian", lambda self, v, parity=():
+                          applied.append(1) or laplacian(self, v, parity))
             warm = solve(grid255, params, init_field=st.u)
         assert steps == [] and factored == []
         assert len(applied) <= stencils
         assert warm.iterations <= 1
         assert warm.action_value == pytest.approx(st.action_value, rel=1e-12)
         assert warm.residual <= 1e-8
+
+
+def test_cold_2d_solve_applies_the_folded_stencil(unit_square, monkeypatch):
+    # a cold signed solve at odd n stays in the (EVEN, EVEN) class, and
+    # every stencil of its fixed point, Newton and MINRES says so, which
+    # folds it onto the quarter block; of the solve's other stencils, the
+    # level's does too and only the eigen solve's runs without a class
+    from nlsground.linsolve import EVEN
+
+    grid = Grid(unit_square, 63)
+    laplacian = Grid.laplacian
+    calls = []
+
+    def recorded(self, v, parity=()):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append((tuple(parity), names))
+        return laplacian(self, v, parity)
+
+    monkeypatch.setattr(Grid, "laplacian", recorded)
+    st = ground_state(grid, ActionParams(4.0, 10.0))
+    assert st.residual <= 1e-8
+    stages = {"_fixed_point_newton", "newton", "_minres", "finalize_state"}
+    for stage in stages:
+        assert any(stage in names for _, names in calls), stage
+    for cls, names in calls:
+        if names & stages:
+            assert cls == (EVEN, EVEN), names & stages
+        else:
+            assert "dirichlet_eigenpairs" in names and cls == ()
 
 
 def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from nlsground import (DomainSpec, Field, Grid, GridMismatch, InvalidSpec,
                        load_field, node_count, norms, save_field, split)
+from nlsground.linsolve import EVEN, ODD, OperatorSolver
 
 from conftest import tridiag_eigenvalue
 
@@ -75,6 +77,42 @@ def test_laplacian_self_adjoint_2d():
     gap = abs(grid.weight * (grid.laplacian(u) @ v)
               - grid.weight * (u @ grid.laplacian(v)))
     assert gap <= 1e-12 * grid.l2_norm(u) * grid.l2_norm(v)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])
+def test_folded_stencil_equals_full_stencil(bounds):
+    # on a field exactly in a class with a parity on both axes, at odd n
+    # the stencil of the quarter block, mirrored, is the full stencil,
+    # and an odd axis's centre line is exactly 0
+    rng = np.random.default_rng(11)
+    for n in (3, 5, 63):
+        grid = Grid(DomainSpec.rectangle(*bounds), n)
+        m = n // 2
+        for cls in itertools.product((EVEN, ODD), repeat=2):
+            solver = OperatorSolver(grid, 1.0, cls)
+            v = solver.project(rng.standard_normal(grid.size))
+            out = grid.laplacian(v, cls)
+            assert np.array_equal(out, grid.laplacian(v)), (n, cls)
+            a = out.reshape(grid.shape)
+            for axis, s in enumerate(cls):
+                if s == ODD:
+                    assert np.all(np.take(a, m, axis=axis) == 0.0)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])
+def test_stencil_ignores_classes_it_cannot_fold(bounds):
+    # even n, a class with no parity on one axis, and 1D: the class
+    # changes nothing, even on a field that is not in it
+    rng = np.random.default_rng(12)
+    cases = [(Grid(DomainSpec.rectangle(*bounds), 64), (EVEN, EVEN)),
+             (Grid(DomainSpec.rectangle(*bounds), 64), (ODD, ODD)),
+             (Grid(DomainSpec.rectangle(*bounds), 63), (0, EVEN)),
+             (Grid(DomainSpec.rectangle(*bounds), 63), (ODD, 0)),
+             (Grid(DomainSpec.interval(*bounds[2:]), 63), (ODD,)),
+             (Grid(DomainSpec.interval(*bounds[2:]), 64), (EVEN,))]
+    for grid, cls in cases:
+        v = rng.standard_normal(grid.size)
+        assert grid.laplacian(v, cls).tobytes() == grid.laplacian(v).tobytes()
 
 
 def test_norms_of_first_sine_mode(grid511):
