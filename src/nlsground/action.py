@@ -13,7 +13,11 @@ start it runs the normalized fixed point
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
 on the start's class of fields (`linsolve.OperatorSolver`), along which
-R is provably nonincreasing but which converges only linearly.  After
+R is provably nonincreasing but which converges only linearly.  A class
+with a parity on both axes of a 2D grid at odd n lives on its quarter
+block (`grid.Block`): the fixed point, Newton, the level and every norm
+run on the block, and the state is mirrored onto the grid once, when it
+is built (`finalize_state`).  After
 _COLD_STEPS steps Newton's method takes over from the iterate's exact
 scalar normalization onto the constraint manifold (the linearized solve
 of `linsolve`: tridiagonal in 1D, MINRES preconditioned by the fixed
@@ -48,7 +52,7 @@ import numpy as np
 from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
-from .grid import Field, Grid, dot, node_count, stencil
+from .grid import Block, Field, Grid, node_count, stencil
 from .linsolve import (EVEN, linearized_solve, newton, parity_class,
                        residual, shifted_solver, solve_tridiagonal_longdouble)
 
@@ -158,11 +162,11 @@ def action(u: Field, params: ActionParams) -> float:
     return _action(u.grid, u.values, params.p, params.lam)
 
 
-def _action(grid: Grid, vals: np.ndarray, p: float, lam: float,
-            parity: tuple = ()) -> float:
-    """The action of vals, exactly in the class parity (`Grid.laplacian`)."""
-    return (0.5 * grid.grad_sq(vals, parity) + 0.5 * lam * grid.l2_sq(vals)
-            - grid.lp_p(vals, p) / p)
+def _action(space: Grid | Block, vals: np.ndarray, p: float,
+            lam: float) -> float:
+    """The action of vals, on the grid or the Block they live on."""
+    return (0.5 * space.grad_sq(vals) + 0.5 * lam * space.l2_sq(vals)
+            - space.lp_p(vals, p) / p)
 
 
 def energy(u: Field, p: float) -> float:
@@ -195,16 +199,16 @@ def ray_action(u: Field, params: ActionParams) -> float:
     return _ray(u.grid, u.values, params.p, params.lam)[1]
 
 
-def _ray(grid: Grid, vals: np.ndarray, p: float, lam: float,
-         parity: tuple = ()) -> tuple[float, float]:
+def _ray(space: Grid | Block, vals: np.ndarray, p: float,
+         lam: float) -> tuple[float, float]:
     """(scaling onto the manifold, ray action) of the ray through vals.
 
-    parity is the class vals is exactly in (see `Grid.laplacian`).
+    space is the grid, or the Block vals live on.
     """
-    lp = grid.lp_p(vals, p)
+    lp = space.lp_p(vals, p)
     if lp == 0.0:
         raise ZeroField("cannot normalize the zero field")
-    q = grid.grad_sq(vals, parity) + lam * grid.l2_sq(vals)
+    q = space.grad_sq(vals) + lam * space.l2_sq(vals)
     if q <= 0.0:
         raise NonpositiveQuotient(f"quadratic form {q:.4g} <= 0 at lambda={lam}")
     return ((q / lp) ** (1.0 / (p - 2.0)),
@@ -251,15 +255,17 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
                        domains: int) -> tuple[GroundState, tuple]:
     """The least-action state with `domains` nodal domains.
 
-    Newton runs first from warm, if given, scaled onto the manifold.  If
-    `_polish` rejects that result or it has other nodal domains, each
-    start (label, parity, reflection or None, field) is popped from
-    starts, projected onto its class of fields and released once
-    normalized, and runs `_fixed_point_newton` on that class (see
-    `linsolve.OperatorSolver`).  Returns the least-action state with
-    `domains` nodal domains and the record ((label, action), ...) of
-    every such state, or raises NoConvergence naming how every start
-    stopped.
+    Newton runs first from warm, if given, scaled onto the manifold, on
+    the class warm is exactly in.  If `_polish` rejects that result or
+    it has other nodal domains, each start (label, parity, reflection or
+    None, field) is popped from starts, projected onto its class of
+    fields and released once normalized, and runs `_fixed_point_newton`
+    on that class (see `linsolve.OperatorSolver`).  A class that folds
+    is solved on its quarter block from the start to the state
+    (`grid.Block`), mirrored onto the grid in `finalize_state`.  Returns
+    the least-action state with `domains` nodal domains and the record
+    ((label, action), ...) of every such state, or raises NoConvergence
+    naming how every start stopped.
     """
     p, lam = params.p, params.lam
     # 1D Newton factors nothing; 2D Newton is preconditioned by the fixed
@@ -274,13 +280,14 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
         cls = parity_class(grid, warm)
         metric = (first if first is None or cls == first.parity
                   else shifted_solver(grid, lam, cls))
-        u = _unit(grid, warm, p)
-        scale, j_warm = _ray(grid, u, p, lam, cls)
+        # Newton's iterates stay exactly in the warm field's class
+        space = grid.block(cls)
+        u = _unit(space, space.restrict(warm), p)
+        scale, j_warm = _ray(space, u, p, lam)
         vals, res, kept, iterations, _ = _polish(
-            grid, scale * u, p, lam, opts.tol, metric, j_warm, final=False)
+            space, scale * u, p, lam, opts.tol, metric, j_warm, final=False)
         if kept:
-            # Newton's result stays exactly in the warm field's class
-            state = finalize_state(grid, vals, params, res, iterations, cls)
+            state = finalize_state(space, vals, params, res, iterations)
             if state.node_count + 1 == domains:
                 return state, (("warm", state.action_value),)
         del u, vals  # the starts run as cold ones would
@@ -289,16 +296,15 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
         label, parity, reflect, field = starts.pop(0)
         try:
             solver = first or shifted_solver(grid, lam, parity, reflect)
-            u = _unit(grid, solver.project(field), p)
+            space = solver.space
+            u = _unit(space, space.restrict(solver.project(field)), p)
             del field
-            vals, res, steps = _fixed_point_newton(grid, params, opts, u,
-                                                   solver)
+            vals, res, steps = _fixed_point_newton(params, opts, u, solver)
         except NoConvergence as exc:
             stops.append(f"{label}: {exc}")
             continue
         iterations += steps
-        state = finalize_state(grid, vals, params, res, iterations,
-                               solver.parity)
+        state = finalize_state(space, vals, params, res, iterations)
         if state.node_count + 1 != domains:
             stops.append(f"{label}: {state.node_count + 1} nodal domains, "
                          f"residual {res:.3e}")
@@ -312,26 +318,28 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     return replace(best, iterations=iterations), tuple(record)
 
 
-def _unit(grid: Grid, vals: np.ndarray, p: float) -> np.ndarray:
+def _unit(space: Grid | Block, vals: np.ndarray, p: float) -> np.ndarray:
     """vals scaled to unit L^p norm; ZeroField if that norm underflows."""
-    lp = grid.lp_p(vals, p)
+    lp = space.lp_p(vals, p)
     if lp == 0.0:
         raise ZeroField("the start vector's L^p norm underflows to 0")
     return vals / lp ** (1.0 / p)
 
 
-def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
+def _fixed_point_newton(params: ActionParams, opts: SolverOptions,
                         u: np.ndarray, solver) -> tuple[np.ndarray, float, int]:
     """The normalized fixed point from u, with Newton after _COLD_STEPS.
 
     u has unit L^p norm and solver is the OperatorSolver of A + lambda I
-    on u's class of fields, which keeps every iterate in the class.
+    on u's class of fields, which keeps every iterate in the class; u
+    and every iterate live on the solver's space, the grid or a Block.
     Each Newton attempt is `_polish` from an iterate (see the module
     docstring).  Returns (values, residual, fixed-point plus Newton
     steps), or raises NoConvergence naming where the fixed point, Newton
     and the polish stopped.
     """
     p, lam = params.p, params.lam
+    space = solver.space
     best_vals = None
     best_res = np.inf
     r_prev = np.inf
@@ -340,13 +348,13 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
     for iterations in range(1, opts.max_iter + 1):
         # the right-hand side |u|^(p-2) u lives only for the solve
         u_new = solver.solve(np.abs(u) ** (p - 2) * u)
-        lp_v = grid.lp_p(u_new, p)
+        lp_v = space.lp_p(u_new, p)
         if lp_v == 0.0:
             raise NoConvergence("iterate collapsed to zero")
         u_new /= lp_v ** (1.0 / p)
-        lp_u = grid.lp_p(u_new, p)
-        grad = grid.grad_sq(u_new, solver.parity)
-        l2 = grid.l2_sq(u_new)
+        lp_u = space.lp_p(u_new, p)
+        grad = space.grad_sq(u_new)
+        l2 = space.l2_sq(u_new)
         q = grad + lam * l2
         if q <= 0.0:
             raise NoConvergence("quadratic form lost positivity")
@@ -364,7 +372,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
         u = u_new
         r_prev = r_now
         w_vals = (q / lp_u) ** (1.0 / (p - 2.0)) * u
-        res = residual(grid, w_vals, p, lam, solver.parity)[1]
+        res = residual(space, w_vals, p, lam)[1]
         j_now = kappa(p) * r_now ** (p / (p - 2.0))
         if res < best_res:
             best_res, best_vals, best_j = res, w_vals, j_now
@@ -373,7 +381,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
             break
         if iterations == _COLD_STEPS:
             vals, res, kept, steps, _ = _polish(
-                grid, w_vals, p, lam, opts.tol, solver, j_now, final=False)
+                space, w_vals, p, lam, opts.tol, solver, j_now, final=False)
             newton_steps += steps
             if kept:
                 best_vals, best_res = vals, res
@@ -384,7 +392,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
         raise NoConvergence("no iterate had a finite residual")
     if best_res > opts.tol:
         vals, res, kept, steps, last = _polish(
-            grid, best_vals, p, lam, opts.tol, solver, best_j, final=True)
+            space, best_vals, p, lam, opts.tol, solver, best_j, final=True)
         newton_steps += steps
         if not kept:
             why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
@@ -394,7 +402,7 @@ def _fixed_point_newton(grid: Grid, params: ActionParams, opts: SolverOptions,
             raise NoConvergence(
                 f"{why} after {iterations} fixed-point and {newton_steps} "
                 f"Newton iterations; the fixed point stopped on {stop}, "
-                f"then {last} (p={p}, lambda={lam}, n={grid.n})")
+                f"then {last} (p={p}, lambda={lam}, n={solver.grid.n})")
         best_vals, best_res = vals, res
 
     return best_vals, best_res, iterations + newton_steps
@@ -409,8 +417,8 @@ def mass_slope(state: GroundState) -> float:
     is twice the derivative of the level, so this is twice its second
     derivative.
     """
-    u = state.u.values
-    return 2.0 * state.u.grid.weight * dot(u, _tangent(state, _SLOPE_RTOL))
+    space, u, du = _tangent(state, _SLOPE_RTOL)
+    return 2.0 * space.weight * space.dot(u, du)
 
 
 def tangent_predictor(state: GroundState, lam: float) -> Field:
@@ -421,38 +429,42 @@ def tangent_predictor(state: GroundState, lam: float) -> Field:
     `ground_state` hands straight to Newton; the 2D tangent solve is
     loose, as Newton corrects the predictor anyway.
     """
-    du = _tangent(state, _PREDICTOR_RTOL)
+    space, u, du = _tangent(state, _PREDICTOR_RTOL)
     du *= lam - state.params.lam
-    du += state.u.values
-    return Field(state.u.grid, du)
+    du += u
+    return space.field(du)
 
 
-def _tangent(state: GroundState, rtol: float) -> np.ndarray:
-    """u', the derivative in lambda of the state along its branch.
+def _tangent(state: GroundState, rtol: float) -> tuple:
+    """(space, u, u'): u' the derivative in lambda of the state u.
 
     Differentiating A u + lambda u = |u|^(p-2) u in lambda gives
     L u' = -u, with L the linearization Newton uses; rtol is the relative
     residual of the 2D MINRES solve (the 1D solve is direct), which is
-    preconditioned on the state's parity class.  The stencil maps fields
-    odd under a reflection of the box to odd fields, so a nodal state's
-    tangent is odd too.
+    preconditioned on the state's class.  A state in a parity class that
+    folds is solved on its block, space (`grid.Block`); otherwise space
+    is the grid.  The stencil maps fields odd under a reflection of the
+    box to odd fields, so a nodal state's tangent is odd too.
     """
-    grid, u = state.u.grid, state.u.values
+    grid = state.u.grid
+    space = grid.block(parity_class(grid, state.u.values))
+    u = space.restrict(state.u.values)
     p, lam = state.params.p, state.params.lam
-    return linearized_solve(grid, lam - (p - 1) * np.abs(u) ** (p - 2), -u,
-                            rtol)
+    return space, u, linearized_solve(
+        space, lam - (p - 1) * np.abs(u) ** (p - 2), -u, rtol)
 
 
-def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
-                   residual: float, iterations: int, parity: tuple = (),
+def finalize_state(space: Grid | Block, vals: np.ndarray,
+                   params: ActionParams, residual: float, iterations: int,
                    **extra) -> GroundState:
     """Assemble a GroundState record from converged values.
 
-    parity is the class vals is exactly in (see `Grid.laplacian`).
+    vals live on space, the grid or a Block, which mirrors them onto the
+    grid for the state's field.
     """
-    field = Field(grid, vals)
-    mass = grid.l2_sq(vals)
-    j = _action(grid, vals, params.p, params.lam, parity)
+    field = space.field(vals)
+    mass = space.l2_sq(vals)
+    j = _action(space, vals, params.p, params.lam)
     return GroundState(
         u=field,
         params=params,
@@ -469,9 +481,9 @@ def finalize_state(grid: Grid, vals: np.ndarray, params: ActionParams,
 # -- residual polishing ------------------------------------------------
 
 
-def _polish(grid: Grid, start: np.ndarray, p: float, lam: float, tol: float,
-            solver, j_ref: float, final: bool):
-    """Newton from start, then the exact rescale onto the manifold.
+def _polish(space: Grid | Block, start: np.ndarray, p: float, lam: float,
+            tol: float, solver, j_ref: float, final: bool):
+    """Newton from start, on space, then the exact rescale onto the manifold.
 
     In 1D a result still above tol goes on to the extended-precision
     rounding polish if Newton stalled or, on the final attempt, whatever
@@ -483,17 +495,15 @@ def _polish(grid: Grid, start: np.ndarray, p: float, lam: float, tol: float,
     j_ref (1 + 1e-12), start's own; the last stage names Newton's stop
     reason and whether the rounding polish ran.
     """
-    out, res, steps, reason = newton(grid, start, p, lam, tol, solver)
+    out, res, steps, reason = newton(space, start, p, lam, tol, solver)
     last = f"Newton on {reason}"
-    # with a solver, Newton's iterates stay exactly in its class
-    parity = () if solver is None else solver.parity
-    scale, j = _ray(grid, out, p, lam, parity)
+    scale, j = _ray(space, out, p, lam)
     out = scale * out
-    res = residual(grid, out, p, lam, parity)[1]
-    if res > tol and grid.dimension == 1 and (final or reason == "stall"):
-        polished, res = _rounding_polish(grid, out, p, lam, res)
+    res = residual(space, out, p, lam)[1]
+    if res > tol and space.dimension == 1 and (final or reason == "stall"):
+        polished, res = _rounding_polish(space, out, p, lam, res)
         if polished is not out:
-            out, j = polished, _ray(grid, polished, p, lam)[1]
+            out, j = polished, _ray(space, polished, p, lam)[1]
         last += " and the rounding polish"
     kept = (res <= tol and np.all(out[start > 0.0] >= 0.0)
             and j <= j_ref * (1.0 + 1e-12))
@@ -522,7 +532,7 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
     off = np.full(n - 1, -1.0 / h2l, dtype=np.longdouble)
     for _ in range(3):
         power = np.abs(uld) ** (p - 2)
-        r = stencil(uld, uld.shape, (h2l,)) + laml * uld - power * uld
+        r = stencil(uld, (h2l,)) + laml * uld - power * uld
         diag = 2.0 / h2l + laml - (p - 1) * power
         uld = uld + solve_tridiagonal_longdouble(diag, off, -r)
     nearest = uld.astype(np.float64)

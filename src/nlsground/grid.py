@@ -6,21 +6,25 @@ negative Laplacian is the standard second-order centered stencil; it is
 applied via first differences of first differences, which keeps the
 floating-point evaluation error at the level of the gradient rather than
 of the function values (this matters when residuals are driven toward
-machine precision on fine grids).  `stencil` computes it on a leading
-block of the grid, closed past the block by the input's next node or,
-past the grid, by the zero boundary; the whole grid is one such block.
-In 2D at odd n = 2m+1 a field exactly even or odd about the centre line
-of each axis is fixed by its quarter block of m+1 (even) or m (odd)
-nodes per axis, and so is its stencil: the stencil runs on that block
-alone and is mirrored onto the grid (`unfold`).  IEEE rounding is
-symmetric under negation, so the full stencil of an exactly even or odd
-field is exactly even or odd, and the fold gives its values node for
-node (an exactly zero value may carry the other sign).
+machine precision on fine grids).
 
 All integral quantities use the product quadrature weight h^N per node,
 so the discrete integration-by-parts identity <A u, v> = "grad" pairing
 holds exactly and the norms entering the variational identities are
 mutually consistent to machine precision.
+
+In 2D at odd n = 2m+1 a field exactly even or odd about the centre line
+of each axis is fixed by its quarter block of m+1 (even) or m (odd)
+nodes per axis, and a `Block` stores the fields of such a class that
+way: the stencil runs on the block alone, closed past it by the mirror
+node of an even axis or the zero centre line of an odd one, and every
+sum weighs a block node by the number of grid nodes it stands for.  A
+Block offers the grid's stencil and quadrature under the same names, so
+a solve on a parity class lives on its block from its start to its
+state, which is mirrored onto the grid once (`unfold`).  IEEE rounding is
+symmetric under negation, so the full stencil of an exactly even or odd
+field is exactly even or odd, and the block's stencil gives its values
+node for node (an exactly zero value may carry the other sign).
 """
 
 from __future__ import annotations
@@ -89,6 +93,15 @@ class DomainSpec:
         return tuple(hi - lo for lo, hi in self.bounds)
 
 
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product of two flat arrays, summed in one thread.
+
+    BLAS splits long dot products across its threads, so their rounding
+    depends on the thread count; einsum's own loop does not.
+    """
+    return float(np.einsum("i,i->", x, y))
+
+
 class Grid:
     """Uniform interior grid with spacing h = (b - a)/(n + 1) per axis."""
 
@@ -141,28 +154,18 @@ class Grid:
     def laplacian(self, values: np.ndarray, parity: tuple = ()) -> np.ndarray:
         """Apply the negative Laplacian stencil, flat array in and out.
 
-        parity is the class values is exactly in, per axis EVEN or ODD
-        about the centre of the box or 0, as a solver's
-        (`linsolve.OperatorSolver.parity`).  In 2D at odd n = 2m+1 a class
-        with a parity on both axes is folded: the stencil runs on the
-        quarter block of m+1 (even) or m (odd) nodes per axis, closed by
-        the input's node just past it (the mirror node on an even axis,
-        the zero centre line on an odd one), and is mirrored onto the
-        grid with an odd axis's centre line exactly 0.  The full stencil
-        negates exactly under negation of its input, so on such a field it
-        is exactly even or odd, and the fold equals it node for node (an
-        exactly zero value may carry the other sign).  Every other call
-        runs the full stencil.
+        values holds the grid's nodes, or the quarter block of a field of
+        the 2D parity class parity (`Block`), and so does the result.
         """
-        u = values.reshape(self.shape)
-        if len(parity) == 2 and all(parity) and self.n % 2:
-            block = quarter(self.n, parity)
-            out = np.empty_like(u)
-            stencil(u, (block[0].stop, block[1].stop), self._h2, out[block])
-            return unfold(out, parity).reshape(-1)
-        return stencil(u, self.shape, self._h2).reshape(-1)
+        if values.size == self.size:
+            return stencil(values.reshape(self.shape), self._h2).reshape(-1)
+        shape = tuple(s.stop for s in quarter(self.n, parity))
+        return stencil(values.reshape(shape), self._h2,
+                       tuple(s == EVEN for s in parity)).reshape(-1)
 
     # -- quadrature ------------------------------------------------------
+
+    dot = staticmethod(dot)
 
     def l2_sq(self, values: np.ndarray) -> float:
         return self.weight * dot(values, values)
@@ -170,31 +173,108 @@ class Grid:
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * float(np.sum(np.abs(values) ** p))
 
-    def grad_sq(self, values: np.ndarray, parity: tuple = ()) -> float:
-        """Dirichlet energy <A u, u> with the quadrature weight.
-
-        parity is the class values is exactly in (see `laplacian`).
-        """
-        return self.weight * dot(values, self.laplacian(values, parity))
+    def grad_sq(self, values: np.ndarray) -> float:
+        """Dirichlet energy <A u, u> with the quadrature weight."""
+        return self.weight * dot(values, self.laplacian(values))
 
     def l2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.l2_sq(values)))
 
+    # -- where the fields of a class live --------------------------------
 
-def stencil(u: np.ndarray, block: tuple, h2: tuple,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """The negative Laplacian of u on its leading block, into out or new.
+    def block(self, parity: tuple) -> "Grid | Block":
+        """The Block storing the fields of the class parity, or the grid.
 
-    The block holds the first block[i] nodes along axis i, where h2[i] is
-    the squared spacing, and is closed as in `_differences`.  At most
-    three block-sized arrays are live besides u.
+        parity gives per axis EVEN, ODD or 0 (none); a class folds in 2D
+        at odd n with a parity on both axes.  The grid stores every other
+        class whole, and offers a Block's methods for it: `laplacian`,
+        `dot` and the norms above, `restrict` and `field`.
+        """
+        if self.dimension == 2 and self.n % 2 and all(parity):
+            return Block(self, parity)
+        return self
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """values themselves: the grid stores a field whole."""
+        return values
+
+    def field(self, values: np.ndarray) -> "Field":
+        return Field(self, values)
+
+
+class Block:
+    """The quarter block that stores the fields of a 2D parity class.
+
+    At odd n = 2m+1 a field even or odd about the centre line of each
+    axis (parity, per axis EVEN or ODD) is fixed by its first m+1 nodes
+    along an even axis and its first m along an odd one.  A Block has its
+    grid's stencil (`Grid.laplacian`, on the block) and quadrature on
+    those values: each sum weighs a block node by its multiplicity, the
+    number of grid nodes it stands for (2 per axis, 1 on an even axis's
+    centre line), so every inner product, norm and action equals the
+    grid's of the unfolded field up to the order of the sum.  The
+    stencil is symmetric in that inner product, and so is a folded sine
+    solve (`linsolve.OperatorSolver`).
     """
-    g = _differences(u[:, :block[1]] if u.ndim == 2 else u, block[0])
-    out = np.subtract(g[:-1], g[1:], out=out)
+
+    dimension = 2
+
+    def __init__(self, grid: Grid, parity: tuple):
+        self.grid = grid
+        self.parity = tuple(parity)
+        self.slices = quarter(grid.n, self.parity)
+        self.shape = tuple(s.stop for s in self.slices)
+        self.weight = grid.weight
+        mult = [np.full(k, 2.0) for k in self.shape]
+        for m, s in zip(mult, self.parity):
+            if s == EVEN:
+                m[-1] = 1.0
+        self._mult = np.outer(*mult).reshape(-1)
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        return self.grid.laplacian(values, self.parity)
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The multiplicity-weighted inner product, summed in one thread."""
+        return float(np.einsum("i,i,i->", self._mult, x, y))
+
+    def l2_sq(self, values: np.ndarray) -> float:
+        return self.weight * self.dot(values, values)
+
+    def lp_p(self, values: np.ndarray, p: float) -> float:
+        return self.weight * dot(self._mult, np.abs(values) ** p)
+
+    def grad_sq(self, values: np.ndarray) -> float:
+        return self.weight * self.dot(values, self.laplacian(values))
+
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """The block of a flat grid field of the class, as a new array."""
+        return values.reshape(self.grid.shape)[self.slices].reshape(-1)
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """The block values mirrored onto the grid, as a new flat array."""
+        full = np.empty(self.grid.shape)
+        full[self.slices] = values.reshape(self.shape)
+        return unfold(full, self.parity).reshape(-1)
+
+    def field(self, values: np.ndarray) -> "Field":
+        return Field(self.grid, self.unfold(values))
+
+
+def stencil(u: np.ndarray, h2: tuple, even: tuple = (False, False)
+            ) -> np.ndarray:
+    """The negative Laplacian of the array u, as a new array.
+
+    h2[i] is the squared spacing along axis i, and axis i is closed as
+    in `_differences` with even[i].  At most three u-sized arrays are
+    live besides u.
+    """
+    g = _differences(u, even[0])
+    out = g[:-1] - g[1:]
     out /= h2[0]
     if u.ndim == 2:
-        # the second axis, as the first of the transposed views
-        g = _differences(u[:block[0]].T, block[1])
+        # the second axis, as the first of the transposed view
+        g = _differences(u.T, even[1])
         d = g[:-1] - g[1:]
         del g
         d /= h2[1]
@@ -202,18 +282,21 @@ def stencil(u: np.ndarray, block: tuple, h2: tuple,
     return out
 
 
-def _differences(a: np.ndarray, k: int) -> np.ndarray:
-    """The k + 1 first differences along axis 0 of a's first k nodes.
+def _differences(a: np.ndarray, even: bool) -> np.ndarray:
+    """The len(a) + 1 first differences along axis 0 of a.
 
-    They are closed by the zero boundary before node 0 and by a's node k
-    after node k - 1, or by the zero boundary if a has only k nodes.
-    Formed before the second difference, they keep its rounding at the
-    scale of the increments, not of the values.
+    They are closed by the zero boundary before node 0 and, after the
+    last node k - 1, by the zero boundary or, if even, by the mirror
+    node k + 1 -> k - 1 of a block ending on an even centre line (an odd
+    one's centre line is zero, like the boundary).  Formed before the
+    second difference, they keep its rounding at the scale of the
+    increments, not of the values.
     """
+    k = len(a)
     g = np.empty_like(a, shape=(k + 1,) + a.shape[1:])
     g[0] = a[0]
-    np.subtract(a[1:k], a[:k - 1], out=g[1:k])
-    g[k] = a[k] - a[k - 1] if k < len(a) else -a[k - 1]
+    np.subtract(a[1:], a[:-1], out=g[1:k])
+    g[k] = a[k - 2] - a[k - 1] if even else -a[k - 1]
     return g
 
 
@@ -244,15 +327,6 @@ def unfold(x: np.ndarray, parity: tuple) -> np.ndarray:
             a[m] = 0.0
             np.negative(a[:m][::-1], out=a[m + 1:])
     return x
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Inner product of two flat arrays, summed in one thread.
-
-    BLAS splits long dot products across its threads, so their rounding
-    depends on the thread count; einsum's own loop does not.
-    """
-    return float(np.einsum("i,i->", x, y))
 
 
 class Field:

@@ -15,17 +15,18 @@ per axis, the fields even or odd about the centre of the box, and the
 fields odd under the transpose of a square.  In 1D the odd fields are
 fixed by their first n // 2 nodes, on which the restricted operator is
 again tridiagonal.  In 2D at odd n = 2m+1, a class with a parity on
-both axes is fixed by its quarter block of m+1 (even) or m (odd) nodes
-per axis, and its solve transforms that block alone: DST-III forward and
-DST-II back along an even axis, DST-I both ways along an odd one, about
-a fifth of the work of the full DST-I pair at n=255.  Every other 2D
-solve is the full DST-I pair, projected onto its class.  The classes
-come from the starts (`action.least_action_state`); a warm field or a
-state is solved on the class it is exactly in (`parity_class`).  A solve
-is one back-substitution with the factor: the direct solve is backward
-stable, so refining it in double precision would gain almost nothing
-(Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
-Solves are bitwise deterministic for fixed inputs.
+both axes lives on its quarter block of m+1 (even) or m (odd) nodes per
+axis (`grid.Block`), and its solve transforms that block alone: DST-III
+forward and DST-II back along an even axis, DST-I both ways along an odd
+one, about a fifth of the work of the full DST-I pair at n=255.  Every
+other 2D solve is the full DST-I pair, projected onto its class.  The
+classes come from the starts (`action.least_action_state`); a warm field
+or a state is solved on the class it is exactly in (`parity_class`, and
+the transpose's odd fields on a square).  A solve is one
+back-substitution with the factor: the direct solve is backward stable,
+so refining it in double precision would gain almost nothing (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 12).  Solves are
+bitwise deterministic for fixed inputs.
 
 The same module holds the PDE residual A u + lambda u - |u|^(p-2) u
 and the one linearized solve the package uses: the Jacobian of that
@@ -35,15 +36,13 @@ in 2D.  Newton's method on that solve finishes the signed ground state
 (from a few fixed-point steps, or at once from a continuation predictor)
 and the nodal one, reporting why it stopped, and its solve of -u gives
 the tangent of a branch of states: the exact slope of the mass and the
-predictor of the next continuation step.  The residual and MINRES's
-products apply the stencil on the class of the solver at hand, which
-keeps its fields exactly in it, so in 2D at odd n they fold onto the
-quarter block like the sine solve (`Grid.laplacian`).  Newton without a
-preconditioner forms its first residual on no class and the later ones
-on the class of the one it factors at its first step, so a start that
-already meets tol factors nothing.  Each long-double Newton step
-of the 1D rounding polish forms its residual in long double and solves
-its correction once in double by dgtsv (`solve_tridiagonal_longdouble`).
+predictor of the next continuation step.  Each of them takes the grid
+or the Block its fields live on, whose stencil and inner product it
+uses throughout, so a solve on a parity class at odd n runs on the
+quarter block alone; the stencil keeps every field of a class in it,
+bitwise.  Each long-double Newton step of the 1D rounding polish forms
+its residual in long double and solves its correction once in double by
+dgtsv (`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import numpy as np
 from . import spectral
 from ._extensions import lapack, load
 from .errors import NoConvergence
-from .grid import EVEN, ODD, Grid, dot, quarter, unfold
+from .grid import EVEN, ODD, Block, Grid, dot
 
 dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 
@@ -77,14 +76,16 @@ class OperatorSolver:
     class with an odd axis or a reflection); NoConvergence is raised
     otherwise.  In 1D an odd axis is factored on its first n // 2 nodes
     and each solve mirrored onto the full grid.  In 2D at odd n = 2m+1
-    a class with a parity on both axes is folded: the solve transforms
-    only the quarter block of its first m+1 (even) or m (odd) nodes per
-    axis, by DST-III and DST-I (`_fold_solve`), and mirrors the result.
-    Otherwise each 2D solve is the full transform, projected onto the
-    class (`project`).  An even axis counts only where solves fold;
-    elsewhere (1D, and even n, where no node lies on the centre line) the
-    solve keeps it up to rounding.  Each solve is one back-substitution
-    with the factor.
+    a class with a parity on both axes is folded: its fields live on the
+    quarter block of their first m+1 (even) or m (odd) nodes per axis,
+    the solver's `space` (`grid.Block`), and the solve transforms only
+    that block, by DST-III and DST-I (`_fold_solve`); it takes and
+    returns block values, or a field of the class on the whole grid.
+    Otherwise `space` is the grid and each 2D solve is the full
+    transform, projected onto the class (`project`).  An even axis
+    counts only where solves fold; elsewhere (1D, and even n, where no
+    node lies on the centre line) the solve keeps it up to rounding.
+    Each solve is one back-substitution with the factor.
     """
 
     def __init__(self, grid: Grid, c: float, parity=None, reflect=None):
@@ -95,7 +96,8 @@ class OperatorSolver:
         self.parity = tuple(s if s == ODD or (s == EVEN and folds) else 0
                             for s in parity or (0,) * grid.dimension)
         self.reflect = reflect
-        self._folded = folds and reflect is None and all(self.parity)
+        self.space = grid if reflect is not None else grid.block(self.parity)
+        self._folded = self.space is not grid
         self._factorize()
 
     def _factorize(self):
@@ -152,8 +154,14 @@ class OperatorSolver:
             x[-k:] = -x[k - 1::-1]
             return x
         if self._folded:
-            return _fold_solve(b.reshape(self.grid.shape), self.parity,
-                               self._factor).reshape(-1)
+            space = self.space
+            if b.size < self.grid.size:
+                return _fold_solve(b.reshape(space.shape), self.parity,
+                                   self._factor).reshape(-1)
+            # a field of the class on the whole grid
+            return space.unfold(_fold_solve(
+                space.restrict(b).reshape(space.shape), self.parity,
+                self._factor))
         x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
         x *= self._factor
         return self.project(_dst2(x, x).reshape(-1))
@@ -163,7 +171,7 @@ class OperatorSolver:
         return self._raw_solve(b)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """The part of the flat array x in the class, exactly in it.
+        """The part of the flat grid array x in the class, exactly in it.
 
         Per axis with a parity and for the reflection, (x + s R x) / 2
         with s = +1 (even) or -1 (odd); x itself if nothing is kept.
@@ -211,23 +219,19 @@ def _part(a: np.ndarray, mirror: np.ndarray, s: int) -> np.ndarray:
 
 def _fold_solve(b: np.ndarray, parity: tuple, factor: np.ndarray
                 ) -> np.ndarray:
-    """The sine solve of a square array b in a parity class, at odd n.
+    """The sine solve in a parity class at odd n, on its quarter block b.
 
     Along an axis of n = 2m+1 nodes, the DST-I of an even field is twice
     the DST-III of its first m+1 values at the odd-index modes, and that
     of an odd field twice the DST-I of its first m values at the
     even-index modes (Martucci, IEEE Trans. Signal Process. 42, 1994);
-    DST-II and DST-I take the modes back.  factor holds the 4 of the
-    two folds.  The quarter block is then mirrored onto the grid, the
-    centre line of an odd axis exactly zero (`grid.unfold`).
+    DST-II and DST-I take the modes back, onto the block.  factor holds
+    the 4 of the two folds.
     """
-    block = quarter(b.shape[0], parity)
-    y = _dst_axes(b[block], [3 if s == EVEN else 1 for s in parity],
+    y = _dst_axes(b, [3 if s == EVEN else 1 for s in parity],
                   np.empty(factor.shape))
     y *= factor
-    x = np.empty_like(b)
-    _dst_axes(y, [2 if s == EVEN else 1 for s in parity], x[block])
-    return unfold(x, parity)
+    return _dst_axes(y, [2 if s == EVEN else 1 for s in parity], y)
 
 
 def _dst_axes(u: np.ndarray, kinds: list, out: np.ndarray) -> np.ndarray:
@@ -273,57 +277,69 @@ def _dstn_kernel():
     return types.SimpleNamespace(dst=dst)
 
 
-def residual(grid: Grid, v: np.ndarray, p: float, lam: float,
-             parity: tuple = ()) -> tuple[np.ndarray, float]:
+def residual(space: Grid | Block, v: np.ndarray, p: float, lam: float
+             ) -> tuple[np.ndarray, float]:
     """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm.
 
-    parity is the class v is exactly in (see `Grid.laplacian`).
+    space is the grid, or the Block v lives on.
     """
-    r = grid.laplacian(v, parity)
+    r = space.laplacian(v)
     r += lam * v
     r -= np.abs(v) ** (p - 2) * v
-    return r, float(np.sqrt(grid.weight * dot(r, r)))
+    return r, float(np.sqrt(space.weight * space.dot(r, r)))
 
 
-def linearized_solve(grid: Grid, shift: np.ndarray, b: np.ndarray,
+def linearized_solve(space: Grid | Block, shift: np.ndarray, b: np.ndarray,
                      rtol: float, metric: OperatorSolver | None = None
                      ) -> np.ndarray:
-    """x with (A + diag(shift)) x = b.
+    """x with (A + diag(shift)) x = b, on the grid or Block space.
 
     The linearization of the PDE at u has shift lambda - (p-1)|u|^(p-2)
     and is generally indefinite.  In 1D it is tridiagonal and solved by
     `_tridiagonal_solve`.  In 2D it is solved by MINRES to the relative
-    preconditioned residual rtol, preconditioned by metric's sine solve;
-    without a metric, by that of A + max(shift, 0) I (the largest shift
-    is lambda up to the smallest |u|) on b's parity class, factored here.
-    The preconditioner must be definite on every field MINRES builds, so
+    preconditioned residual rtol, in space's inner product, preconditioned
+    by metric's sine solve, which must live on space; without a metric,
+    by that of A + max(shift, 0) I (the largest shift is lambda up to the
+    smallest |u|) on b's class (`_metric`), factored here.  The
+    preconditioner must be definite on every field MINRES builds, so
     shift must be exactly even about the centre wherever b has a parity,
-    as it is for the tangent solve of -u.
+    and even under the transpose where b is odd under it, as it is for
+    the tangent solve of -u.
     """
-    if grid.dimension == 1:
-        h2 = grid.h[0] * grid.h[0]
+    if space.dimension == 1:
+        h2 = space.h[0] * space.h[0]
         return _tridiagonal_solve(2.0 / h2 + shift,
-                                  np.full(grid.n - 1, -1.0 / h2), b)
+                                  np.full(space.n - 1, -1.0 / h2), b)
     if metric is None:
-        metric = _metric(grid, shift, b)
+        metric = _metric(space, shift, b)
 
     def apply(v):
-        # v is a preconditioned vector, exactly in metric's class
-        out = grid.laplacian(v, metric.parity)
+        out = space.laplacian(v)
         out += shift * v
         return out
 
-    return _minres(apply, b, metric._raw_solve, rtol, _MINRES_STEPS)
+    return _minres(apply, b, metric._raw_solve, rtol, _MINRES_STEPS,
+                   space.dot)
 
 
-def _metric(grid: Grid, shift: np.ndarray, x: np.ndarray) -> OperatorSolver:
-    """The sine solver of A + max(shift, 0) I on x's parity class.
+def _metric(space: Grid | Block, shift: np.ndarray, x: np.ndarray
+            ) -> OperatorSolver:
+    """The sine solver of A + max(shift, 0) I on x's class of fields.
 
-    A preconditioner, on the class x is exactly in (`parity_class`); the
-    stencil keeps every field of that class in it, bitwise.
+    It preconditions a linearized solve of fields of that class.  On a
+    Block the class is the block's.  On the grid it is the parity
+    class x is exactly in (`parity_class`), and on a square also the
+    transpose's odd fields if x is exactly odd under it.  The stencil
+    keeps every field of that class in it, bitwise.
     """
-    return OperatorSolver(grid, max(float(np.max(shift)), 0.0),
-                          parity_class(grid, x))
+    c = max(float(np.max(shift)), 0.0)
+    if isinstance(space, Block):
+        return OperatorSolver(space.grid, c, space.parity)
+    a = x.reshape(space.shape)
+    odd_t = (space.dimension == 2 and space.h[0] == space.h[1]
+             and np.array_equal(a, -a.T))
+    return OperatorSolver(space, c, parity_class(space, x),
+                          np.transpose if odd_t else None)
 
 
 def _sign_pattern(v: np.ndarray) -> np.ndarray:
@@ -331,30 +347,28 @@ def _sign_pattern(v: np.ndarray) -> np.ndarray:
     return (v > 0.0).view(np.int8) - (v < 0.0).view(np.int8)
 
 
-def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
-           metric: OperatorSolver | None = None
+def newton(space: Grid | Block, u: np.ndarray, p: float, lam: float,
+           tol: float, metric: OperatorSolver | None = None
            ) -> tuple[np.ndarray, float, int, str]:
     """Newton on A u + lam u = |u|^(p-2) u, keeping u's sign pattern.
 
-    Each step is one `linearized_solve` of the plain stencil's Jacobian;
-    metric, if given, preconditions the 2D solves, which otherwise share
-    one preconditioner factored at the first step on u's parity class.
-    A step leaves u's zero nodes exactly zero.  The stencil maps fields
-    odd under a reflection of the box to odd fields, so from an odd u,
-    zero on the reflection's fixed nodes, the iterates stay odd up to the
-    solves' rounding and exactly zero there.  The stencil keeps a parity
-    about the centre bitwise, so with a folded preconditioner the
-    iterates keep u's parity class exactly, and the residuals are formed
-    on it (see the module docstring).  Returns
-    (best iterate, its residual, steps taken, stop reason).  The reason
-    is "tol" once the residual reaches tol, "sign-flip" when a step
-    changes the sign of a node, "stall" when a step fails to lower the
-    residual, "singular" when the linearized solve is singular, and
-    "step-cap" after _NEWTON_STEPS steps.
+    u lives on space, the grid or a Block.  Each step is one
+    `linearized_solve` of the plain stencil's Jacobian; metric, if
+    given, preconditions the 2D solves, which otherwise share one
+    preconditioner factored at the first step on u's class, so a start
+    that already meets tol factors nothing.  A step leaves u's zero nodes
+    exactly zero.  The stencil maps fields odd under a reflection of the
+    box to odd fields, so from an odd u, zero on the reflection's fixed
+    nodes, the iterates stay odd up to the solves' rounding and exactly
+    zero there; with a preconditioner on u's class they stay exactly in
+    it.  Returns (best iterate, its residual, steps taken, stop reason).
+    The reason is "tol" once the residual reaches tol, "sign-flip" when
+    a step changes the sign of a node, "stall" when a step fails to
+    lower the residual, "singular" when the linearized solve is
+    singular, and "step-cap" after _NEWTON_STEPS steps.
     """
     sign = _sign_pattern(u)
-    cls = () if metric is None else metric.parity
-    r, res = residual(grid, u, p, lam, cls)
+    r, res = residual(space, u, p, lam)
     step = 0
     reason = "tol"
     while res > tol:
@@ -366,11 +380,10 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         # step needs to land well inside tol
         rtol = max(min(0.1, res), 0.01 * tol / res)
         shift = lam - (p - 1) * np.abs(u) ** (p - 2)
-        if metric is None and grid.dimension == 2:
-            metric = _metric(grid, shift, u)
-            cls = metric.parity
+        if metric is None and space.dimension == 2:
+            metric = _metric(space, shift, u)
         try:
-            trial = linearized_solve(grid, shift, np.negative(r, out=r),
+            trial = linearized_solve(space, shift, np.negative(r, out=r),
                                      rtol, metric)
         except np.linalg.LinAlgError:
             reason = "singular"
@@ -381,7 +394,7 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
         if not np.array_equal(_sign_pattern(trial), sign):
             reason = "sign-flip"
             break
-        r_trial, res_trial = residual(grid, trial, p, lam, cls)
+        r_trial, res_trial = residual(space, trial, p, lam)
         if not res_trial < res:
             reason = "stall"
             break
@@ -389,14 +402,15 @@ def newton(grid: Grid, u: np.ndarray, p: float, lam: float, tol: float,
     return u, res, step, reason
 
 
-def _minres(apply, b: np.ndarray, precond, rtol: float,
-            maxiter: int) -> np.ndarray:
+def _minres(apply, b: np.ndarray, precond, rtol: float, maxiter: int,
+            dot=dot) -> np.ndarray:
     """Preconditioned MINRES (Paige and Saunders) for symmetric apply.
 
-    precond must be symmetric positive definite; it and apply must
-    return new arrays, which are then updated in place, so seven vectors
-    are live besides b.  Stops once the preconditioned residual norm
-    falls to rtol times its initial value, or after maxiter steps.
+    apply must be symmetric and precond symmetric positive definite in
+    the inner product dot; they must return new arrays, which are then
+    updated in place, so seven vectors are live besides b.  Stops once
+    the preconditioned residual norm falls to rtol times its initial
+    value, or after maxiter steps.
     """
     x = np.zeros_like(b)
     y = precond(b)

@@ -14,13 +14,15 @@ even n it fixes no node and the sign parts meet across the middle edge.
 A square has two (the transpose and a midline flip), any other
 rectangle one (the flip of its longer axis).  A flip's odd fields are a
 parity class (`linsolve.OperatorSolver`): the midline state is odd along
-the flipped axis and even along the other, so at odd n its 2D solves
-transform only a quarter of the grid; the transpose's odd fields are
-kept by projection.  The least raw action
-among the converged states with exactly two nodal domains is returned,
-or NoConvergence raised naming how every start stopped.  A warm start
-runs Newton at once from the init and falls back to the reflections if
-that result is rejected.
+the flipped axis and even along the other, so at odd n its 2D solve
+lives on a quarter of the grid from the start to the state, which is
+mirrored onto the grid once (`grid.Block`); the transpose's odd fields
+are kept by projection, in the preconditioner of a warm start's Newton
+and of a tangent too (`linsolve._metric`).  The least raw action among
+the converged states with exactly two nodal domains is returned, or
+NoConvergence raised naming how every start stopped.  A warm start runs
+Newton at once from the init and falls back to the reflections if that
+result is rejected.
 """
 
 from __future__ import annotations

@@ -262,36 +262,54 @@ def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
         assert warm.residual <= 1e-8
 
 
-def test_cold_2d_solve_applies_the_folded_stencil(unit_square, monkeypatch):
-    # a cold signed solve at odd n stays in the (EVEN, EVEN) class, and
-    # every stencil of its fixed point, Newton and MINRES says so, which
-    # folds it onto the quarter block; of the solve's other stencils, the
-    # level's does too and only the eigen solve's runs without a class
-    from nlsground.linsolve import EVEN
+def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
+    # a cold signed solve at odd n stays in the (EVEN, EVEN) class on its
+    # 32 x 32 quarter block at n=63: every stencil and sine transform of
+    # the fixed point, Newton, MINRES and the level acts on the block, only
+    # the eigen start's stencil on the grid, and the state is mirrored
+    # onto the grid once
+    from nlsground import grid as grid_module
+    from nlsground import linsolve
 
     grid = Grid(unit_square, 63)
     laplacian = Grid.laplacian
-    calls = []
+    kernel = linsolve._pocketfft_dst()
+    unfold = grid_module.unfold
+    stencils, transforms, unfolds = [], [], []
 
-    def recorded(self, v, parity=()):
-        frame, names = sys._getframe(1), set()
+    def stages():
+        frame, names = sys._getframe(2), set()
         while frame is not None:
             names.add(frame.f_code.co_name)
             frame = frame.f_back
-        calls.append((tuple(parity), names))
+        return names
+
+    def recorded_laplacian(self, v, parity=()):
+        stencils.append((v.size, stages()))
         return laplacian(self, v, parity)
 
-    monkeypatch.setattr(Grid, "laplacian", recorded)
+    def recorded_kernel(u, *args):
+        transforms.append((u.shape, stages()))
+        return kernel(u, *args)
+
+    monkeypatch.setattr(Grid, "laplacian", recorded_laplacian)
+    monkeypatch.setattr(linsolve, "_pocketfft_dst", lambda: recorded_kernel)
+    monkeypatch.setattr(grid_module, "unfold",
+                        lambda *args: unfolds.append(1) or unfold(*args))
     st = ground_state(grid, ActionParams(4.0, 10.0))
     assert st.residual <= 1e-8
-    stages = {"_fixed_point_newton", "newton", "_minres", "finalize_state"}
-    for stage in stages:
-        assert any(stage in names for _, names in calls), stage
-    for cls, names in calls:
-        if names & stages:
-            assert cls == (EVEN, EVEN), names & stages
+    assert len(unfolds) == 1
+    steps = {"_fixed_point_newton", "newton", "_minres", "finalize_state"}
+    for stage in steps:
+        assert any(stage in names for _, names in stencils), stage
+        assert (stage == "finalize_state"
+                or any(stage in names for _, names in transforms)), stage
+    for size, names in stencils:
+        if "dirichlet_eigenpairs" in names:
+            assert size == grid.size
         else:
-            assert "dirichlet_eigenpairs" in names and cls == ()
+            assert size == 32 * 32 and names & steps, names
+    assert {shape for shape, _ in transforms} == {(32, 32)}
 
 
 def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):

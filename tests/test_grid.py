@@ -79,24 +79,63 @@ def test_laplacian_self_adjoint_2d():
     assert gap <= 1e-12 * grid.l2_norm(u) * grid.l2_norm(v)
 
 
+def _class_fields(bounds, seed):
+    """(grid, class, field): projected random fields of the classes.
+
+    Every class with a parity on both axes, at n = 3 (an odd axis's
+    block has one node, an even one's two), 5 and 63.
+    """
+    rng = np.random.default_rng(seed)
+    for n in (3, 5, 63):
+        grid = Grid(DomainSpec.rectangle(*bounds), n)
+        for cls in itertools.product((EVEN, ODD), repeat=2):
+            solver = OperatorSolver(grid, 1.0, cls)
+            yield grid, cls, solver.project(rng.standard_normal(grid.size))
+
+
 @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])
 def test_folded_stencil_equals_full_stencil(bounds):
     # on a field exactly in a class with a parity on both axes, at odd n
     # the stencil of the quarter block, mirrored, is the full stencil,
     # and an odd axis's centre line is exactly 0
-    rng = np.random.default_rng(11)
-    for n in (3, 5, 63):
-        grid = Grid(DomainSpec.rectangle(*bounds), n)
-        m = n // 2
-        for cls in itertools.product((EVEN, ODD), repeat=2):
-            solver = OperatorSolver(grid, 1.0, cls)
-            v = solver.project(rng.standard_normal(grid.size))
-            out = grid.laplacian(v, cls)
-            assert np.array_equal(out, grid.laplacian(v)), (n, cls)
-            a = out.reshape(grid.shape)
-            for axis, s in enumerate(cls):
-                if s == ODD:
-                    assert np.all(np.take(a, m, axis=axis) == 0.0)
+    for grid, cls, v in _class_fields(bounds, 11):
+        block = grid.block(cls)
+        assert block.shape == tuple(grid.n // 2 + (s == EVEN) for s in cls)
+        vb = block.restrict(v)
+        assert vb.size == block.shape[0] * block.shape[1]
+        assert np.array_equal(block.unfold(vb), v)
+        out = block.unfold(block.laplacian(vb))
+        assert np.array_equal(out, grid.laplacian(v)), (grid.n, cls)
+        a = out.reshape(grid.shape)
+        for axis, s in enumerate(cls):
+            if s == ODD:
+                assert np.all(np.take(a, grid.n // 2, axis=axis) == 0.0)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])
+def test_block_sums_equal_grid_sums(bounds):
+    # every sum on a block weighs a node by the grid nodes it stands for,
+    # so the block's norms, action and residual are the grid's up to the
+    # order of the sum, and the block's residual is the grid's node for
+    # node
+    from nlsground.action import _action
+    from nlsground.linsolve import residual
+
+    p, lam = 4.0, 10.0
+    for grid, cls, v in _class_fields(bounds, 13):
+        block = grid.block(cls)
+        vb = block.restrict(v)
+        pairs = [(block.l2_sq(vb), grid.l2_sq(v)),
+                 (block.lp_p(vb, p), grid.lp_p(v, p)),
+                 (block.lp_p(vb, 3.5), grid.lp_p(v, 3.5)),
+                 (block.grad_sq(vb), grid.grad_sq(v)),
+                 (_action(block, vb, p, lam), _action(grid, v, p, lam))]
+        rb, res_b = residual(block, vb, p, lam)
+        r, res = residual(grid, v, p, lam)
+        pairs.append((res_b, res))
+        for got, ref in pairs:
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (grid.n, cls)
+        assert np.array_equal(block.unfold(rb), r)
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])

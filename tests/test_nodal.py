@@ -264,6 +264,12 @@ def test_2d_nodal_sweep_flags_nothing(unit_square):
     # most samples are continuation steps from the previous state
     labels = [st.multistart[0][0] for st in curve.states]
     assert labels.count("warm") >= 15
+    # the branch starts on the diagonal, and its warm steps' Newton keeps
+    # every state exactly odd under the transpose
+    assert labels[0] == "diagonal"
+    for st in curve.states:
+        a = st.u.values.reshape(grid.shape)
+        assert np.array_equal(a, -a.T)
 
 
 @pytest.mark.parametrize("lam, label, level, other", [

@@ -54,6 +54,11 @@ def test_tracer_counts_solver_layers(dimension):
     for name in ("linsolve.solve.calls", "linsolve.factorize.calls",
                  "linsolve.backsub.calls"):
         assert metrics[name] > 0, name
+    if dimension == 2:
+        # at n=15 the signed solve lives on its 8 x 8 quarter block; only
+        # the eigen start's stencil sees the 225 nodes of the grid
+        calls = metrics["grid.laplacian.calls"]
+        assert metrics["grid.laplacian.nodes"] == 64 * (calls - 1) + 225
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
