@@ -13,11 +13,12 @@ start it runs the normalized fixed point
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
 on the start's class of fields (`linsolve.OperatorSolver`), along which
-R is provably nonincreasing but which converges only linearly.  A class
-with a parity on both axes of a 2D grid at odd n lives on its quarter
-block (`grid.Block`): the fixed point, Newton, the level and every norm
-run on the block, and the state is mirrored onto the grid once, when it
-is built (`finalize_state`).  After
+R is provably nonincreasing but which converges only linearly.  At odd
+n a class with a parity on every axis lives on its block (`grid.Block`),
+half of an interval or a quarter of a rectangle: the fixed point,
+Newton, the rounding polish, the level and every norm run on the block,
+and the state is mirrored onto the grid once, when it is built
+(`finalize_state`).  After
 _COLD_STEPS steps Newton's method takes over from the iterate's exact
 scalar normalization onto the constraint manifold (the linearized solve
 of `linsolve`: tridiagonal in 1D, MINRES preconditioned by the fixed
@@ -261,8 +262,8 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     None, field) is popped from starts, projected onto its class of
     fields and released once normalized, and runs `_fixed_point_newton`
     on that class (see `linsolve.OperatorSolver`).  A class that folds
-    is solved on its quarter block from the start to the state
-    (`grid.Block`), mirrored onto the grid in `finalize_state`.  Returns
+    is solved on its block from the start to the state (`grid.Block`),
+    mirrored onto the grid in `finalize_state`.  Returns
     the least-action state with `domains` nodal domains and the record
     ((label, action), ...) of every such state, or raises NoConvergence
     naming how every start stopped.
@@ -510,8 +511,8 @@ def _polish(space: Grid | Block, start: np.ndarray, p: float, lam: float,
     return out, res, kept, steps, last
 
 
-def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
-                     res: float) -> tuple[np.ndarray, float]:
+def _rounding_polish(space: Grid | Block, vals: np.ndarray, p: float,
+                     lam: float, res: float) -> tuple[np.ndarray, float]:
     """Extended-precision Newton plus optimized storage rounding.
 
     On fine grids the attainable double-precision residual is limited by
@@ -522,18 +523,24 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
     the steps are their own refinement.  A min-plus Viterbi pass then
     chooses, per node, between the two neighboring doubles so that the
     second difference of the rounding error -- hence the stored field's
-    true residual -- is minimized.  The result is returned only if its
-    residual is below res; otherwise vals and res are.
+    true residual -- is minimized.  vals live on space, the grid or a
+    Block, whose last node both stages close as its stencil does: by a
+    zero node, or by the mirror of an even centre, whose row the Newton
+    steps halve as `linsolve.OperatorSolver` does.  The result is
+    returned only if its residual is below res; otherwise vals and res
+    are.
     """
-    n = grid.n
-    h2l = np.longdouble(grid.h[0]) * np.longdouble(grid.h[0])
+    h2l = np.longdouble(space.h[0]) * np.longdouble(space.h[0])
     laml = np.longdouble(lam)
     uld = vals.astype(np.longdouble)
-    off = np.full(n - 1, -1.0 / h2l, dtype=np.longdouble)
+    off = np.full(vals.size - 1, -1.0 / h2l, dtype=np.longdouble)
     for _ in range(3):
         power = np.abs(uld) ** (p - 2)
-        r = stencil(uld, (h2l,)) + laml * uld - power * uld
+        r = stencil(uld, (h2l,), space.mirror) + laml * uld - power * uld
         diag = 2.0 / h2l + laml - (p - 1) * power
+        if space.mirror[0]:
+            diag[-1] *= 0.5
+            r[-1] *= 0.5
         uld = uld + solve_tridiagonal_longdouble(diag, off, -r)
     nearest = uld.astype(np.float64)
     below = np.where(nearest.astype(np.longdouble) <= uld,
@@ -541,29 +548,36 @@ def _rounding_polish(grid: Grid, vals: np.ndarray, p: float, lam: float,
     above = np.nextafter(below, np.inf)
     eps_lo = (below.astype(np.longdouble) - uld).astype(np.float64)
     eps_hi = (above.astype(np.longdouble) - uld).astype(np.float64)
-    choices = _viterbi_rounding(eps_lo, eps_hi)
+    choices = _viterbi_rounding(eps_lo, eps_hi, space.mirror[0])
     cand = np.where(choices == 0, below, above)
-    rn = residual(grid, cand, p, lam)[1]
+    rn = residual(space, cand, p, lam)[1]
     if rn < res:
         return cand, rn
     return vals, res
 
 
-def _viterbi_rounding(eps_lo: np.ndarray, eps_hi: np.ndarray) -> np.ndarray:
+def _viterbi_rounding(eps_lo: np.ndarray, eps_hi: np.ndarray,
+                      mirror: bool = False) -> np.ndarray:
     """Binary rounding choices minimizing sum of squared second differences.
 
     Node i with error e_i = eps_lo[i] or eps_hi[i] (choice 0 or 1) costs
-    (2 e_i - e_{i-1} - e_{i+1})^2, zero padding at the walls, so a dynamic
-    program over the choice pairs (c_{i-1}, c_i) finds the least total in
-    min-plus arithmetic.  Its n - 2 steps run in blocks of about sqrt(n),
-    side by side: a first sweep builds each block's 4 x 4 transfer, a
-    short chain of those gives every block's starting costs, and a second
-    sweep records each pair's best predecessor and the pair its block
-    started from.  The backtrack then walks the blocks' starting pairs and
-    every block's predecessors, again side by side.  Ties go to choice 0
-    and to the first least final pair.  Needs n >= 2.
+    (2 e_i - e_{i-1} - e_{i+1})^2, zero padding at the walls; if mirror,
+    the last node is an even field's centre, closed by e_n = e_{n-2},
+    and costs half that, as it stands for one grid node and every other
+    node for two.  A dynamic program over the choice pairs
+    (c_{i-1}, c_i) finds the least total in min-plus arithmetic.  Its
+    n - 2 steps run in blocks of about sqrt(n), side by side: a first
+    sweep builds each block's 4 x 4 transfer, a short chain of those
+    gives every block's starting costs, and a second sweep records each
+    pair's best predecessor and the pair its block started from.  The
+    backtrack then walks the blocks' starting pairs and every block's
+    predecessors, again side by side.  Ties go to choice 0 and to the
+    first least final pair.
     """
     n = eps_lo.size
+    if n == 1:
+        # one node between zero nodes costs (2 e_0)^2
+        return (np.abs(eps_hi) < np.abs(eps_lo)).view(np.int8)
     e = np.stack((eps_lo, eps_hi))  # e[c, i]
     r = 2.0 * e[:, None, 0] - e[None, :, 1]
     # dp[a, b]: least cost of the nodes before i, choices a, b at i-1, i
@@ -609,8 +623,10 @@ def _viterbi_rounding(eps_lo: np.ndarray, eps_hi: np.ndarray) -> np.ndarray:
                 final, final_origin = dp[..., -1], origin[..., -1]
         dp = final
     r = 2.0 * e[:, n - 1] - e[:, n - 2, None]
+    if mirror:
+        r -= e[:, n - 2, None]
     # the last pair (c_{n-2}, c_{n-1}) = (a, b) as 2a + b
-    end = int(np.argmin(dp + r * r))
+    end = int(np.argmin(dp + (0.5 if mirror else 1.0) * (r * r)))
     choices = np.empty(n, dtype=np.int8)
     choices[-2:] = divmod(end, 2)
     if m > 0:

@@ -13,22 +13,24 @@ so the discrete integration-by-parts identity <A u, v> = "grad" pairing
 holds exactly and the norms entering the variational identities are
 mutually consistent to machine precision.
 
-In 2D at odd n = 2m+1 a field exactly even or odd about the centre line
-of each axis is fixed by its quarter block of m+1 (even) or m (odd)
-nodes per axis, and a `Block` stores the fields of such a class that
-way: the stencil runs on the block alone, closed past it by the mirror
-node of an even axis or the zero centre line of an odd one, and every
-sum weighs a block node by the number of grid nodes it stands for.  A
-Block offers the grid's stencil and quadrature under the same names, so
-a solve on a parity class lives on its block from its start to its
-state, which is mirrored onto the grid once (`unfold`).  IEEE rounding is
-symmetric under negation, so the full stencil of an exactly even or odd
-field is exactly even or odd, and the block's stencil gives its values
-node for node (an exactly zero value may carry the other sign).
+At odd n = 2m+1 a field exactly even or odd about the centre of each
+axis is fixed by its block of m+1 (even) or m (odd) nodes per axis, half
+of an interval or a quarter of a rectangle, and a `Block` stores the
+fields of such a class that way: the stencil runs on the block alone,
+closed past it by the mirror node of an even axis or the zero centre
+node of an odd one, and every sum weighs a block node by the number of
+grid nodes it stands for.  A Block offers the grid's stencil and
+quadrature under the same names, so a solve on a parity class lives on
+its block from its start to its state, which is mirrored onto the grid
+once (`unfold`).  IEEE rounding is symmetric under negation, so the full
+stencil of an exactly even or odd field is exactly even or odd, and the
+block's stencil gives its values node for node (an exactly zero value
+may carry the other sign).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,6 +121,9 @@ class Grid:
             for (lo, _), hx in zip(spec.bounds, self.h)
         )
         self.size = self.n ** spec.dimension
+        # per axis, whether the last node is closed by its mirror (see Block)
+        self.mirror = (False,) * spec.dimension
+        self._blocks = {}
 
     @property
     def dimension(self) -> int:
@@ -154,14 +159,14 @@ class Grid:
     def laplacian(self, values: np.ndarray, parity: tuple = ()) -> np.ndarray:
         """Apply the negative Laplacian stencil, flat array in and out.
 
-        values holds the grid's nodes, or the quarter block of a field of
-        the 2D parity class parity (`Block`), and so does the result.
+        values holds the grid's nodes, or the block of a field of the
+        parity class parity (`Block`), and so does the result.
         """
         if values.size == self.size:
             return stencil(values.reshape(self.shape), self._h2).reshape(-1)
-        shape = tuple(s.stop for s in quarter(self.n, parity))
-        return stencil(values.reshape(shape), self._h2,
-                       tuple(s == EVEN for s in parity)).reshape(-1)
+        block = self.block(parity)
+        return stencil(values.reshape(block.shape), self._h2,
+                       block.mirror).reshape(-1)
 
     # -- quadrature ------------------------------------------------------
 
@@ -185,14 +190,17 @@ class Grid:
     def block(self, parity: tuple) -> "Grid | Block":
         """The Block storing the fields of the class parity, or the grid.
 
-        parity gives per axis EVEN, ODD or 0 (none); a class folds in 2D
-        at odd n with a parity on both axes.  The grid stores every other
-        class whole, and offers a Block's methods for it: `laplacian`,
-        `dot` and the norms above, `restrict` and `field`.
+        parity gives per axis EVEN, ODD or 0 (none); a class folds at odd
+        n with a parity on every axis.  The grid stores every other class
+        whole, and offers a Block's methods for it: `laplacian`, `dot` and
+        the norms above, `restrict` and `field`.  Each Block is built once.
         """
-        if self.dimension == 2 and self.n % 2 and all(parity):
-            return Block(self, parity)
-        return self
+        if not (self.n % 2 and all(parity)):
+            return self
+        parity = tuple(parity)
+        if parity not in self._blocks:
+            self._blocks[parity] = Block(self, parity)
+        return self._blocks[parity]
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """values themselves: the grid stores a field whole."""
@@ -203,25 +211,28 @@ class Grid:
 
 
 class Block:
-    """The quarter block that stores the fields of a 2D parity class.
+    """The block that stores the fields of a parity class at odd n.
 
-    At odd n = 2m+1 a field even or odd about the centre line of each
-    axis (parity, per axis EVEN or ODD) is fixed by its first m+1 nodes
-    along an even axis and its first m along an odd one.  A Block has its
-    grid's stencil (`Grid.laplacian`, on the block) and quadrature on
-    those values: each sum weighs a block node by its multiplicity, the
-    number of grid nodes it stands for (2 per axis, 1 on an even axis's
-    centre line), so every inner product, norm and action equals the
-    grid's of the unfolded field up to the order of the sum.  The
-    stencil is symmetric in that inner product, and so is a folded sine
-    solve (`linsolve.OperatorSolver`).
+    At odd n = 2m+1 a field even or odd about the centre of each axis
+    (parity, per axis EVEN or ODD) is fixed by its first m+1 nodes along
+    an even axis and its first m along an odd one: half of an interval,
+    a quarter of a rectangle.  A Block has its grid's stencil
+    (`Grid.laplacian`, on the block), closed past an even axis's centre
+    by the mirror node (`mirror`) and past an odd one's by the zero
+    centre, and quadrature on those values: each sum weighs a block node
+    by its multiplicity, the number of grid nodes it stands for (2 per
+    axis, 1 on an even axis's centre), so every inner product, norm and
+    action equals the grid's of the unfolded field up to the order of
+    the sum.  The stencil is symmetric in that inner product, and so is
+    a folded shifted solve (`linsolve.OperatorSolver`).
     """
-
-    dimension = 2
 
     def __init__(self, grid: Grid, parity: tuple):
         self.grid = grid
+        self.dimension = grid.dimension
+        self.h = grid.h
         self.parity = tuple(parity)
+        self.mirror = tuple(s == EVEN for s in self.parity)
         self.slices = quarter(grid.n, self.parity)
         self.shape = tuple(s.stop for s in self.slices)
         self.weight = grid.weight
@@ -229,7 +240,7 @@ class Block:
         for m, s in zip(mult, self.parity):
             if s == EVEN:
                 m[-1] = 1.0
-        self._mult = np.outer(*mult).reshape(-1)
+        self._mult = functools.reduce(np.multiply.outer, mult).reshape(-1)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         return self.grid.laplacian(values, self.parity)
@@ -248,7 +259,7 @@ class Block:
         return self.weight * self.dot(values, self.laplacian(values))
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
-        """The block of a flat grid field of the class, as a new array."""
+        """The block of a flat grid field of the class (in 1D a view)."""
         return values.reshape(self.grid.shape)[self.slices].reshape(-1)
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
@@ -301,7 +312,7 @@ def _differences(a: np.ndarray, even: bool) -> np.ndarray:
 
 
 def quarter(n: int, parity: tuple) -> tuple:
-    """The quarter block of a 2D parity class at odd n = 2m+1, as slices.
+    """The block of a parity class at odd n = 2m+1, as slices per axis.
 
     It holds the first m+1 nodes along an even axis and the first m
     along an odd one, which fix every field of the class.
@@ -311,16 +322,18 @@ def quarter(n: int, parity: tuple) -> tuple:
 
 
 def unfold(x: np.ndarray, parity: tuple) -> np.ndarray:
-    """Mirror the quarter block of the square array x onto x, in place.
+    """Mirror the block of the interval or square array x onto x, in place.
 
-    Past the centre line of an even axis x copies the nodes before it;
-    on an odd axis it negates them, and the centre line is exactly 0.
+    Past the centre of an even axis x copies the nodes before it; on an
+    odd axis it negates them, and the centre is exactly 0.
     """
     m = x.shape[0] // 2
-    block = quarter(x.shape[0], parity)
-    # the second axis on the block's rows, then the first on whole rows,
-    # which are contiguous
-    for a, s in ((x[block[0]].T, parity[1]), (x, parity[0])):
+    # in 2D the second axis on the block's rows, then the first on whole
+    # rows, which are contiguous
+    axes = [(x, parity[0])]
+    if x.ndim == 2:
+        axes.insert(0, (x[quarter(x.shape[0], parity)[0]].T, parity[1]))
+    for a, s in axes:
         if s == EVEN:
             a[m + 1:] = a[:m][::-1]
         else:
@@ -403,8 +416,12 @@ def _components(mask: np.ndarray) -> int:
 
     Each run of set entries along a row is one node, numbered by a
     cumulative sum over the run starts; runs in adjacent rows that share
-    a column are joined by union-find over the distinct such pairs.
+    a column are joined by union-find over the distinct such pairs.  A
+    mask with no unset entry, such as a one-signed field's, is one
+    component without that labelling.
     """
+    if mask.all():
+        return 1
     starts = mask.copy()
     starts[:, 1:] &= ~mask[:, :-1]
     runs = int(np.count_nonzero(starts))

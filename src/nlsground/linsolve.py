@@ -12,17 +12,21 @@ before numpy: importing scipy.linalg for them would add about 0.3 s to
 every process.
 A solve may be restricted to a class of fields that A maps to itself:
 per axis, the fields even or odd about the centre of the box, and the
-fields odd under the transpose of a square.  In 1D the odd fields are
-fixed by their first n // 2 nodes, on which the restricted operator is
-again tridiagonal.  In 2D at odd n = 2m+1, a class with a parity on
-both axes lives on its quarter block of m+1 (even) or m (odd) nodes per
-axis (`grid.Block`), and its solve transforms that block alone: DST-III
-forward and DST-II back along an even axis, DST-I both ways along an odd
-one, about a fifth of the work of the full DST-I pair at n=255.  Every
-other 2D solve is the full DST-I pair, projected onto its class.  The
-classes come from the starts (`action.least_action_state`); a warm field
-or a state is solved on the class it is exactly in (`parity_class`, and
-the transpose's odd fields on a square).  A solve is one
+fields odd under the transpose of a square.  At odd n = 2m+1, a class
+with a parity on every axis lives on its block of m+1 (even) or m (odd)
+nodes per axis (`grid.Block`), half of an interval or a quarter of a
+rectangle.  In 1D the restricted operator is again tridiagonal there:
+an odd block's last node is closed by the zero centre, and an even
+block's centre node couples twice to the node before it, so its row,
+halved, makes the system symmetric.  In 2D the solve transforms the
+quarter block alone: DST-III forward and DST-II back along an even
+axis, DST-I both ways along an odd one, about a fifth of the work of
+the full DST-I pair at n=255.  At even n the 1D odd fields are fixed by
+their first n // 2 nodes, closed by the mirror node, and every other 2D
+solve is the full DST-I pair, projected onto its class.  The classes
+come from the starts (`action.least_action_state`); a warm field or a
+state is solved on the class it is exactly in (`parity_class`, and the
+transpose's odd fields on a square).  A solve is one
 back-substitution with the factor: the direct solve is backward stable,
 so refining it in double precision would gain almost nothing (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 12).  Solves are
@@ -31,18 +35,20 @@ bitwise deterministic for fixed inputs.
 The same module holds the PDE residual A u + lambda u - |u|^(p-2) u
 and the one linearized solve the package uses: the Jacobian of that
 residual, the plain stencil plus a diagonal, solved by LAPACK's pivoted
-tridiagonal dgtsv in 1D and by MINRES preconditioned with the sine solve
-in 2D.  Newton's method on that solve finishes the signed ground state
-(from a few fixed-point steps, or at once from a continuation predictor)
-and the nodal one, reporting why it stopped, and its solve of -u gives
-the tangent of a branch of states: the exact slope of the mass and the
-predictor of the next continuation step.  Each of them takes the grid
+tridiagonal dgtsv in 1D (on a Block, the closed half system) and by
+MINRES preconditioned with the sine solve in 2D.  Newton's method on
+that solve finishes the signed ground state (from a few fixed-point
+steps, or at once from a continuation predictor) and the nodal one,
+reporting why it stopped, and its solve of -u gives the tangent of a
+branch of states: the exact slope of the mass and the predictor of the
+next continuation step.  Each of them takes the grid
 or the Block its fields live on, whose stencil and inner product it
 uses throughout, so a solve on a parity class at odd n runs on the
-quarter block alone; the stencil keeps every field of a class in it,
-bitwise.  Each long-double Newton step of the 1D rounding polish forms
-its residual in long double and solves its correction once in double by
-dgtsv (`solve_tridiagonal_longdouble`).
+block alone; the stencil keeps every field of a class in it, bitwise.
+A 1D residual is the grid's norm of the unfolded residual, so a state
+reports its field's residual exactly.  Each long-double Newton step of
+the 1D rounding polish forms its residual in long double and solves its
+correction once in double by dgtsv (`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -74,18 +80,18 @@ class OperatorSolver:
     fields are kept.  c must keep the operator positive definite on the
     class (c > -lambda_1 of the discrete Laplacian, or > -lambda_2 for a
     class with an odd axis or a reflection); NoConvergence is raised
-    otherwise.  In 1D an odd axis is factored on its first n // 2 nodes
-    and each solve mirrored onto the full grid.  In 2D at odd n = 2m+1
-    a class with a parity on both axes is folded: its fields live on the
-    quarter block of their first m+1 (even) or m (odd) nodes per axis,
-    the solver's `space` (`grid.Block`), and the solve transforms only
-    that block, by DST-III and DST-I (`_fold_solve`); it takes and
-    returns block values, or a field of the class on the whole grid.
-    Otherwise `space` is the grid and each 2D solve is the full
-    transform, projected onto the class (`project`).  An even axis
-    counts only where solves fold; elsewhere (1D, and even n, where no
-    node lies on the centre line) the solve keeps it up to rounding.
-    Each solve is one back-substitution with the factor.
+    otherwise.  At odd n = 2m+1 a class with a parity on every axis is
+    folded: its fields live on the block of their first m+1 (even) or m
+    (odd) nodes per axis, the solver's `space` (`grid.Block`); in 1D the
+    solve factors the closed half system, in 2D it transforms only that
+    block, by DST-III and DST-I (`_fold_solve`).  It takes and returns
+    block values, or a field on the whole grid, projected onto the
+    class.  Otherwise `space` is the grid: a 1D odd axis at even n is
+    factored on its first n // 2 nodes and each solve mirrored onto the
+    full grid, and each 2D solve is the full transform, projected onto
+    the class (`project`).  An even axis counts only where solves fold;
+    at even n, where no node lies on the centre, the solve keeps it up
+    to rounding.  Each solve is one back-substitution with the factor.
     """
 
     def __init__(self, grid: Grid, c: float, parity=None, reflect=None):
@@ -109,10 +115,13 @@ class OperatorSolver:
         definite = self.c > -bottom
         if definite and g.dimension == 1:
             h2 = g.h[0] * g.h[0]
-            k = g.n // 2 if odd else g.n
+            even_n_odd = odd and g.n % 2 == 0
+            k = g.n // 2 if even_n_odd else self.space.shape[0]
             diag = np.full(k, 2.0 / h2 + self.c)
-            if odd and g.n % 2 == 0:
+            if even_n_odd:
                 diag[-1] += 1.0 / h2  # the mirror node holds -u_k
+            elif self.space.mirror[0]:
+                diag[-1] *= 0.5  # the even centre's row, halved
             if k == 1:
                 # n = 3 on odd fields: dpttrf rejects an empty off-diagonal
                 d, e, info = diag, None, int(diag[0] <= 0.0)
@@ -142,29 +151,39 @@ class OperatorSolver:
                 f"operator A + ({self.c}) I is not positive definite")
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
+        if self._folded:
+            space = self.space
+            if b.size < self.grid.size:
+                return self._block_solve(b)
+            # a field on the whole grid
+            return space.unfold(self._block_solve(
+                space.restrict(self.project(b))))
         if self.grid.dimension == 1:
             d, e = self._factor
             if not self.parity[0]:
                 return dpttrs(d, e, b)[0]
+            # odd fields at even n
             k = d.size
-            x = np.zeros_like(b)
+            x = np.empty_like(b)
             half = b[:k] - b[::-1][:k]
             half *= 0.5
-            x[:k] = half / d if k == 1 else dpttrs(d, e, half)[0]
+            x[:k] = dpttrs(d, e, half)[0]
             x[-k:] = -x[k - 1::-1]
             return x
-        if self._folded:
-            space = self.space
-            if b.size < self.grid.size:
-                return _fold_solve(b.reshape(space.shape), self.parity,
-                                   self._factor).reshape(-1)
-            # a field of the class on the whole grid
-            return space.unfold(_fold_solve(
-                space.restrict(b).reshape(space.shape), self.parity,
-                self._factor))
         x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
         x *= self._factor
         return self.project(_dst2(x, x).reshape(-1))
+
+    def _block_solve(self, b: np.ndarray) -> np.ndarray:
+        """The solve of block values b, on the block."""
+        if self.grid.dimension == 2:
+            return _fold_solve(b.reshape(self.space.shape), self.parity,
+                               self._factor).reshape(-1)
+        d, e = self._factor
+        if self.space.mirror[0]:
+            b = b.copy()
+            b[-1] *= 0.5  # the even centre's row, halved as in the factor
+        return b / d if d.size == 1 else dpttrs(d, e, b)[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (A + c I) x = b, on the solver's class of fields."""
@@ -195,19 +214,19 @@ def parity_class(grid: Grid, x: np.ndarray) -> tuple:
     """Per axis, EVEN or ODD if x is exactly that about the box centre.
 
     Checked by exact comparison with x's flip, and only where a solve
-    folds (2D, odd n); every other axis reads 0.
+    folds (odd n); every other axis reads 0.
     """
     if not _folds(grid):
         return (0,) * grid.dimension
     a = x.reshape(grid.shape)
-    return tuple(EVEN if np.array_equal(a, flip)
-                 else ODD if np.array_equal(a, -flip) else 0
-                 for flip in (a[::-1], a[:, ::-1]))
+    flips = (a[::-1],) if a.ndim == 1 else (a[::-1], a[:, ::-1])
+    return tuple(EVEN if (a == flip).all() else ODD if (a == -flip).all()
+                 else 0 for flip in flips)
 
 
 def _folds(grid: Grid) -> bool:
-    """Whether a solve on grid folds: in 2D at odd n, with a centre node."""
-    return grid.dimension == 2 and grid.n % 2 == 1
+    """Whether a solve on grid folds: at odd n, with a centre node."""
+    return grid.n % 2 == 1
 
 
 def _part(a: np.ndarray, mirror: np.ndarray, s: int) -> np.ndarray:
@@ -281,11 +300,18 @@ def residual(space: Grid | Block, v: np.ndarray, p: float, lam: float
              ) -> tuple[np.ndarray, float]:
     """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm.
 
-    space is the grid, or the Block v lives on.
+    space is the grid, or the Block v lives on.  The stencil gives the
+    unfolded field's F node for node, and on a 1D Block the norm is the
+    grid's of F unfolded, so a 1D state reports its field's residual
+    bitwise; a 2D Block's is its weighted sum, the grid's up to the
+    order of the sum.
     """
     r = space.laplacian(v)
     r += lam * v
     r -= np.abs(v) ** (p - 2) * v
+    if space.dimension == 1 and isinstance(space, Block):
+        full = space.unfold(r)
+        return r, float(np.sqrt(space.weight * dot(full, full)))
     return r, float(np.sqrt(space.weight * space.dot(r, r)))
 
 
@@ -296,7 +322,8 @@ def linearized_solve(space: Grid | Block, shift: np.ndarray, b: np.ndarray,
 
     The linearization of the PDE at u has shift lambda - (p-1)|u|^(p-2)
     and is generally indefinite.  In 1D it is tridiagonal and solved by
-    `_tridiagonal_solve`.  In 2D it is solved by MINRES to the relative
+    `_tridiagonal_solve`, on a Block with an even centre's row halved
+    as in `OperatorSolver`.  In 2D it is solved by MINRES to the relative
     preconditioned residual rtol, in space's inner product, preconditioned
     by metric's sine solve, which must live on space; without a metric,
     by that of A + max(shift, 0) I (the largest shift is lambda up to the
@@ -308,8 +335,12 @@ def linearized_solve(space: Grid | Block, shift: np.ndarray, b: np.ndarray,
     """
     if space.dimension == 1:
         h2 = space.h[0] * space.h[0]
-        return _tridiagonal_solve(2.0 / h2 + shift,
-                                  np.full(space.n - 1, -1.0 / h2), b)
+        diag = 2.0 / h2 + shift
+        if space.mirror[0]:
+            diag[-1] *= 0.5
+            b = b.copy()
+            b[-1] *= 0.5
+        return _tridiagonal_solve(diag, np.full(b.size - 1, -1.0 / h2), b)
     if metric is None:
         metric = _metric(space, shift, b)
 
@@ -480,8 +511,13 @@ def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
 
     Gaussian elimination with partial pivoting, stable on indefinite T;
     a singular T raises np.linalg.LinAlgError.  The inputs are left
-    unchanged.
+    unchanged.  dgtsv rejects the empty off-diagonal of one node, whose
+    equation is solved by a division.
     """
+    if b.size == 1:
+        if diag[0] == 0.0:
+            raise np.linalg.LinAlgError("singular 1 x 1 matrix")
+        return b / diag
     x, info = dgtsv(off, diag, off, b)[3:]
     if info > 0:
         raise np.linalg.LinAlgError(

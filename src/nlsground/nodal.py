@@ -14,8 +14,9 @@ even n it fixes no node and the sign parts meet across the middle edge.
 A square has two (the transpose and a midline flip), any other
 rectangle one (the flip of its longer axis).  A flip's odd fields are a
 parity class (`linsolve.OperatorSolver`): the midline state is odd along
-the flipped axis and even along the other, so at odd n its 2D solve
-lives on a quarter of the grid from the start to the state, which is
+the flipped axis and even along the other, so at odd n the midpoint
+state's solve lives on the first half of the interval and the midline
+state's on a quarter of the grid, from the start to the state, which is
 mirrored onto the grid once (`grid.Block`); the transpose's odd fields
 are kept by projection, in the preconditioner of a warm start's Newton
 and of a tangent too (`linsolve._metric`).  The least raw action among

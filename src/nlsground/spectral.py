@@ -77,11 +77,22 @@ def dirichlet_eigenpairs(grid: Grid, k: int) -> list[EigenPair]:
 
 
 def lambda1(grid: Grid) -> float:
-    return _sorted_modes(grid, 1)[0][0]
+    """x_1 (+ y_1): the sum of the axes' first eigenvalues."""
+    return sum(lam[0] for lam in _lowest_two(grid))
 
 
 def lambda2(grid: Grid) -> float:
-    return _sorted_modes(grid, 2)[1][0]
+    """x_2 in 1D, min(x_1 + y_2, x_2 + y_1) on a rectangle."""
+    if grid.dimension == 1:
+        return _lowest_two(grid)[0][1]
+    (x1, x2), (y1, y2) = _lowest_two(grid)
+    return min(x1 + y2, x2 + y1)
+
+
+def _lowest_two(grid: Grid) -> list[list[float]]:
+    """Per axis, its two smallest eigenvalues, as `_sorted_modes` has them."""
+    j = np.arange(1, 3)
+    return [axis_eigenvalues(grid.n, h, j).tolist() for h in grid.h]
 
 
 def _sorted_modes(grid: Grid, k: int) -> list[tuple[float, tuple]]:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import os
 import subprocess
 import sys
@@ -262,6 +263,15 @@ def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
         assert warm.residual <= 1e-8
 
 
+def _stages():
+    """The names of the functions that called the caller, up the stack."""
+    frame, names = sys._getframe(2), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
 def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
     # a cold signed solve at odd n stays in the (EVEN, EVEN) class on its
     # 32 x 32 quarter block at n=63: every stencil and sine transform of
@@ -277,19 +287,12 @@ def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
     unfold = grid_module.unfold
     stencils, transforms, unfolds = [], [], []
 
-    def stages():
-        frame, names = sys._getframe(2), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        return names
-
     def recorded_laplacian(self, v, parity=()):
-        stencils.append((v.size, stages()))
+        stencils.append((v.size, _stages()))
         return laplacian(self, v, parity)
 
     def recorded_kernel(u, *args):
-        transforms.append((u.shape, stages()))
+        transforms.append((u.shape, _stages()))
         return kernel(u, *args)
 
     monkeypatch.setattr(Grid, "laplacian", recorded_laplacian)
@@ -312,6 +315,67 @@ def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
     assert {shape for shape, _ in transforms} == {(32, 32)}
 
 
+@pytest.mark.parametrize("solve, n, tol", [
+    (ground_state, 255, 1e-8),
+    (nodal_ground_state, 255, 1e-8),
+    # Newton stalls above tol and the rounding polish finishes
+    (ground_state, 32767, 3.5e-7),
+])
+def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
+                                              solve, n, tol):
+    # at odd n a cold signed solve stays in the EVEN class on its first
+    # n // 2 + 1 nodes, a nodal one in the ODD class on its first n // 2:
+    # every stencil of the fixed point, Newton, the polish and the level,
+    # and every shifted and linearized solve, acts on that half block;
+    # only the eigen start and the nodal state's sign parts are stencilled
+    # on the grid, outside `least_action_state`.  The state is mirrored
+    # onto the grid once; each residual's norm is the grid's, of the
+    # unfolded residual, so the state reports its field's residual
+    from nlsground import grid as grid_module
+    from nlsground import linsolve
+
+    grid = Grid(unit_interval, n)
+    half = n // 2 + (solve is ground_state)
+    laplacian = Grid.laplacian
+    unfold = grid_module.unfold
+    stencils, solves, unfolds = [], [], []
+
+    def recorded_laplacian(self, v, parity=()):
+        stencils.append((v.size, _stages()))
+        return laplacian(self, v, parity)
+
+    def recorded(patch, name, rhs):
+        # the LAPACK routine name, whose right-hand side is argument rhs
+        routine = getattr(linsolve, name)
+
+        def call(*args):
+            solves.append((args[rhs].size, _stages()))
+            return routine(*args)
+
+        patch.setattr(linsolve, name, call)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Grid, "laplacian", recorded_laplacian)
+        recorded(patch, "dgtsv", 3)
+        recorded(patch, "dpttrs", 2)
+        patch.setattr(grid_module, "unfold", lambda *args:
+                      unfolds.append(_stages()) or unfold(*args))
+        st = solve(grid, ActionParams(4.0, 10.0), SolverOptions(tol=tol))
+    assert st.residual == pde_residual(st.u, st.params) <= tol
+    assert [names for names in unfolds if "residual" not in names] == [
+        names for names in unfolds if "finalize_state" in names]
+    assert sum("finalize_state" in names for names in unfolds) == 1
+    steps = {"_fixed_point_newton", "newton", "finalize_state"}
+    if n == 32767:
+        steps.add("_rounding_polish")
+    for stage in steps:
+        assert any(stage in names for _, names in stencils + solves), stage
+    for size, names in stencils:
+        assert size == (half if "least_action_state" in names
+                        else grid.size), names
+    assert {size for size, _ in solves} == {half}
+
+
 def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
     # a warm Newton result that does not meet tol is dropped, and the
     # fixed point runs as it would from a cold start: a signed one from
@@ -328,7 +392,9 @@ def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
                 return u, np.inf, 0, "sign-flip"
             return newton(grid, u, *args)
 
-        init = Field(grid255, cold.u.values * (1.0 + 0.2 * grid255.coords[0]))
+        # not even about the centre, nor is its even part the state's ray
+        init = Field(grid255,
+                     cold.u.values * (1.0 + 0.2 * grid255.coords[0] ** 2))
         with monkeypatch.context() as patch:
             patch.setattr(ACTION, "newton", first_makes_no_step)
             steps = _fixed_point_steps(patch)
@@ -407,8 +473,11 @@ def test_fine_grid_rounding_polish_work(monkeypatch, p, lam, tol, polished):
     assert pde_residual(st.u, st.params) == st.residual
 
 
-def _viterbi_reference(eps_lo, eps_hi):
-    """The rounding choices by a scalar dynamic program over choice pairs."""
+def _viterbi_reference(eps_lo, eps_hi, mirror=False):
+    """The rounding choices by a scalar dynamic program over choice pairs.
+
+    If mirror, the last node is closed by e_n = e_{n-2} and weighted 1/2.
+    """
     n = eps_lo.size
     e = (eps_lo.tolist(), eps_hi.tolist())
     # dp[a][b]: best cost with choice a at node i-1 and b at node i;
@@ -441,7 +510,9 @@ def _viterbi_reference(eps_lo, eps_hi):
     for a in range(2):
         for b in range(2):
             r = 2.0 * e[b][n - 1] - e[a][n - 2]
-            tot = dp[a][b] + r * r
+            if mirror:
+                r -= e[a][n - 2]
+            tot = dp[a][b] + (0.5 if mirror else 1.0) * r * r
             if tot < best:
                 best = tot
                 state = (a, b)
@@ -452,15 +523,18 @@ def _viterbi_reference(eps_lo, eps_hi):
     return choices
 
 
-def _rounding_cost(eps_lo, eps_hi, choices):
-    e = np.concatenate(([0.0], np.where(choices == 0, eps_lo, eps_hi), [0.0]))
+def _rounding_cost(eps_lo, eps_hi, choices, mirror=False):
+    chosen = np.where(choices == 0, eps_lo, eps_hi)
+    after = chosen[-2:-1] if mirror else [0.0]
+    e = np.concatenate(([0.0], chosen, after))
     r = 2.0 * e[1:-1] - e[:-2] - e[2:]
-    return float(np.sum(r * r))
+    cost = r * r
+    if mirror:
+        cost[-1] *= 0.5
+    return float(np.sum(cost))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 4096])
-@pytest.mark.parametrize("errors", ["random", "symmetric"])
-def test_viterbi_rounding_matches_scalar_reference(n, errors):
+def _check_viterbi(n, errors, mirror):
     # errors as the rounding polish makes them: the two neighbouring
     # doubles of a long-double value lie one ulp apart around it
     ulp = 2.0 ** -52
@@ -468,15 +542,45 @@ def test_viterbi_rounding_matches_scalar_reference(n, errors):
     eps_lo = (-ulp * rng.random(n) if errors == "random"
               else np.full(n, -0.5 * ulp))
     eps_hi = eps_lo + ulp
-    got = _viterbi_rounding(eps_lo, eps_hi)
-    ref = _viterbi_reference(eps_lo, eps_hi)
+    got = _viterbi_rounding(eps_lo, eps_hi, mirror)
+    ref = _viterbi_reference(eps_lo, eps_hi, mirror)
     assert got.dtype == np.int8 and got.shape == (n,)
-    assert _rounding_cost(eps_lo, eps_hi, got) == pytest.approx(
-        _rounding_cost(eps_lo, eps_hi, ref), rel=1e-12)
+    assert _rounding_cost(eps_lo, eps_hi, got, mirror) == pytest.approx(
+        _rounding_cost(eps_lo, eps_hi, ref, mirror), rel=1e-12)
     if errors == "random":
         # the optimum is unique; symmetric errors tie every path with its
         # flip, so there only the cost is defined
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 4096])
+@pytest.mark.parametrize("errors", ["random", "symmetric"])
+def test_viterbi_rounding_matches_scalar_reference(n, errors):
+    _check_viterbi(n, errors, mirror=False)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 1000, 4096])
+@pytest.mark.parametrize("errors", ["random", "symmetric"])
+def test_viterbi_mirror_closure_matches_scalar_reference(n, errors):
+    # the half block of an even field ends on its centre, closed by the
+    # mirror e_n = e_{n-2} and standing for one grid node, the others
+    # for two; an odd field's half block ends next to the zero centre,
+    # as at a wall
+    _check_viterbi(n, errors, mirror=True)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_viterbi_rounding_is_the_least_cost(mirror):
+    # every choice vector on a few nodes, one node included
+    ulp = 2.0 ** -52
+    rng = np.random.default_rng(5)
+    for n in range(1 + mirror, 9):
+        eps_lo = -ulp * rng.random(n)
+        eps_hi = eps_lo + ulp
+        least = min(_rounding_cost(eps_lo, eps_hi, np.array(c), mirror)
+                    for c in itertools.product((0, 1), repeat=n))
+        got = _viterbi_rounding(eps_lo, eps_hi, mirror)
+        assert _rounding_cost(eps_lo, eps_hi, got, mirror) == least
 
 
 def test_2d_solve_memory_stays_near_fixed_point(unit_square):

@@ -83,26 +83,29 @@ def _class_fields(bounds, seed):
     """(grid, class, field): projected random fields of the classes.
 
     Every class with a parity on both axes, at n = 3 (an odd axis's
-    block has one node, an even one's two), 5 and 63.
+    block has one node, an even one's two), 5 and 63, and both classes
+    of the interval of the second axis at n = 3, 5 and 255.
     """
     rng = np.random.default_rng(seed)
-    for n in (3, 5, 63):
-        grid = Grid(DomainSpec.rectangle(*bounds), n)
-        for cls in itertools.product((EVEN, ODD), repeat=2):
+    cases = [(Grid(DomainSpec.rectangle(*bounds), n), 2) for n in (3, 5, 63)]
+    cases += [(Grid(DomainSpec.interval(*bounds[2:]), n), 1)
+              for n in (3, 5, 255)]
+    for grid, dim in cases:
+        for cls in itertools.product((EVEN, ODD), repeat=dim):
             solver = OperatorSolver(grid, 1.0, cls)
             yield grid, cls, solver.project(rng.standard_normal(grid.size))
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])
 def test_folded_stencil_equals_full_stencil(bounds):
-    # on a field exactly in a class with a parity on both axes, at odd n
-    # the stencil of the quarter block, mirrored, is the full stencil,
-    # and an odd axis's centre line is exactly 0
+    # on a field exactly in a class with a parity on every axis, at odd
+    # n the stencil of the block, mirrored, is the full stencil, and an
+    # odd axis's centre line is exactly 0
     for grid, cls, v in _class_fields(bounds, 11):
         block = grid.block(cls)
         assert block.shape == tuple(grid.n // 2 + (s == EVEN) for s in cls)
         vb = block.restrict(v)
-        assert vb.size == block.shape[0] * block.shape[1]
+        assert vb.size == np.prod(block.shape)
         assert np.array_equal(block.unfold(vb), v)
         out = block.unfold(block.laplacian(vb))
         assert np.array_equal(out, grid.laplacian(v)), (grid.n, cls)
@@ -117,7 +120,7 @@ def test_block_sums_equal_grid_sums(bounds):
     # every sum on a block weighs a node by the grid nodes it stands for,
     # so the block's norms, action and residual are the grid's up to the
     # order of the sum, and the block's residual is the grid's node for
-    # node
+    # node; a 1D block's residual norm is the grid's, bitwise
     from nlsground.action import _action
     from nlsground.linsolve import residual
 
@@ -136,6 +139,7 @@ def test_block_sums_equal_grid_sums(bounds):
         for got, ref in pairs:
             assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (grid.n, cls)
         assert np.array_equal(block.unfold(rb), r)
+        assert grid.dimension == 2 or res_b == res
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])
@@ -285,6 +289,8 @@ def _oracle_shapes():
     snake[4::4, -1] = 1.0
     shapes.append(snake)
     shapes.append(np.indices((12, 12)).sum(axis=0) % 2 - 0.5)  # checkerboard
+    # one-signed, as a signed state is
+    shapes += [np.ones((7, 5)), -np.ones((4, 9))]
     return shapes
 
 

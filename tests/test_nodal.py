@@ -51,6 +51,17 @@ def test_three_node_state_is_closed_form(p):
     assert st.residual <= 1e-8
 
 
+def test_three_node_polish_solves_its_one_node():
+    # at n = 3 the odd half block is the node a alone: below the
+    # reachable residual (8e-14 at p=6, lambda=100), Newton's and the
+    # rounding polish's solves and the rounding choice on it run, and
+    # the solve raises as it should
+    grid = Grid(DomainSpec.interval(0.0, 1.0), 3)
+    with pytest.raises(NoConvergence, match="rounding polish"):
+        nodal_ground_state(grid, ActionParams(6.0, 100.0),
+                           SolverOptions(tol=1e-300))
+
+
 @pytest.mark.parametrize("n", [63, 64])
 @pytest.mark.parametrize("p", [4.0, 8.0])
 @pytest.mark.parametrize("lam", [10.0, 2500.0])
