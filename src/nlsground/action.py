@@ -15,7 +15,9 @@ start it runs the normalized fixed point
 on the start's class of fields (`linsolve.OperatorSolver`), along which
 R is provably nonincreasing but which converges only linearly.  At odd
 n a class with a parity on every axis lives on its block (`grid.Block`),
-half of an interval or a quarter of a rectangle: the fixed point,
+half of an interval or a quarter of a rectangle, and a square's fields
+odd under its transpose and its half-turn on their half-turn block of
+rows 0..m: the fixed point,
 Newton, the rounding polish, the level and every norm run on the block,
 and the state is mirrored onto the grid once, when it is built
 (`finalize_state`).  After
@@ -247,7 +249,7 @@ def ground_state(grid: Grid, params: ActionParams,
         warm = warm if np.max(warm) > 0.0 else None
     # the start is built in the call, so the driver can release it
     return least_action_state(grid, params, opts, warm, [(
-        "signed", (EVEN,) * grid.dimension, None, warm if warm is not None
+        "signed", (EVEN,) * grid.dimension, warm if warm is not None
         else spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values)], 1)[0]
 
 
@@ -258,10 +260,10 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
 
     Newton runs first from warm, if given, scaled onto the manifold, on
     the class warm is exactly in.  If `_polish` rejects that result or
-    it has other nodal domains, each start (label, parity, reflection or
-    None, field) is popped from starts, projected onto its class of
-    fields and released once normalized, and runs `_fixed_point_newton`
-    on that class (see `linsolve.OperatorSolver`).  A class that folds
+    it has other nodal domains, each start (label, class, field) is
+    popped from starts, projected onto its class of fields (given as
+    `linsolve.OperatorSolver` takes it) and released once normalized,
+    and runs `_fixed_point_newton` on that class.  A class that folds
     is solved on its block from the start to the state (`grid.Block`),
     mirrored onto the grid in `finalize_state`.  Returns
     the least-action state with `domains` nodal domains and the record
@@ -274,7 +276,7 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     # attempt too if the warm field is exactly in its class, and one on
     # the warm field's own class otherwise; an odd-field solve serves its
     # start only
-    first = (shifted_solver(grid, lam, *starts[0][1:3])
+    first = (shifted_solver(grid, lam, starts[0][1])
              if grid.dimension == 2 and domains == 1 else None)
     iterations = 0
     if warm is not None:
@@ -294,9 +296,9 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
         del u, vals  # the starts run as cold ones would
     best, record, stops = None, [], []
     while starts:
-        label, parity, reflect, field = starts.pop(0)
+        label, parity, field = starts.pop(0)
         try:
-            solver = first or shifted_solver(grid, lam, parity, reflect)
+            solver = first or shifted_solver(grid, lam, parity)
             space = solver.space
             u = _unit(space, space.restrict(solver.project(field)), p)
             del field
@@ -442,10 +444,11 @@ def _tangent(state: GroundState, rtol: float) -> tuple:
     Differentiating A u + lambda u = |u|^(p-2) u in lambda gives
     L u' = -u, with L the linearization Newton uses; rtol is the relative
     residual of the 2D MINRES solve (the 1D solve is direct), which is
-    preconditioned on the state's class.  A state in a parity class that
-    folds is solved on its block, space (`grid.Block`); otherwise space
-    is the grid.  The stencil maps fields odd under a reflection of the
-    box to odd fields, so a nodal state's tangent is odd too.
+    preconditioned on the state's class.  A state in a class that folds
+    (`linsolve.parity_class`) is solved on its block, space
+    (`grid.Block`); otherwise space is the grid.  The stencil maps
+    fields odd under a reflection of the box to odd fields, so a nodal
+    state's tangent is odd too.
     """
     grid = state.u.grid
     space = grid.block(parity_class(grid, state.u.values))

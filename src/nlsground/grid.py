@@ -26,6 +26,12 @@ once (`unfold`).  IEEE rounding is symmetric under negation, so the full
 stencil of an exactly even or odd field is exactly even or odd, and the
 block's stencil gives its values node for node (an exactly zero value
 may carry the other sign).
+
+The fields of a square odd under its transpose and under its half-turn
+(both centre flips), the class `DIAGONAL` of the diagonal nodal state,
+are fixed at odd n by the half grid of rows 0..m, whose Block closes the
+stencil past the centre row by the half-turn's image of the row before
+it, negated and reversed, and weighs every row below the centre by 2.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ from .errors import GridMismatch, InvalidSpec
 _NODE_REL_TOL = 1e-9
 # a field's parity about the centre of the box along one axis; 0 is none
 EVEN, ODD = 1, -1
+# the class of a square's fields odd under its transpose and its half-turn,
+# named in place of the per-axis parities
+DIAGONAL = "diagonal"
 
 
 @dataclass(frozen=True)
@@ -121,8 +130,9 @@ class Grid:
             for (lo, _), hx in zip(spec.bounds, self.h)
         )
         self.size = self.n ** spec.dimension
-        # per axis, whether the last node is closed by its mirror (see Block)
-        self.mirror = (False,) * spec.dimension
+        # per axis, how the last node is closed (see Block): by the zero
+        # boundary
+        self.mirror = (0,) * spec.dimension
         self._blocks = {}
 
     @property
@@ -187,17 +197,22 @@ class Grid:
 
     # -- where the fields of a class live --------------------------------
 
-    def block(self, parity: tuple) -> "Grid | Block":
+    def block(self, parity) -> "Grid | Block":
         """The Block storing the fields of the class parity, or the grid.
 
-        parity gives per axis EVEN, ODD or 0 (none); a class folds at odd
-        n with a parity on every axis.  The grid stores every other class
-        whole, and offers a Block's methods for it: `laplacian`, `dot` and
-        the norms above, `restrict` and `field`.  Each Block is built once.
+        parity gives per axis EVEN, ODD or 0 (none), or is DIAGONAL; at
+        odd n a class folds with a parity on every axis, and DIAGONAL on
+        a square.  The grid stores every other class whole, and offers a
+        Block's methods for it: `laplacian`, `dot` and the norms above,
+        `restrict` and `field`.  Each Block is built once.
         """
-        if not (self.n % 2 and all(parity)):
+        if parity == DIAGONAL:
+            folds = self.dimension == 2 and self.h[0] == self.h[1]
+        else:
+            folds = all(parity)
+            parity = tuple(parity)
+        if not (self.n % 2 and folds):
             return self
-        parity = tuple(parity)
         if parity not in self._blocks:
             self._blocks[parity] = Block(self, parity)
         return self._blocks[parity]
@@ -211,35 +226,46 @@ class Grid:
 
 
 class Block:
-    """The block that stores the fields of a parity class at odd n.
+    """The block that stores the fields of a class at odd n.
 
     At odd n = 2m+1 a field even or odd about the centre of each axis
     (parity, per axis EVEN or ODD) is fixed by its first m+1 nodes along
     an even axis and its first m along an odd one: half of an interval,
-    a quarter of a rectangle.  A Block has its grid's stencil
-    (`Grid.laplacian`, on the block), closed past an even axis's centre
-    by the mirror node (`mirror`) and past an odd one's by the zero
-    centre, and quadrature on those values: each sum weighs a block node
-    by its multiplicity, the number of grid nodes it stands for (2 per
-    axis, 1 on an even axis's centre), so every inner product, norm and
+    a quarter of a rectangle.  A field of a square odd under its
+    transpose and its half-turn (parity DIAGONAL) is fixed by its rows
+    0..m, the half-turn block; its centre row is odd about its centre.
+    A Block has its grid's stencil (`Grid.laplacian`, on the block),
+    closed past its last node along each axis as `mirror` says: past an
+    even axis's centre by the mirror node, past the half-turn block's
+    centre row by the half-turn's image of the row before it, and past
+    an odd one's centre by the zero centre.  It has quadrature on those
+    values: each sum weighs a block node by its multiplicity, the number
+    of grid nodes it stands for (2 per folded axis, 1 on an even axis's
+    centre and on the centre row), so every inner product, norm and
     action equals the grid's of the unfolded field up to the order of
     the sum.  The stencil is symmetric in that inner product, and so is
     a folded shifted solve (`linsolve.OperatorSolver`).
     """
 
-    def __init__(self, grid: Grid, parity: tuple):
+    def __init__(self, grid: Grid, parity):
         self.grid = grid
         self.dimension = grid.dimension
         self.h = grid.h
-        self.parity = tuple(parity)
-        self.mirror = tuple(s == EVEN for s in self.parity)
-        self.slices = quarter(grid.n, self.parity)
+        self.parity = parity
+        m = grid.n // 2
+        if parity == DIAGONAL:
+            self.mirror = (ODD, 0)
+            self.slices = (slice(m + 1), slice(grid.n))
+            mult = [np.full(m + 1, 2.0), np.ones(grid.n)]
+        else:
+            self.mirror = tuple(EVEN if s == EVEN else 0 for s in parity)
+            self.slices = quarter(grid.n, parity)
+            mult = [np.full(s.stop, 2.0) for s in self.slices]
+        for k, close in zip(mult, self.mirror):
+            if close:
+                k[-1] = 1.0  # the centre node, or row, stands for itself
         self.shape = tuple(s.stop for s in self.slices)
         self.weight = grid.weight
-        mult = [np.full(k, 2.0) for k in self.shape]
-        for m, s in zip(mult, self.parity):
-            if s == EVEN:
-                m[-1] = 1.0
         self._mult = functools.reduce(np.multiply.outer, mult).reshape(-1)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -272,20 +298,20 @@ class Block:
         return Field(self.grid, self.unfold(values))
 
 
-def stencil(u: np.ndarray, h2: tuple, even: tuple = (False, False)
+def stencil(u: np.ndarray, h2: tuple, mirror: tuple = (0, 0)
             ) -> np.ndarray:
     """The negative Laplacian of the array u, as a new array.
 
     h2[i] is the squared spacing along axis i, and axis i is closed as
-    in `_differences` with even[i].  At most three u-sized arrays are
+    in `_differences` with mirror[i].  At most three u-sized arrays are
     live besides u.
     """
-    g = _differences(u, even[0])
+    g = _differences(u, mirror[0])
     out = g[:-1] - g[1:]
     out /= h2[0]
     if u.ndim == 2:
         # the second axis, as the first of the transposed view
-        g = _differences(u.T, even[1])
+        g = _differences(u.T, mirror[1])
         d = g[:-1] - g[1:]
         del g
         d /= h2[1]
@@ -293,21 +319,28 @@ def stencil(u: np.ndarray, h2: tuple, even: tuple = (False, False)
     return out
 
 
-def _differences(a: np.ndarray, even: bool) -> np.ndarray:
+def _differences(a: np.ndarray, mirror: int) -> np.ndarray:
     """The len(a) + 1 first differences along axis 0 of a.
 
     They are closed by the zero boundary before node 0 and, after the
-    last node k - 1, by the zero boundary or, if even, by the mirror
-    node k + 1 -> k - 1 of a block ending on an even centre line (an odd
-    one's centre line is zero, like the boundary).  Formed before the
-    second difference, they keep its rounding at the scale of the
-    increments, not of the values.
+    last node k - 1, by the node k, which is zero (the boundary, or an
+    odd centre line) if mirror is 0.  If mirror is EVEN the block ends
+    on an even centre line and node k mirrors node k - 2; if ODD, a is
+    the half-turn block of a square, ending on its centre row, and row
+    k is the half-turn's image of row k - 2, negated and reversed.
+    Formed before the second difference, they keep its rounding at the
+    scale of the increments, not of the values.
     """
     k = len(a)
     g = np.empty_like(a, shape=(k + 1,) + a.shape[1:])
     g[0] = a[0]
     np.subtract(a[1:], a[:-1], out=g[1:k])
-    g[k] = a[k - 2] - a[k - 1] if even else -a[k - 1]
+    if mirror == EVEN:
+        g[k] = a[k - 2] - a[k - 1]
+    elif mirror == ODD:
+        np.subtract(-a[k - 2][::-1], a[k - 1], out=g[k])
+    else:
+        g[k] = -a[k - 1]
     return g
 
 
@@ -321,13 +354,18 @@ def quarter(n: int, parity: tuple) -> tuple:
     return tuple(slice(m + 1 if s == EVEN else m) for s in parity)
 
 
-def unfold(x: np.ndarray, parity: tuple) -> np.ndarray:
+def unfold(x: np.ndarray, parity) -> np.ndarray:
     """Mirror the block of the interval or square array x onto x, in place.
 
     Past the centre of an even axis x copies the nodes before it; on an
-    odd axis it negates them, and the centre is exactly 0.
+    odd axis it negates them, and the centre is exactly 0.  Past the
+    centre row of a DIAGONAL field's half-turn block x takes the rows
+    before it, negated and reversed both ways.
     """
     m = x.shape[0] // 2
+    if parity == DIAGONAL:
+        np.negative(x[m - 1::-1, ::-1], out=x[m + 1:])
+        return x
     # in 2D the second axis on the block's rows, then the first on whole
     # rows, which are contiguous
     axes = [(x, parity[0])]

@@ -12,21 +12,26 @@ before numpy: importing scipy.linalg for them would add about 0.3 s to
 every process.
 A solve may be restricted to a class of fields that A maps to itself:
 per axis, the fields even or odd about the centre of the box, and the
-fields odd under the transpose of a square.  At odd n = 2m+1, a class
-with a parity on every axis lives on its block of m+1 (even) or m (odd)
-nodes per axis (`grid.Block`), half of an interval or a quarter of a
-rectangle.  In 1D the restricted operator is again tridiagonal there:
-an odd block's last node is closed by the zero centre, and an even
-block's centre node couples twice to the node before it, so its row,
-halved, makes the system symmetric.  In 2D the solve transforms the
-quarter block alone: DST-III forward and DST-II back along an even
-axis, DST-I both ways along an odd one, about a fifth of the work of
-the full DST-I pair at n=255.  At even n the 1D odd fields are fixed by
+fields of a square odd under its transpose (at odd n also under its
+half-turn, both centre flips: the class DIAGONAL).  At odd n = 2m+1, a
+class with a parity on every axis lives on its block of m+1 (even) or m
+(odd) nodes per axis (`grid.Block`), half of an interval or a quarter
+of a rectangle, and DIAGONAL on the half-turn block of rows 0..m.  In
+1D the restricted operator is again tridiagonal there: an odd block's
+last node is closed by the zero centre, and an even block's centre node
+couples twice to the node before it, so its row, halved, makes the
+system symmetric.  In 2D the solve transforms the quarter block alone:
+DST-III forward and DST-II back along an even axis, DST-I both ways
+along an odd one, about a fifth of the work of the full DST-I pair at
+n=255.  A DIAGONAL field is w - w^T with w its (ODD, EVEN) part, and
+its solve is s - s^T for s the quarter-block solve of w: one folded
+pair too (`_diagonal_solve`).  At even n the 1D odd fields are fixed by
 their first n // 2 nodes, closed by the mirror node, and every other 2D
 solve is the full DST-I pair, projected onto its class.  The classes
 come from the starts (`action.least_action_state`); a warm field or a
-state is solved on the class it is exactly in (`parity_class`, and the
-transpose's odd fields on a square).  A solve is one
+state is solved on the class it is exactly in (`parity_class`), and on
+the grid a square's field odd under the transpose alone keeps the
+transpose's projection (`_metric`).  A solve is one
 back-substitution with the factor: the direct solve is backward stable,
 so refining it in double precision would gain almost nothing (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 12).  Solves are
@@ -43,12 +48,13 @@ reporting why it stopped, and its solve of -u gives the tangent of a
 branch of states: the exact slope of the mass and the predictor of the
 next continuation step.  Each of them takes the grid
 or the Block its fields live on, whose stencil and inner product it
-uses throughout, so a solve on a parity class at odd n runs on the
+uses throughout, so a solve on a class that folds at odd n runs on the
 block alone; the stencil keeps every field of a class in it, bitwise.
-A 1D residual is the grid's norm of the unfolded residual, so a state
-reports its field's residual exactly.  Each long-double Newton step of
-the 1D rounding polish forms its residual in long double and solves its
-correction once in double by dgtsv (`solve_tridiagonal_longdouble`).
+A 1D residual, and a DIAGONAL one, is the grid's norm of the unfolded
+residual, so such a state reports its field's residual exactly.  Each
+long-double Newton step of the 1D rounding polish forms its residual in
+long double and solves its correction once in double by dgtsv
+(`solve_tridiagonal_longdouble`).
 """
 
 from __future__ import annotations
@@ -61,9 +67,12 @@ import numpy as np
 from . import spectral
 from ._extensions import lapack, load
 from .errors import NoConvergence
-from .grid import EVEN, ODD, Block, Grid, dot
+from .grid import DIAGONAL, EVEN, ODD, Block, Grid, dot
 
 dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
+
+# the class of the part that a solve in DIAGONAL transforms
+_DIAGONAL_PART = (ODD, EVEN)
 
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
@@ -77,30 +86,40 @@ class OperatorSolver:
     of the box or 0 (all fields), and optionally by reflect, a map of
     the array of node values to its mirror image under a reflection of
     the box that commutes with A (the transpose of a square), whose odd
-    fields are kept.  c must keep the operator positive definite on the
-    class (c > -lambda_1 of the discrete Laplacian, or > -lambda_2 for a
-    class with an odd axis or a reflection); NoConvergence is raised
-    otherwise.  At odd n = 2m+1 a class with a parity on every axis is
-    folded: its fields live on the block of their first m+1 (even) or m
-    (odd) nodes per axis, the solver's `space` (`grid.Block`); in 1D the
-    solve factors the closed half system, in 2D it transforms only that
-    block, by DST-III and DST-I (`_fold_solve`).  It takes and returns
-    block values, or a field on the whole grid, projected onto the
-    class.  Otherwise `space` is the grid: a 1D odd axis at even n is
-    factored on its first n // 2 nodes and each solve mirrored onto the
-    full grid, and each 2D solve is the full transform, projected onto
-    the class (`project`).  An even axis counts only where solves fold;
-    at even n, where no node lies on the centre, the solve keeps it up
-    to rounding.  Each solve is one back-substitution with the factor.
+    fields are kept; or parity is DIAGONAL, a square's fields odd under
+    its transpose and, where solves fold, its half-turn.  c must keep
+    the operator positive definite on the class (c > -lambda_1 of the
+    discrete Laplacian, or > -lambda_2 for a class with an odd axis or
+    a reflection, or DIAGONAL); NoConvergence is raised otherwise.  At
+    odd n = 2m+1 a class with a parity on every axis is folded: its
+    fields live on the block of their first m+1 (even) or m (odd) nodes
+    per axis, the solver's `space` (`grid.Block`); in 1D the solve
+    factors the closed half system, in 2D it transforms only that
+    block, by DST-III and DST-I (`_fold_solve`).  DIAGONAL folds onto
+    its half-turn block, through the quarter block of its (ODD, EVEN)
+    part (`_diagonal_solve`).  A folded solve takes and returns block
+    values, or a field on the whole grid, projected onto the class.
+    Otherwise `space` is the grid: a 1D odd axis at even n is factored
+    on its first n // 2 nodes and each solve mirrored onto the full
+    grid, and each 2D solve is the full transform, projected onto the
+    class (`project`), DIAGONAL by the transpose alone.  An even axis
+    counts only where solves fold; at even n, where no node lies on the
+    centre, the solve keeps it up to rounding.  Each solve is one
+    back-substitution with the factor.
     """
 
     def __init__(self, grid: Grid, c: float, parity=None, reflect=None):
         self.grid = grid
         self.c = float(c)
         folds = _folds(grid)
+        if parity == DIAGONAL:
+            # on its block where solves fold, else by the transpose alone
+            parity, reflect = ((DIAGONAL, None) if folds
+                               else (None, np.transpose))
         # the class the solves keep, with the parities they use
-        self.parity = tuple(s if s == ODD or (s == EVEN and folds) else 0
-                            for s in parity or (0,) * grid.dimension)
+        self.parity = DIAGONAL if parity == DIAGONAL else tuple(
+            s if s == ODD or (s == EVEN and folds) else 0
+            for s in parity or (0,) * grid.dimension)
         self.reflect = reflect
         self.space = grid if reflect is not None else grid.block(self.parity)
         self._folded = self.space is not grid
@@ -108,7 +127,8 @@ class OperatorSolver:
 
     def _factorize(self):
         g = self.grid
-        odd = ODD in self.parity or self.reflect is not None
+        odd = (self.parity == DIAGONAL or ODD in self.parity
+               or self.reflect is not None)
         # the closed-form eigenvalue decides c = -lambda_k exactly, where a
         # factorization would only see rounding noise
         bottom = spectral.lambda2(g) if odd else spectral.lambda1(g)
@@ -132,18 +152,23 @@ class OperatorSolver:
         elif definite:
             j = np.arange(1, g.n + 1)
             lam_x, lam_y = (spectral.axis_eigenvalues(g.n, h, j) for h in g.h)
+            # two unnormalized transforms multiply by 2(n+1) per axis; a
+            # folded forward transform is half the full one per axis, and
+            # a diagonal solve halves the part it transforms
+            fold = 1.0
             if self._folded:
+                diagonal = self.parity == DIAGONAL
+                fold = 2.0 if diagonal else 4.0
+                parity = _DIAGONAL_PART if diagonal else self.parity
                 # an even field has only the odd-index modes, an odd one
                 # only the even-index ones
                 lam_x, lam_y = (lam[0::2] if s == EVEN else lam[1::2]
-                                for lam, s in zip((lam_x, lam_y), self.parity))
-            # two unnormalized transforms multiply by 2(n+1) per axis; a
-            # folded forward transform is half the full one per axis
+                                for lam, s in zip((lam_x, lam_y), parity))
             denom = (2.0 * (g.n + 1)) ** 2 * (lam_x[:, None] + lam_y[None, :]
                                               + self.c)
             # on odd fields c may be -lambda_1, whose mode (1, 1) is even
             # under every reflection: its factor is 0, not 1/0
-            self._factor = np.divide(4.0 if self._folded else 1.0, denom,
+            self._factor = np.divide(fold, denom,
                                      out=np.zeros_like(denom),
                                      where=denom != 0.0)
         if not definite:
@@ -177,8 +202,10 @@ class OperatorSolver:
     def _block_solve(self, b: np.ndarray) -> np.ndarray:
         """The solve of block values b, on the block."""
         if self.grid.dimension == 2:
-            return _fold_solve(b.reshape(self.space.shape), self.parity,
-                               self._factor).reshape(-1)
+            b = b.reshape(self.space.shape)
+            if self.parity == DIAGONAL:
+                return _diagonal_solve(b, self._factor).reshape(-1)
+            return _fold_solve(b, self.parity, self._factor).reshape(-1)
         d, e = self._factor
         if self.space.mirror[0]:
             b = b.copy()
@@ -193,9 +220,14 @@ class OperatorSolver:
         """The part of the flat grid array x in the class, exactly in it.
 
         Per axis with a parity and for the reflection, (x + s R x) / 2
-        with s = +1 (even) or -1 (odd); x itself if nothing is kept.
+        with s = +1 (even) or -1 (odd); for DIAGONAL, the odd part under
+        the transpose, then under the half-turn; x itself if nothing is
+        kept.
         """
         a = x.reshape(self.grid.shape)
+        if self.parity == DIAGONAL:
+            a = _part(a, a.T, ODD)
+            return _part(a, a[::-1, ::-1], ODD).reshape(-1)
         for axis, s in enumerate(self.parity):
             if s:
                 a = _part(a, np.flip(a, axis), s)
@@ -204,24 +236,30 @@ class OperatorSolver:
         return a.reshape(-1)
 
 
-def shifted_solver(grid: Grid, c: float, parity=None,
-                   reflect=None) -> OperatorSolver:
-    """OperatorSolver for A + c I on the class of parity and reflect."""
-    return OperatorSolver(grid, c, parity, reflect)
+def shifted_solver(grid: Grid, c: float, parity=None) -> OperatorSolver:
+    """OperatorSolver for A + c I on the class parity."""
+    return OperatorSolver(grid, c, parity)
 
 
-def parity_class(grid: Grid, x: np.ndarray) -> tuple:
-    """Per axis, EVEN or ODD if x is exactly that about the box centre.
+def parity_class(grid: Grid, x: np.ndarray):
+    """The class x is exactly in, where a solve folds it (odd n).
 
-    Checked by exact comparison with x's flip, and only where a solve
-    folds (odd n); every other axis reads 0.
+    Per axis, EVEN or ODD if x is exactly that about the box centre, by
+    exact comparison with x's flip, and 0 otherwise; or DIAGONAL, for a
+    field of a square with no parity on either axis that is exactly odd
+    under the transpose and the half-turn.  Every axis reads 0 where a
+    solve does not fold.
     """
     if not _folds(grid):
         return (0,) * grid.dimension
     a = x.reshape(grid.shape)
     flips = (a[::-1],) if a.ndim == 1 else (a[::-1], a[:, ::-1])
-    return tuple(EVEN if (a == flip).all() else ODD if (a == -flip).all()
-                 else 0 for flip in flips)
+    cls = tuple(EVEN if (a == flip).all() else ODD if (a == -flip).all()
+                else 0 for flip in flips)
+    if (cls == (0, 0) and grid.h[0] == grid.h[1]
+            and (a == -a.T).all() and (a == -a[::-1, ::-1]).all()):
+        return DIAGONAL
+    return cls
 
 
 def _folds(grid: Grid) -> bool:
@@ -251,6 +289,34 @@ def _fold_solve(b: np.ndarray, parity: tuple, factor: np.ndarray
                   np.empty(factor.shape))
     y *= factor
     return _dst_axes(y, [2 if s == EVEN else 1 for s in parity], y)
+
+
+def _diagonal_solve(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """The sine solve of DIAGONAL at odd n, on its half-turn block b.
+
+    A field u odd under the transpose T and the half-turn is w - Tw,
+    with w its (ODD, EVEN) part, which is (u_ij + u_i,n-1-j) / 2 on
+    that class's quarter block; A commutes with T, so the solve of u
+    is s - Ts for s the folded solve of w (`_fold_solve`; factor holds
+    the 1/2).  Its rows 0..m are formed from s, s's first m columns a
+    and its centre column c (s is even along the second axis and 0 on
+    the centre row): a - a^T and, past the centre column, a + a^T with
+    its columns reversed; c, and on the centre row -c and c reversed.
+    Every node is a difference or sum of the same two values as at its
+    image under T or the half-turn, so the result is exactly in the
+    class.
+    """
+    m = len(b) - 1
+    s = _fold_solve(b[:m, :m + 1] + b[:m, :m - 1:-1], _DIAGONAL_PART, factor)
+    a, c = s[:, :m], s[:, m]
+    out = np.empty_like(b)
+    np.subtract(a, a.T, out=out[:m, :m])
+    np.add(a[:, ::-1], a[::-1].T, out=out[:m, m + 1:])
+    out[:m, m] = c
+    np.negative(c, out=out[m, :m])
+    out[m, m] = 0.0
+    out[m, m + 1:] = c[::-1]
+    return out
 
 
 def _dst_axes(u: np.ndarray, kinds: list, out: np.ndarray) -> np.ndarray:
@@ -301,15 +367,16 @@ def residual(space: Grid | Block, v: np.ndarray, p: float, lam: float
     """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm.
 
     space is the grid, or the Block v lives on.  The stencil gives the
-    unfolded field's F node for node, and on a 1D Block the norm is the
-    grid's of F unfolded, so a 1D state reports its field's residual
-    bitwise; a 2D Block's is its weighted sum, the grid's up to the
-    order of the sum.
+    unfolded field's F node for node, and on a 1D Block and on the
+    half-turn block of DIAGONAL the norm is the grid's of F unfolded, so
+    those states report their field's residual bitwise; a 2D parity
+    class's is the weighted sum, the grid's up to the order of the sum.
     """
     r = space.laplacian(v)
     r += lam * v
     r -= np.abs(v) ** (p - 2) * v
-    if space.dimension == 1 and isinstance(space, Block):
+    if isinstance(space, Block) and (space.dimension == 1
+                                     or space.parity == DIAGONAL):
         full = space.unfold(r)
         return r, float(np.sqrt(space.weight * dot(full, full)))
     return r, float(np.sqrt(space.weight * space.dot(r, r)))
@@ -358,10 +425,11 @@ def _metric(space: Grid | Block, shift: np.ndarray, x: np.ndarray
     """The sine solver of A + max(shift, 0) I on x's class of fields.
 
     It preconditions a linearized solve of fields of that class.  On a
-    Block the class is the block's.  On the grid it is the parity
-    class x is exactly in (`parity_class`), and on a square also the
-    transpose's odd fields if x is exactly odd under it.  The stencil
-    keeps every field of that class in it, bitwise.
+    Block the class is the block's.  On the grid it is the class x is
+    exactly in (`parity_class`), solved folded and mirrored onto the
+    grid where it folds, and on a square also the transpose's odd
+    fields if x is exactly odd under it.  The stencil keeps every field
+    of that class in it, bitwise.
     """
     c = max(float(np.max(shift)), 0.0)
     if isinstance(space, Block):

@@ -17,9 +17,14 @@ parity class (`linsolve.OperatorSolver`): the midline state is odd along
 the flipped axis and even along the other, so at odd n the midpoint
 state's solve lives on the first half of the interval and the midline
 state's on a quarter of the grid, from the start to the state, which is
-mirrored onto the grid once (`grid.Block`); the transpose's odd fields
-are kept by projection, in the preconditioner of a warm start's Newton
-and of a tangent too (`linsolve._metric`).  The least raw action among
+mirrored onto the grid once (`grid.Block`).  The diagonal start, the
+transpose's odd lambda_2 mode, is odd under the half-turn too, and
+every step keeps both: at odd n its solve lives on the half-turn block
+of rows 0..m in the same way (the class `DIAGONAL`), as do a warm start
+and a tangent from a field exactly in that class.  At even n the
+transpose's odd fields are kept by projection, in the preconditioner
+of a warm start's Newton and of a tangent too (`linsolve._metric`).
+The least raw action among
 the converged states with exactly two nodal domains is returned, or
 NoConvergence raised naming how every start stopped.  A warm start runs
 Newton at once from the init and falls back to the reflections if that
@@ -37,7 +42,7 @@ from .action import (ActionParams, GroundState, SolverOptions, action,
                      least_action_state, threshold_floor)
 from .errors import InvalidSpec, LambdaBelowThreshold
 from .grid import Field, Grid
-from .linsolve import EVEN, ODD
+from .linsolve import DIAGONAL, EVEN, ODD
 
 
 def nodal_ground_state(grid: Grid, params: ActionParams,
@@ -70,7 +75,7 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
 
 
 def _reflections(grid: Grid) -> list:
-    """(label, parity, reflection, its lambda_2 mode) for each cold start.
+    """(label, class, its lambda_2 mode) for each cold start.
 
     An interval has the midpoint flip, whose odd fields are the ODD
     class.  A square has the transpose, whose fixed line is the
@@ -78,19 +83,19 @@ def _reflections(grid: Grid) -> list:
     midline; the other midline's state is the transpose of that one.
     Any other rectangle has the flip of its longer axis.  A midline
     start's class is odd along the flipped axis and even along the
-    other; the diagonal's is the odd fields of the transpose, which maps
-    the array of node values to its mirror image.  Each mode is the
+    other; the diagonal's is DIAGONAL, the fields odd under the
+    transpose and, where solves fold, the half-turn.  Each mode is the
     discrete lambda_2 eigenvector in its class, flattened; the driver
     projects it exactly onto the class.
     """
     t = np.arange(1, grid.n + 1) * (np.pi / (grid.n + 1))
     s1, s2 = np.sin(t), np.sin(2.0 * t)
     if grid.dimension == 1:
-        return [("midpoint", (ODD,), None, s2)]
+        return [("midpoint", (ODD,), s2)]
     if grid.h[0] < grid.h[1]:
-        return [("midline", (EVEN, ODD), None, np.outer(s1, s2).reshape(-1))]
-    starts = [("midline", (ODD, EVEN), None, np.outer(s2, s1).reshape(-1))]
+        return [("midline", (EVEN, ODD), np.outer(s1, s2).reshape(-1))]
+    starts = [("midline", (ODD, EVEN), np.outer(s2, s1).reshape(-1))]
     if grid.h[0] == grid.h[1]:
-        starts.insert(0, ("diagonal", None, np.transpose,
+        starts.insert(0, ("diagonal", DIAGONAL,
                           (np.outer(s1, s2) - np.outer(s2, s1)).reshape(-1)))
     return starts

@@ -12,7 +12,7 @@ from nlsground import (ActionParams, DomainSpec, Field, Grid, InvalidSpec,
                        LambdaBelowThreshold, NoConvergence,
                        NonpositiveQuotient, SolverOptions, ZeroField, action,
                        dirichlet_eigenpairs, energy, ground_state, kappa,
-                       mass_slope, nehari_project, nehari_scale,
+                       lambda2, mass_slope, nehari_project, nehari_scale,
                        nodal_ground_state, norms, pde_residual, ray_action)
 from nlsground.action import _viterbi_rounding, tangent_predictor
 
@@ -313,6 +313,76 @@ def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
         else:
             assert size == 32 * 32 and names & steps, names
     assert {shape for shape, _ in transforms} == {(32, 32)}
+
+
+def test_cold_diagonal_solve_runs_on_the_half_block(unit_square,
+                                                    monkeypatch):
+    # a cold nodal solve at n=63 runs the diagonal start, odd under the
+    # transpose and the half-turn, on its 32 x 63 half-turn block and the
+    # midline start on its 31 x 32 quarter block: every stencil of the
+    # fixed point, Newton, MINRES and the level acts on one of them and
+    # every sine transform on the 31 x 32 quarter block; only the state's
+    # sign parts are stencilled on the grid, outside
+    # `least_action_state`.  Each state is mirrored onto the grid once,
+    # and each residual's norm is the grid's, of the unfolded residual.
+    # A warm step of a nodal sweep from the diagonal state stays on the
+    # half-turn block, its tangent included
+    from nlsground import grid as grid_module
+    from nlsground import linsolve
+
+    laplacian = Grid.laplacian
+    kernel = linsolve._pocketfft_dst()
+    unfold = grid_module.unfold
+    stencils, transforms, unfolds = [], [], []
+
+    def recorded_laplacian(self, v, parity=()):
+        stencils.append((v.size, _stages()))
+        return laplacian(self, v, parity)
+
+    def recorded_kernel(u, *args):
+        transforms.append((u.shape, _stages()))
+        return kernel(u, *args)
+
+    monkeypatch.setattr(Grid, "laplacian", recorded_laplacian)
+    monkeypatch.setattr(linsolve, "_pocketfft_dst", lambda: recorded_kernel)
+    monkeypatch.setattr(grid_module, "unfold", lambda *args:
+                        unfolds.append(_stages()) or unfold(*args))
+    grid = Grid(unit_square, 63)
+    st = nodal_ground_state(grid, ActionParams(4.0, 10.0))
+    assert [label for label, _ in st.multistart] == ["diagonal", "midline"]
+    assert st.residual == pde_residual(st.u, st.params) <= 1e-8
+    assert [names for names in unfolds if "residual" not in names] == [
+        names for names in unfolds if "finalize_state" in names]
+    assert sum("finalize_state" in names for names in unfolds) == 2
+    steps = {"_fixed_point_newton", "newton", "_minres", "finalize_state"}
+    for stage in steps:
+        assert any(stage in names for _, names in stencils), stage
+        assert (stage == "finalize_state"
+                or any(stage in names for _, names in transforms)), stage
+    sizes = set()
+    for size, names in stencils:
+        if "least_action_state" in names:
+            assert names & steps, names
+            sizes.add(size)
+        else:
+            assert size == grid.size, names
+    assert sizes == {32 * 63, 31 * 32}
+    assert {shape for shape, _ in transforms} == {(31, 32)}
+
+    # the second sample of the sweep in test_2d_nodal_sweep_flags_nothing
+    grid = Grid(unit_square, 31)
+    lam0, lam1 = np.linspace(-lambda2(grid) + 1.0, 100.0, 20)[:2]
+    st = nodal_ground_state(grid, ActionParams(3.0, lam0))
+    assert st.multistart[0][0] == "diagonal"
+    stencils.clear()
+    transforms.clear()
+    warm = nodal_ground_state(grid, ActionParams(3.0, lam1),
+                              init_field=tangent_predictor(st, lam1))
+    assert warm.multistart == (("warm", warm.action_value),)
+    assert {size for size, names in stencils
+            if "least_action_state" in names or "_tangent" in names} == {
+                16 * 31}
+    assert {shape for shape, _ in transforms} == {(15, 16)}
 
 
 @pytest.mark.parametrize("solve, n, tol", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nlsground import (DomainSpec, Field, Grid, GridMismatch, InvalidSpec,
                        load_field, node_count, norms, save_field, split)
-from nlsground.linsolve import EVEN, ODD, OperatorSolver
+from nlsground.linsolve import DIAGONAL, EVEN, ODD, OperatorSolver
 
 from conftest import tridiag_eigenvalue
 
@@ -140,6 +140,46 @@ def test_block_sums_equal_grid_sums(bounds):
             assert got == pytest.approx(ref, rel=1e-14, abs=0.0), (grid.n, cls)
         assert np.array_equal(block.unfold(rb), r)
         assert grid.dimension == 2 or res_b == res
+
+
+@pytest.mark.parametrize("n", [3, 5, 63])
+def test_half_turn_block_equals_grid(unit_square, n):
+    # a field of the square odd under its transpose and its half-turn is
+    # fixed by its rows 0..m at n = 2m+1: the half-turn block's stencil,
+    # mirrored, is the full stencil node for node, its sums are the
+    # grid's up to the order of the sum, and its residual norm is the
+    # grid's bitwise
+    from nlsground.action import _action
+    from nlsground.linsolve import residual
+
+    grid = Grid(unit_square, n)
+    rng = np.random.default_rng(n)
+    v = OperatorSolver(grid, 1.0, DIAGONAL).project(
+        rng.standard_normal(grid.size))
+    a = v.reshape(grid.shape)
+    assert np.array_equal(a, -a.T) and np.array_equal(a, -a[::-1, ::-1])
+    block = grid.block(DIAGONAL)
+    assert block.shape == (n // 2 + 1, n) and grid.block(DIAGONAL) is block
+    vb = block.restrict(v)
+    assert np.array_equal(block.unfold(vb), v)
+    out = block.unfold(block.laplacian(vb))
+    assert np.array_equal(out, grid.laplacian(v))
+    p, lam = 4.0, 10.0
+    pairs = [(block.l2_sq(vb), grid.l2_sq(v)),
+             (block.lp_p(vb, p), grid.lp_p(v, p)),
+             (block.grad_sq(vb), grid.grad_sq(v)),
+             (_action(block, vb, p, lam), _action(grid, v, p, lam))]
+    for got, ref in pairs:
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+    rb, res_b = residual(block, vb, p, lam)
+    r, res = residual(grid, v, p, lam)
+    assert np.array_equal(block.unfold(rb), r) and res_b == res
+
+
+def test_half_turn_block_needs_odd_n_on_a_square():
+    for grid in (Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 64),
+                 Grid(DomainSpec.rectangle(0.0, 1.2, 0.0, 1.0), 63)):
+        assert grid.block(DIAGONAL) is grid
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, 1.2)])

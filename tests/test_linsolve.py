@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from nlsground import (ActionParams, DomainSpec, Field, Grid, NlsgroundError,
-                       NoConvergence, ground_state, lambda1,
+                       NoConvergence, ground_state, lambda1, lambda2,
                        nodal_ground_state)
 from nlsground import linsolve
 from nlsground.action import tangent_predictor
-from nlsground.linsolve import (EVEN, ODD, _dst2, _tridiagonal_solve, newton,
-                                parity_class, shifted_solver)
+from nlsground.linsolve import (DIAGONAL, EVEN, ODD, _dst2, _tridiagonal_solve,
+                                newton, parity_class, shifted_solver)
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
 # through numpy.  Row-major flattening puts the x index first, so the x
@@ -287,6 +287,39 @@ def test_folded_solve_matches_full_solve(box, n):
         for axis, s in enumerate(parity):
             if s == ODD:
                 assert not np.any(np.take(x, m, axis=axis))
+
+
+@pytest.mark.parametrize("n", [3, 5, 63, 255])
+def test_diagonal_solve_matches_full_solve(n):
+    # the half-turn block's solve, one quarter-block transform pair,
+    # against the full DST-I solve projected onto the fields odd under
+    # the transpose and the half-turn; the result is exactly in that
+    # class, and a field on the grid is solved as its block is
+    grid = Grid(DomainSpec.rectangle(*BOXES["square"]), n)
+    full = shifted_solver(grid, 10.0)
+    solver = shifted_solver(grid, 10.0, DIAGONAL)
+    assert solver.space is grid.block(DIAGONAL) and solver._folded
+    a = np.random.default_rng(n).standard_normal(grid.shape)
+    a = a - a.T
+    b = (a - a[::-1, ::-1]).reshape(-1)
+    assert parity_class(grid, b) == DIAGONAL
+    x = solver.solve(b)
+    ref = _dst2(b.reshape(grid.shape), np.empty(grid.shape))
+    ref *= full._factor
+    ref = _dst2(ref, ref)
+    ref = 0.5 * (ref - ref.T)
+    ref = 0.5 * (ref - ref[::-1, ::-1]).reshape(-1)
+    assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert parity_class(grid, x) == DIAGONAL
+    space = solver.space
+    assert np.array_equal(space.unfold(solver.solve(space.restrict(b))), x)
+    # definite on the class down to -lambda_2, as the transpose's odd
+    # fields are; even n keeps the full transform and the projection
+    with pytest.raises(NoConvergence):
+        shifted_solver(grid, -lambda2(grid), DIAGONAL)
+    even = Grid(grid.spec, n + 1)
+    solver = shifted_solver(even, 10.0, DIAGONAL)
+    assert solver.space is even and solver.reflect is np.transpose
 
 
 def _solve_all(grid, cases):

@@ -206,6 +206,7 @@ def test_2d_nodal_level(square_nodal):
     assert st.action_value == min(value for _, value in st.multistart)
     vals = st.u.values.reshape(grid.shape)
     assert np.array_equal(vals, -vals.T)
+    assert np.array_equal(vals, -vals[::-1, ::-1])
 
 
 def test_2d_nodal_raises_above_tol(unit_square):
@@ -276,11 +277,47 @@ def test_2d_nodal_sweep_flags_nothing(unit_square):
     labels = [st.multistart[0][0] for st in curve.states]
     assert labels.count("warm") >= 15
     # the branch starts on the diagonal, and its warm steps' Newton keeps
-    # every state exactly odd under the transpose
+    # every state exactly odd under the transpose and the half-turn
     assert labels[0] == "diagonal"
     for st in curve.states:
         a = st.u.values.reshape(grid.shape)
         assert np.array_equal(a, -a.T)
+        assert np.array_equal(a, -a[::-1, ::-1])
+
+
+@pytest.mark.parametrize("n, outcomes", [
+    # at n=3 the half-turn block has two rows and its solve one quarter-
+    # block node per column pair; the levels are those of the full solve
+    (3, [139.94990972087848, 128.2582160442949, 2066024.2962637865]),
+    (5, [172.55726899606267, 84.69164424483364, 1408854.5434971591]),
+    (31, [269.1791050330488, 92.80950393249717, None]),
+    (63, [270.94971341704604, 95.16694167706692, None]),
+])
+def test_cold_diagonal_states_are_exactly_odd(unit_square, n, outcomes):
+    # the diagonal start alone: every state it reaches is exactly odd
+    # under the transpose and the half-turn, and where it raises (None)
+    # the fixed point has crept to max_iter and Newton stalled
+    from nlsground.action import least_action_state
+    from nlsground.nodal import _reflections
+
+    grid = Grid(unit_square, n)
+    for (p, lam), level in zip([(4.0, 10.0), (6.0, 150.0), (3.0, 400.0)],
+                               outcomes):
+        starts = _reflections(grid)[:1]
+        assert starts[0][0] == "diagonal"
+        if level is None:
+            stop = "diagonal: .* stopped on max_iter, then Newton on stall"
+            with pytest.raises(NoConvergence, match=stop):
+                least_action_state(grid, ActionParams(p, lam),
+                                   SolverOptions(), None, starts, 2)
+            continue
+        st, _ = least_action_state(grid, ActionParams(p, lam),
+                                   SolverOptions(), None, starts, 2)
+        assert st.action_value == pytest.approx(level, rel=1e-12)
+        assert st.residual == pde_residual(st.u, st.params) <= 1e-8
+        a = st.u.values.reshape(grid.shape)
+        assert np.array_equal(a, -a.T)
+        assert np.array_equal(a, -a[::-1, ::-1])
 
 
 @pytest.mark.parametrize("lam, label, level, other", [

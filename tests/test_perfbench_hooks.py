@@ -72,6 +72,14 @@ def test_tracer_sees_nodal_preconditioner_solves(dimension):
     assert metrics["linsolve.backsub.calls"] > 0
     if dimension == 1:
         assert metrics["nodal.side_solves"] == 0
+    else:
+        # at n=15 the diagonal start's stencils run on its 8 x 15
+        # half-turn block and the midline start's on its 7 x 8 quarter
+        # block; only the state's two sign parts see the grid's 225 nodes
+        calls = metrics["grid.laplacian.calls"] - 2
+        half, rest = divmod(
+            metrics["grid.laplacian.nodes"] - 2 * 225 - 56 * calls, 120 - 56)
+        assert rest == 0 and 0 < half < calls
 
 
 def test_tracer_counts_rounding_polish_solves():
