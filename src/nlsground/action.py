@@ -17,15 +17,18 @@ R is provably nonincreasing but which converges only linearly.  At odd
 n a class with a parity on every axis lives on its block (`grid.Block`),
 half of an interval or a quarter of a rectangle, and a square's fields
 odd under its transpose and its half-turn on their half-turn block of
-rows 0..m: the fixed point,
-Newton, the rounding polish, the level and every norm run on the block,
-and the state is mirrored onto the grid once, when it is built
-(`finalize_state`).  After
+rows 0..m: the fixed point, Newton, the rounding polish, the level and
+every norm run on the block, and the state is mirrored onto the grid
+once, when it is built (`finalize_state`); its field records the class,
+which a warm start, a tangent and a mass slope take from it.  After
 _COLD_STEPS steps Newton's method takes over from the iterate's exact
 scalar normalization onto the constraint manifold (the linearized solve
 of `linsolve`: tridiagonal in 1D, MINRES preconditioned by the fixed
 point's shifted solve in 2D; the stencil keeps odd fields odd), and its
-result is rescaled exactly onto the manifold.  A warm start is a
+result is rescaled exactly onto the manifold.  Each iterate's stencil
+runs once: the Dirichlet energy of the rescale comes from Newton's last
+residual, and the level's from the rescaled state's residual
+(`linsolve.evaluate`).  A warm start is a
 continuation step: Newton runs at once from the warm field's
 normalization, typically the tangent predictor u + (lambda - lambda_0) u'
 of a nearby state (`tangent_predictor`), and the starts run only if that
@@ -55,8 +58,8 @@ import numpy as np
 from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
                      NonpositiveQuotient, ZeroField)
-from .grid import Block, Field, Grid, node_count, stencil
-from .linsolve import (EVEN, linearized_solve, newton, parity_class,
+from .grid import DIAGONAL, Block, Field, Grid, node_count, stencil
+from .linsolve import (EVEN, evaluate, field_class, linearized_solve, newton,
                        residual, shifted_solver, solve_tridiagonal_longdouble)
 
 # tolerated quotient increase per fixed-point step, relative to its scale
@@ -165,11 +168,17 @@ def action(u: Field, params: ActionParams) -> float:
     return _action(u.grid, u.values, params.p, params.lam)
 
 
-def _action(space: Grid | Block, vals: np.ndarray, p: float,
-            lam: float) -> float:
-    """The action of vals, on the grid or the Block they live on."""
-    return (0.5 * space.grad_sq(vals) + 0.5 * lam * space.l2_sq(vals)
-            - space.lp_p(vals, p) / p)
+def _action(space: Grid | Block, vals: np.ndarray, p: float, lam: float,
+            grad: float | None = None, l2: float | None = None) -> float:
+    """The action of vals, on the grid or the Block they live on.
+
+    grad and l2 are space.grad_sq(vals) and space.l2_sq(vals) if known.
+    """
+    if grad is None:
+        grad = space.grad_sq(vals)
+    if l2 is None:
+        l2 = space.l2_sq(vals)
+    return 0.5 * grad + 0.5 * lam * l2 - space.lp_p(vals, p) / p
 
 
 def energy(u: Field, p: float) -> float:
@@ -202,16 +211,19 @@ def ray_action(u: Field, params: ActionParams) -> float:
     return _ray(u.grid, u.values, params.p, params.lam)[1]
 
 
-def _ray(space: Grid | Block, vals: np.ndarray, p: float,
-         lam: float) -> tuple[float, float]:
+def _ray(space: Grid | Block, vals: np.ndarray, p: float, lam: float,
+         grad: float | None = None) -> tuple[float, float]:
     """(scaling onto the manifold, ray action) of the ray through vals.
 
-    space is the grid, or the Block vals live on.
+    space is the grid, or the Block vals live on; grad is the Dirichlet
+    energy space.grad_sq(vals) if already known.
     """
     lp = space.lp_p(vals, p)
     if lp == 0.0:
         raise ZeroField("cannot normalize the zero field")
-    q = space.grad_sq(vals) + lam * space.l2_sq(vals)
+    if grad is None:
+        grad = space.grad_sq(vals)
+    q = grad + lam * space.l2_sq(vals)
     if q <= 0.0:
         raise NonpositiveQuotient(f"quadratic form {q:.4g} <= 0 at lambda={lam}")
     return ((q / lp) ** (1.0 / (p - 2.0)),
@@ -245,27 +257,33 @@ def ground_state(grid: Grid, params: ActionParams,
     if init_field is not None:
         if init_field.grid != grid:
             raise InvalidSpec("initial field lives on a different grid")
-        warm = np.abs(init_field.values)
-        warm = warm if np.max(warm) > 0.0 else None
+        vals = np.abs(init_field.values)
+        if vals.max() > 0.0:
+            # |f| is even along every axis where f is even or odd
+            cls = init_field.parity
+            warm = Field.adopt(grid, vals, None if cls in (None, DIAGONAL)
+                               else tuple(EVEN if s else 0 for s in cls))
+        del vals
     # the start is built in the call, so the driver can release it
     return least_action_state(grid, params, opts, warm, [(
-        "signed", (EVEN,) * grid.dimension, warm if warm is not None
+        "signed", (EVEN,) * grid.dimension, warm.values if warm is not None
         else spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values)], 1)[0]
 
 
 def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
-                       warm: np.ndarray | None, starts: list,
+                       warm: Field | None, starts: list,
                        domains: int) -> tuple[GroundState, tuple]:
     """The least-action state with `domains` nodal domains.
 
-    Newton runs first from warm, if given, scaled onto the manifold, on
-    the class warm is exactly in.  If `_polish` rejects that result or
-    it has other nodal domains, each start (label, class, field) is
-    popped from starts, projected onto its class of fields (given as
-    `linsolve.OperatorSolver` takes it) and released once normalized,
-    and runs `_fixed_point_newton` on that class.  A class that folds
-    is solved on its block from the start to the state (`grid.Block`),
-    mirrored onto the grid in `finalize_state`.  Returns
+    Newton runs first from the field warm, if given, scaled onto the
+    manifold, on the class it records, else the one its values are
+    exactly in (`linsolve.field_class`).  If `_polish` rejects that
+    result or it has other nodal domains, each start (label, class,
+    field) is popped from starts, projected onto its class of fields
+    (given as `linsolve.OperatorSolver` takes it) and released once
+    normalized, and runs `_fixed_point_newton` on that class.  A class
+    that folds is solved on its block from the start to the state
+    (`grid.Block`), mirrored onto the grid in `finalize_state`.  Returns
     the least-action state with `domains` nodal domains and the record
     ((label, action), ...) of every such state, or raises NoConvergence
     naming how every start stopped.
@@ -280,17 +298,17 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
              if grid.dimension == 2 and domains == 1 else None)
     iterations = 0
     if warm is not None:
-        cls = parity_class(grid, warm)
+        cls = field_class(warm)
         metric = (first if first is None or cls == first.parity
                   else shifted_solver(grid, lam, cls))
         # Newton's iterates stay exactly in the warm field's class
         space = grid.block(cls)
-        u = _unit(space, space.restrict(warm), p)
+        u = _unit(space, space.restrict(warm.values), p)
         scale, j_warm = _ray(space, u, p, lam)
-        vals, res, kept, iterations, _ = _polish(
+        vals, res, kept, iterations, _, grad = _polish(
             space, scale * u, p, lam, opts.tol, metric, j_warm, final=False)
         if kept:
-            state = finalize_state(space, vals, params, res, iterations)
+            state = finalize_state(space, vals, params, res, iterations, grad)
             if state.node_count + 1 == domains:
                 return state, (("warm", state.action_value),)
         del u, vals  # the starts run as cold ones would
@@ -302,12 +320,13 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
             space = solver.space
             u = _unit(space, space.restrict(solver.project(field)), p)
             del field
-            vals, res, steps = _fixed_point_newton(params, opts, u, solver)
+            vals, res, steps, grad = _fixed_point_newton(params, opts, u,
+                                                         solver)
         except NoConvergence as exc:
             stops.append(f"{label}: {exc}")
             continue
         iterations += steps
-        state = finalize_state(space, vals, params, res, iterations)
+        state = finalize_state(space, vals, params, res, iterations, grad)
         if state.node_count + 1 != domains:
             stops.append(f"{label}: {state.node_count + 1} nodal domains, "
                          f"residual {res:.3e}")
@@ -338,8 +357,8 @@ def _fixed_point_newton(params: ActionParams, opts: SolverOptions,
     and every iterate live on the solver's space, the grid or a Block.
     Each Newton attempt is `_polish` from an iterate (see the module
     docstring).  Returns (values, residual, fixed-point plus Newton
-    steps), or raises NoConvergence naming where the fixed point, Newton
-    and the polish stopped.
+    steps, the values' Dirichlet energy), or raises NoConvergence naming
+    where the fixed point, Newton and the polish stopped.
     """
     p, lam = params.p, params.lam
     space = solver.space
@@ -375,40 +394,41 @@ def _fixed_point_newton(params: ActionParams, opts: SolverOptions,
         u = u_new
         r_prev = r_now
         w_vals = (q / lp_u) ** (1.0 / (p - 2.0)) * u
-        res = residual(space, w_vals, p, lam)[1]
+        av = space.laplacian(w_vals)
+        res = residual(space, w_vals, p, lam, av)[1]
         j_now = kappa(p) * r_now ** (p / (p - 2.0))
         if res < best_res:
             best_res, best_vals, best_j = res, w_vals, j_now
-        if res <= opts.tol or moved <= 5e-14 * scale:
-            stop = "tol" if res <= opts.tol else "stall"
+        if res <= opts.tol:
+            return (w_vals, res, iterations + newton_steps,
+                    space.grad_sq(w_vals, av))
+        del av
+        if moved <= 5e-14 * scale:
+            stop = "stall"
             break
         if iterations == _COLD_STEPS:
-            vals, res, kept, steps, _ = _polish(
+            vals, res, kept, steps, _, grad = _polish(
                 space, w_vals, p, lam, opts.tol, solver, j_now, final=False)
             newton_steps += steps
             if kept:
-                best_vals, best_res = vals, res
-                break
+                return vals, res, iterations + newton_steps, grad
             del vals  # the fixed point resumes as it was
 
     if best_vals is None:
         raise NoConvergence("no iterate had a finite residual")
-    if best_res > opts.tol:
-        vals, res, kept, steps, last = _polish(
-            space, best_vals, p, lam, opts.tol, solver, best_j, final=True)
-        newton_steps += steps
-        if not kept:
-            why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
-                   if res > opts.tol else
-                   f"Newton's state (residual {res:.3e}) has a node of the "
-                   "wrong sign or raises the action")
-            raise NoConvergence(
-                f"{why} after {iterations} fixed-point and {newton_steps} "
-                f"Newton iterations; the fixed point stopped on {stop}, "
-                f"then {last} (p={p}, lambda={lam}, n={solver.grid.n})")
-        best_vals, best_res = vals, res
-
-    return best_vals, best_res, iterations + newton_steps
+    vals, res, kept, steps, last, grad = _polish(
+        space, best_vals, p, lam, opts.tol, solver, best_j, final=True)
+    newton_steps += steps
+    if not kept:
+        why = (f"residual {res:.3e} above tol {opts.tol:.1e}"
+               if res > opts.tol else
+               f"Newton's state (residual {res:.3e}) has a node of the "
+               "wrong sign or raises the action")
+        raise NoConvergence(
+            f"{why} after {iterations} fixed-point and {newton_steps} "
+            f"Newton iterations; the fixed point stopped on {stop}, "
+            f"then {last} (p={p}, lambda={lam}, n={solver.grid.n})")
+    return vals, res, iterations + newton_steps, grad
 
 
 def mass_slope(state: GroundState) -> float:
@@ -444,14 +464,14 @@ def _tangent(state: GroundState, rtol: float) -> tuple:
     Differentiating A u + lambda u = |u|^(p-2) u in lambda gives
     L u' = -u, with L the linearization Newton uses; rtol is the relative
     residual of the 2D MINRES solve (the 1D solve is direct), which is
-    preconditioned on the state's class.  A state in a class that folds
-    (`linsolve.parity_class`) is solved on its block, space
-    (`grid.Block`); otherwise space is the grid.  The stencil maps
-    fields odd under a reflection of the box to odd fields, so a nodal
-    state's tangent is odd too.
+    preconditioned on the state's class.  A state in a class that folds,
+    which its field records (`linsolve.field_class`), is solved on its
+    block, space (`grid.Block`); otherwise space is the grid.  The
+    stencil maps fields odd under a reflection of the box to odd
+    fields, so a nodal state's tangent is odd too.
     """
     grid = state.u.grid
-    space = grid.block(parity_class(grid, state.u.values))
+    space = grid.block(field_class(state.u))
     u = space.restrict(state.u.values)
     p, lam = state.params.p, state.params.lam
     return space, u, linearized_solve(
@@ -460,15 +480,16 @@ def _tangent(state: GroundState, rtol: float) -> tuple:
 
 def finalize_state(space: Grid | Block, vals: np.ndarray,
                    params: ActionParams, residual: float, iterations: int,
-                   **extra) -> GroundState:
+                   grad: float) -> GroundState:
     """Assemble a GroundState record from converged values.
 
     vals live on space, the grid or a Block, which mirrors them onto the
-    grid for the state's field.
+    grid for the state's field (recording a Block's class), and grad is
+    their Dirichlet energy, from the stencil their residual applied.
     """
     field = space.field(vals)
     mass = space.l2_sq(vals)
-    j = _action(space, vals, params.p, params.lam)
+    j = _action(space, vals, params.p, params.lam, grad, mass)
     return GroundState(
         u=field,
         params=params,
@@ -478,7 +499,6 @@ def finalize_state(space: Grid | Block, vals: np.ndarray,
         residual=residual,
         node_count=node_count(field),
         iterations=iterations,
-        **extra,
     )
 
 
@@ -491,27 +511,29 @@ def _polish(space: Grid | Block, start: np.ndarray, p: float, lam: float,
 
     In 1D a result still above tol goes on to the extended-precision
     rounding polish if Newton stalled or, on the final attempt, whatever
-    stopped it (see `linsolve.newton`).  One `_ray` of Newton's result
-    gives both the rescale and the ray action; a second runs only if the
-    rounding polish replaces the field.  Returns (values, residual, kept,
-    Newton steps, last stage): kept says the result meets tol, is
-    nonnegative wherever start is positive and has a ray action at most
-    j_ref (1 + 1e-12), start's own; the last stage names Newton's stop
-    reason and whether the rounding polish ran.
+    stopped it (see `linsolve.newton`).  One `_ray` of Newton's result,
+    from the Dirichlet energy Newton's residual gave, yields both the
+    rescale and the ray action; the rounding polish's field takes its
+    own.  Returns (values, residual, kept, Newton steps, last stage, the
+    values' Dirichlet energy, None if the rounding polish kept its
+    input): kept says the result meets tol, is nonnegative wherever
+    start is positive and has a ray action at most j_ref (1 + 1e-12),
+    start's own; the last stage names Newton's stop reason and whether
+    the rounding polish ran.
     """
-    out, res, steps, reason = newton(space, start, p, lam, tol, solver)
+    out, res, steps, reason, grad = newton(space, start, p, lam, tol, solver)
     last = f"Newton on {reason}"
-    scale, j = _ray(space, out, p, lam)
+    scale, j = _ray(space, out, p, lam, grad)
     out = scale * out
-    res = residual(space, out, p, lam)[1]
+    res, grad = evaluate(space, out, p, lam)[1:]
     if res > tol and space.dimension == 1 and (final or reason == "stall"):
-        polished, res = _rounding_polish(space, out, p, lam, res)
+        polished, res, grad = _rounding_polish(space, out, p, lam, res)
         if polished is not out:
-            out, j = polished, _ray(space, polished, p, lam)[1]
+            out, j = polished, _ray(space, polished, p, lam, grad)[1]
         last += " and the rounding polish"
-    kept = (res <= tol and np.all(out[start > 0.0] >= 0.0)
+    kept = (res <= tol and (out[start > 0.0] >= 0.0).all()
             and j <= j_ref * (1.0 + 1e-12))
-    return out, res, kept, steps, last
+    return out, res, kept, steps, last, grad
 
 
 def _rounding_polish(space: Grid | Block, vals: np.ndarray, p: float,
@@ -530,8 +552,8 @@ def _rounding_polish(space: Grid | Block, vals: np.ndarray, p: float,
     Block, whose last node both stages close as its stencil does: by a
     zero node, or by the mirror of an even centre, whose row the Newton
     steps halve as `linsolve.OperatorSolver` does.  The result is
-    returned only if its residual is below res; otherwise vals and res
-    are.
+    returned, with its Dirichlet energy, only if its residual is below
+    res; otherwise vals, res and None are.
     """
     h2l = np.longdouble(space.h[0]) * np.longdouble(space.h[0])
     laml = np.longdouble(lam)
@@ -545,18 +567,25 @@ def _rounding_polish(space: Grid | Block, vals: np.ndarray, p: float,
             diag[-1] *= 0.5
             r[-1] *= 0.5
         uld = uld + solve_tridiagonal_longdouble(diag, off, -r)
+    # each stage frees the long-double arrays it no longer needs before
+    # the next, the Viterbi pass's tables and the candidate's residual
+    del power, r, diag, off
     nearest = uld.astype(np.float64)
     below = np.where(nearest.astype(np.longdouble) <= uld,
                      nearest, np.nextafter(nearest, -np.inf))
+    del nearest
     above = np.nextafter(below, np.inf)
     eps_lo = (below.astype(np.longdouble) - uld).astype(np.float64)
     eps_hi = (above.astype(np.longdouble) - uld).astype(np.float64)
+    del uld
     choices = _viterbi_rounding(eps_lo, eps_hi, space.mirror[0])
+    del eps_lo, eps_hi
     cand = np.where(choices == 0, below, above)
-    rn = residual(space, cand, p, lam)[1]
+    del below, above, choices
+    rn, grad = evaluate(space, cand, p, lam)[1:]
     if rn < res:
-        return cand, rn
-    return vals, res
+        return cand, rn, grad
+    return vals, res, None
 
 
 def _viterbi_rounding(eps_lo: np.ndarray, eps_hi: np.ndarray,

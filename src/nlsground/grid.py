@@ -22,10 +22,10 @@ node of an odd one, and every sum weighs a block node by the number of
 grid nodes it stands for.  A Block offers the grid's stencil and
 quadrature under the same names, so a solve on a parity class lives on
 its block from its start to its state, which is mirrored onto the grid
-once (`unfold`).  IEEE rounding is symmetric under negation, so the full
-stencil of an exactly even or odd field is exactly even or odd, and the
-block's stencil gives its values node for node (an exactly zero value
-may carry the other sign).
+once (`unfold`), into a Field that records the class.  IEEE rounding
+is symmetric under negation, so the full stencil of an exactly even or
+odd field is exactly even or odd, and the block's stencil gives its
+values node for node (an exactly zero value may carry the other sign).
 
 The fields of a square odd under its transpose and under its half-turn
 (both centre flips), the class `DIAGONAL` of the diagonal nodal state,
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import GridMismatch, InvalidSpec
 
@@ -108,9 +109,12 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     """Inner product of two flat arrays, summed in one thread.
 
     BLAS splits long dot products across its threads, so their rounding
-    depends on the thread count; einsum's own loop does not.
+    depends on the thread count; einsum's own loop does not.  Its C
+    kernel is called directly: `np.einsum` without `optimize` calls the
+    same kernel, behind a Python layer that costs more than the sum of a
+    few hundred nodes.
     """
-    return float(np.einsum("i,i->", x, y))
+    return float(c_einsum("i,i->", x, y))
 
 
 class Grid:
@@ -120,6 +124,7 @@ class Grid:
         if n < 3:
             raise InvalidSpec(f"need at least 3 interior nodes per axis, got {n}")
         self.spec = spec
+        self.dimension = spec.dimension
         self.n = int(n)
         self.shape = (self.n,) * spec.dimension
         self.h = tuple(length / (self.n + 1) for length in spec.lengths)
@@ -135,15 +140,12 @@ class Grid:
         self.mirror = (0,) * spec.dimension
         self._blocks = {}
 
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
     def key(self):
         return (self.spec, self.n)
 
     def __eq__(self, other):
-        return isinstance(other, Grid) and self.key() == other.key()
+        return self is other or (isinstance(other, Grid)
+                                 and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -170,11 +172,12 @@ class Grid:
         """Apply the negative Laplacian stencil, flat array in and out.
 
         values holds the grid's nodes, or the block of a field of the
-        parity class parity (`Block`), and so does the result.
+        parity class parity, given as `block` takes it or as its Block
+        itself, and so does the result.
         """
         if values.size == self.size:
             return stencil(values.reshape(self.shape), self._h2).reshape(-1)
-        block = self.block(parity)
+        block = parity if isinstance(parity, Block) else self.block(parity)
         return stencil(values.reshape(block.shape), self._h2,
                        block.mirror).reshape(-1)
 
@@ -188,9 +191,15 @@ class Grid:
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * float(np.sum(np.abs(values) ** p))
 
-    def grad_sq(self, values: np.ndarray) -> float:
-        """Dirichlet energy <A u, u> with the quadrature weight."""
-        return self.weight * dot(values, self.laplacian(values))
+    def grad_sq(self, values: np.ndarray, av: np.ndarray | None = None
+                ) -> float:
+        """Dirichlet energy <A u, u> with the quadrature weight.
+
+        av is the stencil's image A u if already applied.
+        """
+        if av is None:
+            av = self.laplacian(values)
+        return self.weight * dot(values, av)
 
     def l2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.l2_sq(values)))
@@ -222,7 +231,10 @@ class Grid:
         return values
 
     def field(self, values: np.ndarray) -> "Field":
-        return Field(self, values)
+        """The field of grid values; at even n, where no class folds, it
+        records the class of no parity."""
+        return Field(self, values, None if self.n % 2 else
+                     (0,) * self.dimension)
 
 
 class Block:
@@ -269,11 +281,11 @@ class Block:
         self._mult = functools.reduce(np.multiply.outer, mult).reshape(-1)
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
-        return self.grid.laplacian(values, self.parity)
+        return self.grid.laplacian(values, self)
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         """The multiplicity-weighted inner product, summed in one thread."""
-        return float(np.einsum("i,i,i->", self._mult, x, y))
+        return float(c_einsum("i,i,i->", self._mult, x, y))
 
     def l2_sq(self, values: np.ndarray) -> float:
         return self.weight * self.dot(values, values)
@@ -281,8 +293,11 @@ class Block:
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * dot(self._mult, np.abs(values) ** p)
 
-    def grad_sq(self, values: np.ndarray) -> float:
-        return self.weight * self.dot(values, self.laplacian(values))
+    def grad_sq(self, values: np.ndarray, av: np.ndarray | None = None
+                ) -> float:
+        if av is None:
+            av = self.laplacian(values)
+        return self.weight * self.dot(values, av)
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """The block of a flat grid field of the class (in 1D a view)."""
@@ -295,7 +310,8 @@ class Block:
         return unfold(full, self.parity).reshape(-1)
 
     def field(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, self.unfold(values))
+        """The field of the block values, which records the Block's class."""
+        return Field.adopt(self.grid, self.unfold(values), self.parity)
 
 
 def stencil(u: np.ndarray, h2: tuple, mirror: tuple = (0, 0)
@@ -384,19 +400,38 @@ class Field:
     """Real grid function on the interior nodes of one Grid.
 
     Values are stored flat in row-major order and frozen after creation;
-    combining fields from different grids raises GridMismatch.
+    combining fields from different grids raises GridMismatch.  parity
+    is the class the values are exactly in, as `Grid.block` takes it,
+    where that is known: a state's field records the class it was
+    solved on (`Block.field`, `Grid.field`), so a solve that reuses it
+    need not compare its values (`linsolve.field_class`); None if
+    unknown.
     """
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "parity")
 
-    def __init__(self, grid: Grid, values: np.ndarray):
-        values = np.array(values, dtype=float, copy=True).reshape(-1)
+    def __init__(self, grid: Grid, values: np.ndarray, parity=None):
+        self._freeze(grid, np.array(values, dtype=float, copy=True
+                                    ).reshape(-1), parity)
+
+    @classmethod
+    def adopt(cls, grid: Grid, values: np.ndarray, parity=None) -> "Field":
+        """The field of values, a new flat float array, without a copy.
+
+        values is frozen: nothing may write to it afterwards.
+        """
+        u = object.__new__(cls)
+        u._freeze(grid, values, parity)
+        return u
+
+    def _freeze(self, grid: Grid, values: np.ndarray, parity) -> None:
         if values.size != grid.size:
             raise GridMismatch(
                 f"field has {values.size} values, grid has {grid.size} nodes")
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "parity", parity)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -431,16 +466,15 @@ def node_count(u: Field) -> int:
     has count 0, the zero field has count 0.
     """
     vals = u.values
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    scale = float(np.abs(vals).max()) if vals.size else 0.0
     if scale == 0.0:
         return 0
     thr = _NODE_REL_TOL * scale
     if u.grid.dimension == 1:
-        signs = np.sign(vals) * (np.abs(vals) > thr)
-        signs = signs[signs != 0]
-        if signs.size == 0:
-            return 0
-        return int(np.sum(signs[1:] != signs[:-1]))
+        # the signs of the nodes above thr in size, True for positive
+        positive = vals > thr
+        signs = positive[positive | (vals < -thr)]
+        return int(np.count_nonzero(signs[1:] != signs[:-1]))
     return max(_count_components_2d(vals.reshape(u.grid.shape), thr) - 1, 0)
 
 

@@ -28,9 +28,11 @@ its solve is s - s^T for s the quarter-block solve of w: one folded
 pair too (`_diagonal_solve`).  At even n the 1D odd fields are fixed by
 their first n // 2 nodes, closed by the mirror node, and every other 2D
 solve is the full DST-I pair, projected onto its class.  The classes
-come from the starts (`action.least_action_state`); a warm field or a
-state is solved on the class it is exactly in (`parity_class`), and on
-the grid a square's field odd under the transpose alone keeps the
+come from the starts (`action.least_action_state`) and travel with the
+states: a field mirrored from a Block records its class (`grid.Field`),
+and a warm field or a state is solved on the class it records, or else
+on the one its values are exactly in (`field_class`, `parity_class`).
+On the grid a square's field odd under the transpose alone keeps the
 transpose's projection (`_metric`).  A solve is one
 back-substitution with the factor: the direct solve is backward stable,
 so refining it in double precision would gain almost nothing (Higham,
@@ -51,7 +53,9 @@ or the Block its fields live on, whose stencil and inner product it
 uses throughout, so a solve on a class that folds at odd n runs on the
 block alone; the stencil keeps every field of a class in it, bitwise.
 A 1D residual, and a DIAGONAL one, is the grid's norm of the unfolded
-residual, so such a state reports its field's residual exactly.  Each
+residual, so such a state reports its field's residual exactly.  The
+stencil image a residual applies also gives the Dirichlet energy
+<A u, u> (`evaluate`), so each iterate's stencil runs once.  Each
 long-double Newton step of the 1D rounding polish forms its residual in
 long double and solves its correction once in double by dgtsv
 (`solve_tridiagonal_longdouble`).
@@ -67,12 +71,14 @@ import numpy as np
 from . import spectral
 from ._extensions import lapack, load
 from .errors import NoConvergence
-from .grid import DIAGONAL, EVEN, ODD, Block, Grid, dot
+from .grid import DIAGONAL, EVEN, ODD, Block, Field, Grid, dot
 
 dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 
 # the class of the part that a solve in DIAGONAL transforms
 _DIAGONAL_PART = (ODD, EVEN)
+# the odd centre node of a 1D residual mirrored onto the grid
+_ZERO = np.zeros(1)
 
 # Newton steps per call and MINRES steps per 2D linearized solve
 _NEWTON_STEPS = 8
@@ -262,6 +268,15 @@ def parity_class(grid: Grid, x: np.ndarray):
     return cls
 
 
+def field_class(u: Field):
+    """The class the field u is exactly in, where a solve folds it.
+
+    The class u records (`grid.Field`), or else `parity_class` of its
+    values.
+    """
+    return u.parity if u.parity is not None else parity_class(u.grid, u.values)
+
+
 def _folds(grid: Grid) -> bool:
     """Whether a solve on grid folds: at odd n, with a centre node."""
     return grid.n % 2 == 1
@@ -362,24 +377,48 @@ def _dstn_kernel():
     return types.SimpleNamespace(dst=dst)
 
 
-def residual(space: Grid | Block, v: np.ndarray, p: float, lam: float
-             ) -> tuple[np.ndarray, float]:
+def residual(space: Grid | Block, v: np.ndarray, p: float, lam: float,
+             av: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """F(v) = A v + lam v - |v|^(p-2) v and its weighted L2 norm.
 
-    space is the grid, or the Block v lives on.  The stencil gives the
+    space is the grid, or the Block v lives on; av is the stencil's
+    image A v if the caller has applied it.  The stencil gives the
     unfolded field's F node for node, and on a 1D Block and on the
     half-turn block of DIAGONAL the norm is the grid's of F unfolded, so
     those states report their field's residual bitwise; a 2D parity
     class's is the weighted sum, the grid's up to the order of the sum.
     """
-    r = space.laplacian(v)
-    r += lam * v
+    if av is None:
+        r = space.laplacian(v)
+        r += lam * v
+    else:
+        r = lam * v
+        r += av
     r -= np.abs(v) ** (p - 2) * v
-    if isinstance(space, Block) and (space.dimension == 1
-                                     or space.parity == DIAGONAL):
+    if isinstance(space, Block) and space.dimension == 1:
+        # F mirrored onto the interval past an even centre, or past an
+        # odd one's zero centre with the signs, which do not change the
+        # squares, left as they are
+        full = np.concatenate((r, r[-2::-1]) if space.mirror[0]
+                              else (r, _ZERO, r[::-1]))
+    elif isinstance(space, Block) and space.parity == DIAGONAL:
         full = space.unfold(r)
-        return r, float(np.sqrt(space.weight * dot(full, full)))
-    return r, float(np.sqrt(space.weight * space.dot(r, r)))
+    else:
+        return r, float(np.sqrt(space.weight * space.dot(r, r)))
+    return r, float(np.sqrt(space.weight * dot(full, full)))
+
+
+def evaluate(space: Grid | Block, v: np.ndarray, p: float, lam: float
+             ) -> tuple[np.ndarray, float, float]:
+    """(F(v), its norm as `residual` has it, space.grad_sq(v)).
+
+    One stencil application gives both the residual and the Dirichlet
+    energy <A v, v>, bitwise as each alone would; the image is dropped
+    on return.
+    """
+    av = space.laplacian(v)
+    r, res = residual(space, v, p, lam, av)
+    return r, res, space.grad_sq(v, av)
 
 
 def linearized_solve(space: Grid | Block, shift: np.ndarray, b: np.ndarray,
@@ -448,7 +487,7 @@ def _sign_pattern(v: np.ndarray) -> np.ndarray:
 
 def newton(space: Grid | Block, u: np.ndarray, p: float, lam: float,
            tol: float, metric: OperatorSolver | None = None
-           ) -> tuple[np.ndarray, float, int, str]:
+           ) -> tuple[np.ndarray, float, int, str, float]:
     """Newton on A u + lam u = |u|^(p-2) u, keeping u's sign pattern.
 
     u lives on space, the grid or a Block.  Each step is one
@@ -460,14 +499,16 @@ def newton(space: Grid | Block, u: np.ndarray, p: float, lam: float,
     box to odd fields, so from an odd u, zero on the reflection's fixed
     nodes, the iterates stay odd up to the solves' rounding and exactly
     zero there; with a preconditioner on u's class they stay exactly in
-    it.  Returns (best iterate, its residual, steps taken, stop reason).
+    it.  Returns (best iterate, its residual, steps taken, stop reason,
+    its Dirichlet energy), the last from the stencil its residual
+    applied (`evaluate`).
     The reason is "tol" once the residual reaches tol, "sign-flip" when
     a step changes the sign of a node, "stall" when a step fails to
     lower the residual, "singular" when the linearized solve is
     singular, and "step-cap" after _NEWTON_STEPS steps.
     """
     sign = _sign_pattern(u)
-    r, res = residual(space, u, p, lam)
+    r, res, grad = evaluate(space, u, p, lam)
     step = 0
     reason = "tol"
     while res > tol:
@@ -487,18 +528,18 @@ def newton(space: Grid | Block, u: np.ndarray, p: float, lam: float,
         except np.linalg.LinAlgError:
             reason = "singular"
             break
-        del r  # negated in place as the solve's right-hand side
+        del r, shift  # r negated in place as the solve's right-hand side
         trial[sign == 0] = 0.0
         trial += u
-        if not np.array_equal(_sign_pattern(trial), sign):
+        if not (_sign_pattern(trial) == sign).all():
             reason = "sign-flip"
             break
-        r_trial, res_trial = residual(space, trial, p, lam)
+        r_trial, res_trial, grad_trial = evaluate(space, trial, p, lam)
         if not res_trial < res:
             reason = "stall"
             break
-        u, r, res = trial, r_trial, res_trial
-    return u, res, step, reason
+        u, r, res, grad = trial, r_trial, res_trial, grad_trial
+    return u, res, step, reason, grad
 
 
 def _minres(apply, b: np.ndarray, precond, rtol: float, maxiter: int,

@@ -60,12 +60,9 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
     if params.lam <= floor:
         raise LambdaBelowThreshold(
             f"lambda={params.lam} at or below -lambda_2 + margin = {floor:.6g}")
-    warm = None
-    if init_field is not None:
-        if init_field.grid != grid:
-            raise InvalidSpec("initial field lives on a different grid")
-        warm = init_field.values
-    state, record = least_action_state(grid, params, opts, warm,
+    if init_field is not None and init_field.grid != grid:
+        raise InvalidSpec("initial field lives on a different grid")
+    state, record = least_action_state(grid, params, opts, init_field,
                                        _reflections(grid), 2)
     plus, minus = np.maximum(state.u.values, 0.0), np.minimum(state.u.values, 0.0)
     return replace(state, part_masses=(grid.l2_sq(plus), grid.l2_sq(minus)),

@@ -13,6 +13,7 @@ sign-changing ground-state problems and seed initializations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +79,29 @@ def dirichlet_eigenpairs(grid: Grid, k: int) -> list[EigenPair]:
 
 def lambda1(grid: Grid) -> float:
     """x_1 (+ y_1): the sum of the axes' first eigenvalues."""
-    return sum(lam[0] for lam in _lowest_two(grid))
+    return _thresholds(grid.n, grid.h)[0]
 
 
 def lambda2(grid: Grid) -> float:
     """x_2 in 1D, min(x_1 + y_2, x_2 + y_1) on a rectangle."""
-    if grid.dimension == 1:
-        return _lowest_two(grid)[0][1]
-    (x1, x2), (y1, y2) = _lowest_two(grid)
-    return min(x1 + y2, x2 + y1)
+    return _thresholds(grid.n, grid.h)[1]
 
 
-def _lowest_two(grid: Grid) -> list[list[float]]:
-    """Per axis, its two smallest eigenvalues, as `_sorted_modes` has them."""
+@functools.cache
+def _thresholds(n: int, h: tuple) -> tuple[float, float]:
+    """(lambda1, lambda2) of the grid with n nodes and spacings h per axis.
+
+    Computed once per grid shape: every solve checks its frequency
+    against one of them.  Per axis the two smallest eigenvalues are
+    those `_sorted_modes` has.
+    """
     j = np.arange(1, 3)
-    return [axis_eigenvalues(grid.n, h, j).tolist() for h in grid.h]
+    axes = [axis_eigenvalues(n, hx, j).tolist() for hx in h]
+    first = sum(lam[0] for lam in axes)
+    if len(axes) == 1:
+        return first, axes[0][1]
+    (x1, x2), (y1, y2) = axes
+    return first, min(x1 + y2, x2 + y1)
 
 
 def _sorted_modes(grid: Grid, k: int) -> list[tuple[float, tuple]]:

@@ -12,8 +12,9 @@ from nlsground import (ActionParams, DomainSpec, Field, Grid, InvalidSpec,
                        LambdaBelowThreshold, NoConvergence,
                        NonpositiveQuotient, SolverOptions, ZeroField, action,
                        dirichlet_eigenpairs, energy, ground_state, kappa,
-                       lambda2, mass_slope, nehari_project, nehari_scale,
-                       nodal_ground_state, norms, pde_residual, ray_action)
+                       lambda1, lambda2, mass_slope, nehari_project,
+                       nehari_scale, nodal_ground_state, norms, pde_residual,
+                       ray_action)
 from nlsground.action import _viterbi_rounding, tangent_predictor
 
 from conftest import tridiag_eigenvalue
@@ -263,6 +264,110 @@ def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
         assert warm.residual <= 1e-8
 
 
+def _no_parity_class(patch):
+    """Make every detection of a class from a field's values raise."""
+    from nlsground import linsolve
+
+    def detect(grid, x):
+        raise AssertionError("a class was detected from values")
+
+    patch.setattr(linsolve, "parity_class", detect)
+
+
+def test_warm_signed_sample_work(grid255, monkeypatch):
+    # a warm sample of check-all's signed sweep at n=255, p=4 applies the
+    # stencil 5 times: the warm ray, Newton's start and two steps, and
+    # the rescaled state's residual, whose image also gives the level;
+    # the predictor and the warm start take the class from the state
+    lams = np.linspace(-lambda1(grid255) + 0.5, 120.0, 60)
+    st = ground_state(grid255, ActionParams(4.0, lams[1]))
+    laplacian = Grid.laplacian
+    applied = []
+    with monkeypatch.context() as patch:
+        _no_parity_class(patch)
+        patch.setattr(Grid, "laplacian", lambda self, v, parity=():
+                      applied.append(1) or laplacian(self, v, parity))
+        warm = ground_state(grid255, ActionParams(4.0, lams[2]),
+                            init_field=tangent_predictor(st, lams[2]))
+    assert warm.iterations == 2 and warm.residual <= 1e-8
+    assert len(applied) == 5
+
+
+def test_class_travels_with_the_state(unit_interval, unit_square,
+                                      monkeypatch):
+    # a state's field records the class it was solved on, so warm steps,
+    # tangents and mass slopes take it from there and never compare
+    # values: whole 1D signed and nodal sweeps at n=255 (their first and
+    # every 10th sample are cold), and warm steps from the 2D diagonal,
+    # midline and signed states at n=31
+    from nlsground.curves import sweep
+
+    grid = Grid(unit_interval, 255)
+    with monkeypatch.context() as patch:
+        _no_parity_class(patch)
+        for kind, floor in (("signed", lambda1), ("nodal", lambda2)):
+            lams = np.linspace(-floor(grid) + 0.5, 40.0, 12)
+            curve = sweep(grid, 4.0, lams, kind)
+            assert all(curve.ok(i) for i in range(lams.size)), curve.flags
+            assert mass_slope(curve.states[-1]) > 0.0
+
+    square = Grid(unit_square, 31)
+    rectangle = Grid(DomainSpec.rectangle(0.0, 1.2, 0.0, 1.0), 31)
+    cases = [(ground_state, square, "signed"),
+             (nodal_ground_state, square, "diagonal"),
+             (nodal_ground_state, rectangle, "midline")]
+    for solve, grid, label in cases:
+        # a nodal step is the first of test_2d_nodal_sweep_flags_nothing's
+        lam0, lam1 = ((10.0, 12.0) if solve is ground_state else
+                      np.linspace(-lambda2(grid) + 1.0, 100.0, 20)[:2])
+        st = solve(grid, ActionParams(3.0, lam0))
+        assert solve is ground_state or st.multistart[0][0] == label
+        inits = [tangent_predictor(st, lam1)]
+        if solve is nodal_ground_state:
+            inits.append(st.u)
+        with monkeypatch.context() as patch:
+            _no_parity_class(patch)
+            for init in inits:
+                warm = solve(grid, ActionParams(3.0, lam1), init_field=init)
+                assert warm.residual <= 1e-8
+                assert (solve is ground_state
+                        or warm.multistart == (("warm", warm.action_value),))
+            mass_slope(st)
+
+
+def test_states_record_their_class(unit_interval, unit_square):
+    # the class a state's field records is the one its values are
+    # exactly in: EVEN or ODD at odd n, none at even n, and on the square
+    # (EVEN, EVEN), a midline's and DIAGONAL; so is its tangent's
+    from nlsground.linsolve import DIAGONAL, EVEN, ODD, parity_class
+
+    states = []
+    for n in (255, 256):
+        grid = Grid(unit_interval, n)
+        for solve in (ground_state, nodal_ground_state):
+            st = solve(grid, ActionParams(4.0, 10.0))
+            init = st.u if solve is nodal_ground_state else (
+                tangent_predictor(st, 12.0))
+            states += [st, solve(grid, ActionParams(4.0, 12.0),
+                                 init_field=init)]
+    for spec in (unit_square, DomainSpec.rectangle(0.0, 1.2, 0.0, 1.0)):
+        grid = Grid(spec, 31)
+        for solve in (ground_state, nodal_ground_state):
+            states.append(solve(grid, ActionParams(4.0, 10.0)))
+    grid = Grid(unit_square, 31)
+    lam = -lambda2(grid) + 1.0
+    states.append(nodal_ground_state(grid, ActionParams(3.0, lam)))
+    classes = set()
+    for st in states:
+        grid, cls = st.u.grid, st.u.parity
+        assert cls is not None and cls == parity_class(grid, st.u.values)
+        predictor = tangent_predictor(st, st.params.lam + 0.5)
+        assert predictor.parity == parity_class(grid, predictor.values) == cls
+        classes.add(cls)
+    assert classes == {(EVEN,), (ODD,), (0,), (EVEN, EVEN), (ODD, EVEN),
+                       DIAGONAL}
+
+
 def _stages():
     """The names of the functions that called the caller, up the stack."""
     frame, names = sys._getframe(2), set()
@@ -275,9 +380,10 @@ def _stages():
 def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
     # a cold signed solve at odd n stays in the (EVEN, EVEN) class on its
     # 32 x 32 quarter block at n=63: every stencil and sine transform of
-    # the fixed point, Newton, MINRES and the level acts on the block, only
-    # the eigen start's stencil on the grid, and the state is mirrored
-    # onto the grid once
+    # the fixed point, Newton and MINRES acts on the block, only the eigen
+    # start's stencil on the grid, the level takes the stencil image that
+    # the state's residual applied, and the state is mirrored onto the
+    # grid once
     from nlsground import grid as grid_module
     from nlsground import linsolve
 
@@ -302,11 +408,11 @@ def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
     st = ground_state(grid, ActionParams(4.0, 10.0))
     assert st.residual <= 1e-8
     assert len(unfolds) == 1
-    steps = {"_fixed_point_newton", "newton", "_minres", "finalize_state"}
+    steps = {"_fixed_point_newton", "newton", "_minres"}
     for stage in steps:
         assert any(stage in names for _, names in stencils), stage
-        assert (stage == "finalize_state"
-                or any(stage in names for _, names in transforms)), stage
+        assert any(stage in names for _, names in transforms), stage
+    assert not any("finalize_state" in names for _, names in stencils)
     for size, names in stencils:
         if "dirichlet_eigenpairs" in names:
             assert size == grid.size
@@ -320,8 +426,9 @@ def test_cold_diagonal_solve_runs_on_the_half_block(unit_square,
     # a cold nodal solve at n=63 runs the diagonal start, odd under the
     # transpose and the half-turn, on its 32 x 63 half-turn block and the
     # midline start on its 31 x 32 quarter block: every stencil of the
-    # fixed point, Newton, MINRES and the level acts on one of them and
-    # every sine transform on the 31 x 32 quarter block; only the state's
+    # fixed point, Newton and MINRES acts on one of them, the level
+    # applies none, and every sine transform acts on the 31 x 32 quarter
+    # block; only the state's
     # sign parts are stencilled on the grid, outside
     # `least_action_state`.  Each state is mirrored onto the grid once,
     # and each residual's norm is the grid's, of the unfolded residual.
@@ -354,11 +461,11 @@ def test_cold_diagonal_solve_runs_on_the_half_block(unit_square,
     assert [names for names in unfolds if "residual" not in names] == [
         names for names in unfolds if "finalize_state" in names]
     assert sum("finalize_state" in names for names in unfolds) == 2
-    steps = {"_fixed_point_newton", "newton", "_minres", "finalize_state"}
+    steps = {"_fixed_point_newton", "newton", "_minres"}
     for stage in steps:
         assert any(stage in names for _, names in stencils), stage
-        assert (stage == "finalize_state"
-                or any(stage in names for _, names in transforms)), stage
+        assert any(stage in names for _, names in transforms), stage
+    assert not any("finalize_state" in names for _, names in stencils)
     sizes = set()
     for size, names in stencils:
         if "least_action_state" in names:
@@ -395,8 +502,9 @@ def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
                                               solve, n, tol):
     # at odd n a cold signed solve stays in the EVEN class on its first
     # n // 2 + 1 nodes, a nodal one in the ODD class on its first n // 2:
-    # every stencil of the fixed point, Newton, the polish and the level,
-    # and every shifted and linearized solve, acts on that half block;
+    # every stencil of the fixed point, Newton and the polish, and every
+    # shifted and linearized solve, acts on that half block, and the
+    # level applies none;
     # only the eigen start and the nodal state's sign parts are stencilled
     # on the grid, outside `least_action_state`.  The state is mirrored
     # onto the grid once; each residual's norm is the grid's, of the
@@ -435,11 +543,12 @@ def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
     assert [names for names in unfolds if "residual" not in names] == [
         names for names in unfolds if "finalize_state" in names]
     assert sum("finalize_state" in names for names in unfolds) == 1
-    steps = {"_fixed_point_newton", "newton", "finalize_state"}
+    steps = {"_fixed_point_newton", "newton"}
     if n == 32767:
         steps.add("_rounding_polish")
     for stage in steps:
         assert any(stage in names for _, names in stencils + solves), stage
+    assert not any("finalize_state" in names for _, names in stencils)
     for size, names in stencils:
         assert size == (half if "least_action_state" in names
                         else grid.size), names
@@ -459,7 +568,7 @@ def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
         def first_makes_no_step(grid, u, *args):
             calls.append(1)
             if len(calls) == 1:
-                return u, np.inf, 0, "sign-flip"
+                return u, np.inf, 0, "sign-flip", None
             return newton(grid, u, *args)
 
         # not even about the centre, nor is its even part the state's ray
@@ -510,8 +619,8 @@ def test_newton_rejected_without_stall_resumes_fixed_point(monkeypatch):
     # the final stage still polishes its best iterate to tol
     grid = Grid(DomainSpec.interval(0.0, 1.0), 4096)
     newton = ACTION.newton
-    monkeypatch.setattr(ACTION, "newton",
-                        lambda *args: newton(*args)[:3] + ("sign-flip",))
+    monkeypatch.setattr(ACTION, "newton", lambda *args: (
+        lambda out: out[:3] + ("sign-flip",) + out[4:])(newton(*args)))
     steps = _fixed_point_steps(monkeypatch)
     st = ground_state(grid, ActionParams(4.0, 100.0))
     assert len(steps) > 4

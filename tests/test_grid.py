@@ -277,6 +277,54 @@ def test_node_count_1d(grid511):
     assert node_count(Field(grid511, np.zeros(grid511.size))) == 0
 
 
+def _node_count_by_float_signs(vals: np.ndarray) -> int:
+    """The 1D count as np.sign times the threshold mask formed it."""
+    thr = 1e-9 * float(np.max(np.abs(vals)))
+    signs = np.sign(vals) * (np.abs(vals) > thr)
+    signs = signs[signs != 0]
+    return int(np.sum(signs[1:] != signs[:-1])) if signs.size else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-9, -1e-9, 2e-9, -2e-9,
+                                 5e-10, -5e-10, 0.3, -0.7]),
+                min_size=3, max_size=40),
+       st.floats(1e-300, 1e300))
+def test_node_count_1d_matches_float_signs(pattern, scale):
+    # exact zeros and values at, just above and just below 1e-9 max|u|,
+    # which count as zeros, are among the values
+    vals = scale * np.array(pattern)
+    if not np.any(vals):
+        vals[0] = scale
+    u = Field(Grid(DomainSpec.interval(0.0, 1.0), vals.size), vals)
+    assert node_count(u) == _node_count_by_float_signs(u.values)
+
+
+def test_dot_is_einsum_bitwise():
+    # the inner products call einsum's C kernel, which np.einsum calls
+    # without optimize: the same sums, bit for bit, from 1 to 5000 nodes
+    from nlsground.grid import dot
+
+    rng = np.random.default_rng(7)
+
+    def values(n):
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-5, 6, n)
+
+    for n in (1, 2, 3, 17, 128, 255, 1000, 4097, 5000):
+        x, y = values(n), values(n)
+        assert dot(x, y) == float(np.einsum("i,i->", x, y))
+    blocks = [Grid(DomainSpec.interval(0.0, 1.0), n).block((s,))
+              for n in (3, 5, 35, 255, 2001, 9999) for s in (EVEN, ODD)]
+    square = Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 63)
+    blocks += [square.block(cls) for cls in ((EVEN, EVEN), (ODD, EVEN),
+                                              DIAGONAL)]
+    assert {b.shape[0] for b in blocks} >= {1, 2, 5000}
+    for block in blocks:
+        x, y = values(block._mult.size), values(block._mult.size)
+        assert block.dot(x, y) == float(
+            np.einsum("i,i,i->", block._mult, x, y))
+
+
 def test_node_count_2d(unit_square):
     grid = Grid(unit_square, 31)
     u = grid.sample(lambda x, y: np.sin(2 * np.pi * x) * np.sin(np.pi * y))

@@ -90,15 +90,15 @@ def test_solve_is_one_back_substitution(grid2047):
 def test_newton_names_its_stop(grid511, monkeypatch):
     p, lam = 4.0, 10.0
     u = ground_state(grid511, ActionParams(p, lam)).u.values
-    assert newton(grid511, u, p, lam, 1e-8)[2:] == (0, "tol")
+    assert newton(grid511, u, p, lam, 1e-8)[2:4] == (0, "tol")
     # below the rounding floor a step eventually fails to lower the residual
     assert newton(grid511, u, p, lam, 1e-16)[3] == "stall"
     monkeypatch.setattr(linsolve, "_NEWTON_STEPS", 1)
-    assert newton(grid511, 1.02 * u, p, lam, 1e-16)[2:] == (1, "step-cap")
+    assert newton(grid511, 1.02 * u, p, lam, 1e-16)[2:4] == (1, "step-cap")
     # a step that crosses zero at a node keeps the iterate it started from
     v = u.copy()
     v[0] = -1e-3
-    out, _, steps, reason = newton(grid511, v, p, lam, 1e-16)
+    out, _, steps, reason, _ = newton(grid511, v, p, lam, 1e-16)
     assert reason == "sign-flip" and steps == 1 and np.array_equal(out, v)
 
 
@@ -127,7 +127,7 @@ def test_singular_linearization_is_reported(unit_interval):
     grid = Grid(unit_interval, 3)
     lam = 3.0 - 2.0 / grid.h[0] ** 2
     u = np.array([1.0, 0.0, 1.0])
-    out, _, steps, reason = newton(grid, u, 4.0, lam, 1e-8)
+    out, _, steps, reason, _ = newton(grid, u, 4.0, lam, 1e-8)
     assert (steps, reason) == (1, "singular")
     assert np.array_equal(out, u)
 

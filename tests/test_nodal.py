@@ -402,7 +402,7 @@ def test_newton_keeps_odd_fields_odd(unit_interval, unit_square, dim):
     # an exactly odd start off the state, zero on the fixed nodes
     u = 0.505 * (st.u.values - flip(st.u.values))
     assert np.array_equal(u, -flip(u)) and not np.any(u[fixed])
-    out, res, steps, reason = newton(grid, u, p, lam, 1e-10)
+    out, res, steps, reason, _ = newton(grid, u, p, lam, 1e-10)
     assert steps >= 2 and res < pde_residual(Field(grid, u),
                                              ActionParams(p, lam))
     assert not np.any(out[fixed])

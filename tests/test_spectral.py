@@ -74,6 +74,33 @@ def test_thresholds_shortcuts(grid255):
     assert lambda2(grid255) == dirichlet_eigenpairs(grid255, 2)[1].value
 
 
+def test_thresholds_computed_once_per_grid(monkeypatch):
+    # every solve checks its frequency against lambda_1 or lambda_2: they
+    # are the sums of the axes' closed forms, computed once per grid
+    from nlsground import spectral
+
+    grids = [Grid(DomainSpec.interval(0.0, 1.3), 257),
+             Grid(DomainSpec.rectangle(0.0, 1.0, 0.0, 1.0), 65),
+             Grid(DomainSpec.rectangle(0.0, 1.2, 0.0, 0.7), 33)]
+    j = np.arange(1, 3)
+    for grid in grids:
+        axes = [spectral.axis_eigenvalues(grid.n, h, j).tolist()
+                for h in grid.h]
+        ref1 = sum(lam[0] for lam in axes)
+        ref2 = (axes[0][1] if grid.dimension == 1 else
+                min(axes[0][0] + axes[1][1], axes[0][1] + axes[1][0]))
+        calls = []
+        closed_form = spectral.axis_eigenvalues
+        monkeypatch.setattr(spectral, "axis_eigenvalues", lambda *args:
+                            calls.append(1) or closed_form(*args))
+        values = [(lambda1(grid), lambda2(grid)) for _ in range(3)]
+        values.append((lambda1(Grid(grid.spec, grid.n)),
+                       lambda2(Grid(grid.spec, grid.n))))
+        monkeypatch.undo()
+        assert values == [(ref1, ref2)] * 4
+        assert len(calls) <= grid.dimension
+
+
 def _dense_laplacian(grid):
     """Assembled stencil matrix, built independently of Grid.laplacian."""
     n = grid.n
