@@ -25,15 +25,20 @@ _COLD_STEPS steps Newton's method takes over from the iterate's exact
 scalar normalization onto the constraint manifold (the linearized solve
 of `linsolve`: tridiagonal in 1D, MINRES preconditioned by the fixed
 point's shifted solve in 2D; the stencil keeps odd fields odd), and its
-result is rescaled exactly onto the manifold.  Each iterate's stencil
+result is rescaled exactly onto the manifold, from where Newton goes on
+once if that lifts its residual back above tol.  Each iterate's stencil
 runs once: the Dirichlet energy of the rescale comes from Newton's last
 residual, and the level's from the rescaled state's residual
 (`linsolve.evaluate`).  A warm start is a
 continuation step: Newton runs at once from the warm field's
 normalization, typically the tangent predictor u + (lambda - lambda_0) u'
 of a nearby state (`tangent_predictor`), and the starts run only if that
-result is rejected.  Every Newton result is
-kept only if it meets tol, stays nonnegative wherever its start is
+result is rejected.  A cold 1D solve on at least _NEST_FROM nodes first
+solves each start on the grid of _COARSE_NODES nodes and finishes it by
+Newton on the fine grid, or runs the fine fixed point if that fails
+(`_nested`).  A state's iterations count the steps on both grids.  Every
+Newton result is kept only if it meets tol,
+stays nonnegative wherever its start is
 positive and does not raise its start's ray action (the ground state
 minimizes it); otherwise the fixed point resumes as it was.  On fine 1D
 grids the storage rounding of the field bounds the attainable residual
@@ -56,9 +61,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .errors import (InvalidSpec, LambdaBelowThreshold, NoConvergence,
-                     NonpositiveQuotient, ZeroField)
-from .grid import DIAGONAL, Block, Field, Grid, node_count, stencil
+from .errors import (InvalidSpec, LambdaBelowThreshold, NlsgroundError,
+                     NoConvergence, NonpositiveQuotient, ZeroField)
+from .grid import DIAGONAL, Block, Field, Grid, node_count, prolong, stencil
 from .linsolve import (EVEN, evaluate, field_class, linearized_solve, newton,
                        residual, shifted_solver, solve_tridiagonal_longdouble)
 
@@ -66,6 +71,10 @@ from .linsolve import (EVEN, evaluate, field_class, linearized_solve, newton,
 _DESCENT_SLACK = 1e-12
 # fixed-point steps from a cold start before Newton is tried
 _COLD_STEPS = 4
+# a cold 1D solve on at least _NEST_FROM nodes starts from its state on
+# the grid of _COARSE_NODES nodes (nested iteration)
+_NEST_FROM = 8191
+_COARSE_NODES = 1023
 # relative preconditioned residual of the 2D tangent solve: tight for the
 # exact mass slope, loose for the continuation predictor Newton corrects
 _SLOPE_RTOL = 1e-12
@@ -120,7 +129,8 @@ class GroundState:
     start: each reflection whose state has two nodal domains ("midpoint"
     in 1D, "diagonal" and "midline" in 2D), or "warm".  iterations counts
     the solver's fixed-point steps plus its Newton steps, rejected ones
-    included, over the warm attempt and every start that did not raise.
+    included, over the warm attempt and every start that did not raise,
+    on both grids where a start nests (`least_action_state`).
     """
 
     u: Field
@@ -243,10 +253,12 @@ def ground_state(grid: Grid, params: ActionParams,
     Requires lambda above threshold_floor(lambda_1).  `least_action_state`
     runs from one start, the first eigenmode on the fields even about the
     box centre, or |init_field| after a warm start from it (a zero
-    init_field starts cold).  The shifted operator is factored only when
-    the fixed point runs or in 2D, where it preconditions Newton.  The
-    state meets the manifold identity to machine precision and the PDE
-    residual to opts.tol.
+    init_field starts cold).  On a 1D grid of 8191 nodes or more a cold
+    start nests: it is solved on the 1023-node grid first and finished
+    by Newton, or else runs as on any grid (see the module docstring).
+    The shifted operator is factored only when the fixed point runs or
+    in 2D, where it preconditions Newton.  The state meets the manifold
+    identity to machine precision and the PDE residual to opts.tol.
     """
     opts = opts or SolverOptions()
     floor = threshold_floor(spectral.lambda1(grid))
@@ -264,10 +276,14 @@ def ground_state(grid: Grid, params: ActionParams,
             warm = Field.adopt(grid, vals, None if cls in (None, DIAGONAL)
                                else tuple(EVEN if s else 0 for s in cls))
         del vals
-    # the start is built in the call, so the driver can release it
     return least_action_state(grid, params, opts, warm, [(
-        "signed", (EVEN,) * grid.dimension, warm.values if warm is not None
-        else spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values)], 1)[0]
+        "signed", (EVEN,) * grid.dimension, _first_mode if warm is None
+        else lambda g: warm.values)], 1)[0]
+
+
+def _first_mode(grid: Grid) -> np.ndarray:
+    """The first Dirichlet eigenvector of grid, flat."""
+    return spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values
 
 
 def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
@@ -279,11 +295,13 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     manifold, on the class it records, else the one its values are
     exactly in (`linsolve.field_class`).  If `_polish` rejects that
     result or it has other nodal domains, each start (label, class,
-    field) is popped from starts, projected onto its class of fields
-    (given as `linsolve.OperatorSolver` takes it) and released once
-    normalized, and runs `_fixed_point_newton` on that class.  A class
-    that folds is solved on its block from the start to the state
-    (`grid.Block`), mirrored onto the grid in `finalize_state`.  Returns
+    mode) is popped from starts; mode(g) builds its field on a grid g
+    of the box when it runs.  A cold 1D start may nest (`_nested`);
+    otherwise its field on grid is projected onto the class (given as
+    `linsolve.OperatorSolver` takes it), released once normalized, and
+    runs `_fixed_point_newton` on that class.  A class that folds is
+    solved on its block from the start to the state (`grid.Block`),
+    mirrored onto the grid in `finalize_state`.  Returns
     the least-action state with `domains` nodal domains and the record
     ((label, action), ...) of every such state, or raises NoConvergence
     naming how every start stopped.
@@ -303,34 +321,36 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
                   else shifted_solver(grid, lam, cls))
         # Newton's iterates stay exactly in the warm field's class
         space = grid.block(cls)
-        u = _unit(space, space.restrict(warm.values), p)
-        scale, j_warm = _ray(space, u, p, lam)
-        vals, res, kept, iterations, _, grad = _polish(
-            space, scale * u, p, lam, opts.tol, metric, j_warm, final=False)
-        if kept:
-            state = finalize_state(space, vals, params, res, iterations, grad)
-            if state.node_count + 1 == domains:
-                return state, (("warm", state.action_value),)
-        del u, vals  # the starts run as cold ones would
+        state, iterations = _newton_attempt(
+            space, space.restrict(warm.values), params, opts.tol, metric,
+            domains)
+        if state is not None:
+            return state, (("warm", state.action_value),)
+    nests = warm is None and grid.dimension == 1 and grid.n >= _NEST_FROM
     best, record, stops = None, [], []
     while starts:
-        label, parity, field = starts.pop(0)
-        try:
-            solver = first or shifted_solver(grid, lam, parity)
-            space = solver.space
-            u = _unit(space, space.restrict(solver.project(field)), p)
-            del field
-            vals, res, steps, grad = _fixed_point_newton(params, opts, u,
-                                                         solver)
-        except NoConvergence as exc:
-            stops.append(f"{label}: {exc}")
-            continue
-        iterations += steps
-        state = finalize_state(space, vals, params, res, iterations, grad)
-        if state.node_count + 1 != domains:
-            stops.append(f"{label}: {state.node_count + 1} nodal domains, "
-                         f"residual {res:.3e}")
-            continue
+        label, parity, mode = start = starts.pop(0)
+        state = None
+        if nests:
+            state, steps = _nested(grid, params, opts, start, domains)
+            iterations += steps
+        if state is None:
+            try:
+                solver = first or shifted_solver(grid, lam, parity)
+                space = solver.space
+                u = _unit(space, space.restrict(solver.project(mode(grid))),
+                          p)
+                vals, res, steps, grad = _fixed_point_newton(params, opts, u,
+                                                             solver)
+            except NoConvergence as exc:
+                stops.append(f"{label}: {exc}")
+                continue
+            iterations += steps
+            state = finalize_state(space, vals, params, res, iterations, grad)
+            if state.node_count + 1 != domains:
+                stops.append(f"{label}: {state.node_count + 1} nodal domains, "
+                             f"residual {res:.3e}")
+                continue
         record.append((label, state.action_value))
         if best is None or state.action_value < best.action_value:
             best = state
@@ -338,6 +358,55 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
         raise NoConvergence(f"no start reached {domains} nodal domain"
                             f"{'s' * (domains > 1)} ({'; '.join(stops)})")
     return replace(best, iterations=iterations), tuple(record)
+
+
+def _newton_attempt(space: Grid | Block, vals: np.ndarray,
+                    params: ActionParams, tol: float, metric,
+                    domains: int) -> tuple[GroundState | None, int]:
+    """Newton at once from vals, a warm start or a prolonged coarse state.
+
+    vals live on space and are in its class; `_polish` runs, not as a
+    final attempt, from their ray's point on the manifold, and metric
+    preconditions it in 2D.  Returns (the state, or None if `_polish`
+    rejects the result or it has other than `domains` nodal domains,
+    Newton steps).
+    """
+    p, lam = params.p, params.lam
+    u = _unit(space, vals, p)
+    scale, j = _ray(space, u, p, lam)
+    vals, res, kept, steps, _, grad = _polish(space, scale * u, p, lam, tol,
+                                              metric, j, final=False)
+    if kept:
+        state = finalize_state(space, vals, params, res, steps, grad)
+        if state.node_count + 1 == domains:
+            return state, steps
+    return None, steps
+
+
+def _nested(grid: Grid, params: ActionParams, opts: SolverOptions,
+            start: tuple, domains: int) -> tuple[GroundState | None, int]:
+    """A cold 1D start solved on the coarse grid, finished on grid.
+
+    The start runs through `least_action_state` on the grid of
+    _COARSE_NODES nodes of grid's interval, and its state, prolonged
+    onto the start's block of grid (`grid.prolong`), goes to
+    `_newton_attempt`.  Returns (the state, or None if the frequency is
+    not above the coarse grid's threshold, the coarse solve raised or
+    the attempt returned none, the steps on both grids).
+    """
+    coarse = Grid(grid.spec, _COARSE_NODES)
+    bottom = (spectral.lambda1 if domains == 1 else spectral.lambda2)(coarse)
+    if params.lam <= threshold_floor(bottom):
+        return None, 0
+    try:
+        seed = least_action_state(coarse, params, opts, None, [start],
+                                  domains)[0]
+    except NlsgroundError:
+        return None, 0
+    state, steps = _newton_attempt(grid.block(start[1]),
+                                   prolong(seed.u, grid, start[1]), params,
+                                   opts.tol, None, domains)
+    return state, seed.iterations + steps
 
 
 def _unit(space: Grid | Block, vals: np.ndarray, p: float) -> np.ndarray:
@@ -509,9 +578,11 @@ def _polish(space: Grid | Block, start: np.ndarray, p: float, lam: float,
             tol: float, solver, j_ref: float, final: bool):
     """Newton from start, on space, then the exact rescale onto the manifold.
 
-    In 1D a result still above tol goes on to the extended-precision
-    rounding polish if Newton stalled or, on the final attempt, whatever
-    stopped it (see `linsolve.newton`).  One `_ray` of Newton's result,
+    If Newton stopped on tol and the rescale lifts the residual back
+    above it, Newton continues once from the rescaled state, which is
+    rescaled again.  In 1D a result still above tol goes on to the
+    extended-precision rounding polish if Newton stalled or, on the
+    final attempt, whatever stopped it (see `linsolve.newton`).  One `_ray` of Newton's result,
     from the Dirichlet energy Newton's residual gave, yields both the
     rescale and the ray action; the rounding polish's field takes its
     own.  Returns (values, residual, kept, Newton steps, last stage, the
@@ -521,11 +592,16 @@ def _polish(space: Grid | Block, start: np.ndarray, p: float, lam: float,
     start's own; the last stage names Newton's stop reason and whether
     the rounding polish ran.
     """
-    out, res, steps, reason, grad = newton(space, start, p, lam, tol, solver)
+    out, steps = start, 0
+    for _ in range(2):
+        out, res, more, reason, grad = newton(space, out, p, lam, tol, solver)
+        steps += more
+        scale, j = _ray(space, out, p, lam, grad)
+        out = scale * out
+        res, grad = evaluate(space, out, p, lam)[1:]
+        if res <= tol or reason != "tol":
+            break
     last = f"Newton on {reason}"
-    scale, j = _ray(space, out, p, lam, grad)
-    out = scale * out
-    res, grad = evaluate(space, out, p, lam)[1:]
     if res > tol and space.dimension == 1 and (final or reason == "stall"):
         polished, res, grad = _rounding_polish(space, out, p, lam, res)
         if polished is not out:

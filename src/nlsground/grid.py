@@ -396,6 +396,29 @@ def unfold(x: np.ndarray, parity) -> np.ndarray:
     return x
 
 
+def prolong(u: Field, grid: Grid, parity: tuple) -> np.ndarray:
+    """The 1D field u linearly interpolated onto grid, exactly in parity.
+
+    u lives on a coarser grid of the same interval and is in the class
+    parity, (EVEN,) or (ODD,).  The interpolant, zero at the walls, is
+    taken at the nodes that `grid.block(parity)` stores: at odd n its
+    block, which holds only fields of the class; at even n every node,
+    and the odd part is kept along an ODD axis, as
+    `linsolve.OperatorSolver.project` keeps it.
+    """
+    space = grid.block(parity)
+    coarse = u.grid
+    # node i of grid lies at i (n_c + 1) / (n + 1) in units of the coarse
+    # spacing, counted from the wall
+    at = np.arange(1, space.shape[0] + 1) * ((coarse.n + 1) / (grid.n + 1))
+    vals = np.interp(at, np.arange(coarse.n + 2.0),
+                     np.concatenate(([0.0], u.values, [0.0])))
+    if space is grid and parity[0] == ODD:
+        vals = vals - vals[::-1]
+        vals *= 0.5
+    return vals
+
+
 class Field:
     """Real grid function on the interior nodes of one Grid.
 

@@ -52,8 +52,11 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
 
     Requires lambda above threshold_floor(lambda_2).  Runs
     `least_action_state` from each reflection of the box (see the module
-    docstring); init_field is a warm start.  The state's iterations
-    count the fixed-point and Newton steps of every start.
+    docstring); init_field is a warm start.  On a 1D grid of 8191 nodes
+    or more the cold midpoint start is solved on the 1023-node grid
+    first and finished by Newton, or else runs as on any grid.  The
+    state's iterations count the fixed-point and Newton steps of every
+    start, on both grids where it nests.
     """
     opts = opts or SolverOptions()
     floor = threshold_floor(spectral.lambda2(grid))
@@ -72,7 +75,7 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
 
 
 def _reflections(grid: Grid) -> list:
-    """(label, class, its lambda_2 mode) for each cold start.
+    """(label, class, builder of its lambda_2 mode) for each cold start.
 
     An interval has the midpoint flip, whose odd fields are the ODD
     class.  A square has the transpose, whose fixed line is the
@@ -81,18 +84,27 @@ def _reflections(grid: Grid) -> list:
     Any other rectangle has the flip of its longer axis.  A midline
     start's class is odd along the flipped axis and even along the
     other; the diagonal's is DIAGONAL, the fields odd under the
-    transpose and, where solves fold, the half-turn.  Each mode is the
-    discrete lambda_2 eigenvector in its class, flattened; the driver
-    projects it exactly onto the class.
+    transpose and, where solves fold, the half-turn.  Each builder
+    takes a grid of the box and returns the discrete lambda_2
+    eigenvector in the class there, flattened; the driver builds it
+    when the start runs and projects it exactly onto the class.
     """
-    t = np.arange(1, grid.n + 1) * (np.pi / (grid.n + 1))
-    s1, s2 = np.sin(t), np.sin(2.0 * t)
     if grid.dimension == 1:
-        return [("midpoint", (ODD,), s2)]
+        return [("midpoint", (ODD,), lambda g: _sine(g, 2.0))]
     if grid.h[0] < grid.h[1]:
-        return [("midline", (EVEN, ODD), np.outer(s1, s2).reshape(-1))]
-    starts = [("midline", (ODD, EVEN), np.outer(s2, s1).reshape(-1))]
+        return [("midline", (EVEN, ODD), lambda g: _plane(g, 1.0, 2.0))]
+    starts = [("midline", (ODD, EVEN), lambda g: _plane(g, 2.0, 1.0))]
     if grid.h[0] == grid.h[1]:
         starts.insert(0, ("diagonal", DIAGONAL,
-                          (np.outer(s1, s2) - np.outer(s2, s1)).reshape(-1)))
+                          lambda g: _plane(g, 1.0, 2.0) - _plane(g, 2.0, 1.0)))
     return starts
+
+
+def _sine(grid: Grid, k: float) -> np.ndarray:
+    """The k-th Dirichlet mode of an axis of grid at its nodes."""
+    return np.sin(k * (np.arange(1, grid.n + 1) * (np.pi / (grid.n + 1))))
+
+
+def _plane(grid: Grid, j: float, k: float) -> np.ndarray:
+    """The mode (j, k) of the 2D grid at its nodes, flat."""
+    return np.outer(_sine(grid, j), _sine(grid, k)).reshape(-1)

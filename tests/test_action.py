@@ -495,7 +495,8 @@ def test_cold_diagonal_solve_runs_on_the_half_block(unit_square,
 @pytest.mark.parametrize("solve, n, tol", [
     (ground_state, 255, 1e-8),
     (nodal_ground_state, 255, 1e-8),
-    # Newton stalls above tol and the rounding polish finishes
+    # nested: the fine Newton stalls above tol and the rounding polish
+    # finishes
     (ground_state, 32767, 3.5e-7),
 ])
 def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
@@ -504,16 +505,19 @@ def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
     # n // 2 + 1 nodes, a nodal one in the ODD class on its first n // 2:
     # every stencil of the fixed point, Newton and the polish, and every
     # shifted and linearized solve, acts on that half block, and the
-    # level applies none;
-    # only the eigen start and the nodal state's sign parts are stencilled
-    # on the grid, outside `least_action_state`.  The state is mirrored
-    # onto the grid once; each residual's norm is the grid's, of the
-    # unfolded residual, so the state reports its field's residual
+    # level applies none; only the eigen start and the nodal state's
+    # sign parts are stencilled on the grid.  On 32767 nodes the start
+    # runs so on the 1023-node grid first, and the fine grid runs no
+    # fixed point: only Newton and the polish, on its half block.  Each
+    # grid's state is mirrored onto it once; each residual's norm is the
+    # grid's, of the unfolded residual, so the state reports its
+    # field's residual
     from nlsground import grid as grid_module
     from nlsground import linsolve
 
     grid = Grid(unit_interval, n)
-    half = n // 2 + (solve is ground_state)
+    grids = [grid] if n < 8191 else [Grid(unit_interval, 1023), grid]
+    halves = {g.n // 2 + (solve is ground_state): g for g in grids}
     laplacian = Grid.laplacian
     unfold = grid_module.unfold
     stencils, solves, unfolds = [], [], []
@@ -536,23 +540,33 @@ def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
         patch.setattr(Grid, "laplacian", recorded_laplacian)
         recorded(patch, "dgtsv", 3)
         recorded(patch, "dpttrs", 2)
-        patch.setattr(grid_module, "unfold", lambda *args:
-                      unfolds.append(_stages()) or unfold(*args))
+        patch.setattr(grid_module, "unfold", lambda x, *args:
+                      unfolds.append((x.size, _stages())) or unfold(x, *args))
         st = solve(grid, ActionParams(4.0, 10.0), SolverOptions(tol=tol))
     assert st.residual == pde_residual(st.u, st.params) <= tol
-    assert [names for names in unfolds if "residual" not in names] == [
-        names for names in unfolds if "finalize_state" in names]
-    assert sum("finalize_state" in names for names in unfolds) == 1
-    steps = {"_fixed_point_newton", "newton"}
-    if n == 32767:
-        steps.add("_rounding_polish")
-    for stage in steps:
-        assert any(stage in names for _, names in stencils + solves), stage
+    assert [names for _, names in unfolds if "residual" not in names] == [
+        names for _, names in unfolds if "finalize_state" in names]
+    assert [size for size, names in unfolds if "finalize_state" in names] == [
+        g.size for g in grids]
     assert not any("finalize_state" in names for _, names in stencils)
     for size, names in stencils:
-        assert size == (half if "least_action_state" in names
-                        else grid.size), names
-    assert {size for size, _ in solves} == {half}
+        if "dirichlet_eigenpairs" in names:
+            assert size == grids[0].size  # the start, on the coarsest grid
+        elif "least_action_state" in names:
+            assert size in halves, names
+        else:
+            assert size == grid.size, names
+    assert {size for size, _ in solves} == set(halves)
+    for half, g in halves.items():
+        names = [names for size, names in stencils + solves if size == half]
+        steps = {"newton"}
+        if g is grids[0]:
+            steps.add("_fixed_point_newton")
+        else:
+            assert not any("_fixed_point_newton" in ns for ns in names)
+            steps.add("_rounding_polish")
+        for stage in steps:
+            assert any(stage in ns for ns in names), (g, stage)
 
 
 def test_rejected_warm_newton_runs_fixed_point(grid255, monkeypatch):
@@ -629,6 +643,31 @@ def test_newton_rejected_without_stall_resumes_fixed_point(monkeypatch):
     assert max(_nehari_gaps(st)) <= 1e-13
 
 
+@pytest.mark.parametrize("solve, n, p, lam, iterations, level", [
+    (ground_state, 4096, 4.0, 10.0, 7, 61.68377883883685),
+    (nodal_ground_state, 512, 3.0, 400.0, 11, 7699061.755442034),
+    (nodal_ground_state, 511, 3.0, 400.0, 10, 7699060.393143617),
+])
+def test_newton_continues_after_the_rescale(unit_interval, monkeypatch, solve,
+                                            n, p, lam, iterations, level):
+    # Newton from the fourth fixed-point step stops on tol, and the exact
+    # rescale onto the manifold lifts the residual back above it; Newton
+    # continues once from the rescaled state (the nodal ones stall), and
+    # its result meets tol once rescaled again.  The fixed point no
+    # longer creeps on to its own stall (30, 608 and 63 iterations, to
+    # the same levels)
+    newton = ACTION.newton
+    reasons = []
+    monkeypatch.setattr(ACTION, "newton", lambda *args: (
+        lambda out: reasons.append(out[3]) or out)(newton(*args)))
+    steps = _fixed_point_steps(monkeypatch)
+    st = solve(Grid(unit_interval, n), ActionParams(p, lam))
+    assert len(steps) == 4 and len(reasons) == 2 and reasons[0] == "tol"
+    assert st.iterations == iterations
+    assert st.residual == pde_residual(st.u, st.params) <= 1e-8
+    assert st.action_value == pytest.approx(level, rel=1e-15)
+
+
 @pytest.mark.parametrize("p, lam, tol, polished", [
     (4.0, 10.0, 3.5e-7, 2.6e-7),
     # the narrow soliton's Jacobian is nearly singular along its
@@ -636,17 +675,24 @@ def test_newton_rejected_without_stall_resumes_fixed_point(monkeypatch):
     (6.0, 2500.0, 2e-7, 1.25e-7),
 ])
 def test_fine_grid_rounding_polish_work(monkeypatch, p, lam, tol, polished):
-    # at n = 32767 Newton stalls at the rounding floor above tol after the
-    # fourth fixed-point step; the rounding polish finishes with its three
-    # long-double Newton steps, one double solve each
+    # at n = 32767 the start's four fixed-point steps run on the 1023-node
+    # grid, whose Newton meets tol; on the fine grid Newton from the
+    # prolonged state stalls at the rounding floor above tol, and the
+    # rounding polish finishes with its three long-double Newton steps,
+    # one double solve each
+    from nlsground.linsolve import OperatorSolver
+
     grid = Grid(DomainSpec.interval(0.0, 1.0), 32767)
     solve = ACTION.solve_tridiagonal_longdouble
     calls = []
     monkeypatch.setattr(ACTION, "solve_tridiagonal_longdouble",
                         lambda *args: calls.append(1) or solve(*args))
-    steps = _fixed_point_steps(monkeypatch)
+    shifted = OperatorSolver.solve
+    steps = []
+    monkeypatch.setattr(OperatorSolver, "solve", lambda self, b:
+                        steps.append(self.grid.n) or shifted(self, b))
     st = ground_state(grid, ActionParams(p, lam), SolverOptions(tol=tol))
-    assert len(steps) == 4
+    assert steps == [1023] * 4
     assert len(calls) == 3
     assert st.residual <= polished
     assert pde_residual(st.u, st.params) == st.residual

@@ -437,3 +437,31 @@ def test_discrete_poincare(grid255):
         u = Field(grid255, rng.standard_normal(grid255.size))
         l2, _, gr = norms(u, 4.0)
         assert gr >= lam1 * l2 * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n, parity, size", [
+    (32767, (EVEN,), 16384), (32767, (ODD,), 16383),
+    (8192, (EVEN,), 8192), (8192, (ODD,), 8192)])
+def test_prolong_interpolates_onto_the_block(n, parity, size):
+    # a coarse field of the class, exactly even or odd about the centre,
+    # is interpolated linearly onto the nodes the fine grid's block
+    # stores; at odd n every 32nd node is a coarse node, and at even n an
+    # odd field's interpolant is exactly odd
+    from nlsground.grid import prolong
+
+    spec = DomainSpec.interval(-1.0, 2.0)
+    coarse, fine = Grid(spec, 1023), Grid(spec, n)
+    block = coarse.block(parity)
+    u = block.field(np.sin((2.0 if parity == (ODD,) else 1.0) * np.pi
+                           * (block.grid.coords[0][:block.shape[0]] + 1.0)
+                           / 3.0))
+    vals = prolong(u, fine, parity)
+    assert vals.size == size
+    x = fine.coords[0][:size]
+    exact = np.interp(x, np.concatenate(([-1.0], coarse.coords[0], [2.0])),
+                      np.concatenate(([0.0], u.values, [0.0])))
+    assert np.allclose(vals, exact, rtol=0.0, atol=1e-12)
+    if n % 2:
+        assert np.array_equal(vals[31::32], u.values[:size // 32])
+    elif parity == (ODD,):
+        assert np.array_equal(vals, -vals[::-1])

@@ -298,13 +298,18 @@ def test_cold_diagonal_states_are_exactly_odd(unit_square, n, outcomes):
     # under the transpose and the half-turn, and where it raises (None)
     # the fixed point has crept to max_iter and Newton stalled
     from nlsground.action import least_action_state
+    from nlsground.grid import DIAGONAL
     from nlsground.nodal import _reflections
 
     grid = Grid(unit_square, n)
     for (p, lam), level in zip([(4.0, 10.0), (6.0, 150.0), (3.0, 400.0)],
                                outcomes):
-        starts = _reflections(grid)[:1]
-        assert starts[0][0] == "diagonal"
+        # the start builds its mode on the grid only when it runs
+        label, cls, mode = _reflections(grid)[0]
+        assert (label, cls) == ("diagonal", DIAGONAL)
+        a = mode(grid).reshape(grid.shape)
+        assert np.array_equal(a, -a.T)
+        starts = [(label, cls, mode)]
         if level is None:
             stop = "diagonal: .* stopped on max_iter, then Newton on stall"
             with pytest.raises(NoConvergence, match=stop):
