@@ -63,7 +63,7 @@ import numpy as np
 from . import spectral
 from .errors import (InvalidSpec, LambdaBelowThreshold, NlsgroundError,
                      NoConvergence, NonpositiveQuotient, ZeroField)
-from .grid import DIAGONAL, Block, Field, Grid, node_count, prolong, stencil
+from .grid import Block, Field, Grid, node_count, prolong, stencil
 from .linsolve import (EVEN, evaluate, field_class, linearized_solve, newton,
                        residual, shifted_solver, solve_tridiagonal_longdouble)
 
@@ -271,10 +271,11 @@ def ground_state(grid: Grid, params: ActionParams,
             raise InvalidSpec("initial field lives on a different grid")
         vals = np.abs(init_field.values)
         if vals.max() > 0.0:
-            # |f| is even along every axis where f is even or odd
+            # |f| is even along every axis where f is even or odd; a
+            # named class (DIAGONAL, TRANSPOSE) gives no parity per axis
             cls = init_field.parity
-            warm = Field.adopt(grid, vals, None if cls in (None, DIAGONAL)
-                               else tuple(EVEN if s else 0 for s in cls))
+            warm = Field.adopt(grid, vals, tuple(EVEN if s else 0 for s in cls)
+                               if isinstance(cls, tuple) else None)
         del vals
     return least_action_state(grid, params, opts, warm, [(
         "signed", (EVEN,) * grid.dimension, _first_mode if warm is None
@@ -307,19 +308,15 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     naming how every start stopped.
     """
     p, lam = params.p, params.lam
-    # 1D Newton factors nothing; 2D Newton is preconditioned by the fixed
-    # point's shifted solve.  The signed start's solve serves the warm
-    # attempt too if the warm field is exactly in its class, and one on
-    # the warm field's own class otherwise; an odd-field solve serves its
-    # start only
-    first = (shifted_solver(grid, lam, starts[0][1])
-             if grid.dimension == 2 and domains == 1 else None)
     iterations = 0
     if warm is not None:
+        # Newton's iterates stay exactly in the warm field's class; a 2D
+        # signed Newton is preconditioned by the shifted solve on it, a
+        # nodal one by its own (`linsolve.newton`), and 1D Newton factors
+        # nothing
         cls = field_class(warm)
-        metric = (first if first is None or cls == first.parity
-                  else shifted_solver(grid, lam, cls))
-        # Newton's iterates stay exactly in the warm field's class
+        metric = (shifted_solver(grid, lam, cls)
+                  if grid.dimension == 2 and domains == 1 else None)
         space = grid.block(cls)
         state, iterations = _newton_attempt(
             space, space.restrict(warm.values), params, opts.tol, metric,
@@ -336,7 +333,7 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
             iterations += steps
         if state is None:
             try:
-                solver = first or shifted_solver(grid, lam, parity)
+                solver = shifted_solver(grid, lam, parity)
                 space = solver.space
                 u = _unit(space, space.restrict(solver.project(mode(grid))),
                           p)

@@ -136,6 +136,8 @@ def _cmd_sweep(args) -> int:
     lo = args.lambda_min
     if lo is None:
         lo = -threshold_eigenvalue(grid, args.kind) + 0.5
+    if not (np.isfinite(lo) and np.isfinite(args.lambda_max)):
+        raise InvalidSpec("the frequency range must be finite")
     lams = np.linspace(lo, args.lambda_max, args.samples)
     curve = sweep(grid, args.p, lams, args.kind, opts)
     _dump_lines(sweep_csv_lines(curve), args.out)

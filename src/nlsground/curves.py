@@ -110,6 +110,8 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("need a nonempty 1D frequency list")
+    if not np.isfinite(lambdas).all():
+        raise InvalidSpec("frequencies must be finite")
     if np.any(np.diff(lambdas) <= 0):
         raise ValueError("frequency list must be strictly ascending")
     thr = threshold_eigenvalue(grid, kind)

@@ -19,13 +19,15 @@ of an interval or a quarter of a rectangle, and a `Block` stores the
 fields of such a class that way: the stencil runs on the block alone,
 closed past it by the mirror node of an even axis or the zero centre
 node of an odd one, and every sum weighs a block node by the number of
-grid nodes it stands for.  A Block offers the grid's stencil and
-quadrature under the same names, so a solve on a parity class lives on
-its block from its start to its state, which is mirrored onto the grid
-once (`unfold`), into a Field that records the class.  IEEE rounding
-is symmetric under negation, so the full stencil of an exactly even or
-odd field is exactly even or odd, and the block's stencil gives its
-values node for node (an exactly zero value may carry the other sign).
+grid nodes it stands for.  The grid is the space of the class with no
+parity, and it and every Block answer one protocol: `grid`, `parity`,
+`laplacian`, `dot` and the sums, `restrict` and `unfold`, and `field`.
+So a solve on a class lives on its space from its start to its state,
+which is mirrored onto the grid once (`unfold`), into a Field that
+records the class.  IEEE rounding is symmetric under negation, so the
+full stencil of an exactly even or odd field is exactly even or odd,
+and the block's stencil gives its values node for node (an exactly zero
+value may carry the other sign).
 
 The fields of a square odd under its transpose and under its half-turn
 (both centre flips), the class `DIAGONAL` of the diagonal nodal state,
@@ -50,8 +52,10 @@ _NODE_REL_TOL = 1e-9
 # a field's parity about the centre of the box along one axis; 0 is none
 EVEN, ODD = 1, -1
 # the class of a square's fields odd under its transpose and its half-turn,
-# named in place of the per-axis parities
+# named in place of the per-axis parities, and that of the fields odd
+# under the transpose alone, which no solve folds
 DIAGONAL = "diagonal"
+TRANSPOSE = "transpose"
 
 
 @dataclass(frozen=True)
@@ -117,13 +121,41 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(c_einsum("i,i->", x, y))
 
 
-class Grid:
-    """Uniform interior grid with spacing h = (b - a)/(n + 1) per axis."""
+class _Space:
+    """The sums and fields a Grid and a Block share, from their own
+    `dot`, `laplacian` and `unfold`."""
+
+    def l2_sq(self, values: np.ndarray) -> float:
+        return self.weight * self.dot(values, values)
+
+    def grad_sq(self, values: np.ndarray, av: np.ndarray | None = None
+                ) -> float:
+        """Dirichlet energy <A u, u> with the quadrature weight.
+
+        av is the stencil's image A u if already applied.
+        """
+        if av is None:
+            av = self.laplacian(values)
+        return self.weight * self.dot(values, av)
+
+    def field(self, values: np.ndarray) -> "Field":
+        """The field of the values, mirrored onto the grid, which records
+        the space's class."""
+        return Field.adopt(self.grid, self.unfold(values), self.parity)
+
+
+class Grid(_Space):
+    """Uniform interior grid with spacing h = (b - a)/(n + 1) per axis.
+
+    As a space it stores a field whole; its `field` records no class at
+    odd n, where a solve may fold one, and no parity at even n.
+    """
 
     def __init__(self, spec: DomainSpec, n: int):
         if n < 3:
             raise InvalidSpec(f"need at least 3 interior nodes per axis, got {n}")
         self.spec = spec
+        self.grid = self
         self.dimension = spec.dimension
         self.n = int(n)
         self.shape = (self.n,) * spec.dimension
@@ -135,6 +167,7 @@ class Grid:
             for (lo, _), hx in zip(spec.bounds, self.h)
         )
         self.size = self.n ** spec.dimension
+        self.parity = None if self.n % 2 else (0,) * spec.dimension
         # per axis, how the last node is closed (see Block): by the zero
         # boundary
         self.mirror = (0,) * spec.dimension
@@ -168,38 +201,23 @@ class Grid:
 
     # -- the Dirichlet Laplacian ----------------------------------------
 
-    def laplacian(self, values: np.ndarray, parity: tuple = ()) -> np.ndarray:
+    def laplacian(self, values: np.ndarray, space: _Space | None = None
+                  ) -> np.ndarray:
         """Apply the negative Laplacian stencil, flat array in and out.
 
-        values holds the grid's nodes, or the block of a field of the
-        parity class parity, given as `block` takes it or as its Block
-        itself, and so does the result.
+        values holds the nodes of space, the grid itself by default or
+        one of its Blocks, and so does the result.
         """
-        if values.size == self.size:
-            return stencil(values.reshape(self.shape), self._h2).reshape(-1)
-        block = parity if isinstance(parity, Block) else self.block(parity)
-        return stencil(values.reshape(block.shape), self._h2,
-                       block.mirror).reshape(-1)
+        space = self if space is None else space
+        return stencil(values.reshape(space.shape), self._h2,
+                       space.mirror).reshape(-1)
 
     # -- quadrature ------------------------------------------------------
 
     dot = staticmethod(dot)
 
-    def l2_sq(self, values: np.ndarray) -> float:
-        return self.weight * dot(values, values)
-
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * float(np.sum(np.abs(values) ** p))
-
-    def grad_sq(self, values: np.ndarray, av: np.ndarray | None = None
-                ) -> float:
-        """Dirichlet energy <A u, u> with the quadrature weight.
-
-        av is the stencil's image A u if already applied.
-        """
-        if av is None:
-            av = self.laplacian(values)
-        return self.weight * dot(values, av)
 
     def l2_norm(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.l2_sq(values)))
@@ -209,14 +227,14 @@ class Grid:
     def block(self, parity) -> "Grid | Block":
         """The Block storing the fields of the class parity, or the grid.
 
-        parity gives per axis EVEN, ODD or 0 (none), or is DIAGONAL; at
-        odd n a class folds with a parity on every axis, and DIAGONAL on
-        a square.  The grid stores every other class whole, and offers a
-        Block's methods for it: `laplacian`, `dot` and the norms above,
-        `restrict` and `field`.  Each Block is built once.
+        parity gives per axis EVEN, ODD or 0 (none), or is DIAGONAL or
+        TRANSPOSE; at odd n a class folds with a parity on every axis,
+        and DIAGONAL on a square.  The grid stores every other class
+        whole.  Each Block is built once.
         """
-        if parity == DIAGONAL:
-            folds = self.dimension == 2 and self.h[0] == self.h[1]
+        if parity in (DIAGONAL, TRANSPOSE):
+            folds = (parity == DIAGONAL and self.dimension == 2
+                     and self.h[0] == self.h[1])
         else:
             folds = all(parity)
             parity = tuple(parity)
@@ -230,14 +248,12 @@ class Grid:
         """values themselves: the grid stores a field whole."""
         return values
 
-    def field(self, values: np.ndarray) -> "Field":
-        """The field of grid values; at even n, where no class folds, it
-        records the class of no parity."""
-        return Field(self, values, None if self.n % 2 else
-                     (0,) * self.dimension)
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """A copy of values: the grid stores a field whole."""
+        return values.copy()
 
 
-class Block:
+class Block(_Space):
     """The block that stores the fields of a class at odd n.
 
     At odd n = 2m+1 a field even or odd about the centre of each axis
@@ -287,17 +303,8 @@ class Block:
         """The multiplicity-weighted inner product, summed in one thread."""
         return float(c_einsum("i,i,i->", self._mult, x, y))
 
-    def l2_sq(self, values: np.ndarray) -> float:
-        return self.weight * self.dot(values, values)
-
     def lp_p(self, values: np.ndarray, p: float) -> float:
         return self.weight * dot(self._mult, np.abs(values) ** p)
-
-    def grad_sq(self, values: np.ndarray, av: np.ndarray | None = None
-                ) -> float:
-        if av is None:
-            av = self.laplacian(values)
-        return self.weight * self.dot(values, av)
 
     def restrict(self, values: np.ndarray) -> np.ndarray:
         """The block of a flat grid field of the class (in 1D a view)."""
@@ -308,10 +315,6 @@ class Block:
         full = np.empty(self.grid.shape)
         full[self.slices] = values.reshape(self.shape)
         return unfold(full, self.parity).reshape(-1)
-
-    def field(self, values: np.ndarray) -> "Field":
-        """The field of the block values, which records the Block's class."""
-        return Field.adopt(self.grid, self.unfold(values), self.parity)
 
 
 def stencil(u: np.ndarray, h2: tuple, mirror: tuple = (0, 0)
@@ -426,7 +429,7 @@ class Field:
     combining fields from different grids raises GridMismatch.  parity
     is the class the values are exactly in, as `Grid.block` takes it,
     where that is known: a state's field records the class it was
-    solved on (`Block.field`, `Grid.field`), so a solve that reuses it
+    solved on (`field` of its Block or Grid), so a solve that reuses it
     need not compare its values (`linsolve.field_class`); None if
     unknown.
     """

@@ -12,8 +12,10 @@ before numpy: importing scipy.linalg for them would add about 0.3 s to
 every process.
 A solve may be restricted to a class of fields that A maps to itself:
 per axis, the fields even or odd about the centre of the box, and the
-fields of a square odd under its transpose (at odd n also under its
-half-turn, both centre flips: the class DIAGONAL).  At odd n = 2m+1, a
+fields of a square odd under its transpose (the class TRANSPOSE), at
+odd n also under its half-turn (both centre flips: DIAGONAL).  A solve
+takes and returns values on its class's space, the grid or the Block
+that stores the class (`grid.Grid.block`).  At odd n = 2m+1, a
 class with a parity on every axis lives on its block of m+1 (even) or m
 (odd) nodes per axis (`grid.Block`), half of an interval or a quarter
 of a rectangle, and DIAGONAL on the half-turn block of rows 0..m.  In
@@ -27,13 +29,14 @@ n=255.  A DIAGONAL field is w - w^T with w its (ODD, EVEN) part, and
 its solve is s - s^T for s the quarter-block solve of w: one folded
 pair too (`_diagonal_solve`).  At even n the 1D odd fields are fixed by
 their first n // 2 nodes, closed by the mirror node, and every other 2D
-solve is the full DST-I pair, projected onto its class.  The classes
+solve is the full DST-I pair, projected onto its class, DIAGONAL by
+the transpose alone, as TRANSPOSE.  The classes
 come from the starts (`action.least_action_state`) and travel with the
 states: a field mirrored from a Block records its class (`grid.Field`),
 and a warm field or a state is solved on the class it records, or else
-on the one its values are exactly in (`field_class`, `parity_class`).
-On the grid a square's field odd under the transpose alone keeps the
-transpose's projection (`_metric`).  A solve is one
+on the one its values are exactly in (`field_class`, `parity_class`);
+on the grid a square's field odd under the transpose is preconditioned
+in TRANSPOSE (`_metric`).  A solve is one
 back-substitution with the factor: the direct solve is backward stable,
 so refining it in double precision would gain almost nothing (Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 12).  Solves are
@@ -71,7 +74,7 @@ import numpy as np
 from . import spectral
 from ._extensions import lapack, load
 from .errors import NoConvergence
-from .grid import DIAGONAL, EVEN, ODD, Block, Field, Grid, dot
+from .grid import DIAGONAL, EVEN, ODD, TRANSPOSE, Block, Field, Grid, dot
 
 dgtsv, dpttrf, dpttrs = lapack.dgtsv, lapack.dpttrf, lapack.dpttrs
 
@@ -89,52 +92,46 @@ class OperatorSolver:
     """Repeated solves of (A + c I) x = b on one grid, on a class of fields.
 
     The class is given per axis by parity, EVEN or ODD about the centre
-    of the box or 0 (all fields), and optionally by reflect, a map of
-    the array of node values to its mirror image under a reflection of
-    the box that commutes with A (the transpose of a square), whose odd
-    fields are kept; or parity is DIAGONAL, a square's fields odd under
-    its transpose and, where solves fold, its half-turn.  c must keep
-    the operator positive definite on the class (c > -lambda_1 of the
-    discrete Laplacian, or > -lambda_2 for a class with an odd axis or
-    a reflection, or DIAGONAL); NoConvergence is raised otherwise.  At
-    odd n = 2m+1 a class with a parity on every axis is folded: its
-    fields live on the block of their first m+1 (even) or m (odd) nodes
-    per axis, the solver's `space` (`grid.Block`); in 1D the solve
-    factors the closed half system, in 2D it transforms only that
-    block, by DST-III and DST-I (`_fold_solve`).  DIAGONAL folds onto
-    its half-turn block, through the quarter block of its (ODD, EVEN)
-    part (`_diagonal_solve`).  A folded solve takes and returns block
-    values, or a field on the whole grid, projected onto the class.
-    Otherwise `space` is the grid: a 1D odd axis at even n is factored
-    on its first n // 2 nodes and each solve mirrored onto the full
-    grid, and each 2D solve is the full transform, projected onto the
-    class (`project`), DIAGONAL by the transpose alone.  An even axis
+    of the box or 0 (all fields); or parity is DIAGONAL, a square's
+    fields odd under its transpose and, where solves fold, its
+    half-turn, or TRANSPOSE, those odd under the transpose alone, which
+    DIAGONAL becomes where solves do not fold.  c must keep the operator
+    positive definite on the class (c > -lambda_1 of the discrete
+    Laplacian, or > -lambda_2 for a class with an odd axis, DIAGONAL or
+    TRANSPOSE); NoConvergence is raised otherwise.  The solver's `space`
+    is where its fields live, `grid.block` of the class, and a solve
+    takes and returns values on it.  At odd n = 2m+1 a class with a
+    parity on every axis is folded: its fields live on the block of
+    their first m+1 (even) or m (odd) nodes per axis (`grid.Block`); in
+    1D the solve factors the closed half system, in 2D it transforms
+    only that block, by DST-III and DST-I (`_fold_solve`).  DIAGONAL
+    folds onto its half-turn block, through the quarter block of its
+    (ODD, EVEN) part (`_diagonal_solve`).  Otherwise `space` is the
+    grid: a 1D odd axis at even n is factored on its first n // 2 nodes
+    and each solve mirrored onto the full grid, and each 2D solve is the
+    full transform, projected onto the class (`project`).  An even axis
     counts only where solves fold; at even n, where no node lies on the
     centre, the solve keeps it up to rounding.  Each solve is one
     back-substitution with the factor.
     """
 
-    def __init__(self, grid: Grid, c: float, parity=None, reflect=None):
+    def __init__(self, grid: Grid, c: float, parity=None):
         self.grid = grid
         self.c = float(c)
         folds = _folds(grid)
-        if parity == DIAGONAL:
-            # on its block where solves fold, else by the transpose alone
-            parity, reflect = ((DIAGONAL, None) if folds
-                               else (None, np.transpose))
+        if parity == DIAGONAL and not folds:
+            parity = TRANSPOSE  # kept by the transpose alone
         # the class the solves keep, with the parities they use
-        self.parity = DIAGONAL if parity == DIAGONAL else tuple(
+        self.parity = parity if parity in (DIAGONAL, TRANSPOSE) else tuple(
             s if s == ODD or (s == EVEN and folds) else 0
             for s in parity or (0,) * grid.dimension)
-        self.reflect = reflect
-        self.space = grid if reflect is not None else grid.block(self.parity)
+        self.space = grid.block(self.parity)
         self._folded = self.space is not grid
         self._factorize()
 
     def _factorize(self):
         g = self.grid
-        odd = (self.parity == DIAGONAL or ODD in self.parity
-               or self.reflect is not None)
+        odd = self.parity in (DIAGONAL, TRANSPOSE) or ODD in self.parity
         # the closed-form eigenvalue decides c = -lambda_k exactly, where a
         # factorization would only see rounding noise
         bottom = spectral.lambda2(g) if odd else spectral.lambda1(g)
@@ -182,17 +179,18 @@ class OperatorSolver:
                 f"operator A + ({self.c}) I is not positive definite")
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        if self._folded:
-            space = self.space
-            if b.size < self.grid.size:
-                return self._block_solve(b)
-            # a field on the whole grid
-            return space.unfold(self._block_solve(
-                space.restrict(self.project(b))))
-        if self.grid.dimension == 1:
-            d, e = self._factor
-            if not self.parity[0]:
-                return dpttrs(d, e, b)[0]
+        if self.grid.dimension == 2:
+            shape = self.space.shape
+            if not self._folded:
+                x = _dst2(b.reshape(shape), np.empty(shape))
+                x *= self._factor
+                return self.project(_dst2(x, x).reshape(-1))
+            b = b.reshape(shape)
+            if self.parity == DIAGONAL:
+                return _diagonal_solve(b, self._factor).reshape(-1)
+            return _fold_solve(b, self.parity, self._factor).reshape(-1)
+        d, e = self._factor
+        if self.parity[0] and not self._folded:
             # odd fields at even n
             k = d.size
             x = np.empty_like(b)
@@ -201,18 +199,6 @@ class OperatorSolver:
             x[:k] = dpttrs(d, e, half)[0]
             x[-k:] = -x[k - 1::-1]
             return x
-        x = _dst2(b.reshape(self.grid.shape), np.empty(self.grid.shape))
-        x *= self._factor
-        return self.project(_dst2(x, x).reshape(-1))
-
-    def _block_solve(self, b: np.ndarray) -> np.ndarray:
-        """The solve of block values b, on the block."""
-        if self.grid.dimension == 2:
-            b = b.reshape(self.space.shape)
-            if self.parity == DIAGONAL:
-                return _diagonal_solve(b, self._factor).reshape(-1)
-            return _fold_solve(b, self.parity, self._factor).reshape(-1)
-        d, e = self._factor
         if self.space.mirror[0]:
             b = b.copy()
             b[-1] *= 0.5  # the even centre's row, halved as in the factor
@@ -225,20 +211,20 @@ class OperatorSolver:
     def project(self, x: np.ndarray) -> np.ndarray:
         """The part of the flat grid array x in the class, exactly in it.
 
-        Per axis with a parity and for the reflection, (x + s R x) / 2
-        with s = +1 (even) or -1 (odd); for DIAGONAL, the odd part under
-        the transpose, then under the half-turn; x itself if nothing is
-        kept.
+        Per axis with a parity, (x + s R x) / 2 with s = +1 (even) or -1
+        (odd) and R the axis's flip; for TRANSPOSE, the odd part under
+        the transpose, and for DIAGONAL, that part's odd part under the
+        half-turn; x itself if nothing is kept.
         """
         a = x.reshape(self.grid.shape)
-        if self.parity == DIAGONAL:
+        if self.parity in (DIAGONAL, TRANSPOSE):
             a = _part(a, a.T, ODD)
-            return _part(a, a[::-1, ::-1], ODD).reshape(-1)
+            if self.parity == DIAGONAL:
+                a = _part(a, a[::-1, ::-1], ODD)
+            return a.reshape(-1)
         for axis, s in enumerate(self.parity):
             if s:
                 a = _part(a, np.flip(a, axis), s)
-        if self.reflect is not None:
-            a = _part(a, self.reflect(a), ODD)
         return a.reshape(-1)
 
 
@@ -272,9 +258,13 @@ def field_class(u: Field):
     """The class the field u is exactly in, where a solve folds it.
 
     The class u records (`grid.Field`), or else `parity_class` of its
-    values.
+    values, also where u records a class that does not fold at odd n:
+    its values may be in one that does, whose solves live on a Block.
     """
-    return u.parity if u.parity is not None else parity_class(u.grid, u.values)
+    grid, cls = u.grid, u.parity
+    if cls is None or (_folds(grid) and grid.block(cls) is grid):
+        return parity_class(grid, u.values)
+    return cls
 
 
 def _folds(grid: Grid) -> bool:
@@ -463,12 +453,11 @@ def _metric(space: Grid | Block, shift: np.ndarray, x: np.ndarray
             ) -> OperatorSolver:
     """The sine solver of A + max(shift, 0) I on x's class of fields.
 
-    It preconditions a linearized solve of fields of that class.  On a
-    Block the class is the block's.  On the grid it is the class x is
-    exactly in (`parity_class`), solved folded and mirrored onto the
-    grid where it folds, and on a square also the transpose's odd
-    fields if x is exactly odd under it.  The stencil keeps every field
-    of that class in it, bitwise.
+    It preconditions a linearized solve of fields of that class, on
+    space.  On a Block the class is the block's.  On the grid it is
+    TRANSPOSE if x is a square's field exactly odd under the transpose,
+    and else the class x is exactly in (`parity_class`).  The stencil
+    keeps every field of that class in it, bitwise.
     """
     c = max(float(np.max(shift)), 0.0)
     if isinstance(space, Block):
@@ -476,8 +465,8 @@ def _metric(space: Grid | Block, shift: np.ndarray, x: np.ndarray
     a = x.reshape(space.shape)
     odd_t = (space.dimension == 2 and space.h[0] == space.h[1]
              and np.array_equal(a, -a.T))
-    return OperatorSolver(space, c, parity_class(space, x),
-                          np.transpose if odd_t else None)
+    return OperatorSolver(space, c, TRANSPOSE if odd_t
+                          else parity_class(space, x))
 
 
 def _sign_pattern(v: np.ndarray) -> np.ndarray:

@@ -21,9 +21,10 @@ mirrored onto the grid once (`grid.Block`).  The diagonal start, the
 transpose's odd lambda_2 mode, is odd under the half-turn too, and
 every step keeps both: at odd n its solve lives on the half-turn block
 of rows 0..m in the same way (the class `DIAGONAL`), as do a warm start
-and a tangent from a field exactly in that class.  At even n the
-transpose's odd fields are kept by projection, in the preconditioner
-of a warm start's Newton and of a tangent too (`linsolve._metric`).
+and a tangent from a field exactly in that class.  At even n, and for
+a field odd under the transpose alone, the class is `TRANSPOSE`, kept
+by projection on the grid, in the preconditioner of a warm start's
+Newton and of a tangent too (`linsolve._metric`).
 The least raw action among
 the converged states with exactly two nodal domains is returned, or
 NoConvergence raised naming how every start stopped.  A warm start runs
@@ -38,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import spectral
-from .action import (ActionParams, GroundState, SolverOptions, action,
+from .action import (ActionParams, GroundState, SolverOptions, _action,
                      least_action_state, threshold_floor)
 from .errors import InvalidSpec, LambdaBelowThreshold
 from .grid import Field, Grid
@@ -67,10 +68,12 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
         raise InvalidSpec("initial field lives on a different grid")
     state, record = least_action_state(grid, params, opts, init_field,
                                        _reflections(grid), 2)
-    plus, minus = np.maximum(state.u.values, 0.0), np.minimum(state.u.values, 0.0)
-    return replace(state, part_masses=(grid.l2_sq(plus), grid.l2_sq(minus)),
-                   part_actions=(action(Field(grid, plus), params),
-                                 action(Field(grid, minus), params)),
+    # the sign parts lie in no parity class, so their sums run on the grid
+    parts = np.maximum(state.u.values, 0.0), np.minimum(state.u.values, 0.0)
+    masses = tuple(grid.l2_sq(v) for v in parts)
+    actions = tuple(_action(grid, v, params.p, params.lam, l2=m)
+                    for v, m in zip(parts, masses))
+    return replace(state, part_masses=masses, part_actions=actions,
                    multistart=record)
 
 

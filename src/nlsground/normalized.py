@@ -161,6 +161,8 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
     if samples < 2:
         raise InvalidSpec(f"samples must be at least 2, got {samples}")
+    if lambda_max is not None and not np.isfinite(lambda_max):
+        raise InvalidSpec(f"lambda_max must be finite, got {lambda_max}")
     opts = opts or SolverOptions()
     own_curve = curve is None
     if own_curve:

@@ -254,8 +254,8 @@ def test_warm_start_goes_straight_to_newton(grid255, monkeypatch):
             factored = _factorizations(patch)
             applied = []
             laplacian = Grid.laplacian
-            patch.setattr(Grid, "laplacian", lambda self, v, parity=():
-                          applied.append(1) or laplacian(self, v, parity))
+            patch.setattr(Grid, "laplacian", lambda self, v, space=None:
+                          applied.append(1) or laplacian(self, v, space))
             warm = solve(grid255, params, init_field=st.u)
         assert steps == [] and factored == []
         assert len(applied) <= stencils
@@ -285,8 +285,8 @@ def test_warm_signed_sample_work(grid255, monkeypatch):
     applied = []
     with monkeypatch.context() as patch:
         _no_parity_class(patch)
-        patch.setattr(Grid, "laplacian", lambda self, v, parity=():
-                      applied.append(1) or laplacian(self, v, parity))
+        patch.setattr(Grid, "laplacian", lambda self, v, space=None:
+                      applied.append(1) or laplacian(self, v, space))
         warm = ground_state(grid255, ActionParams(4.0, lams[2]),
                             init_field=tangent_predictor(st, lams[2]))
     assert warm.iterations == 2 and warm.residual <= 1e-8
@@ -393,9 +393,9 @@ def test_cold_2d_solve_runs_on_the_quarter_block(unit_square, monkeypatch):
     unfold = grid_module.unfold
     stencils, transforms, unfolds = [], [], []
 
-    def recorded_laplacian(self, v, parity=()):
+    def recorded_laplacian(self, v, space=None):
         stencils.append((v.size, _stages()))
-        return laplacian(self, v, parity)
+        return laplacian(self, v, space)
 
     def recorded_kernel(u, *args):
         transforms.append((u.shape, _stages()))
@@ -442,9 +442,9 @@ def test_cold_diagonal_solve_runs_on_the_half_block(unit_square,
     unfold = grid_module.unfold
     stencils, transforms, unfolds = [], [], []
 
-    def recorded_laplacian(self, v, parity=()):
+    def recorded_laplacian(self, v, space=None):
         stencils.append((v.size, _stages()))
-        return laplacian(self, v, parity)
+        return laplacian(self, v, space)
 
     def recorded_kernel(u, *args):
         transforms.append((u.shape, _stages()))
@@ -522,9 +522,9 @@ def test_cold_1d_solve_runs_on_the_half_block(unit_interval, monkeypatch,
     unfold = grid_module.unfold
     stencils, solves, unfolds = [], [], []
 
-    def recorded_laplacian(self, v, parity=()):
+    def recorded_laplacian(self, v, space=None):
         stencils.append((v.size, _stages()))
-        return laplacian(self, v, parity)
+        return laplacian(self, v, space)
 
     def recorded(patch, name, rhs):
         # the LAPACK routine name, whose right-hand side is argument rhs

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -202,6 +203,22 @@ def test_truncated_dump_is_invalid(tmp_path, capsys):
         code, _ = run_cli(capsys, "pohozaev", "--in", str(path),
                           "--p", "4", "--lambda", "10")
         assert code == 1, rows[:6]
+
+
+def test_non_finite_frequencies_exit_1_without_warnings(capsys):
+    # an infinite or NaN frequency bound is rejected before any numpy
+    # arithmetic on it, so no RuntimeWarning is raised on the way
+    cases = [("sweep", "--p", "4", "--n", "15", "--lambda-max", "inf"),
+             ("sweep", "--p", "4", "--n", "15", "--lambda-min", "nan"),
+             ("normalized", "--p", "4", "--mu", "1", "--n", "15",
+              "--lambda-max", "inf")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in cases:
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.startswith("invalid configuration"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ from nlsground import (ActionParams, DomainSpec, Field, Grid, NlsgroundError,
                        NoConvergence, ground_state, lambda1, lambda2,
                        nodal_ground_state)
 from nlsground import linsolve
-from nlsground.action import tangent_predictor
-from nlsground.linsolve import (DIAGONAL, EVEN, ODD, _dst2, _tridiagonal_solve,
-                                newton, parity_class, shifted_solver)
+from nlsground.action import mass_slope, tangent_predictor
+from nlsground.linsolve import (DIAGONAL, EVEN, ODD, TRANSPOSE, _dst2,
+                                _tridiagonal_solve, newton, parity_class,
+                                shifted_solver)
 
 # Independent oracle: the assembled dense stencil matrix, solved by LAPACK
 # through numpy.  Row-major flattening puts the x index first, so the x
@@ -149,6 +151,14 @@ def test_dst2_matches_dense_sine_matrix(n):
     assert np.array_equal(_dst2(u, u), got)
 
 
+def _grid_solve(solver, b):
+    """The solve of the grid field b's part in the solver's class: b is
+    projected onto the class and restricted to the solver's space, and
+    the solve is mirrored back onto the grid."""
+    space = solver.space
+    return space.unfold(solver.solve(space.restrict(solver.project(b))))
+
+
 def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
     # without pocketfft's extension file, scipy.fft.dstn runs the kernel
     u = np.random.default_rng(5).standard_normal((127, 127))
@@ -161,7 +171,7 @@ def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
     # one axis or both, and a folded solve itself
     grid = Grid(DomainSpec.rectangle(0.0, 1.2, 0.0, 1.0), 127)
     b = u.reshape(-1)
-    folded = shifted_solver(grid, 10.0, (EVEN, ODD)).solve(b)
+    folded = _grid_solve(shifted_solver(grid, 10.0, (EVEN, ODD)), b)
 
     def folds(dst):
         out = []
@@ -179,7 +189,8 @@ def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
         v = u.copy()
         _dst2(v, v)
         fallback_folds = folds(kernel)
-        fallback_folded = shifted_solver(grid, 10.0, (EVEN, ODD)).solve(b)
+        fallback_folded = _grid_solve(shifted_solver(grid, 10.0, (EVEN, ODD)),
+                                      b)
     finally:
         linsolve._pocketfft_dst.cache_clear()
     assert kernel is not sys.modules["scipy.fft._pocketfft.pypocketfft"].dst
@@ -278,7 +289,7 @@ def test_folded_solve_matches_full_solve(box, n):
         b = _class_part(rng.standard_normal(grid.shape), parity).reshape(-1)
         solver = shifted_solver(grid, 10.0, parity)
         assert solver._folded
-        x = solver.solve(b).reshape(grid.shape)
+        x = _grid_solve(solver, b).reshape(grid.shape)
         ref = _dst2(b.reshape(grid.shape), np.empty(grid.shape))
         ref *= full._factor
         ref = _class_part(_dst2(ref, ref), parity)
@@ -294,7 +305,7 @@ def test_diagonal_solve_matches_full_solve(n):
     # the half-turn block's solve, one quarter-block transform pair,
     # against the full DST-I solve projected onto the fields odd under
     # the transpose and the half-turn; the result is exactly in that
-    # class, and a field on the grid is solved as its block is
+    # class
     grid = Grid(DomainSpec.rectangle(*BOXES["square"]), n)
     full = shifted_solver(grid, 10.0)
     solver = shifted_solver(grid, 10.0, DIAGONAL)
@@ -303,7 +314,7 @@ def test_diagonal_solve_matches_full_solve(n):
     a = a - a.T
     b = (a - a[::-1, ::-1]).reshape(-1)
     assert parity_class(grid, b) == DIAGONAL
-    x = solver.solve(b)
+    x = _grid_solve(solver, b)
     ref = _dst2(b.reshape(grid.shape), np.empty(grid.shape))
     ref *= full._factor
     ref = _dst2(ref, ref)
@@ -311,15 +322,71 @@ def test_diagonal_solve_matches_full_solve(n):
     ref = 0.5 * (ref - ref[::-1, ::-1]).reshape(-1)
     assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
     assert parity_class(grid, x) == DIAGONAL
-    space = solver.space
-    assert np.array_equal(space.unfold(solver.solve(space.restrict(b))), x)
     # definite on the class down to -lambda_2, as the transpose's odd
-    # fields are; even n keeps the full transform and the projection
+    # fields are; even n keeps the full transform and the transpose's
+    # projection, whose result is exactly odd under it
     with pytest.raises(NoConvergence):
         shifted_solver(grid, -lambda2(grid), DIAGONAL)
     even = Grid(grid.spec, n + 1)
     solver = shifted_solver(even, 10.0, DIAGONAL)
-    assert solver.space is even and solver.reflect is np.transpose
+    assert solver.space is even
+    y = solver.solve(np.random.default_rng(n).standard_normal(even.size))
+    y = y.reshape(even.shape)
+    assert np.any(y) and np.array_equal(y, -y.T)
+
+
+def test_transpose_odd_warm_state_stays_odd(unit_square):
+    # a raw warm field of the square at n=31, odd under the transpose but
+    # not under the half-turn, lies in no class that folds: its nodal
+    # Newton runs on the grid, preconditioned on the class TRANSPOSE, and
+    # the state and its tangent are exactly odd under the transpose
+    grid = Grid(unit_square, 31)
+    params = ActionParams(4.0, 10.0)
+    cold = nodal_ground_state(grid, params)
+    x = grid.meshes()[0]
+    a = cold.u.values.reshape(grid.shape) * (1.0 + 1e-3 * (x + x.T))
+    assert np.array_equal(a, -a.T) and parity_class(grid, a) == (0, 0)
+    st = nodal_ground_state(grid, params,
+                            init_field=Field(grid, a.reshape(-1)))
+    assert [label for label, _ in st.multistart] == ["warm"]
+    assert st.residual <= 1e-8 and st.u.parity is None
+    v = st.u.values.reshape(grid.shape)
+    assert np.any(v) and np.array_equal(v, -v.T)
+    assert parity_class(grid, v) == (0, 0)
+    du = tangent_predictor(st, 10.5).values.reshape(grid.shape)
+    assert np.any(du) and np.array_equal(du, -du.T)
+    # a field may record the class; a signed warm start reads no parity
+    # per axis from it
+    field = Field(grid, st.u.values, TRANSPOSE)
+    assert ground_state(grid, params, init_field=field).residual <= 1e-8
+    # the grid answers a Block's protocol: it is its own grid and stores a
+    # field whole, and both sum a field of the class alike up to rounding
+    u = cold.u.values
+    assert grid.grid is grid and grid.restrict(u) is u
+    copy = grid.unfold(u)
+    assert np.array_equal(copy, u) and not np.shares_memory(copy, u)
+    block = grid.block(DIAGONAL)
+    ub = block.restrict(u)
+    assert block.grid is grid and cold.u.parity == block.parity == DIAGONAL
+    for got, ref in ((block.l2_sq(ub), grid.l2_sq(u)),
+                     (block.grad_sq(ub), grid.grad_sq(u)),
+                     (block.lp_p(ub, 4.0), grid.lp_p(u, 4.0))):
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_recorded_class_that_cannot_fold_is_read_from_values():
+    # a field may record the class of no parity at odd n while its values
+    # are exactly in a class that folds; a warm start and a mass slope
+    # from it are solved on that class's block
+    grid = Grid(DomainSpec.rectangle(*BOXES["wide"]), 31)
+    st = nodal_ground_state(grid, ActionParams(4.0, 10.0))
+    assert st.u.parity == (ODD, EVEN)
+    field = Field(grid, st.u.values, (0, 0))
+    assert linsolve.field_class(field) == (ODD, EVEN)
+    warm = nodal_ground_state(grid, ActionParams(4.0, 10.5), init_field=field)
+    assert [label for label, _ in warm.multistart] == ["warm"]
+    assert warm.residual <= 1e-8 and warm.u.parity == (ODD, EVEN)
+    assert mass_slope(replace(st, u=field)) == mass_slope(st)
 
 
 def _solve_all(grid, cases):
