@@ -8,7 +8,6 @@ from . import _extensions  # noqa: F401  isort: skip
 from .action import (ActionParams, GroundState, SolverOptions, action,
                      energy, ground_state, kappa, mass_slope, nehari_project,
                      nehari_scale, pde_residual, ray_action)
-from .config import RunConfig
 from .curves import (AsymptoticReport, DerivativeMassReport, ExhaustionReport,
                      LevelCurve, MassThreshold, MuNReport, asymptotic_classify,
                      critical_exponent, derivative_mass_check, estimate_mu_N,
@@ -17,8 +16,7 @@ from .curves import (AsymptoticReport, DerivativeMassReport, ExhaustionReport,
 from .errors import (CertificationFailed, GridMismatch, InsufficientRange,
                      InvalidSpec, LambdaBelowThreshold, MassAboveBarMu,
                      MassOutOfRange, NlsgroundError, NoBracket, NoConvergence,
-                     NonpositiveQuotient, NotCritical, NotStarShaped,
-                     ZeroField)
+                     NonpositiveQuotient, NotCritical, ZeroField)
 from .grid import (DomainSpec, Field, Grid, load_field, node_count, norms,
                    save_field, split)
 from .nodal import nodal_ground_state

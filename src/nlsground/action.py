@@ -104,9 +104,9 @@ class SolverOptions:
 
     tol is the absolute norm the PDE residual must reach and max_iter
     caps the fixed-point steps of each start; Newton steps come on top.
-    No solver draws random numbers, so seed reaches nothing; it is kept
-    because the benchmark's workloads (perfbench/workloads.py) still
-    pass it.
+    No solver draws random numbers, so seed reaches nothing and no
+    command-line flag sets it; it is kept only because the benchmark's
+    workloads (perfbench/workloads.py) still pass it.
     """
 
     tol: float = 1e-8
@@ -305,8 +305,21 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     mirrored onto the grid in `finalize_state`.  Returns
     the least-action state with `domains` nodal domains and the record
     ((label, action), ...) of every such state, or raises NoConvergence
-    naming how every start stopped.
+    naming how every start stopped, or the overflow a huge exponent or
+    frequency causes.
     """
+    try:
+        with np.errstate(over="raise"):
+            return _least_action_state(grid, params, opts, warm, starts,
+                                       domains)
+    except FloatingPointError as exc:
+        raise NoConvergence(f"{exc} at p={params.p}, "
+                            f"lambda={params.lam}") from None
+
+
+def _least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
+                        warm: Field | None, starts: list,
+                        domains: int) -> tuple[GroundState, tuple]:
     p, lam = params.p, params.lam
     iterations = 0
     if warm is not None:

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 solver
 failure, 3 a numerical check or certification failed (the summary names
-the failing check).  Identical configuration and seed produce bitwise
-identical artifacts: floats are serialized with repr, JSON keys are
-sorted, and nothing time- or host-dependent is written.
+the failing check).  The same arguments produce bitwise identical
+artifacts: floats are serialized with repr, JSON keys are sorted, and
+nothing time- or host-dependent is written.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import spectral
 from .action import ActionParams, SolverOptions, ground_state, kappa
-from .config import RunConfig
 from .curves import (derivative_mass_check, exhaustion_test, estimate_mu_N,
                      mass_threshold, sweep, threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
@@ -78,7 +77,7 @@ def _parse_domain(text: str | None, dim: int | None) -> DomainSpec:
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, seed=args.seed)
+    return SolverOptions(tol=args.tol)
 
 
 def _add_common(sp, solver=True):
@@ -90,7 +89,6 @@ def _add_common(sp, solver=True):
                     help="default: that of --domain, else 1")
     if solver:
         sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -146,8 +144,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mu_n(args) -> int:
     boxes = [float(v) for v in args.boxes.split(",")]
-    report = estimate_mu_N(args.dim, boxes, p=args.p,
-                           opts=_solver_options(args))
+    report = estimate_mu_N(args.dim, boxes, opts=_solver_options(args))
     rec = dataclasses.asdict(report)
     rec["mu_N"] = rec.pop("value")
     _dump_json(rec, args.out)
@@ -365,10 +362,7 @@ _CHECKS = [
 
 
 def _cmd_check_all(args) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    # a seed given on the command line wins over the config file
-    seed = cfg.seed if args.seed is None else args.seed
-    opts = SolverOptions(tol=cfg.tol, seed=seed)
+    opts = SolverOptions()
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -395,7 +389,7 @@ def _cmd_check_all(args) -> int:
                 _dump_lines(payload, str(path))
 
     summary = {
-        "seed": seed,
+        "seed": args.seed,
         "checks": [{"name": name, "status": status, "detail": detail}
                    for name, status, detail, _ in results],
     }
@@ -445,9 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mu-n", help="critical mass constant from box exhaustion")
     sp.add_argument("--dim", type=int, default=1, choices=(1, 2))
     sp.add_argument("--boxes", required=True, help="comma-separated box sides")
-    sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_mu_n)
 
@@ -483,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-all", help="run the full verification battery")
     sp.add_argument("--out-dir", default="out")
-    sp.add_argument("--seed", type=int, default=None, help="overrides the config")
-    sp.add_argument("--config", default=None, help="file setting seed and tol")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="recorded in summary.json; reaches no solver")
     sp.set_defaults(fn=_cmd_check_all)
 
     return parser

@@ -104,7 +104,7 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     flags the sample as a possible branch/jump point and the lower level
     wins, while closer levels keep the warm state.  Failed samples are
     flagged and skipped; the sweep aborts only when more than a fifth of
-    them fail.  The state of every usable sample is kept in `states`.
+    them fail, naming the first and the last failure.  The state of every usable sample is kept in `states`.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -125,7 +125,7 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     flags = ["ok"] * count
     states: list = [None] * count
     warm: GroundState | None = None
-    failures = 0
+    failures, first = 0, None
     for i, lam in enumerate(lambdas):
         try:
             st = _solve_one(grid, p, lam, kind, opts, warm)
@@ -133,12 +133,14 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
             raise  # bad input fails every sample alike
         except NlsgroundError as exc:
             failures += 1
+            first = first or exc
             flags[i] = f"failed:{type(exc).__name__}"
             warm = None
             if failures > _MAX_FAILURE_FRACTION * count:
+                last = "" if exc is first else f"; last: {exc}"
                 raise NoConvergence(
                     f"sweep aborted: {failures}/{i + 1} samples failed "
-                    f"(last: {exc})") from exc
+                    f"(first: {first}{last})") from exc
             continue
         if i % _COLD_CHECK_EVERY == 0 and warm is not None:
             try:
@@ -420,17 +422,16 @@ class MuNReport:
     scaling_ok: bool
 
 
-def estimate_mu_N(N: int, L_list, p: float | None = None,
-                  opts: SolverOptions | None = None,
+def estimate_mu_N(N: int, L_list, opts: SolverOptions | None = None,
                   resolution: float | None = None) -> MuNReport:
     """Estimate the critical mass constant by exhausting boxes.
 
-    Solves the signed problem at unit frequency on centered boxes of
-    growing side L; twice the level decreases with L toward the
-    whole-space value (twice the level at unit frequency for the
-    mass-critical exponent).  The last increment is the error bar.
-    Raises NotCritical for an off-critical exponent and NoConvergence
-    when the box sequence has not settled (increments not shrinking).
+    Solves the signed problem at unit frequency and the mass-critical
+    exponent 2 + 4/N on centered boxes of growing side L; twice the
+    level decreases with L toward the whole-space value.  The last
+    increment is the error bar.  Raises NotCritical for a dimension
+    other than 1 or 2 and NoConvergence when the box sequence has not
+    settled (increments not shrinking).
 
     resolution is the target spacing (defaults to 0.01 in 1D, 0.06 in
     2D, where node counts are per axis and grow quadratically in cost);
@@ -440,13 +441,7 @@ def estimate_mu_N(N: int, L_list, p: float | None = None,
     """
     if N not in (1, 2):
         raise NotCritical(f"dimension must be 1 or 2, got {N}")
-    p_c = critical_exponent(N)
-    if p is None:
-        p = p_c
-    if not np.isfinite(p):
-        raise InvalidSpec(f"p must be finite, got {p}")
-    if abs(p - p_c) > 1e-12:
-        raise NotCritical(f"p={p} is not the mass-critical exponent {p_c}")
+    p = critical_exponent(N)
     opts = opts or SolverOptions()
     if resolution is None:
         resolution = 0.01 if N == 1 else 0.06

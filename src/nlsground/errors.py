@@ -56,10 +56,6 @@ class CertificationFailed(NlsgroundError):
         self.lam = lam
 
 
-class NotStarShaped(NlsgroundError):
-    """Boundary-weighted identities require a star-shaped domain."""
-
-
 class MassAboveBarMu(NlsgroundError):
     """Prescribed mass exceeds the frequency-bound threshold."""
 

@@ -24,8 +24,8 @@ from .action import ActionParams, SolverOptions, action, energy
 from .curves import (LevelCurve, _secant_steps, _solve_one, critical_exponent,
                      mass_threshold, sweep, threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
-                     MassOutOfRange, NoBracket, NotStarShaped)
-from .grid import DomainSpec, Field, Grid
+                     MassOutOfRange, NoBracket)
+from .grid import Field, Grid
 from .nodal import nodal_ground_state
 
 _MASS_RTOL = 1e-6
@@ -152,10 +152,12 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
     polishes each to |mass - mu| <= 1e-6 mu, and returns the crossing of
     least energy (ties: smaller frequency).  Without a curve, `samples`
     frequencies are swept from 0.5 above the threshold, and subcritical
-    sweeps are extended (at most 6 times) until the mass is bracketed;
-    critical/supercritical masses above the refined threshold raise
-    MassOutOfRange, and the threshold mass itself is matched at the
-    curve's argmax.
+    sweeps, or sweeps whose masses still rise at the end, are extended
+    upward (at most 6 times) until the mass is bracketed.  A subcritical
+    mass below every sampled mass raises NoBracket at once, since the
+    masses rise with the frequency; critical/supercritical masses above
+    the refined threshold raise MassOutOfRange, and the threshold mass
+    itself is matched at the curve's argmax.
     """
     if not (np.isfinite(mu) and mu > 0):
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
@@ -172,18 +174,20 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
         curve = sweep(grid, p, np.linspace(lo, hi, samples), kind, opts)
     p_c = critical_exponent(grid.dimension)
 
-    for _ in range(_MAX_EXTENSIONS + 1):
-        brackets = _mass_brackets(curve, mu)
+    brackets = _mass_brackets(curve, mu)
+    for _ in range(_MAX_EXTENSIONS if own_curve else 0):
         if brackets:
             break
-        ok = curve.ok_indices()
-        tail_rising = curve.mass[ok[-1]] >= 0.98 * np.nanmax(curve.mass[ok])
-        if own_curve and (p < p_c or tail_rising):
-            curve = _extend_curve(curve, opts)
-            continue
-        break
-    else:
-        brackets = []
+        mass = curve.mass[curve.ok_indices()]
+        # subcritical masses rise with the frequency, so one below every
+        # sample lies nearer the threshold than an upward sweep goes
+        if p < p_c:
+            if mu < np.nanmin(mass):
+                break
+        elif mass[-1] < 0.98 * np.nanmax(mass):
+            break
+        curve = _extend_curve(curve, opts)
+        brackets = _mass_brackets(curve, mu)
 
     branches = [_polish_crossing(curve, mu, bracket, opts)
                 for bracket in brackets]
@@ -192,9 +196,9 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
         ok = curve.ok_indices()
         if ok.size and mu < float(np.nanmin(curve.mass[ok])):
             raise NoBracket(
-                f"mu={mu} below the smallest resolved mass "
-                f"{np.nanmin(curve.mass[ok]):.6g}; refine the mesh or "
-                f"sample closer to the threshold")
+                f"mu={mu} below the smallest sampled mass "
+                f"{np.nanmin(curve.mass[ok]):.6g}; sample closer to the "
+                f"threshold")
         if p >= p_c:
             peak = mass_threshold(curve, opts, refine_rtol=1e-9)
             if mu > peak.mu_p * (1.0 + _MASS_RTOL):
@@ -374,29 +378,21 @@ class PohozaevReport:
     energy_bound_ok: bool | None
 
 
-def pohozaev_check(u: Field, params: ActionParams,
-                   spec: DomainSpec | None = None) -> PohozaevReport:
+def pohozaev_check(u: Field, params: ActionParams) -> PohozaevReport:
     """Residual of the boundary-weighted integral identity for solutions.
 
     Uses second-order one-sided normal derivatives at the boundary and
-    measures positions from the domain's star center.  For supercritical
-    exponents also evaluates the energy lower bound with coefficient
-    N (p - p_c) / (4 p).
+    measures positions from the star center of the field's domain, which
+    `DomainSpec` keeps strictly inside.  For supercritical exponents also
+    evaluates the energy lower bound with coefficient N (p - p_c) / (4 p).
     """
     grid = u.grid
-    spec = spec or grid.spec
-    if spec.dimension != grid.dimension:
-        raise InvalidSpec("spec dimension does not match the field's grid")
-    for c, (lo, hi) in zip(spec.star_center, spec.bounds):
-        if not (lo < c < hi):
-            raise NotStarShaped(
-                f"star center {spec.star_center} outside the domain")
     N = grid.dimension
     p = params.p
     l2s = grid.l2_sq(u.values)
     lpp = grid.lp_p(u.values, p)
     grs = grid.grad_sq(u.values)
-    boundary = _boundary_weighted_flux(grid, u.values, spec)
+    boundary = _boundary_weighted_flux(grid, u.values)
     interior = ((N - 2.0) / 2.0 * grs - (N / p) * lpp
                 + params.lam * N / 2.0 * l2s)
     identity = interior + 0.5 * boundary
@@ -417,13 +413,13 @@ def pohozaev_check(u: Field, params: ActionParams,
     )
 
 
-def _boundary_weighted_flux(grid: Grid, vals: np.ndarray,
-                            spec: DomainSpec) -> float:
+def _boundary_weighted_flux(grid: Grid, vals: np.ndarray) -> float:
     """Integral of |du/dnu|^2 (x - center) . nu over the boundary.
 
     Normal derivatives by three-point one-sided differences with the
     implicit zero boundary value.
     """
+    spec = grid.spec
     center = spec.star_center
     if grid.dimension == 1:
         h = grid.h[0]

@@ -1,10 +1,12 @@
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from nlsground import InvalidSpec, RunConfig, SolverOptions, load_field
+from nlsground import InvalidSpec, SolverOptions, load_field
 from nlsground import cli
 from nlsground.cli import EIG_HEADER, SWEEP_HEADER, main
 
@@ -131,13 +133,60 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for argv in (("sweep", "--p", "inf", "--n", "63", "--samples", "5"),
                  ("normalized", "--p", "4", "--mu", "nan", "--n", "63"),
                  ("bound", "--p", "8", "--mu", "inf", "--n", "63"),
-                 ("mu-n", "--boxes", "10,20", "--p", "inf"),
                  ("pohozaev", "--in", str(tmp_path / "missing.field"),
-                  "--p", "4", "--lambda", "10"),
-                 ("check-all", "--config", str(tmp_path / "missing.cfg"),
-                  "--out-dir", str(tmp_path / "out"))):
+                  "--p", "4", "--lambda", "10")):
         code, _ = run_cli(capsys, *argv)
         assert code == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("ground", "--p", "4", "--lambda", "10", "--n", "15", "--seed", "3"),
+    ("nodal", "--p", "4", "--lambda", "10", "--n", "15", "--seed", "3"),
+    ("sweep", "--p", "4", "--n", "15", "--samples", "3", "--seed", "3"),
+    ("mu-n", "--boxes", "8,16", "--seed", "3"),
+    ("normalized", "--p", "4", "--mu", "1", "--n", "15", "--seed", "3"),
+    ("bound", "--p", "8", "--mu", "1", "--n", "15", "--seed", "3"),
+    ("exhaustion", "--p", "4", "--lambda", "100", "--n", "15", "--seed", "3"),
+    ("mu-n", "--boxes", "8,16", "--p", "3"),
+    ("check-all", "--config", "f"),
+])
+def test_removed_inputs_are_usage_errors(capsys, argv):
+    # the seed of the solving subcommands, mu-n's exponent and check-all's
+    # config file reached no solver and are gone
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "unrecognized arguments" in err, err
+
+
+def test_readme_cli_lines_parse():
+    # every command of the README's CLI block parses, so a removed flag
+    # left in the docs fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("nlsground ")]
+    assert len(commands) == 10
+    for words in commands:
+        assert words[0] == "nlsground"
+        cli.build_parser().parse_args(words[1:])
+
+
+def test_huge_exponent_or_frequency_is_a_solver_failure(capsys):
+    # the overflow of the quadrature is one NoConvergence naming it, with
+    # no RuntimeWarning on the way
+    cases = [("ground", "--p", "1e308", "--lambda", "10", "--n", "15"),
+             ("sweep", "--p", "4", "--n", "15", "--lambda-max", "1e200",
+              "--samples", "3"),
+             ("normalized", "--p", "4", "--mu", "1", "--n", "15",
+              "--lambda-max", "1e308")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in cases:
+            code = main(list(argv))
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.startswith("NoConvergence") and "overflow" in err, err
 
 
 @pytest.mark.parametrize("boxes", ["1,inf", "1,nan", "-2,4", "0,4"])
@@ -254,64 +303,18 @@ def test_nodal_subcommands_on_three_nodes(capsys, argv):
     assert code == 0, capsys.readouterr().err
 
 
-def test_config_roundtrip(tmp_path):
-    cfg = RunConfig(seed=11, tol=1e-9)
-    path = tmp_path / "run.cfg"
-    cfg.to_file(path)
-    back = RunConfig.from_file(path)
-    assert back == cfg
-    # second trip is bitwise identical
-    path2 = tmp_path / "run2.cfg"
-    back.to_file(path2)
-    assert path.read_text() == path2.read_text()
-
-
-def test_config_roundtrip_keeps_every_float_bit(tmp_path):
-    cfg = RunConfig(seed=7, tol=0.1 + 0.2)
-    path = tmp_path / "run.cfg"
-    cfg.to_file(path)
-    assert path.read_text() == "seed = 7\ntol = 0.30000000000000004\n"
-    back = RunConfig.from_file(path)
-    assert back == cfg and back.tol != 0.3
-
-
-def test_config_validation(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("unknown_key = 3\n")
-    with pytest.raises(InvalidSpec):
-        RunConfig.from_file(bad)
-
-
 @pytest.mark.parametrize("line", ["n = 1023", "dimension = 2", "kind = nodal",
                                   "bounds = 0.0,1.0,0.0,1.0", "out_dir = elsewhere"])
 def test_check_all_refuses_removed_config_keys(tmp_path, capsys, line):
+    # check-all reads no config file: whatever it holds, --config is a
+    # usage error before any artifact is written
     cfg = tmp_path / "s.cfg"
     cfg.write_text(f"seed = 0\n{line}\n")
     out_dir = tmp_path / "artifacts"
     code = main(["check-all", "--config", str(cfg), "--out-dir", str(out_dir)])
     assert code == 1
-    key = line.split("=")[0].strip()
-    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not out_dir.exists()
-
-
-def test_check_all_seed_flag_wins_over_config(tmp_path, capsys, monkeypatch):
-    seen = []
-
-    def probe(opts, outdir):
-        seen.append((opts.seed, opts.tol))
-        return True, "", {}
-
-    monkeypatch.setattr(cli, "_CHECKS", [("probe", probe)])
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("seed = 3\ntol = 1e-9\n")
-    for argv, seed in ((["--seed", "5"], 5), ([], 3)):
-        out_dir = tmp_path / f"seed{seed}"
-        code = main(["check-all", "--config", str(cfg), "--out-dir",
-                     str(out_dir)] + argv)
-        assert code == 0
-        assert json.loads((out_dir / "summary.json").read_text())["seed"] == seed
-        assert seen.pop() == (seed, 1e-9)
 
 
 def test_check_all_runs_clean(tmp_path, capsys):

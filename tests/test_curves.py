@@ -214,7 +214,7 @@ def test_estimate_mu_n_solves_each_box_once(monkeypatch):
 
 def test_estimate_mu_n_validation():
     with pytest.raises(NotCritical):
-        estimate_mu_N(1, [10.0, 20.0], p=4.0)
+        estimate_mu_N(3, [10.0, 20.0])
     with pytest.raises(NoConvergence):
         # boxes below the bound-state width: truncation dominates
         estimate_mu_N(1, [0.4, 0.8], resolution=0.002)

@@ -1,17 +1,15 @@
-"""Readers of user files either return or raise InvalidSpec, whatever the text.
+"""The field-dump reader returns or raises InvalidSpec, whatever the text.
 
 Arbitrary text rarely gets past a header check, so the strategies also
 build near-valid files: the expected keys in order, with values drawn
 from numbers, special floats and free text.
 """
 
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlsground import InvalidSpec, RunConfig, load_field
+from nlsground import InvalidSpec, load_field
 
 _NUMBERS = st.one_of(
     st.integers(-5, 70).map(str),
@@ -35,22 +33,6 @@ def _dump_text(draw):
     return "\n".join([header] + rows)
 
 
-# the config's own keys, and as unknown keys the ones it no longer has
-_CONFIG_KEYS = sorted({f.name for f in fields(RunConfig)}
-                      | {"dimension", "bounds", "star_center", "n", "p", "kind",
-                         "lambda_min", "lambda_max", "samples", "mu", "out_dir",
-                         "unknown"})
-
-
-@st.composite
-def _config_text(draw):
-    rows = draw(st.lists(
-        st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from([" = ", "=", " "]),
-                  _VALUE, st.sampled_from(["", " # note"])),
-        max_size=8))
-    return "\n".join(f"{key}{sep}{value}{tail}" for key, sep, value, tail in rows)
-
-
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -71,21 +53,12 @@ def test_load_field_returns_or_raises_invalid_spec(text, scratch):
     _returns_or_invalid(load_field, path)
 
 
-@given(text=st.one_of(st.text(), _config_text()))
-@settings(max_examples=200, deadline=None)
-def test_config_from_file_returns_or_raises_invalid_spec(text, scratch):
-    path = scratch / "run.cfg"
-    path.write_text(text, encoding="utf-8")
-    _returns_or_invalid(RunConfig.from_file, path)
-
-
 @given(data=st.binary(max_size=64))
 @settings(max_examples=50, deadline=None)
 def test_readers_reject_undecodable_bytes(data, scratch):
     path = scratch / "raw"
     path.write_bytes(b"\xff" + data)
     _returns_or_invalid(load_field, path)
-    _returns_or_invalid(RunConfig.from_file, path)
 
 
 @pytest.mark.parametrize("bounds, n", [

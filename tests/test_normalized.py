@@ -128,6 +128,37 @@ def test_auto_extension_reaches_large_mass(grid255):
     assert abs(grid255.l2_sq(big.u.values) - 30.0) <= 1e-6 * 30.0
 
 
+def _counted_sweeps(monkeypatch):
+    sizes = []
+    inner = nlsground.normalized.sweep
+
+    def counted(grid, p, lams, *args):
+        sizes.append(len(lams))
+        return inner(grid, p, lams, *args)
+
+    monkeypatch.setattr(nlsground.normalized, "sweep", counted)
+    return sizes
+
+
+def test_mass_below_every_sample_raises_at_once(unit_interval, monkeypatch):
+    # subcritical masses rise with the frequency, so no upward extension
+    # reaches a mass below the first sample's
+    sizes = _counted_sweeps(monkeypatch)
+    with pytest.raises(NoBracket, match="below the smallest sampled mass"):
+        solve_normalized(Grid(unit_interval, 31), 4.0, 0.01, samples=20)
+    assert sizes == [20]
+
+
+def test_extensions_are_capped(unit_interval, monkeypatch):
+    # each extension triples the range; after the last one the mass is
+    # bracketed or NoBracket is raised, with no further sweep
+    sizes = _counted_sweeps(monkeypatch)
+    with pytest.raises(NoBracket, match="never reaches"):
+        solve_normalized(Grid(unit_interval, 31), 4.0, 1e6, samples=3)
+    assert sizes == [3, 2, 4, 8, 16, 32, 64]
+    assert len(sizes) == 1 + nlsground.normalized._MAX_EXTENSIONS
+
+
 def test_branch_selection_minimizes_energy(grid255):
     lams = np.linspace(-lambda1(grid255) + 0.5, 150.0, 80)
     curve = sweep(grid255, 8.0, lams, "signed")
@@ -187,7 +218,7 @@ def test_pohozaev_off_center_reference(unit_interval):
     grid = Grid(spec, 1023)
     params = ActionParams(8.0, 10.0)
     st = ground_state(grid, params)
-    rep = pohozaev_check(st.u, params, spec)
+    rep = pohozaev_check(st.u, params)
     assert rep.identity_residual <= 1e-3
 
 
