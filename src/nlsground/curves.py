@@ -104,7 +104,8 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     flags the sample as a possible branch/jump point and the lower level
     wins, while closer levels keep the warm state.  Failed samples are
     flagged and skipped; the sweep aborts only when more than a fifth of
-    them fail, naming the first and the last failure.  The state of every usable sample is kept in `states`.
+    them fail, naming the first and the last failure.  The state of
+    every usable sample is kept in `states`.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
