@@ -1,5 +1,6 @@
 """Process set-up: scipy's compiled kernels, each loaded by itself from its
-extension file, and glibc's malloc thresholds.
+extension file, LAPACK's loaded with OpenBLAS on one thread, and glibc's
+malloc thresholds.
 
 The package needs three LAPACK routines (dgtsv, dpttrf, dpttrs) and, for
 2D solves, pocketfft's real DST-I.  Importing scipy.linalg for the
@@ -9,11 +10,20 @@ scipy's directory and loads it alone with an ExtensionFileLoader.  The
 module is registered under its own name, where a later import of scipy
 finds the same module and routine objects.
 
+Loading `lapack` loads two OpenBLAS libraries: scipy's, which _flapack
+links, and numpy's, since _flapack's module init imports numpy.  Each
+starts a pool of worker threads that busy-wait after its library loads;
+on a 2-core host the two spinning pools made numpy's import take about
+120-130 ms instead of about 60 ms alone.  The package calls no threaded
+BLAS routine: its dot products are einsum's (`grid.dot`), pocketfft runs
+on one thread and the 1D solves are dgtsv, dpttrf and dpttrs.  So
+`lapack` is loaded with OPENBLAS_NUM_THREADS set to 1, and neither
+library starts a worker thread; the variable is removed after the load,
+so child processes inherit the caller's environment.  A thread count
+the caller chose, in any of the variables OpenBLAS reads, is left alone.
 This module imports no numpy, and the package imports it first, so that
-`lapack` loads scipy's OpenBLAS before numpy is imported.  OpenBLAS's
-worker thread busy-waits for about 0.1 s after its library loads; loaded
-first, that spin ends inside numpy's own import instead of spending CPU
-after `import nlsground` has returned.
+numpy's OpenBLAS too loads inside that window; a process that imported
+numpy before the package keeps numpy's own threads.
 
 Importing this module also fixes glibc's two malloc thresholds
 (mallopt(3)), once per process.  glibc starts with an mmap threshold of
@@ -34,6 +44,7 @@ process hosting the package pays in resident memory.  On a libc without
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import sys
@@ -83,5 +94,29 @@ def _fix_malloc_thresholds() -> tuple[int, ...]:
             mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
+# where OpenBLAS reads its thread count from, in its order of precedence
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS's thread count is 1 inside, unless the caller has set one.
+
+    OPENBLAS_NUM_THREADS is set for the block alone and removed after it,
+    so os.environ is left as it was.
+    """
+    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 malloc_thresholds = _fix_malloc_thresholds()
-lapack = load("linalg._flapack", lambda: import_module("scipy.linalg.lapack"))
+with _one_blas_thread():
+    lapack = load("linalg._flapack",
+                  lambda: import_module("scipy.linalg.lapack"))

@@ -8,8 +8,9 @@ the eigenvalues lambda_j(x) + lambda_l(y) + c and a second transform,
 by pocketfft's real-to-real kernel (from scipy's extension file, loaded
 alone at the first 2D solve; see `_pocketfft_dst`).  The LAPACK routines
 come from scipy's _flapack extension file, loaded alone by `_extensions`
-before numpy: importing scipy.linalg for them would add about 0.3 s to
-every process.
+(importing scipy.linalg for them would add about 0.3 s to every
+process), with OpenBLAS on one thread unless the caller chose a count:
+the package calls no threaded BLAS routine.
 A solve may be restricted to a class of fields that A maps to itself:
 per axis, the fields even or odd about the centre of the box, and the
 fields of a square odd under its transpose (the class TRANSPOSE), at

@@ -880,6 +880,11 @@ grid = nls.Grid(nls.DomainSpec.interval(0.0, 1.0), 32767)
 st = nls.ground_state(grid, nls.ActionParams(6.0, 2500.0),
                       nls.SolverOptions(tol=2e-7))
 print(hashlib.sha256(st.u.values.tobytes()).hexdigest(), repr(st.residual))
+try:
+    with open("/proc/self/status") as status:
+        print(status.read().split("Threads:")[1].split()[0])
+except FileNotFoundError:
+    print("-")
 """
 
 
@@ -895,5 +900,12 @@ def test_fine_grid_state_independent_of_blas_threads():
                              env=env, capture_output=True, text=True,
                              timeout=300)
         assert run.returncode == 0, run.stderr
-        outs.append(run.stdout.strip())
+        *state, threads = run.stdout.split()
+        outs.append(state)
     assert outs[0] == outs[1]
+    # the "2" run really ran BLAS on more than one thread: a package pin
+    # overriding the caller's count would compare one thread with one
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    if threads != "-" and cores >= 2:
+        assert int(threads) > 1

@@ -72,27 +72,7 @@ def test_later_scipy_import_returns_the_loaded_routines():
     assert run_python(SAME_ROUTINES_SCRIPT) == ["True"] * 3
 
 
-LOAD_ORDER_SCRIPT = """
-import time
-import nlsground
-cpu = time.process_time()
-time.sleep(0.3)
-print(time.process_time() - cpu)
-"""
-
-
-def test_blas_thread_spin_ends_inside_import():
-    # OpenBLAS's worker thread busy-waits for about 0.1 s after its
-    # library loads; loaded before numpy, that spin ends before
-    # `import nlsground` returns.  Needs the default thread count.
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    spent = float(run_python(LOAD_ORDER_SCRIPT, env=env)[0])
-    assert spent <= 0.03
-
-
-FALLBACK_SCRIPT = """
-import hashlib
+MOVE_SCIPY = """
 import importlib.util
 import sys
 import types
@@ -103,7 +83,10 @@ if sys.argv[1] != "-":
     moved = types.SimpleNamespace(submodule_search_locations=[sys.argv[1]])
     importlib.util.find_spec = lambda name, *args: (
         moved if name == "scipy" else find_spec(name, *args))
+"""
 
+FALLBACK_SCRIPT = MOVE_SCIPY + """
+import hashlib
 import numpy as np
 import nlsground as nls
 from nlsground import linsolve
@@ -119,19 +102,99 @@ print(hashlib.sha256(b"".join(x.tobytes() for x in out)).hexdigest())
 """
 
 
-def test_lapack_fallbacks_are_bitwise_equal(tmp_path):
-    # a missing _flapack file, and one that fails to load by itself, both
-    # fall back to scipy.linalg.lapack with the same 1D results
+@pytest.fixture
+def moved_scipy(tmp_path):
+    """Directories for MOVE_SCIPY: _flapack missing, and unloadable."""
     broken = tmp_path / "broken"
     (broken / "linalg").mkdir(parents=True)
     suffix = machinery.EXTENSION_SUFFIXES[0]
     (broken / "linalg" / f"_flapack{suffix}").write_bytes(b"not a library")
+    return str(tmp_path), str(broken)
+
+
+def test_lapack_fallbacks_are_bitwise_equal(moved_scipy):
+    # a missing _flapack file, and one that fails to load by itself, both
+    # fall back to scipy.linalg.lapack with the same 1D results
     direct = run_python(FALLBACK_SCRIPT, "-")
-    missing = run_python(FALLBACK_SCRIPT, str(tmp_path))
-    unloadable = run_python(FALLBACK_SCRIPT, str(broken))
+    missing, unloadable = (run_python(FALLBACK_SCRIPT, moved)
+                           for moved in moved_scipy)
     assert direct[0] == "False"
     assert missing[0] == unloadable[0] == "True"
     assert direct[1] == missing[1] == unloadable[1]
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                         "OMP_NUM_THREADS")
+
+THREADS_SCRIPT = MOVE_SCIPY + """
+import time
+
+def threads():
+    with open("/proc/self/status") as status:
+        return status.read().split("Threads:")[1].split()[0]
+
+if sys.argv[2] == "numpy":
+    import numpy
+before = threads()
+import nlsground
+import nlsground.cli
+cpu = time.process_time()
+time.sleep(0.3)
+print(before, threads(), time.process_time() - cpu)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="counts threads in /proc/self/status")
+def test_import_starts_no_blas_threads(moved_scipy):
+    # scipy's and numpy's OpenBLAS each started a pool of worker threads
+    # that busy-wait after loading (3 threads on 2 cores); the package
+    # calls no threaded BLAS routine, so both load on one thread
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_THREAD_VARIABLES}
+    before, after, spent = run_python(THREADS_SCRIPT, "-", "-", env=env)
+    assert before == after == "1"
+    assert float(spent) <= 0.03
+    # numpy imported first keeps its own threads, and nlsground adds none,
+    # also where LAPACK comes from a fallback
+    for moved in ("-", *moved_scipy):
+        before, after, _ = run_python(THREADS_SCRIPT, moved, "numpy", env=env)
+        assert after == before
+
+
+ENVIRON_SCRIPT = """
+import os
+import subprocess
+import sys
+
+name = sys.argv[1]
+before = dict(os.environ)
+import nlsground
+print(dict(os.environ) == before, os.environ.get(name))
+child = f"import os; print(os.environ.get({name!r}))"
+print(subprocess.run([sys.executable, "-c", child], capture_output=True,
+                     text=True, check=True).stdout.strip())
+with open("/proc/self/status") as status:
+    print(status.read().split("Threads:")[1].split()[0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="counts threads in /proc/self/status")
+def test_import_leaves_the_environment_and_a_set_thread_count():
+    # the one-thread pin lasts for the load alone: a child process sees
+    # the caller's environment, and a count the caller set in any of
+    # OpenBLAS's variables wins
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_THREAD_VARIABLES}
+    assert run_python(ENVIRON_SCRIPT, "OPENBLAS_NUM_THREADS",
+                      env=env) == ["True", "None", "None", "1"]
+    for name in BLAS_THREAD_VARIABLES:
+        unchanged, *counts, threads = run_python(
+            ENVIRON_SCRIPT, name, env=dict(env, **{name: "2"}))
+        assert unchanged == "True" and counts == ["2", "2"]
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert int(threads) > 1
 
 
 REPEAT_FAULTS_SCRIPT = """
