@@ -5,10 +5,12 @@ R(u) = (||grad u||^2 + lambda ||u||^2) / ||u||_p^2 over nonzero fields;
 equivalently, the action constrained to its natural manifold.  A nodal
 ground state minimizes it over the fields that are odd under a
 reflection of the box (`nodal`), so one driver, `least_action_state`,
-solves both: a signed solve runs it from one start, the first
-eigenmode, on the fields even about the centre of the box (all fields
-where a solve does not fold, see `linsolve.OperatorSolver`).  From each
-start it runs the normalized fixed point
+checks the frequency against the threshold, -lambda_1 or -lambda_2,
+and solves both: a signed solve runs it from one start, the first sine
+mode of the box (`spectral.sine_mode`), on the fields even about the
+centre of the box (all fields where a solve does not fold, see
+`linsolve.OperatorSolver`).  From each start it runs the normalized
+fixed point
 
     solve (A + lambda I) v = |u|^(p-2) u,   u <- v / ||v||_p,
 
@@ -261,10 +263,6 @@ def ground_state(grid: Grid, params: ActionParams,
     identity to machine precision and the PDE residual to opts.tol.
     """
     opts = opts or SolverOptions()
-    floor = threshold_floor(spectral.lambda1(grid))
-    if params.lam <= floor:
-        raise LambdaBelowThreshold(f"lambda={params.lam} at or below "
-                                   f"-lambda_1 + margin = {floor:.6g}")
     warm = None
     if init_field is not None:
         if init_field.grid != grid:
@@ -283,8 +281,9 @@ def ground_state(grid: Grid, params: ActionParams,
 
 
 def _first_mode(grid: Grid) -> np.ndarray:
-    """The first Dirichlet eigenvector of grid, flat."""
-    return spectral.dirichlet_eigenpairs(grid, 1)[0].vector.values
+    """The first Dirichlet eigenvector of grid, flat, with unit L2 norm."""
+    v = spectral.sine_mode(grid, *(1,) * grid.dimension)
+    return v / np.sqrt(grid.l2_sq(v))
 
 
 def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
@@ -306,8 +305,14 @@ def least_action_state(grid: Grid, params: ActionParams, opts: SolverOptions,
     the least-action state with `domains` nodal domains and the record
     ((label, action), ...) of every such state, or raises NoConvergence
     naming how every start stopped, or the overflow a huge exponent or
-    frequency causes.
+    frequency causes; LambdaBelowThreshold unless lambda is above
+    threshold_floor(lambda_domains), the one such check of every solve.
     """
+    floor = threshold_floor(
+        (spectral.lambda1 if domains == 1 else spectral.lambda2)(grid))
+    if params.lam <= floor:
+        raise LambdaBelowThreshold(f"lambda={params.lam} at or below "
+                                   f"-lambda_{domains} + margin = {floor:.6g}")
     try:
         with np.errstate(over="raise"):
             return _least_action_state(grid, params, opts, warm, starts,
@@ -400,17 +405,13 @@ def _nested(grid: Grid, params: ActionParams, opts: SolverOptions,
     The start runs through `least_action_state` on the grid of
     _COARSE_NODES nodes of grid's interval, and its state, prolonged
     onto the start's block of grid (`grid.prolong`), goes to
-    `_newton_attempt`.  Returns (the state, or None if the frequency is
-    not above the coarse grid's threshold, the coarse solve raised or
-    the attempt returned none, the steps on both grids).
+    `_newton_attempt`.  Returns (the state, or None if the coarse solve
+    raised, also where the frequency is not above the coarse grid's
+    threshold, or the attempt returned none, the steps on both grids).
     """
-    coarse = Grid(grid.spec, _COARSE_NODES)
-    bottom = (spectral.lambda1 if domains == 1 else spectral.lambda2)(coarse)
-    if params.lam <= threshold_floor(bottom):
-        return None, 0
     try:
-        seed = least_action_state(coarse, params, opts, None, [start],
-                                  domains)[0]
+        seed = least_action_state(Grid(grid.spec, _COARSE_NODES), params,
+                                  opts, None, [start], domains)[0]
     except NlsgroundError:
         return None, 0
     state, steps = _newton_attempt(grid.block(start[1]),

@@ -183,9 +183,9 @@ class OperatorSolver:
         if self.grid.dimension == 2:
             shape = self.space.shape
             if not self._folded:
-                x = _dst2(b.reshape(shape), np.empty(shape))
+                x = _dst_axes(b.reshape(shape), [1, 1], np.empty(shape))
                 x *= self._factor
-                return self.project(_dst2(x, x).reshape(-1))
+                return self.project(_dst_axes(x, [1, 1], x).reshape(-1))
             b = b.reshape(shape)
             if self.parity == DIAGONAL:
                 return _diagonal_solve(b, self._factor).reshape(-1)
@@ -326,24 +326,16 @@ def _diagonal_solve(b: np.ndarray, factor: np.ndarray) -> np.ndarray:
 
 
 def _dst_axes(u: np.ndarray, kinds: list, out: np.ndarray) -> np.ndarray:
-    """Unnormalized DST of type kinds[k] along axis k of u, into out."""
+    """Unnormalized DST of type kinds[k] along axis k of u, into out.
+
+    out may be u; the DST-I applied twice multiplies by 2(n+1).
+    """
     dst = _pocketfft_dst()
     if kinds[0] == kinds[1]:
         dst(u, kinds[0], (0, 1), 0, out, 1)
     else:
         dst(u, kinds[0], (0,), 0, out, 1)
         dst(out, kinds[1], (1,), 0, out, 1)
-    return out
-
-
-def _dst2(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I along both axes of a square array, into out.
-
-    Along an axis the transform is 2 sum_j x_j sin(pi j k/(n+1));
-    applying it twice multiplies by 2(n+1).  pocketfft's real-to-real
-    kernel computes it on one thread; out may be u itself.
-    """
-    _pocketfft_dst()(u, 1, (0, 1), 0, out, 1)
     return out
 
 

@@ -6,7 +6,9 @@ and Neuberger 1997).  A reflection R of the box separates the two sign
 parts.  A field that is odd under R vanishes on R's fixed nodes, so the
 signed problem on the odd fields is the signed problem on half the box,
 and the driver of the signed solver, `action.least_action_state`,
-solves it from the R-odd lambda_2 mode: each fixed-point solve is
+checks lambda against -lambda_2 and solves it from the R-odd lambda_2
+mode, a sine mode of the box or a difference of two on a square
+(`spectral.sine_mode`): each fixed-point solve is
 restricted to the odd fields, and Newton on the full system keeps them
 odd and R's fixed nodes exactly zero.  An interval has one such
 reflection, the midpoint flip; on odd n it fixes the midpoint node, on
@@ -38,12 +40,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import spectral
 from .action import (ActionParams, GroundState, SolverOptions, _action,
-                     least_action_state, threshold_floor)
-from .errors import InvalidSpec, LambdaBelowThreshold
+                     least_action_state)
+from .errors import InvalidSpec
 from .grid import Field, Grid
 from .linsolve import DIAGONAL, EVEN, ODD
+from .spectral import sine_mode
 
 
 def nodal_ground_state(grid: Grid, params: ActionParams,
@@ -60,10 +62,6 @@ def nodal_ground_state(grid: Grid, params: ActionParams,
     start, on both grids where it nests.
     """
     opts = opts or SolverOptions()
-    floor = threshold_floor(spectral.lambda2(grid))
-    if params.lam <= floor:
-        raise LambdaBelowThreshold(
-            f"lambda={params.lam} at or below -lambda_2 + margin = {floor:.6g}")
     if init_field is not None and init_field.grid != grid:
         raise InvalidSpec("initial field lives on a different grid")
     state, record = least_action_state(grid, params, opts, init_field,
@@ -93,21 +91,11 @@ def _reflections(grid: Grid) -> list:
     when the start runs and projects it exactly onto the class.
     """
     if grid.dimension == 1:
-        return [("midpoint", (ODD,), lambda g: _sine(g, 2.0))]
+        return [("midpoint", (ODD,), lambda g: sine_mode(g, 2))]
     if grid.h[0] < grid.h[1]:
-        return [("midline", (EVEN, ODD), lambda g: _plane(g, 1.0, 2.0))]
-    starts = [("midline", (ODD, EVEN), lambda g: _plane(g, 2.0, 1.0))]
+        return [("midline", (EVEN, ODD), lambda g: sine_mode(g, 1, 2))]
+    starts = [("midline", (ODD, EVEN), lambda g: sine_mode(g, 2, 1))]
     if grid.h[0] == grid.h[1]:
         starts.insert(0, ("diagonal", DIAGONAL,
-                          lambda g: _plane(g, 1.0, 2.0) - _plane(g, 2.0, 1.0)))
+                          lambda g: sine_mode(g, 1, 2) - sine_mode(g, 2, 1)))
     return starts
-
-
-def _sine(grid: Grid, k: float) -> np.ndarray:
-    """The k-th Dirichlet mode of an axis of grid at its nodes."""
-    return np.sin(k * (np.arange(1, grid.n + 1) * (np.pi / (grid.n + 1))))
-
-
-def _plane(grid: Grid, j: float, k: float) -> np.ndarray:
-    """The mode (j, k) of the 2D grid at its nodes, flat."""
-    return np.outer(_sine(grid, j), _sine(grid, k)).reshape(-1)

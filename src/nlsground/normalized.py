@@ -14,7 +14,6 @@ consistency check and the supercritical frequency bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,28 +261,44 @@ def _mass_brackets(curve: LevelCurve, mu: float):
 def _polish_crossing(curve: LevelCurve, mu: float, bracket, opts):
     """Safeguarded secant iteration on mass(lambda) - mu inside a bracket."""
     ia, ib = bracket
-    grid, kind, p = curve.grid, curve.kind, curve.p
     warm = curve.states[ia]
     if ia == ib:
         lam = float(curve.lambdas[ia])
-        return lam, _solve_one(grid, p, lam, kind, opts, warm)
-
-    def mass_gap(lam: float):
-        st = _solve_one(grid, p, lam, kind, opts, warm)
-        return st.mass - mu, st
-
-    gap = math.nan
-    for lam, st in _secant_steps(mass_gap, float(curve.lambdas[ia]),
-                                 float(curve.mass[ia] - mu),
-                                 float(curve.lambdas[ib]),
-                                 float(curve.mass[ib] - mu)):
-        warm = st
-        gap = abs(st.mass - mu) / mu
-        if gap <= _MASS_RTOL:
+        return lam, _solve_one(curve.grid, curve.p, lam, curve.kind, opts,
+                               warm)
+    for lam, st, matched in _mass_match(curve, mu, ia, ib, opts, warm):
+        if matched:
             return lam, st
+    gap = abs(st.mass - mu) / mu
     raise NoBracket(
         f"mass matching stalled at |mass-mu|/mu = {gap:.2e} inside "
         f"[{curve.lambdas[ia]}, {curve.lambdas[ib]}]")
+
+
+def _mass_match(curve: LevelCurve, mu: float, lo: int, hi: int,
+                opts: SolverOptions, warm=None):
+    """Secant iterates on mass(lambda) - mu between samples lo and hi.
+
+    With warm given, each solve starts from the previous iterate's
+    state, the first from warm; otherwise cold.  Yields (lambda, state,
+    whether the mass matches mu to _MASS_RTOL) per iterate, up to the
+    first match.
+    """
+    def mass_gap(lam: float):
+        nonlocal warm
+        st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
+        if warm is not None:
+            warm = st
+        return st.mass - mu, st
+
+    for lam, st in _secant_steps(mass_gap, float(curve.lambdas[lo]),
+                                 float(curve.mass[lo] - mu),
+                                 float(curve.lambdas[hi]),
+                                 float(curve.mass[hi] - mu)):
+        matched = abs(st.mass - mu) <= _MASS_RTOL * mu
+        yield lam, st, matched
+        if matched:
+            return
 
 
 @dataclass
@@ -351,19 +366,10 @@ def _refine_profile_min(curve: LevelCurve, mu: float, profile: FMuProfile,
     best = (float(profile.f_values[k]), float(profile.lambdas[k]))
     # an argmin at an edge sample still brackets a minimum one step in
     lo, hi = ok[max(k - 1, 0)], ok[min(k + 1, ok.size - 1)]
-    gap_lo, gap_hi = float(curve.mass[lo] - mu), float(curve.mass[hi] - mu)
-    if gap_lo * gap_hi >= 0.0:
+    if (curve.mass[lo] - mu) * (curve.mass[hi] - mu) >= 0.0:
         return best
-
-    def mass_gap(lam: float):
-        st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, None)
-        return st.mass - mu, st
-
-    for lam, st in _secant_steps(mass_gap, float(curve.lambdas[lo]), gap_lo,
-                                 float(curve.lambdas[hi]), gap_hi):
+    for lam, st, _ in _mass_match(curve, mu, lo, hi, opts):
         best = min(best, (st.action_value - 0.5 * mu * lam, lam))
-        if abs(st.mass - mu) <= _MASS_RTOL * mu:
-            break
     return best
 
 

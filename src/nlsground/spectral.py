@@ -7,8 +7,9 @@ n interior nodes and spacing h = L/(n+1),
 
 and on a rectangle the pairs are the tensor products phi_j(x) phi_l(y)
 with value lambda_j(x) + lambda_l(y).  Only the 2-4 smallest pairs are
-ever needed; they set the existence thresholds for the signed and
-sign-changing ground-state problems and seed initializations.
+ever needed: lambda_1 and lambda_2 set the existence thresholds that
+`action.least_action_state` checks, and `sine_mode` builds the
+eigenvectors and every solver's cold start.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ def dirichlet_eigenpairs(grid: Grid, k: int) -> list[EigenPair]:
     modes = _sorted_modes(grid, k)
     if len(modes) < k:
         raise InvalidSpec(f"grid has only {len(modes)} eigenpairs, asked for {k}")
-    # row j-1 holds sin(j pi i/(n+1)) at nodes i = 1..n, on either axis
-    table = np.sin(np.outer(np.arange(1, k + 1), np.arange(1, grid.n + 1))
-                   * (np.pi / (grid.n + 1)))
     pairs: list[EigenPair] = []
     i = 0
     while len(pairs) < k:
         value, mode = modes[i]
-        vec = _mode_vector(table, mode)
+        vec = sine_mode(grid, *mode)
         if i + 1 < len(modes) and modes[i + 1] == (value, mode[::-1]):
-            partner = _mode_vector(table, mode[::-1])
+            partner = sine_mode(grid, *mode[::-1])
             combos = [vec + partner, vec - partner]
             i += 2
         else:
@@ -75,6 +73,14 @@ def dirichlet_eigenpairs(grid: Grid, k: int) -> list[EigenPair]:
             pairs.append(EigenPair(value, Field(grid, vec),
                                    float(np.sqrt(grid.l2_sq(r)))))
     return pairs
+
+
+def sine_mode(grid: Grid, *j: int) -> np.ndarray:
+    """The mode (j_1, ...) of grid at its nodes, flat: per axis
+    sin((j i) pi/(n+1)) at nodes i = 1..n, the integer j i formed first."""
+    i = np.arange(1, grid.n + 1)
+    axes = [np.sin((k * i) * (np.pi / (grid.n + 1))) for k in j]
+    return axes[0] if len(axes) == 1 else np.outer(*axes).reshape(-1)
 
 
 def lambda1(grid: Grid) -> float:
@@ -109,16 +115,10 @@ def _sorted_modes(grid: Grid, k: int) -> list[tuple[float, tuple]]:
     j = np.arange(1, min(k, grid.n) + 1)
     per_axis = [axis_eigenvalues(grid.n, h, j).tolist() for h in grid.h]
     if grid.dimension == 1:
-        return [(v, (a,)) for a, v in enumerate(per_axis[0])]
+        return [(v, (a,)) for a, v in enumerate(per_axis[0], 1)]
     return sorted((vx + vy, (a, b))
-                  for a, vx in enumerate(per_axis[0])
-                  for b, vy in enumerate(per_axis[1]))
-
-
-def _mode_vector(table: np.ndarray, mode: tuple) -> np.ndarray:
-    if len(mode) == 1:
-        return table[mode[0]].copy()
-    return np.outer(table[mode[0]], table[mode[1]]).reshape(-1)
+                  for a, vx in enumerate(per_axis[0], 1)
+                  for b, vy in enumerate(per_axis[1], 1))
 
 
 def _fix_sign(x: np.ndarray, first: bool) -> np.ndarray:

@@ -15,7 +15,7 @@ from nlsground import (ActionParams, DomainSpec, Field, Grid, NlsgroundError,
                        nodal_ground_state)
 from nlsground import linsolve
 from nlsground.action import mass_slope, tangent_predictor
-from nlsground.linsolve import (DIAGONAL, EVEN, ODD, TRANSPOSE, _dst2,
+from nlsground.linsolve import (DIAGONAL, EVEN, ODD, TRANSPOSE, _dst_axes,
                                 _tridiagonal_solve, newton, parity_class,
                                 shifted_solver)
 
@@ -145,10 +145,10 @@ def test_dst2_matches_dense_sine_matrix(n):
     u = np.random.default_rng(n).standard_normal((n, n))
     s = _sine_matrix(n)
     ref = s @ u @ s
-    got = _dst2(u, np.empty_like(u))
+    got = _dst_axes(u, [1, 1], np.empty_like(u))
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
     # out may be the input itself
-    assert np.array_equal(_dst2(u, u), got)
+    assert np.array_equal(_dst_axes(u, [1, 1], u), got)
 
 
 def _grid_solve(solver, b):
@@ -162,7 +162,7 @@ def _grid_solve(solver, b):
 def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
     # without pocketfft's extension file, scipy.fft.dstn runs the kernel
     u = np.random.default_rng(5).standard_normal((127, 127))
-    loaded = _dst2(u, np.empty_like(u))
+    loaded = _dst_axes(u, [1, 1], np.empty_like(u))
     find_spec = importlib.util.find_spec
     missing = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
@@ -185,9 +185,9 @@ def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
     linsolve._pocketfft_dst.cache_clear()
     try:
         kernel = linsolve._pocketfft_dst()
-        fallback = _dst2(u, np.empty_like(u))
+        fallback = _dst_axes(u, [1, 1], np.empty_like(u))
         v = u.copy()
-        _dst2(v, v)
+        _dst_axes(v, [1, 1], v)
         fallback_folds = folds(kernel)
         fallback_folded = _grid_solve(shifted_solver(grid, 10.0, (EVEN, ODD)),
                                       b)
@@ -204,7 +204,7 @@ def test_dst2_fallback_is_bitwise_equal(monkeypatch, tmp_path):
 def test_dst2_unloadable_file_falls_back(monkeypatch, tmp_path):
     # a pocketfft file that fails to load by itself falls back the same way
     u = np.random.default_rng(6).standard_normal((63, 63))
-    loaded = _dst2(u, np.empty_like(u))
+    loaded = _dst_axes(u, [1, 1], np.empty_like(u))
     module = "scipy.fft._pocketfft.pypocketfft"
     folder = tmp_path / "fft" / "_pocketfft"
     folder.mkdir(parents=True)
@@ -219,7 +219,7 @@ def test_dst2_unloadable_file_falls_back(monkeypatch, tmp_path):
     linsolve._pocketfft_dst.cache_clear()
     try:
         kernel = linsolve._pocketfft_dst()
-        fallback = _dst2(u, np.empty_like(u))
+        fallback = _dst_axes(u, [1, 1], np.empty_like(u))
     finally:
         linsolve._pocketfft_dst.cache_clear()
     assert kernel is not real
@@ -290,9 +290,9 @@ def test_folded_solve_matches_full_solve(box, n):
         solver = shifted_solver(grid, 10.0, parity)
         assert solver._folded
         x = _grid_solve(solver, b).reshape(grid.shape)
-        ref = _dst2(b.reshape(grid.shape), np.empty(grid.shape))
+        ref = _dst_axes(b.reshape(grid.shape), [1, 1], np.empty(grid.shape))
         ref *= full._factor
-        ref = _class_part(_dst2(ref, ref), parity)
+        ref = _class_part(_dst_axes(ref, [1, 1], ref), parity)
         assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
         assert parity_class(grid, x) == parity
         for axis, s in enumerate(parity):
@@ -315,9 +315,9 @@ def test_diagonal_solve_matches_full_solve(n):
     b = (a - a[::-1, ::-1]).reshape(-1)
     assert parity_class(grid, b) == DIAGONAL
     x = _grid_solve(solver, b)
-    ref = _dst2(b.reshape(grid.shape), np.empty(grid.shape))
+    ref = _dst_axes(b.reshape(grid.shape), [1, 1], np.empty(grid.shape))
     ref *= full._factor
-    ref = _dst2(ref, ref)
+    ref = _dst_axes(ref, [1, 1], ref)
     ref = 0.5 * (ref - ref.T)
     ref = 0.5 * (ref - ref[::-1, ::-1]).reshape(-1)
     assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)

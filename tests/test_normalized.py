@@ -6,11 +6,12 @@ import pytest
 import nlsground.normalized
 
 from nlsground import (ActionParams, CertificationFailed, DomainSpec, Field,
-                       Grid, InvalidSpec, MassAboveBarMu, MassOutOfRange,
-                       NoBracket, SolverOptions, action, energy, f_mu_profile,
-                       ground_state, lambda1, lambda2, least_energy_certify,
-                       mass_threshold, nehari_project, pohozaev_check,
-                       solve_normalized, supercritical_lambda_bound, sweep)
+                       Grid, InvalidSpec, LevelCurve, MassAboveBarMu,
+                       MassOutOfRange, NoBracket, SolverOptions, action, curves,
+                       energy, f_mu_profile, ground_state, lambda1, lambda2,
+                       least_energy_certify, mass_threshold, nehari_project,
+                       pohozaev_check, solve_normalized,
+                       supercritical_lambda_bound, sweep)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,51 @@ def test_extensions_are_capped(unit_interval, monkeypatch):
         solve_normalized(Grid(unit_interval, 31), 4.0, 1e6, samples=3)
     assert sizes == [3, 2, 4, 8, 16, 32, 64]
     assert len(sizes) == 1 + nlsground.normalized._MAX_EXTENSIONS
+
+
+def _recorded_solves(monkeypatch):
+    states = []
+    inner = nlsground.normalized._solve_one
+
+    def recorded(*args):
+        states.append(inner(*args))
+        return states[-1]
+
+    monkeypatch.setattr(nlsground.normalized, "_solve_one", recorded)
+    return states
+
+
+def test_mass_match_out_of_secant_steps_raises(unit_interval, monkeypatch):
+    # a crossing that the secant steps do not match to 1e-6 raises
+    # NoBracket naming the last iterate's |mass - mu| / mu
+    grid = Grid(unit_interval, 31)
+    curve = sweep(grid, 4.0, np.linspace(-lambda1(grid) + 0.5, 60.0, 12))
+    states = _recorded_solves(monkeypatch)
+    monkeypatch.setattr(curves, "_SECANT_STEPS", 1)
+    with pytest.raises(NoBracket, match="mass matching stalled") as info:
+        solve_normalized(grid, 4.0, 1.0, curve=curve)
+    assert len(states) == 1
+    gap = abs(states[0].mass - 1.0)
+    assert gap > 1e-6
+    assert f"|mass-mu|/mu = {gap:.2e} inside" in str(info.value)
+
+
+def test_profile_minimum_without_a_mass_crossing_stands(unit_interval,
+                                                        monkeypatch):
+    # mass - mu keeps its sign on both neighbours of the sampled minimum
+    # of J - mu lambda / 2, so no secant step brackets a better one and
+    # the sample is returned without a solve
+    grid = Grid(unit_interval, 31)
+    curve = LevelCurve(kind="signed", p=4.0, grid=grid,
+                       lambdas=np.arange(5.0), J=np.array([5.0, 3, 2, 3, 4]),
+                       mass=np.array([3.0, 2.5, 2, 1.5, 1.2]),
+                       dJ=np.zeros(5), flags=["ok"] * 5,
+                       threshold=-lambda1(grid))
+    profile = f_mu_profile(curve, 1.0)
+    states = _recorded_solves(monkeypatch)
+    best = nlsground.normalized._refine_profile_min(curve, 1.0, profile,
+                                                    SolverOptions())
+    assert best == (1.0, 2.0) and states == []
 
 
 def test_branch_selection_minimizes_energy(grid255):

@@ -54,11 +54,13 @@ def test_tracer_counts_solver_layers(dimension):
     for name in ("linsolve.solve.calls", "linsolve.factorize.calls",
                  "linsolve.backsub.calls"):
         assert metrics[name] > 0, name
+    # the cold start is a sine mode (`spectral.sine_mode`), no eigenpair
+    assert metrics["spectral.eigenpairs.calls"] == 0
     if dimension == 2:
-        # at n=15 the signed solve lives on its 8 x 8 quarter block; only
-        # the eigen start's stencil sees the 225 nodes of the grid
+        # at n=15 the signed solve lives on its 8 x 8 quarter block, and
+        # every stencil runs there
         calls = metrics["grid.laplacian.calls"]
-        assert metrics["grid.laplacian.nodes"] == 64 * (calls - 1) + 225
+        assert metrics["grid.laplacian.nodes"] == 64 * calls
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -70,6 +72,7 @@ def test_tracer_sees_nodal_preconditioner_solves(dimension):
     metrics = _layer_metrics("nodal", dimension)
     assert metrics["nodal.nodal_ground_state.calls"] == 1
     assert metrics["linsolve.backsub.calls"] > 0
+    assert metrics["spectral.eigenpairs.calls"] == 0
     if dimension == 1:
         assert metrics["nodal.side_solves"] == 0
     else:

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from nlsground import (DomainSpec, Grid, InvalidSpec, dirichlet_eigenpairs,
                        lambda1, lambda2)
+from nlsground.spectral import sine_mode
 
 from conftest import tridiag_eigenvalue
 
@@ -148,3 +151,36 @@ def test_square_tie_is_split_by_transpose_symmetry(unit_square):
     for pair in pairs[1:3]:
         v = _unit(pair.vector.values)
         assert np.linalg.norm(v - space @ (space.T @ v)) <= 1e-10
+
+
+def _axis_sine(n, k):
+    """sin(k (i pi/(n+1))): the axis mode with k applied last."""
+    return np.sin(k * (np.arange(1, n + 1) * (np.pi / (n + 1))))
+
+
+@pytest.mark.parametrize("box, sizes", [
+    ((0.0, 1.0), (3, 64, 255, 4096)),
+    ((0.0, 1.0, 0.0, 1.0), (15, 64)),
+    ((0.0, 1.2, 0.0, 1.0), (15, 64)),
+])
+def test_sine_mode_builds_every_start_bitwise(box, sizes):
+    # the cold signed start is the eigenvector of the first pair, and the
+    # nodal starts are the lambda_2 modes as sin(k (i pi/(n+1))) forms
+    # them: sine_mode forms (k i) pi/(n+1), which is the same double for
+    # k = 1, 2, since scaling by 2 is exact
+    first_mode = importlib.import_module("nlsground.action")._first_mode
+    spec = (DomainSpec.interval(*box) if len(box) == 2
+            else DomainSpec.rectangle(*box))
+    for n in sizes:
+        grid = Grid(spec, n)
+        assert np.array_equal(first_mode(grid),
+                              dirichlet_eigenpairs(grid, 1)[0].vector.values)
+        i, c = np.arange(1, n + 1), np.pi / (n + 1)
+        for k in (1, 2):
+            assert np.array_equal(k * (i * c), (k * i) * c)
+        if grid.dimension == 1:
+            assert np.array_equal(sine_mode(grid, 2), _axis_sine(n, 2.0))
+        else:
+            plane = np.outer(_axis_sine(n, 1.0), _axis_sine(n, 2.0))
+            assert np.array_equal(sine_mode(grid, 1, 2), plane.reshape(-1))
+            assert np.array_equal(sine_mode(grid, 2, 1), plane.T.reshape(-1))
