@@ -229,13 +229,15 @@ class MassThreshold:
 
     For subcritical exponents the threshold is infinite; `unbounded`
     marks that case and mu_p is +inf.  `attained` is "yes" above the
-    critical exponent, "undetermined" at it.
+    critical exponent, "undetermined" at it.  `state` is the ground state
+    of mass mu_p at argmax_lambda (None when unbounded).
     """
 
     mu_p: float
     argmax_lambda: float
     attained: str  # "yes" | "no" | "undetermined"
     unbounded: bool = False
+    state: GroundState | None = field(default=None, repr=False)
 
 
 def critical_exponent(dimension: int) -> float:
@@ -263,7 +265,7 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
     if ok.size == 0:
         raise NoConvergence("no usable samples in the curve")
     j = int(np.argmax(curve.mass[ok]))
-    best_lam, best_mass = float(curve.lambdas[ok[j]]), float(curve.mass[ok[j]])
+    best_lam, best = float(curve.lambdas[ok[j]]), curve.states[ok[j]]
     if 0 < j < ok.size - 1:
         lo, hi = ok[j - 1], ok[j + 1]
         slope_lo, slope_hi = mass_slope(curve.states[lo]), mass_slope(curve.states[hi])
@@ -279,13 +281,13 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
             prev = best_lam
             for lam, st in _secant_steps(slope_at, lam_lo, slope_lo, lam_hi, slope_hi):
                 warm = st
-                if st.mass > best_mass:
-                    best_lam, best_mass = lam, st.mass
+                if st.mass > best.mass:
+                    best_lam, best = lam, st
                 if abs(lam - prev) <= refine_rtol * scale:
                     break
                 prev = lam
     attained = "yes" if curve.p > p_c else "undetermined"
-    return MassThreshold(best_mass, best_lam, attained)
+    return MassThreshold(best.mass, best_lam, attained, state=best)
 
 
 def _secant_steps(g, lo: float, g_lo: float, hi: float, g_hi: float):

@@ -2,26 +2,29 @@
 
 Minimizing J(lambda) - mu * lambda / 2 over the frequency links the
 prescribed mass mu to the frequencies where the ground-state mass curve
-crosses mu.  The solver enumerates those crossings on a sampled curve,
-polishes each to the mass tolerance by safeguarded secant steps, and
-returns the branch of least energy; certification re-checks minimality
-against the curve's minimum, refined by the same secant steps on cold
-re-solves (the derivative of J - mu lambda / 2 is (mass - mu) / 2), and
-that the returned field is a ground state at its own frequency.
-Star-shaped boundary-weighted identities provide an independent
-consistency check and the supercritical frequency bound.
+crosses mu.  The solver enumerates those crossings on a sampled curve
+(a mass up to the threshold mu_p is crossed on either side of the
+refined mass peak, which joins the curve as a sample), polishes each to
+the mass tolerance by safeguarded secant steps, and returns the branch
+of least energy; certification re-checks minimality against the
+curve's minimum, refined by the same secant steps on cold re-solves
+(the derivative of J - mu lambda / 2 is (mass - mu) / 2), and that the
+returned field is a ground state at its own frequency.  Star-shaped
+boundary-weighted identities provide an independent consistency check
+and the supercritical frequency bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral
 from .action import ActionParams, SolverOptions, action, energy
-from .curves import (LevelCurve, _secant_steps, _solve_one, critical_exponent,
-                     mass_threshold, sweep, threshold_eigenvalue)
+from .curves import (LevelCurve, _central_differences, _secant_steps,
+                     _solve_one, critical_exponent, mass_threshold, sweep,
+                     threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
                      MassOutOfRange, NoBracket)
 from .grid import Field, Grid
@@ -122,22 +125,17 @@ def f_mu_profile(curve: LevelCurve, mu: float) -> FMuProfile:
     )
 
 
-def _extend_curve(curve: LevelCurve, opts: SolverOptions) -> LevelCurve:
-    lam = curve.lambdas
-    lo, hi = lam[0], lam[-1]
-    new_hi = hi + (hi - lo) * 2.0
-    extra = np.linspace(hi, new_hi, lam.size)[1:]
-    ext = sweep(curve.grid, curve.p, extra, curve.kind, opts)
-    return LevelCurve(
-        kind=curve.kind, p=curve.p, grid=curve.grid,
-        lambdas=np.concatenate([lam, ext.lambdas]),
-        J=np.concatenate([curve.J, ext.J]),
-        mass=np.concatenate([curve.mass, ext.mass]),
-        dJ=np.concatenate([curve.dJ, ext.dJ]),
-        flags=curve.flags + ext.flags,
-        threshold=curve.threshold,
-        states=curve.states + ext.states,
-    )
+def _join(curve: LevelCurve, lambdas, states, flags) -> LevelCurve:
+    """The curve with more samples merged in by frequency, read off states."""
+    lam = np.concatenate([curve.lambdas, lambdas])
+    order = np.argsort(lam, kind="stable")
+    states, flags = ([seq[i] for i in order] for seq in
+                     (curve.states + list(states), curve.flags + list(flags)))
+    J = np.array([np.nan if s is None else s.action_value for s in states])
+    return replace(
+        curve, lambdas=lam[order], J=J,
+        mass=np.array([np.nan if s is None else s.mass for s in states]),
+        dJ=_central_differences(lam[order], J), flags=flags, states=states)
 
 
 def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
@@ -154,9 +152,11 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
     sweeps, or sweeps whose masses still rise at the end, are extended
     upward (at most 6 times) until the mass is bracketed.  A subcritical
     mass below every sampled mass raises NoBracket at once, since the
-    masses rise with the frequency; critical/supercritical masses above
-    the refined threshold raise MassOutOfRange, and the threshold mass
-    itself is matched at the curve's argmax.
+    masses rise with the frequency.  A critical/supercritical mass above
+    every sample is crossed on either side of the refined mass peak,
+    which joins the curve as one more sample, or matched there; one above
+    the refined threshold mu_p raises MassOutOfRange.  A given curve must
+    have the grid, exponent and kind asked for (InvalidSpec otherwise).
     """
     if not (np.isfinite(mu) and mu > 0):
         raise InvalidSpec(f"mass must be finite and positive, got {mu}")
@@ -171,6 +171,10 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
         lo = -thr + 0.5
         hi = lambda_max if lambda_max is not None else max(4.0 * thr, lo + 50.0)
         curve = sweep(grid, p, np.linspace(lo, hi, samples), kind, opts)
+    elif (curve.grid, curve.p, curve.kind) != (grid, p, kind):
+        raise InvalidSpec(
+            f"the {curve.kind} p={curve.p} curve on {curve.grid} does not "
+            f"match the {kind} p={p} problem on {grid}")
     p_c = critical_exponent(grid.dimension)
 
     brackets = _mass_brackets(curve, mu)
@@ -185,36 +189,35 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
                 break
         elif mass[-1] < 0.98 * np.nanmax(mass):
             break
-        curve = _extend_curve(curve, opts)
+        lo, hi = curve.lambdas[0], curve.lambdas[-1]
+        ext = sweep(grid, p, np.linspace(hi, hi + (hi - lo) * 2.0,
+                                         curve.lambdas.size)[1:], kind, opts)
+        curve = _join(curve, ext.lambdas, ext.states, ext.flags)
         brackets = _mass_brackets(curve, mu)
 
-    branches = [_polish_crossing(curve, mu, bracket, opts)
-                for bracket in brackets]
-
-    if not branches:
+    if not brackets:
         ok = curve.ok_indices()
         if ok.size and mu < float(np.nanmin(curve.mass[ok])):
             raise NoBracket(
                 f"mu={mu} below the smallest sampled mass "
                 f"{np.nanmin(curve.mass[ok]):.6g}; sample closer to the "
                 f"threshold")
-        if p >= p_c:
-            peak = mass_threshold(curve, opts, refine_rtol=1e-9)
-            if mu > peak.mu_p * (1.0 + _MASS_RTOL):
-                raise MassOutOfRange(
-                    f"mu={mu} above the mass threshold {peak.mu_p:.9g} "
-                    f"(p={p} {'>' if p > p_c else '='} critical {p_c})")
-            st = _solve_one(grid, curve.p, peak.argmax_lambda, kind, opts,
-                            None)
-            if abs(st.mass - mu) > _MASS_RTOL * mu:
-                raise MassOutOfRange(
-                    f"mu={mu} not matched at the mass peak "
-                    f"{peak.mu_p:.9g} (gap {abs(st.mass - mu) / mu:.2e})")
-            branches = [(peak.argmax_lambda, st)]
-        else:
+        if p < p_c:
             raise NoBracket(
                 f"sweep up to lambda={curve.lambdas[-1]:.6g} never reaches "
                 f"mass {mu}; extend the sweep")
+        # every sample lies below mu: the refined peak joins the curve
+        peak = mass_threshold(curve, opts, refine_rtol=1e-9)
+        if mu > peak.mu_p * (1.0 + _MASS_RTOL):
+            raise MassOutOfRange(
+                f"mu={mu} above the mass threshold {peak.mu_p:.9g} "
+                f"(p={p} {'>' if p > p_c else '='} critical {p_c})")
+        if peak.argmax_lambda not in curve.lambdas:
+            curve = _join(curve, [peak.argmax_lambda], [peak.state], ["ok"])
+        brackets = _mass_brackets(curve, mu)
+
+    branches = [_polish_crossing(curve, mu, bracket, opts)
+                for bracket in brackets]
 
     records = []
     best = None
@@ -244,29 +247,26 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
 
 
 def _mass_brackets(curve: LevelCurve, mu: float):
+    """Sample pairs straddling mu, and (a, a) for a sample matching it."""
     ok = curve.ok_indices()
+    gap = curve.mass[ok] - mu
+    hit = np.abs(gap) <= _MASS_RTOL * mu
     out = []
-    for a, b in zip(ok[:-1], ok[1:]):
-        fa = curve.mass[a] - mu
-        fb = curve.mass[b] - mu
-        if fa == 0.0:
+    for k, a in enumerate(ok):
+        if hit[k]:
             out.append((a, a))
-        elif fa * fb < 0.0:
-            out.append((a, b))
-    if ok.size and curve.mass[ok[-1]] == mu:
-        out.append((ok[-1], ok[-1]))
+        elif k + 1 < ok.size and not hit[k + 1] and gap[k] * gap[k + 1] < 0.0:
+            out.append((a, ok[k + 1]))
     return out
 
 
 def _polish_crossing(curve: LevelCurve, mu: float, bracket, opts):
     """Safeguarded secant iteration on mass(lambda) - mu inside a bracket."""
     ia, ib = bracket
-    warm = curve.states[ia]
     if ia == ib:
-        lam = float(curve.lambdas[ia])
-        return lam, _solve_one(curve.grid, curve.p, lam, curve.kind, opts,
-                               warm)
-    for lam, st, matched in _mass_match(curve, mu, ia, ib, opts, warm):
+        return float(curve.lambdas[ia]), curve.states[ia]
+    for lam, st, matched in _mass_match(curve, mu, ia, ib, opts,
+                                        curve.states[ia]):
         if matched:
             return lam, st
     gap = abs(st.mass - mu) / mu
@@ -322,8 +322,13 @@ def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
     relatively, and the action must match a fresh ground-state level at
     the solution's own frequency to within twice the solver tolerance
     plus 1e-6 of that level.  Raises
-    CertificationFailed with the violating frequency otherwise.
+    CertificationFailed with the violating frequency otherwise, and
+    InvalidSpec for a solution whose grid or kind is not the curve's.
     """
+    if (sol.u.grid, sol.kind) != (curve.grid, curve.kind):
+        raise InvalidSpec(
+            f"a {sol.kind} solution on {sol.u.grid} cannot be certified "
+            f"against the {curve.kind} curve on {curve.grid}")
     opts = opts or SolverOptions()
     profile = f_mu_profile(curve, sol.mu)
     f_min, lam_min = _refine_profile_min(curve, sol.mu, profile, opts)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from nlsground import InvalidSpec, SolverOptions, load_field
+from nlsground import (InvalidSpec, MassOutOfRange, NoConvergence,
+                       SolverOptions, load_field)
 from nlsground import cli
 from nlsground.cli import EIG_HEADER, SWEEP_HEADER, main
 
@@ -104,6 +105,17 @@ def test_normalized_exit_codes(capsys):
     code, _ = run_cli(capsys, "normalized", "--p", "8", "--mu", "50.0",
                       "--n", "127", "--lambda-max", "150", "--samples", "60")
     assert code == 3
+
+
+def test_normalized_mass_between_samples_and_threshold(capsys):
+    # above all 40 sampled masses, below the refined mass peak 1.25959438
+    mu = 1.2595513836794865
+    code, out = run_cli(capsys, "normalized", "--p", "8", "--n", "255",
+                        "--samples", "40", "--mu", repr(mu))
+    assert code == 0
+    rec = json.loads(out)
+    assert len(rec["branches"]) == 2
+    assert all(abs(b[2] - mu) <= 1e-6 * mu for b in rec["branches"])
 
 
 def test_exhaustion_subcommand(capsys):
@@ -361,3 +373,37 @@ def test_mass_threshold_check_needs_rising_p4_masses(tmp_path, monkeypatch):
     ok, detail, _ = cli._check_threshold(SolverOptions(), tmp_path)
     assert not ok
     assert "p=4 unbounded=True" in detail
+
+
+def _passing(name):
+    def check(opts, outdir):
+        return True, "fine", {outdir / f"{name}.csv": ["x", "1.0"]}
+    return check
+
+
+def _raising(exc_type):
+    def check(opts, outdir):
+        raise exc_type("broke")
+    return check
+
+
+@pytest.mark.parametrize("check, status, code", [
+    (_raising(NoConvergence), "error:NoConvergence", 2),
+    (_raising(MassOutOfRange), "fail:MassOutOfRange", 3),
+    (lambda opts, outdir: (False, "off", {}), "fail", 3),
+])
+def test_check_all_failure_contract(tmp_path, capsys, monkeypatch, check,
+                                    status, code):
+    # a solver breakdown is an error (exit 2); a failed gate or check is a
+    # failure (exit 3); the other checks still run and write artifacts
+    monkeypatch.setattr(cli, "_CHECKS", [("first", _passing("first")),
+                                         ("broken", check),
+                                         ("last", _passing("last"))])
+    assert run_cli(capsys, "check-all", "--out-dir", str(tmp_path))[0] == code
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [(c["name"], c["status"]) for c in summary["checks"]] == [
+        ("first", "pass"), ("broken", status), ("last", "pass")]
+    for name in ("first", "last"):
+        assert (tmp_path / f"{name}.csv").read_text() == "x\n1.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "first.csv", "last.csv", "summary.json"]

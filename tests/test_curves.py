@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,6 +65,46 @@ def test_sweep_keeps_warm_state_on_cold_tie():
     cur = sweep(grid, 4.0, lams, "nodal")
     assert set(cur.flags) == {"ok"}
     assert sum(st.iterations for st in cur.states) <= 200
+
+
+def _stubbed_sweep(monkeypatch, unit_interval, levels, cold_level):
+    """Sweep frequencies 1..12 with stubbed solves of the given levels.
+
+    The cold re-solve of sample 10 (index 10, the first with a warm start
+    from the sample before) returns cold_level instead.
+    """
+    from nlsground import Grid
+
+    def solve_one(grid, p, lam, kind, opts, warm):
+        i = int(lam) - 1
+        cold = warm is None and i == 10
+        level = cold_level if cold else levels[i]
+        return SimpleNamespace(action_value=level, mass=1.0, cold=cold)
+
+    monkeypatch.setattr(curves, "_solve_one", solve_one)
+    return sweep(Grid(unit_interval, 15), 4.0, np.arange(1.0, 13.0))
+
+
+@pytest.mark.parametrize("shift, kept", [(-2e-6, "cold"), (2e-6, "warm")])
+def test_sweep_cold_check_flags_a_jump(monkeypatch, unit_interval, shift,
+                                       kept):
+    # a cold level more than 1e-6 off the warm one flags the sample; the
+    # lower of the two levels wins
+    levels = np.arange(1.0, 13.0)
+    cur = _stubbed_sweep(monkeypatch, unit_interval, levels,
+                         levels[10] * (1.0 + shift))
+    assert cur.flags == ["ok"] * 10 + ["jump?", "ok"]
+    assert cur.states[10].cold == (kept == "cold")
+    assert cur.J[10] == min(levels[10], levels[10] * (1.0 + shift))
+
+
+def test_sweep_flags_a_level_that_does_not_rise(monkeypatch, unit_interval):
+    levels = np.arange(1.0, 13.0)
+    levels[4] = levels[3]
+    levels[7] = levels[6] - 0.5
+    cur = _stubbed_sweep(monkeypatch, unit_interval, levels, levels[10])
+    assert [i for i, f in enumerate(cur.flags) if f != "ok"] == [4, 7]
+    assert cur.flags[4] == cur.flags[7] == "nonmonotone"
 
 
 def test_sweep_validation(grid255):

@@ -97,14 +97,72 @@ def test_certification_minimum_takes_few_resolves(grid255, monkeypatch):
     assert len(calls) <= 5
 
 
-def test_mass_out_of_range_supercritical(grid255):
+def test_mass_out_of_range_supercritical(grid255, monkeypatch):
     lams = np.linspace(-lambda1(grid255) + 0.5, 150.0, 80)
     curve = sweep(grid255, 8.0, lams, "signed")
     peak = mass_threshold(curve, refine_rtol=1e-9)
-    with pytest.raises(MassOutOfRange):
-        solve_normalized(grid255, 8.0, 1.5 * peak.mu_p, "signed", curve=curve)
-    sol = solve_normalized(grid255, 8.0, peak.mu_p, "signed", curve=curve)
-    assert abs(grid255.l2_sq(sol.u.values) - peak.mu_p) <= 1e-6 * peak.mu_p
+    for mu in (1.5 * peak.mu_p, peak.mu_p * (1.0 + 2e-6)):
+        with pytest.raises(MassOutOfRange, match="above the mass threshold"):
+            solve_normalized(grid255, 8.0, mu, "signed", curve=curve)
+    # above every sample but below mu_p: the refined peak joins the curve
+    # and the mass is crossed on either side of it
+    mu = 0.5 * (float(np.nanmax(curve.mass)) + peak.mu_p)
+    sol = solve_normalized(grid255, 8.0, mu, "signed", curve=curve)
+    assert abs(grid255.l2_sq(sol.u.values) - mu) <= 1e-6 * mu
+    assert sol.residual <= 1e-8
+    assert len(sol.branches) >= 2
+    assert [b.lam for b in sol.branches] == sorted(b.lam for b in sol.branches)
+    assert sol.branches[0].lam < peak.argmax_lambda < sol.branches[-1].lam
+    assert (sol.energy, sol.lam) == min((b.energy, b.lam)
+                                        for b in sol.branches)
+    # at mu_p, and within the mass tolerance above it, the refined peak's
+    # own state is the solution, with no solve after mass_threshold
+    peaks = []
+
+    def recorded_threshold(*args, **kwargs):
+        peaks.append(mass_threshold(*args, **kwargs))
+        return peaks[-1]
+
+    monkeypatch.setattr(nlsground.normalized, "mass_threshold",
+                        recorded_threshold)
+    states = _recorded_solves(monkeypatch)
+    for mu in (peak.mu_p, peak.mu_p * (1.0 + 5e-7)):
+        sol = solve_normalized(grid255, 8.0, mu, "signed", curve=curve)
+        assert sol.u is peaks[-1].state.u
+        assert sol.lam == peak.argmax_lambda and len(sol.branches) == 1
+        assert abs(grid255.l2_sq(sol.u.values) - mu) <= 1e-6 * mu
+    assert len(peaks) == 2 and states == []
+
+
+@pytest.fixture(scope="module")
+def p8_curve63(unit_interval):
+    grid = Grid(unit_interval, 63)
+    return sweep(grid, 8.0, np.linspace(-lambda1(grid) + 0.5, 150.0, 30))
+
+
+@pytest.mark.parametrize("n, p, kind", [(63, 4.0, "signed"),
+                                        (63, 8.0, "nodal"),
+                                        (127, 8.0, "signed")])
+def test_curve_must_match_the_problem(unit_interval, p8_curve63, n, p, kind):
+    # a p=8 signed curve on n=63 answers no other exponent, kind or grid
+    with pytest.raises(InvalidSpec, match="does not match"):
+        solve_normalized(Grid(unit_interval, n), p, 1.0, kind,
+                         curve=p8_curve63)
+
+
+@pytest.mark.parametrize("change", [{"kind": "nodal"}, {"n": 127}])
+def test_certified_solution_must_match_the_curve(unit_interval, p8_curve63,
+                                                 change):
+    mu = 0.8 * float(np.nanmax(p8_curve63.mass))
+    sol = solve_normalized(p8_curve63.grid, 8.0, mu, curve=p8_curve63)
+    assert least_energy_certify(sol, p8_curve63).passed
+    if "n" in change:
+        grid = Grid(unit_interval, change["n"])
+        sol = dataclasses.replace(sol, u=Field(grid, np.zeros(grid.size)))
+    else:
+        sol = dataclasses.replace(sol, **change)
+    with pytest.raises(InvalidSpec, match="cannot be certified"):
+        least_energy_certify(sol, p8_curve63)
 
 
 def test_no_bracket_without_extension(grid255, p4_curve):
