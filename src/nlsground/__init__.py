@@ -20,8 +20,8 @@ from .errors import (CertificationFailed, GridMismatch, InsufficientRange,
 from .grid import (DomainSpec, Field, Grid, load_field, node_count, norms,
                    save_field, split)
 from .nodal import nodal_ground_state
-from .normalized import (BranchRecord, Certification, CertificationReport,
-                         FMuProfile, NormalizedSolution, PohozaevReport,
+from .normalized import (BranchRecord, CertificationReport, FMuProfile,
+                         NormalizedSolution, PohozaevReport,
                          SupercriticalBoundReport, f_mu_profile,
                          least_energy_certify, pohozaev_check,
                          solve_normalized, supercritical_lambda_bound)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invalid configuration or arguments, 2 solver
 failure, 3 a numerical check or certification failed (the summary names
-the failing check).  The same arguments produce bitwise identical
+the failing check).  Within check-all, whose configuration is fixed, a
+failed gate (`_VERDICTS`) is a check failure (3) and any other package
+error an error (2).  The same arguments produce bitwise identical
 artifacts: floats are serialized with repr, JSON keys are sorted, and
 nothing time- or host-dependent is written.
 """
@@ -22,7 +24,7 @@ from .action import ActionParams, SolverOptions, ground_state, kappa
 from .curves import (derivative_mass_check, exhaustion_test, estimate_mu_N,
                      mass_threshold, sweep, threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
-                     MassOutOfRange, NlsgroundError, NoConvergence)
+                     MassOutOfRange, NlsgroundError)
 from .grid import DomainSpec, Field, Grid, load_field, norms, save_field, split
 from .nodal import nodal_ground_state
 from .normalized import (least_energy_certify, pohozaev_check,
@@ -30,6 +32,8 @@ from .normalized import (least_energy_certify, pohozaev_check,
 
 SWEEP_HEADER = "lambda,J,mass,dJ_central,flag"
 EIG_HEADER = "index,value,residual"
+# failed gates: verdicts (exit 3), distinct from solver breakdowns (exit 2)
+_VERDICTS = (CertificationFailed, MassAboveBarMu, MassOutOfRange)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,7 +315,7 @@ def _check_normalized(opts: SolverOptions, outdir: Path):
     cert = least_energy_certify(sol, curve, opts)
     mass = sol.u.grid.l2_sq(sol.u.values)
     ok = (abs(mass - sol.mu) <= 1e-6 * sol.mu and cert.passed
-          and sol.certification.is_least_among_found)
+          and sol.energy == min(b.energy for b in sol.branches))
     artifacts = {outdir / "normalized_p4_mu1.json":
                  [json.dumps(sol.to_record(), sort_keys=True, indent=2)],
                  outdir / "normalized_p4_mu1.field": sol.u}
@@ -371,12 +375,9 @@ def _cmd_check_all(args) -> int:
         try:
             ok, detail, artifacts = fn(opts, outdir)
             return name, ("pass" if ok else "fail"), detail, artifacts
-        except NoConvergence as exc:
-            return name, "error:NoConvergence", str(exc), {}
         except NlsgroundError as exc:
-            # domain gates (mass out of range, certification, ...) are
-            # check failures, not solver breakdowns
-            return name, f"fail:{type(exc).__name__}", str(exc), {}
+            status = "fail" if isinstance(exc, _VERDICTS) else "error"
+            return name, f"{status}:{type(exc).__name__}", str(exc), {}
 
     results = [run_one(item) for item in _CHECKS]
 
@@ -498,13 +499,9 @@ def main(argv=None) -> int:
     except (OSError, MemoryError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
-    except (CertificationFailed, MassAboveBarMu, MassOutOfRange) as exc:
-        # failed gates are verdicts, distinct from solver breakdowns
-        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 3
     except NlsgroundError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, _VERDICTS) else 2
 
 
 if __name__ == "__main__":

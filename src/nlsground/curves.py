@@ -1,16 +1,17 @@
 """Frequency continuation: ground-state level curves and what they encode.
 
 A sweep solves the signed or sign-changing problem along an ascending
-frequency list with warm starts, recording the level, the mass and a
-central-difference derivative.  A warm signed solve, in a sweep and in
-the secant refinements built on warm solves, is an Euler-Newton
+frequency list with warm starts and keeps each sample's state; the
+curve reads the level, the mass and a central-difference derivative
+off those states.  A warm signed solve, in a sweep and in the secant
+steps along the branch (`_branch_secant`), is an Euler-Newton
 continuation step: Newton starts from the tangent predictor
 u + (lambda - lambda_0) u' of the previous state (`tangent_predictor`).
 The derivative carries the mass law (twice the derivative of the level
 equals the ground-state mass wherever the level is differentiable), the
 supremum of the mass along the curve is the finite mass threshold in the
 critical and supercritical regimes, located as the zero of the exact
-mass slope (`mass_slope`) by safeguarded secant steps, and the
+mass slope (`mass_slope`) by those secant steps, and the
 large-frequency trend of level/frequency separates the three regimes.
 Warm/cold disagreements are flagged rather than resolved: the level may
 genuinely have countably many kinks where the minimizer jumps.
@@ -44,23 +45,34 @@ _SCALING_LAMBDA = 4.0
 _SCALING_RTOL = 0.02
 _MU_N_CAP = {1: 8191, 2: 301}
 _EXHAUSTION_GAP_TOL = 1e-2  # exhaustion_test: relative gap of the last margin
-_SECANT_STEPS = 80  # iterate cap of _secant_steps
+_SECANT_STEPS = 80  # iterate cap of _branch_secant
 
 
 @dataclass
 class LevelCurve:
-    """Sampled level curve of one kind at one exponent."""
+    """Sampled level curve of one kind at one exponent.
+
+    J, mass and dJ are read off the states when the curve is built: each
+    sample's level and mass (NaN where its state is None, a failed
+    sample), and central differences of J, one-sided at the ends.
+    """
 
     kind: str               # "signed" | "nodal"
     p: float
     grid: Grid
     lambdas: np.ndarray
-    J: np.ndarray
-    mass: np.ndarray
-    dJ: np.ndarray          # central differences, one-sided endpoints
+    states: list = field(repr=False)
     flags: list[str]
-    threshold: float        # discrete -lambda_1 / -lambda_2 threshold value
-    states: list = field(default_factory=list, repr=False)
+    J: np.ndarray = field(init=False)
+    mass: np.ndarray = field(init=False)
+    dJ: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.J = np.array([np.nan if s is None else s.action_value
+                           for s in self.states])
+        self.mass = np.array([np.nan if s is None else s.mass
+                              for s in self.states])
+        self.dJ = _central_differences(self.lambdas, self.J)
 
     def ok(self, i: int) -> bool:
         return not self.flags[i].startswith("failed")
@@ -104,8 +116,9 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
     flags the sample as a possible branch/jump point and the lower level
     wins, while closer levels keep the warm state.  Failed samples are
     flagged and skipped; the sweep aborts only when more than a fifth of
-    them fail, naming the first and the last failure.  The state of
-    every usable sample is kept in `states`.
+    them fail, naming the first and the last failure.  The curve holds
+    the state of every usable sample (None for a failed one) and reads
+    its levels and masses off them.
     """
     opts = opts or SolverOptions()
     lambdas = np.asarray(lambdas, dtype=float)
@@ -121,8 +134,6 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
             f"sweep starts at {lambdas[0]}, at or below the threshold {-thr:.6g}")
 
     count = lambdas.size
-    J = np.full(count, np.nan)
-    mass = np.full(count, np.nan)
     flags = ["ok"] * count
     states: list = [None] * count
     warm: GroundState | None = None
@@ -154,15 +165,10 @@ def sweep(grid: Grid, p: float, lambdas, kind: str = "signed",
                     flags[i] = "jump?"
                     if cold.action_value < st.action_value:
                         st = cold
-        J[i] = st.action_value
-        mass[i] = st.mass
         states[i] = st
         warm = st
 
-    dJ = _central_differences(lambdas, J)
-    curve = LevelCurve(kind=kind, p=p, grid=grid, lambdas=lambdas, J=J,
-                       mass=mass, dJ=dJ, flags=flags, threshold=-thr,
-                       states=states)
+    curve = LevelCurve(kind, p, grid, lambdas, states, flags)
     _annotate_monotonicity(curve)
     return curve
 
@@ -251,8 +257,9 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
     Twice the supremum of the level derivative equals the supremum of
     the sampled mass, so the refinement finds the zero of the exact mass
     slope (`mass_slope`) between the neighbours of the sampled argmax:
-    secant steps on warm re-solves, starting from the slopes of the
-    sweep's stored states, until a step moves the peak frequency by less
+    secant steps along the branch from the argmax's state
+    (`_branch_secant`), starting from the slopes of the sweep's stored
+    states, until a step moves the peak frequency by less
     than refine_rtol relative to the bracket's frequencies.  The mass is
     flat at its peak, so it has then settled far below refine_rtol.
     Without a sign change of the slope there the sampled maximum is kept.
@@ -270,17 +277,11 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
         lo, hi = ok[j - 1], ok[j + 1]
         slope_lo, slope_hi = mass_slope(curve.states[lo]), mass_slope(curve.states[hi])
         if slope_lo > 0.0 > slope_hi:
-            warm = curve.states[ok[j]]
-
-            def slope_at(lam: float):
-                st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
-                return mass_slope(st), st
-
-            lam_lo, lam_hi = float(curve.lambdas[lo]), float(curve.lambdas[hi])
-            scale = max(abs(lam_lo), abs(lam_hi))
+            scale = max(abs(curve.lambdas[lo]), abs(curve.lambdas[hi]))
             prev = best_lam
-            for lam, st in _secant_steps(slope_at, lam_lo, slope_lo, lam_hi, slope_hi):
-                warm = st
+            for lam, st, _ in _branch_secant(curve, lo, hi, mass_slope,
+                                             slope_lo, slope_hi, opts,
+                                             warm=best):
                 if st.mass > best.mass:
                     best_lam, best = lam, st
                 if abs(lam - prev) <= refine_rtol * scale:
@@ -290,29 +291,36 @@ def mass_threshold(curve: LevelCurve, opts: SolverOptions | None = None,
     return MassThreshold(best.mass, best_lam, attained, state=best)
 
 
-def _secant_steps(g, lo: float, g_lo: float, hi: float, g_hi: float):
-    """Iterates of a safeguarded secant search for a root of g in [lo, hi].
+def _branch_secant(curve: LevelCurve, lo: int, hi: int, g, g_lo: float,
+                   g_hi: float, opts: SolverOptions, warm=None):
+    """Safeguarded secant iterates on g(state) between samples lo and hi.
 
-    g_lo and g_hi must differ in sign; g(lam) returns (value, payload).
+    g_lo and g_hi, the values at the two samples, must differ in sign.
     Each step is a secant step through the last two iterates, or a
     bisection when that step leaves the bracket; every iterate replaces
-    the bracket end whose value has its sign.  Yields (lam, payload) per
-    iterate, at most _SECANT_STEPS.
+    the bracket end whose value has its sign.  With warm given, each
+    solve starts from the previous iterate's state, the first from warm;
+    otherwise cold.  Yields (lambda, state, g(state)) per iterate, at
+    most _SECANT_STEPS.
     """
-    lam_prev, g_prev = lo, g_lo
-    lam_cur, g_cur = hi, g_hi
+    a, b = float(curve.lambdas[lo]), float(curve.lambdas[hi])
+    lam_prev, g_prev = a, g_lo
+    lam_cur, g_cur = b, g_hi
     for _ in range(_SECANT_STEPS):
-        lam = 0.5 * (lo + hi)
+        lam = 0.5 * (a + b)
         if g_cur != g_prev:
             secant = lam_cur - g_cur * (lam_cur - lam_prev) / (g_cur - g_prev)
-            if lo < secant < hi:
+            if a < secant < b:
                 lam = secant
-        value, payload = g(lam)
-        yield lam, payload
+        st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
+        if warm is not None:
+            warm = st
+        value = g(st)
+        yield lam, st, value
         if (g_lo < 0) == (value < 0):
-            lo, g_lo = lam, value
+            a, g_lo = lam, value
         else:
-            hi, g_hi = lam, value
+            b, g_hi = lam, value
         lam_prev, g_prev = lam_cur, g_cur
         lam_cur, g_cur = lam, value
 

@@ -2,14 +2,15 @@
 
 Minimizing J(lambda) - mu * lambda / 2 over the frequency links the
 prescribed mass mu to the frequencies where the ground-state mass curve
-crosses mu.  The solver enumerates those crossings on a sampled curve
-(a mass up to the threshold mu_p is crossed on either side of the
-refined mass peak, which joins the curve as a sample), polishes each to
-the mass tolerance by safeguarded secant steps, and returns the branch
-of least energy; certification re-checks minimality against the
-curve's minimum, refined by the same secant steps on cold re-solves
-(the derivative of J - mu lambda / 2 is (mass - mu) / 2), and that the
-returned field is a ground state at its own frequency.  Star-shaped
+crosses mu.  The solver enumerates those crossings on a sampled curve,
+whose levels, masses and dJ are read off its samples' states (a mass
+up to the threshold mu_p is crossed on either side of the refined mass
+peak, whose state joins the curve as a sample), polishes each to the
+mass tolerance by safeguarded secant steps along the branch, and
+returns the branch of least energy; certification re-checks minimality
+against the curve's minimum, refined by the same secant steps on cold
+re-solves (the derivative of J - mu lambda / 2 is (mass - mu) / 2), and
+that the returned field is a ground state at its own frequency.  Star-shaped
 boundary-weighted identities provide an independent consistency check
 and the supercritical frequency bound.
 """
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import spectral
 from .action import ActionParams, SolverOptions, action, energy
-from .curves import (LevelCurve, _central_differences, _secant_steps,
-                     _solve_one, critical_exponent, mass_threshold, sweep,
+from .curves import (LevelCurve, _branch_secant, _solve_one,
+                     critical_exponent, mass_threshold, sweep,
                      threshold_eigenvalue)
 from .errors import (CertificationFailed, InvalidSpec, MassAboveBarMu,
                      MassOutOfRange, NoBracket)
@@ -48,12 +49,6 @@ class BranchRecord:
 
 
 @dataclass(frozen=True)
-class Certification:
-    branches_examined: int
-    is_least_among_found: bool
-
-
-@dataclass(frozen=True)
 class NormalizedSolution:
     """Solution of the prescribed-mass problem with selection metadata."""
 
@@ -62,11 +57,11 @@ class NormalizedSolution:
     mu: float
     energy: float
     kind: str
+    p: float                # checked by the certification, not recorded
     action_value: float
     residual: float
     node_count: int
     branches: tuple[BranchRecord, ...]
-    certification: Certification
 
     def to_record(self) -> dict:
         spec = self.u.grid.spec
@@ -81,8 +76,9 @@ class NormalizedSolution:
             "branches": [[b.lam, b.action_value, b.mass, b.energy]
                          for b in self.branches],
             "certification": {
-                "branches_examined": self.certification.branches_examined,
-                "is_least_among_found": self.certification.is_least_among_found,
+                "branches_examined": len(self.branches),
+                "is_least_among_found": self.energy == min(
+                    b.energy for b in self.branches),
             },
             "domain": {"dimension": spec.dimension,
                        "bounds": [list(ax) for ax in spec.bounds]},
@@ -126,16 +122,12 @@ def f_mu_profile(curve: LevelCurve, mu: float) -> FMuProfile:
 
 
 def _join(curve: LevelCurve, lambdas, states, flags) -> LevelCurve:
-    """The curve with more samples merged in by frequency, read off states."""
+    """The curve with more samples merged in by frequency."""
     lam = np.concatenate([curve.lambdas, lambdas])
     order = np.argsort(lam, kind="stable")
     states, flags = ([seq[i] for i in order] for seq in
                      (curve.states + list(states), curve.flags + list(flags)))
-    J = np.array([np.nan if s is None else s.action_value for s in states])
-    return replace(
-        curve, lambdas=lam[order], J=J,
-        mass=np.array([np.nan if s is None else s.mass for s in states]),
-        dJ=_central_differences(lam[order], J), flags=flags, states=states)
+    return replace(curve, lambdas=lam[order], states=states, flags=flags)
 
 
 def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
@@ -235,14 +227,11 @@ def solve_normalized(grid: Grid, p: float, mu: float, kind: str = "signed",
         mu=mu,
         energy=best_rec.energy,
         kind=kind,
+        p=p,
         action_value=best_state.action_value,
         residual=best_state.residual,
         node_count=best_state.node_count,
         branches=tuple(records),
-        certification=Certification(
-            branches_examined=len(records),
-            is_least_among_found=True,
-        ),
     )
 
 
@@ -265,40 +254,15 @@ def _polish_crossing(curve: LevelCurve, mu: float, bracket, opts):
     ia, ib = bracket
     if ia == ib:
         return float(curve.lambdas[ia]), curve.states[ia]
-    for lam, st, matched in _mass_match(curve, mu, ia, ib, opts,
-                                        curve.states[ia]):
-        if matched:
+    for lam, st, gap in _branch_secant(curve, ia, ib, lambda s: s.mass - mu,
+                                       float(curve.mass[ia] - mu),
+                                       float(curve.mass[ib] - mu), opts,
+                                       warm=curve.states[ia]):
+        if abs(gap) <= _MASS_RTOL * mu:
             return lam, st
-    gap = abs(st.mass - mu) / mu
     raise NoBracket(
-        f"mass matching stalled at |mass-mu|/mu = {gap:.2e} inside "
+        f"mass matching stalled at |mass-mu|/mu = {abs(gap) / mu:.2e} inside "
         f"[{curve.lambdas[ia]}, {curve.lambdas[ib]}]")
-
-
-def _mass_match(curve: LevelCurve, mu: float, lo: int, hi: int,
-                opts: SolverOptions, warm=None):
-    """Secant iterates on mass(lambda) - mu between samples lo and hi.
-
-    With warm given, each solve starts from the previous iterate's
-    state, the first from warm; otherwise cold.  Yields (lambda, state,
-    whether the mass matches mu to _MASS_RTOL) per iterate, up to the
-    first match.
-    """
-    def mass_gap(lam: float):
-        nonlocal warm
-        st = _solve_one(curve.grid, curve.p, lam, curve.kind, opts, warm)
-        if warm is not None:
-            warm = st
-        return st.mass - mu, st
-
-    for lam, st in _secant_steps(mass_gap, float(curve.lambdas[lo]),
-                                 float(curve.mass[lo] - mu),
-                                 float(curve.lambdas[hi]),
-                                 float(curve.mass[hi] - mu)):
-        matched = abs(st.mass - mu) <= _MASS_RTOL * mu
-        yield lam, st, matched
-        if matched:
-            return
 
 
 @dataclass
@@ -323,12 +287,14 @@ def least_energy_certify(sol: NormalizedSolution, curve: LevelCurve,
     the solution's own frequency to within twice the solver tolerance
     plus 1e-6 of that level.  Raises
     CertificationFailed with the violating frequency otherwise, and
-    InvalidSpec for a solution whose grid or kind is not the curve's.
+    InvalidSpec for a solution whose grid, kind or exponent is not the
+    curve's.
     """
-    if (sol.u.grid, sol.kind) != (curve.grid, curve.kind):
+    if (sol.u.grid, sol.kind, sol.p) != (curve.grid, curve.kind, curve.p):
         raise InvalidSpec(
-            f"a {sol.kind} solution on {sol.u.grid} cannot be certified "
-            f"against the {curve.kind} curve on {curve.grid}")
+            f"a {sol.kind} p={sol.p} solution on {sol.u.grid} cannot be "
+            f"certified against the {curve.kind} p={curve.p} curve on "
+            f"{curve.grid}")
     opts = opts or SolverOptions()
     profile = f_mu_profile(curve, sol.mu)
     f_min, lam_min = _refine_profile_min(curve, sol.mu, profile, opts)
@@ -373,8 +339,12 @@ def _refine_profile_min(curve: LevelCurve, mu: float, profile: FMuProfile,
     lo, hi = ok[max(k - 1, 0)], ok[min(k + 1, ok.size - 1)]
     if (curve.mass[lo] - mu) * (curve.mass[hi] - mu) >= 0.0:
         return best
-    for lam, st, _ in _mass_match(curve, mu, lo, hi, opts):
+    for lam, st, gap in _branch_secant(curve, lo, hi, lambda s: s.mass - mu,
+                                       float(curve.mass[lo] - mu),
+                                       float(curve.mass[hi] - mu), opts):
         best = min(best, (st.action_value - 0.5 * mu * lam, lam))
+        if abs(gap) <= _MASS_RTOL * mu:
+            break
     return best
 
 

@@ -222,7 +222,7 @@ def test_criterion_07_normalized_solves(normalized_solutions):
         mass = grid.l2_sq(sol.u.values)
         cert = least_energy_certify(sol, curve)
         good = (abs(mass - 1.0) <= 1e-6 and cert.passed
-                and sol.certification.is_least_among_found)
+                and sol.energy == min(b.energy for b in sol.branches))
         ok = ok and good
         details.append(f"{key}: |m-mu|={abs(mass - 1.0):.1e}")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nlsground import (InvalidSpec, MassOutOfRange, NoConvergence,
+from nlsground import (InvalidSpec, MassOutOfRange, NoBracket, NoConvergence,
                        SolverOptions, load_field)
 from nlsground import cli
 from nlsground.cli import EIG_HEADER, SWEEP_HEADER, main
@@ -358,6 +359,53 @@ def test_check_all_artifacts_independent_of_seed(tmp_path, capsys):
         assert a == b, name
 
 
+# SHA-256 of every check-all artifact at --seed 0; a change that moves an
+# artifact updates these and names the moved files in CHANGES.md
+CHECK_ALL_DIGESTS = {
+    "eig_1d.csv":
+        "2e3b32c809203022054899063563531e73054329bb0202d9ba909cdd3f2ac7a6",
+    "eig_2d.csv":
+        "67cb87f1111b550597c05ff9267e6eecce5b151e8ec13e6f68c677c6c3bd5ff3",
+    "exhaustion.csv":
+        "9f72ad2176f3bb8ec5c92e65a9658642b6a8142be241850e50409181b22ffad0",
+    "ground_p4_lam1.json":
+        "3bba80dcea137549b0d644e064069cb64884012b3430cd6077ef4c34f6291e67",
+    "ground_p4_lam10.field":
+        "ec72afc018bf1f2ad73ea076152a49e507b32dff5704eda0c3100fb0b4d488a6",
+    "ground_p4_lam10.json":
+        "bd894c83aabce057144bf3e2340eb775b49153238472f2cc131334e1afa38510",
+    "ground_p6_lam1.json":
+        "c71efb76c92db30e4810911afd1d8e053b5ec0b7547238f1a8f4990c2eb44a4d",
+    "ground_p6_lam10.json":
+        "8c70bb72a19ca996cf5618b8b16b4ce8fea1631e293c7841106d637a398c6fee",
+    "mass_thresholds.csv":
+        "b3a0862b9eb4cc9dc2391081bacf7f6f81f5c0f7e5802c0d0199cdc33b5527bf",
+    "nodal_p4_lam10.json":
+        "1d2d0c493c6a449a856fed1b76e781755f54457e545d33ab0eaf34e8948c76ff",
+    "normalized_p4_mu1.field":
+        "3eb27acabf83702075ca6d54ded423669daca857e0f0b6871ec91dc7d072982f",
+    "normalized_p4_mu1.json":
+        "72b53decf522fa0bafb39ad9bf5f0ed261c2b08219b6df7860c3ad887985f776",
+    "pohozaev_p8.json":
+        "bc401e9f04224947a8511fd0915a3c42454ea2cd668bcb45e61eae6e1ca51e65",
+    "summary.json":
+        "bf5a24553a7d2e7fd21795be3b62591569e069881f4bd2a2e8d3c0be6ef0b1d0",
+    "sweep_nodal_p4.csv":
+        "669f7877296b160d624a13c6cb91c1264dc9a0dfbdf00a062e5655bf8758909f",
+    "sweep_signed_p4.csv":
+        "d8cd6c5bebcfb0bf717cd8dd5563831b0d51a28ad75a32b11e7239eb90cec45c",
+}
+
+
+def test_check_all_artifacts_are_pinned(tmp_path, capsys):
+    code, _ = run_cli(capsys, "check-all", "--out-dir", str(tmp_path),
+                      "--seed", "0")
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == CHECK_ALL_DIGESTS
+
+
 def test_mass_threshold_check_needs_rising_p4_masses(tmp_path, monkeypatch):
     # p=4 is subcritical, so its sampled masses must rise strictly; one
     # flat step fails the check though mass_threshold never reads them
@@ -389,13 +437,16 @@ def _raising(exc_type):
 
 @pytest.mark.parametrize("check, status, code", [
     (_raising(NoConvergence), "error:NoConvergence", 2),
+    (_raising(NoBracket), "error:NoBracket", 2),
+    (_raising(InvalidSpec), "error:InvalidSpec", 2),
     (_raising(MassOutOfRange), "fail:MassOutOfRange", 3),
     (lambda opts, outdir: (False, "off", {}), "fail", 3),
 ])
 def test_check_all_failure_contract(tmp_path, capsys, monkeypatch, check,
                                     status, code):
-    # a solver breakdown is an error (exit 2); a failed gate or check is a
-    # failure (exit 3); the other checks still run and write artifacts
+    # a failed gate or check is a failure (exit 3), as it is for the
+    # subcommands; any other package error is an error (exit 2); the
+    # other checks still run and write artifacts
     monkeypatch.setattr(cli, "_CHECKS", [("first", _passing("first")),
                                          ("broken", check),
                                          ("last", _passing("last"))])

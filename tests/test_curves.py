@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nlsground import (ActionParams, InsufficientRange, LevelCurve,
-                       NoConvergence, NotCritical, critical_exponent,
+from nlsground import (ActionParams, InsufficientRange, InvalidSpec,
+                       LevelCurve, NoConvergence, NotCritical,
+                       critical_exponent,
                        derivative_mass_check, estimate_mu_N,
                        exhaustion_test, lambda1, lambda2, mass_growth_exponent,
                        mass_threshold, resolution_matched_factory, sweep)
@@ -71,13 +72,16 @@ def _stubbed_sweep(monkeypatch, unit_interval, levels, cold_level):
     """Sweep frequencies 1..12 with stubbed solves of the given levels.
 
     The cold re-solve of sample 10 (index 10, the first with a warm start
-    from the sample before) returns cold_level instead.
+    from the sample before) returns cold_level instead, or raises
+    NoConvergence for cold_level None.
     """
     from nlsground import Grid
 
     def solve_one(grid, p, lam, kind, opts, warm):
         i = int(lam) - 1
         cold = warm is None and i == 10
+        if cold and cold_level is None:
+            raise NoConvergence("cold start failed")
         level = cold_level if cold else levels[i]
         return SimpleNamespace(action_value=level, mass=1.0, cold=cold)
 
@@ -98,6 +102,14 @@ def test_sweep_cold_check_flags_a_jump(monkeypatch, unit_interval, shift,
     assert cur.J[10] == min(levels[10], levels[10] * (1.0 + shift))
 
 
+def test_sweep_cold_check_that_raises_keeps_the_warm_state(monkeypatch,
+                                                          unit_interval):
+    levels = np.arange(1.0, 13.0)
+    cur = _stubbed_sweep(monkeypatch, unit_interval, levels, None)
+    assert cur.flags == ["ok"] * 12
+    assert not cur.states[10].cold and cur.J[10] == levels[10]
+
+
 def test_sweep_flags_a_level_that_does_not_rise(monkeypatch, unit_interval):
     levels = np.arange(1.0, 13.0)
     levels[4] = levels[3]
@@ -114,6 +126,12 @@ def test_sweep_validation(grid255):
         sweep(grid255, 4.0, [-100.0, 1.0], "signed")
     with pytest.raises(ValueError):
         sweep(grid255, 4.0, [1.0], "unknown")
+    for lams in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="nonempty 1D"):
+            sweep(grid255, 4.0, lams, "signed")
+    for lams in ([1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(InvalidSpec, match="finite"):
+            sweep(grid255, 4.0, lams, "signed")
 
 
 def test_single_sample_curve_has_no_derivative(grid255):
@@ -151,12 +169,10 @@ def test_synthetic_jump_sample_excluded(grid255):
     lams = np.linspace(1.0, 10.0, 10)
     J = np.linspace(1.0, 5.0, 10)
     J[6:] += 3.0  # constructed jump between samples 5 and 6
-    mass = np.full(10, 1.0)
-    dJ = np.gradient(J, lams)
+    states = [SimpleNamespace(action_value=j, mass=1.0) for j in J]
     flags = ["ok"] * 10
     flags[6] = "jump?"
-    cur = LevelCurve("signed", 4.0, grid255, lams, J, mass, dJ, flags,
-                     threshold=-1.0)
+    cur = LevelCurve("signed", 4.0, grid255, lams, states, flags)
     rep = derivative_mass_check(cur)
     assert 5 in rep.excluded or 6 in rep.excluded
     assert rep.max_rel_error < max(r for _, r in rep.per_sample)
@@ -167,6 +183,15 @@ def test_mass_threshold_subcritical_marker(signed_curve_p4):
     assert mt.unbounded
     assert mt.mu_p == math.inf
     assert mt.attained == "no"
+
+
+def test_mass_threshold_needs_a_usable_sample(grid255):
+    # a curve whose samples all failed has no level or mass to read
+    cur = LevelCurve("signed", 8.0, grid255, np.arange(1.0, 4.0), [None] * 3,
+                     ["failed:NoConvergence"] * 3)
+    assert np.isnan(cur.J).all() and np.isnan(cur.mass).all()
+    with pytest.raises(NoConvergence, match="no usable samples"):
+        mass_threshold(cur)
 
 
 def test_mass_threshold_supercritical(grid255):

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,8 +49,7 @@ def test_solve_normalized_signed(grid255, p4_curve):
     assert sol.residual <= 1e-8
     assert sol.energy == pytest.approx(sol.action_value - 0.5 * sol.lam * sol.mu,
                                        rel=1e-12)
-    assert sol.certification.branches_examined >= 1
-    assert sol.certification.is_least_among_found
+    assert len(sol.branches) >= 1
     assert sol.energy == min(b.energy for b in sol.branches)
     cert = least_energy_certify(sol, p4_curve)
     assert cert.passed
@@ -78,20 +78,26 @@ def test_perturbed_solution_fails_certification(grid255, p4_curve):
         least_energy_certify(perturbed, p4_curve)
 
 
+def test_raised_energy_fails_certification(unit_interval):
+    # an energy 1e-3 above the curve's minimum of J - mu lambda / 2 fails
+    # the energy gate, which names the refined minimizer's frequency
+    grid = Grid(unit_interval, 63)
+    curve = sweep(grid, 4.0, np.linspace(-lambda1(grid) + 0.5, 60.0, 30))
+    sol = solve_normalized(grid, 4.0, 1.0, curve=curve)
+    raised = dataclasses.replace(sol, energy=sol.energy * (1.0 + 1e-3))
+    with pytest.raises(CertificationFailed,
+                       match="differs from the curve minimum") as info:
+        least_energy_certify(raised, curve)
+    assert info.value.lam == pytest.approx(sol.lam, rel=1e-6)
+
+
 def test_certification_minimum_takes_few_resolves(grid255, monkeypatch):
     # the check-all curve: the minimum of J - mu lambda / 2 sits where the
     # mass crosses mu, found by secant steps on cold re-solves
     lams = np.linspace(-lambda1(grid255) + 0.5, 60.0, 80)
     curve = sweep(grid255, 4.0, lams, "signed")
     sol = solve_normalized(grid255, 4.0, 1.0, "signed", curve=curve)
-    solve_one = nlsground.normalized._solve_one
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_one(*args, **kwargs)
-
-    monkeypatch.setattr(nlsground.normalized, "_solve_one", counted)
+    calls = _recorded_solves(monkeypatch)
     cert = least_energy_certify(sol, curve)
     assert cert.passed and cert.energy_gap <= 1e-12
     assert len(calls) <= 5
@@ -116,16 +122,18 @@ def test_mass_out_of_range_supercritical(grid255, monkeypatch):
     assert (sol.energy, sol.lam) == min((b.energy, b.lam)
                                         for b in sol.branches)
     # at mu_p, and within the mass tolerance above it, the refined peak's
-    # own state is the solution, with no solve after mass_threshold
+    # own state is the solution, with no solve but mass_threshold's own
     peaks = []
+    states = _recorded_solves(monkeypatch)
 
     def recorded_threshold(*args, **kwargs):
+        before = len(states)
         peaks.append(mass_threshold(*args, **kwargs))
+        del states[before:]
         return peaks[-1]
 
     monkeypatch.setattr(nlsground.normalized, "mass_threshold",
                         recorded_threshold)
-    states = _recorded_solves(monkeypatch)
     for mu in (peak.mu_p, peak.mu_p * (1.0 + 5e-7)):
         sol = solve_normalized(grid255, 8.0, mu, "signed", curve=curve)
         assert sol.u is peaks[-1].state.u
@@ -150,7 +158,8 @@ def test_curve_must_match_the_problem(unit_interval, p8_curve63, n, p, kind):
                          curve=p8_curve63)
 
 
-@pytest.mark.parametrize("change", [{"kind": "nodal"}, {"n": 127}])
+@pytest.mark.parametrize("change", [{"kind": "nodal"}, {"n": 127},
+                                    {"p": 4.0}])
 def test_certified_solution_must_match_the_curve(unit_interval, p8_curve63,
                                                  change):
     mu = 0.8 * float(np.nanmax(p8_curve63.mass))
@@ -219,14 +228,16 @@ def test_extensions_are_capped(unit_interval, monkeypatch):
 
 
 def _recorded_solves(monkeypatch):
+    """Record every solve of the secant steps and the certification."""
     states = []
-    inner = nlsground.normalized._solve_one
+    inner = curves._solve_one
 
     def recorded(*args):
         states.append(inner(*args))
         return states[-1]
 
-    monkeypatch.setattr(nlsground.normalized, "_solve_one", recorded)
+    for module in (nlsground.normalized, curves):
+        monkeypatch.setattr(module, "_solve_one", recorded)
     return states
 
 
@@ -251,11 +262,11 @@ def test_profile_minimum_without_a_mass_crossing_stands(unit_interval,
     # of J - mu lambda / 2, so no secant step brackets a better one and
     # the sample is returned without a solve
     grid = Grid(unit_interval, 31)
+    states = [SimpleNamespace(action_value=j, mass=m)
+              for j, m in zip([5.0, 3, 2, 3, 4], [3.0, 2.5, 2, 1.5, 1.2])]
     curve = LevelCurve(kind="signed", p=4.0, grid=grid,
-                       lambdas=np.arange(5.0), J=np.array([5.0, 3, 2, 3, 4]),
-                       mass=np.array([3.0, 2.5, 2, 1.5, 1.2]),
-                       dJ=np.zeros(5), flags=["ok"] * 5,
-                       threshold=-lambda1(grid))
+                       lambdas=np.arange(5.0), states=states,
+                       flags=["ok"] * 5)
     profile = f_mu_profile(curve, 1.0)
     states = _recorded_solves(monkeypatch)
     best = nlsground.normalized._refine_profile_min(curve, 1.0, profile,
@@ -268,7 +279,7 @@ def test_branch_selection_minimizes_energy(grid255):
     curve = sweep(grid255, 8.0, lams, "signed")
     peak = mass_threshold(curve, refine_rtol=1e-9)
     sol = solve_normalized(grid255, 8.0, 0.8 * peak.mu_p, "signed", curve=curve)
-    assert sol.certification.branches_examined >= 2
+    assert len(sol.branches) >= 2
     assert sol.energy == min(b.energy for b in sol.branches)
     assert sol.lam == min((b.energy, b.lam) for b in sol.branches)[1]
 
